@@ -327,16 +327,16 @@ class MultiheadAttention(CoModule):
     def _project(self, x: np.ndarray):
         dt = x.dtype
         return (
-            x @ self.w_q.array.astype(dt),
-            x @ self.w_k.array.astype(dt),
-            x @ self.w_v.array.astype(dt),
+            x @ self.w_q.array.astype(dt, copy=False),
+            x @ self.w_k.array.astype(dt, copy=False),
+            x @ self.w_v.array.astype(dt, copy=False),
         )
 
     def att_step(self, state, x_q: Tensor, x_k: Tensor, x_v: Tensor) -> StepOutput:
         dt = x_q.array.dtype
-        q = x_q.array @ self.w_q.array.astype(dt)
-        k = x_k.array @ self.w_k.array.astype(dt)
-        v = x_v.array @ self.w_v.array.astype(dt)
+        q = x_q.array @ self.w_q.array.astype(dt, copy=False)
+        k = x_k.array @ self.w_k.array.astype(dt, copy=False)
+        v = x_v.array @ self.w_v.array.astype(dt, copy=False)
         outs = []
         for i in range(self.heads):
             sk = slice(i * self._dh_k, (i + 1) * self._dh_k)
@@ -348,7 +348,7 @@ class MultiheadAttention(CoModule):
         if any(y is None for y in outs):
             return None  # all heads consumed the token; they warm together
         cat = np.concatenate([y.array for y in outs], axis=-1)
-        return Tensor.wrap(cat @ self.w_o.array.astype(dt))
+        return Tensor.wrap(cat @ self.w_o.array.astype(dt, copy=False))
 
     def forward_step(self, state, x_t: Tensor) -> StepOutput:
         return self.att_step(state, x_t, x_t, x_t)
@@ -423,7 +423,7 @@ class RecyclingPositionalEncoding(CoModule):
         return _RpeState()
 
     def forward_step(self, state: _RpeState, x_t: Tensor) -> StepOutput:
-        p = self.table.array[state.tau].astype(x_t.array.dtype)
+        p = self.table.array[state.tau].astype(x_t.array.dtype, copy=False)
         state.tau = (state.tau + 1) % self.period
         return Tensor.wrap(x_t.array + p)
 
@@ -506,8 +506,9 @@ class EncoderBlock(CoModule):
 
     def _ff(self, ya: np.ndarray) -> np.ndarray:
         dt = ya.dtype
-        h = np.maximum(ya @ self.ff_w1.array.astype(dt) + self.ff_b1.array.astype(dt), 0)
-        return h @ self.ff_w2.array.astype(dt) + self.ff_b2.array.astype(dt)
+        h = np.maximum(ya @ self.ff_w1.array.astype(dt, copy=False)
+                       + self.ff_b1.array.astype(dt, copy=False), 0)
+        return h @ self.ff_w2.array.astype(dt, copy=False) + self.ff_b2.array.astype(dt, copy=False)
 
     def _block_tail(self, sel: np.ndarray, att: np.ndarray) -> np.ndarray:
         y = self.ln1._apply(sel + att)
@@ -524,7 +525,7 @@ class EncoderBlock(CoModule):
                 sda_full(Tensor.wrap(q[:, sk]), Tensor.wrap(k[:, sk]),
                          Tensor.wrap(v[:, sv]), self.mha._head.scale).array
             )
-        att = np.concatenate(heads, axis=-1) @ self.mha.w_o.array.astype(win.dtype)
+        att = np.concatenate(heads, axis=-1) @ self.mha.w_o.array.astype(win.dtype, copy=False)
         return self._block_tail(win, att)
 
     # -- step mode ------------------------------------------------------------------
@@ -578,7 +579,7 @@ class EncoderBlock(CoModule):
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         if self.window_input:
-            return self.clip_cost((self.d_model,), self.n)
+            return self.clip_cost(frame_shape, 1)  # a step recomputes one window
         rows = self.n if self.mode == "retro" else 1
         cost = self.mha.step_cost(frame_shape) + self._tail_cost(rows)
         if self.rpe is not None:

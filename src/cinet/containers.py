@@ -82,7 +82,7 @@ class Pointwise(CoModule):
         return None
 
     def _apply(self, xa: np.ndarray, channel_axis: int) -> np.ndarray:
-        w = self.weight.array.astype(xa.dtype)
+        w = self.weight.array.astype(xa.dtype, copy=False)
         moved = np.moveaxis(xa, channel_axis, -1)
         return np.moveaxis(moved @ w, -1, channel_axis)
 

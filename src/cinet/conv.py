@@ -6,12 +6,29 @@ Spatially each tap is an ordinary stride-1 cross-correlation.  Zero padding
 is leading-only (``padding`` virtual zero frames before the stream); trailing
 padding would require peeking into the future and is never applied.
 
-Two step-mode arrangements are provided:
+Two step-mode arrangements are provided.  Each keeps its stream state in one
+ring of ``rf - 1`` slots (``rf`` the receptive field), zero-initialised and
+allocated on the first frame; step ``t`` owns slot ``t mod (rf - 1)``, so the
+step counter is the ring's cursor and the state never grows or reallocates:
 
-- ``pre``  (direct form): cache raw input frames, convolve when the window
-  is complete.
-- ``post`` (transposed form): convolve each arriving frame with every tap
-  eagerly and accumulate into the emission slot each product completes.
+- ``pre``  (direct form): the ring holds the previous raw input frames.  An
+  emission gathers the tapped frames oldest-first, through a precomputed
+  slot index per ring phase, beside the newest frame and convolves them in
+  one matrix product.  Unwritten zero slots are the virtual frames before
+  the stream.
+- ``post`` (transposed form): the ring holds partial sums, one slot per
+  pending emission.  Each arriving frame is convolved with every live tap in
+  one matrix product and each product is added to the slot of the emission
+  it completes.  Emissions ``t`` and ``t + rf - 1`` share a slot, so the
+  oldest tap's product overwrites the slot just emitted instead of adding
+  to it.
+
+Weights are arranged for those products once per frame dtype and shape, on
+the first such frame (oldest tap first for ``pre``, tap-major for ``post``),
+and kept on the module with the per-phase slot tables.  A spatial kernel is
+unfolded (im2col) through a gather index built at the same time; a 1x1
+kernel needs no unfolding, so an emission is one
+``(c_out, k*c_in) @ (k*c_in, H*W)`` matrix product.
 
 Both emit on exactly the same schedule and differ only in summation order.
 ``auto`` picks whichever caches fewer elements.
@@ -19,7 +36,8 @@ Both emit on exactly the same schedule and differ only in summation order.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,14 +53,43 @@ def _spatial(xa: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...cijab,ocab->...oij", windows, w, optimize=True)
 
 
+def _unfold_index(frames: int, frame_shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """Gather index that unfolds ``frames`` stacked (C, H, W) frames into
+    im2col columns: row (frame, c, a, b), column (i, j) picks element
+    ``[frame, c, i + a, j + b]`` of the flattened stack."""
+    c, h, w = frame_shape
+    flat = np.arange(frames * c * h * w).reshape(frames * c, h, w)
+    win = np.lib.stride_tricks.sliding_window_view(flat, (kh, kw), axis=(1, 2))
+    return win.transpose(0, 3, 4, 1, 2).reshape(frames * c * kh * kw, -1)
+
+
+class _Layout(NamedTuple):
+    """What the step path needs for one frame dtype and shape, made once.
+
+    ``plan[t % len(plan)]`` is the entry of step ``t``.  ``pre`` entries are
+    ``(w, slots)``: the (c_out, k_t*C*KH*KW) oldest-tap-first weights and
+    the ring slots of taps k_t-1 .. 1.  ``post`` entries are ``(w, lo, hi,
+    slots, last)``: the tap-major (live taps*c_out, C*KH*KW) weights of the
+    taps whose emission the stride keeps, the span of the middle taps in
+    their product and those taps' ring slots, and whether the oldest tap is
+    live.  ``cols`` is the im2col gather index, ``None`` for 1x1 kernels.
+    """
+
+    form: str
+    out_shape: tuple
+    plan: list
+    bias: np.ndarray
+    cols: Optional[np.ndarray]
+
+
 class _ConvState:
     __slots__ = ("fifo", "acc", "t", "form")
 
     def __init__(self, form: str):
-        self.fifo = deque()  # pre: raw frames, newest right
-        self.acc = {}  # post: emission step -> partial sum
-        self.t = 0
-        self.form = form  # resolved lazily for "auto"
+        self.fifo = None  # pre: (rf-1, C, H, W) ring of raw frames
+        self.acc = None  # post: (rf-1, O, H', W') ring of partial sums
+        self.t = 0  # steps consumed; modulo rf-1 it is the ring cursor
+        self.form = form  # resolved on the first frame for "auto"
 
 
 class TemporalConv(CoModule):
@@ -78,6 +125,7 @@ class TemporalConv(CoModule):
         self.temporal_stride = temporal_stride
         self.form = form
         self._rf = rf
+        self._layouts = {}  # (dtype, frame shape) -> _Layout
 
     # -- temporal properties --------------------------------------------------
 
@@ -139,58 +187,108 @@ class TemporalConv(CoModule):
     def _emits_at(self, t: int) -> bool:
         return t >= self.delay() and (t - self.delay()) % self.temporal_stride == 0
 
+    def _layout(self, dtype: np.dtype, frame_shape: tuple) -> _Layout:
+        lay = self._layouts.get((dtype, frame_shape))
+        if lay is not None:
+            return lay
+        out_shape = self.out_frame_shape(frame_shape)
+        form = self.form
+        if form == "auto":
+            form = self.cache_elements(frame_shape)["chosen"]
+        k_t, d, stride, n = self.k_t, self.dilation, self.temporal_stride, self._rf - 1
+        w = self.weights.array.astype(dtype)
+        if form == "pre":
+            frames = k_t
+            w = w[:, :, ::-1].transpose(0, 2, 1, 3, 4).reshape(self.c_out, -1)
+            plan = [(w, np.array([(ph - k * d) % n for k in range(k_t - 1, 0, -1)],
+                                 dtype=np.intp))
+                    for ph in range(max(n, 1))]
+        else:
+            frames = 1
+            taps = w.transpose(2, 0, 1, 3, 4).reshape(k_t, self.c_out, -1)
+            live = [[k for k in range(k_t) if (p + k * d - self.delay()) % stride == 0]
+                    for p in range(stride)]
+            w_live = [taps[ks].reshape(-1, taps.shape[2]) for ks in live]
+            plan = []
+            for q in range(math.lcm(max(n, 1), stride)):
+                ks = live[q % stride]
+                mid = [k for k in ks if 0 < k < k_t - 1]
+                lo = 1 if ks and ks[0] == 0 else 0
+                slots = np.array([(q + k * d) % n for k in mid], dtype=np.intp)
+                last = k_t > 1 and bool(ks) and ks[-1] == k_t - 1
+                plan.append((w_live[q % stride], lo, lo + len(mid), slots, last))
+        cols = None
+        if self.k_h > 1 or self.k_w > 1:
+            cols = _unfold_index(frames, frame_shape, self.k_h, self.k_w)
+        bias = self.bias.array.astype(dtype).reshape(-1, 1, 1)
+        lay = _Layout(form, out_shape, plan, bias, cols)
+        self._layouts[(dtype, frame_shape)] = lay
+        return lay
+
+    def _ring(self, state: _ConvState, lay: _Layout, xa: np.ndarray) -> np.ndarray:
+        """The stream's ring, allocated on the first frame; later frames
+        must match the first one's shape and dtype."""
+        pre = lay.form == "pre"
+        ring = state.fifo if pre else state.acc
+        shape = (self._rf - 1,) + (xa.shape if pre else lay.out_shape)
+        if ring is None:
+            ring = np.zeros(shape, dtype=xa.dtype)
+            if pre:
+                state.fifo = ring
+            else:
+                state.acc = ring
+        elif ring.shape != shape or ring.dtype != xa.dtype:
+            raise DimensionError(
+                f"frame {xa.shape} {xa.dtype} does not fit the stream's "
+                f"ring {ring.shape} {ring.dtype}")
+        return ring
+
+    def _unfold(self, lay: _Layout, xa: np.ndarray) -> np.ndarray:
+        if lay.cols is None:
+            return xa.reshape(-1, xa.shape[-2] * xa.shape[-1])
+        return np.take(xa, lay.cols)
+
     def forward_step(self, state: _ConvState, x_t: Tensor) -> StepOutput:
         if x_t.rank != 3:
             raise DimensionError(f"frame must be (C,H,W), got {x_t.shape}")
-        out_shape = self.out_frame_shape(x_t.shape)
-        if state.form == "auto":
-            state.form = self.cache_elements(x_t.shape)["chosen"]
         xa = x_t.array
-        wa = self.weights.array.astype(xa.dtype, copy=False)
-        ba = self.bias.array.astype(xa.dtype, copy=False)
+        lay = self._layout(xa.dtype, xa.shape)
+        state.form = lay.form
+        ring = self._ring(state, lay, xa)
+        n = self._rf - 1
         t = state.t
         state.t += 1
-        if state.form == "pre":
-            y = None
+        y = None
+        entry = lay.plan[t % len(lay.plan)]
+        if lay.form == "pre":
+            w, slots = entry
             if self._emits_at(t):
-                frames = []
-                taps = []
-                for k in range(self.k_t):
-                    back = k * self.dilation
-                    if back == 0:
-                        frames.append(xa)
-                        taps.append(k)
-                    elif back <= len(state.fifo):
-                        frames.append(state.fifo[-back])
-                        taps.append(k)
-                    # frames further back are virtual zeros
-                stacked = np.stack(frames)
-                kh, kw = self.k_h, self.k_w
-                windows = np.lib.stride_tricks.sliding_window_view(
-                    stacked, (kh, kw), axis=(-2, -1))
-                y = np.einsum("kcijab,ockab->oij", windows, wa[:, :, taps],
-                              optimize=True) + ba[:, None, None]
-            state.fifo.append(xa)
-            if len(state.fifo) > self._rf - 1:
-                state.fifo.popleft()
-            return Tensor.wrap(y.astype(xa.dtype, copy=False)) if y is not None else None
-        # post: convolve the frame with every tap at once and route each
-        # product to the emission it completes, skipping emissions the
-        # stride suppresses so no discarded work is done
-        live = [k for k in range(self.k_t) if self._emits_at(t + k * self.dilation)]
-        if live:
-            windows = np.lib.stride_tricks.sliding_window_view(
-                xa, (self.k_h, self.k_w), axis=(-2, -1))
-            contribs = np.einsum("cijab,ockab->koij", windows, wa[:, :, live],
-                                 optimize=True)
-            for contrib, k in zip(contribs, live):
-                tgt = t + k * self.dilation
-                slot = state.acc.get(tgt)
-                state.acc[tgt] = contrib if slot is None else slot + contrib
-        if self._emits_at(t):
-            y = state.acc.pop(t) + ba[:, None, None]
-            return Tensor.wrap(y.astype(xa.dtype, copy=False))
-        return None
+                if n:
+                    win = np.empty((self.k_t,) + xa.shape, dtype=xa.dtype)
+                    np.take(ring, slots, axis=0, out=win[:-1])
+                    win[-1] = xa
+                else:
+                    win = xa
+                y = (w @ self._unfold(lay, win)).reshape(lay.out_shape)
+            if n:
+                ring[t % n] = xa
+        else:
+            # one product per live tap, ascending; tap 0 completes emission
+            # t, the middle taps add to pending slots and the oldest tap
+            # starts emission t + rf - 1 in the slot emission t frees
+            w, lo, hi, slots, last = entry
+            if w.shape[0]:
+                c = (w @ self._unfold(lay, xa)).reshape((-1,) + lay.out_shape)
+                if self._emits_at(t):
+                    y = c[0] + ring[t % n] if n else c[0]
+                if hi > lo:
+                    ring[slots] += c[lo:hi]
+                if last:
+                    ring[t % n] = c[-1]
+        if y is None:
+            return None
+        y += lay.bias
+        return Tensor.wrap(y)
 
     # -- analytic cost ---------------------------------------------------------------
 

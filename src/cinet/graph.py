@@ -109,7 +109,7 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
     dt = x_t.array.dtype
     out = None
     for w, a in zip(w_gc, graph.partitions):
-        y = w.array.astype(dt).T @ x_t.array @ a.array.astype(dt)
+        y = w.array.astype(dt, copy=False).T @ x_t.array @ a.array.astype(dt, copy=False)
         out = y if out is None else out + y
     return Tensor.wrap(out)
 
@@ -181,7 +181,7 @@ class StGcnBlock(CoModule):
 
     def _res(self, xa: np.ndarray) -> np.ndarray:
         if self.residual == "pointwise":
-            return self.res_weight.array.astype(xa.dtype).T @ xa
+            return self.res_weight.array.astype(xa.dtype, copy=False).T @ xa
         return xa
 
     def init_state(self) -> _BlockState:
@@ -289,7 +289,7 @@ class GlobalAverageHead(CoModule):
     def _classify(self, pooled: np.ndarray) -> np.ndarray:
         feat = pooled.reshape(self.channels, -1).mean(axis=1)
         dt = pooled.dtype
-        return feat @ self.weight.array.astype(dt) + self.bias.array.astype(dt)
+        return feat @ self.weight.array.astype(dt, copy=False) + self.bias.array.astype(dt, copy=False)
 
     def forward_step(self, state: _HeadState, x_t: Tensor) -> StepOutput:
         pooled = self.pool.forward_step(state.pool, x_t)

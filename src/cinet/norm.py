@@ -79,8 +79,8 @@ class BatchNorm(_StatelessModule):
             )
         shape = [1] * xa.ndim
         shape[channel_axis] = self.channels
-        scale = self._scale.reshape(shape).astype(xa.dtype)
-        shift = self._shift.reshape(shape).astype(xa.dtype)
+        scale = self._scale.reshape(shape).astype(xa.dtype, copy=False)
+        shift = self._shift.reshape(shape).astype(xa.dtype, copy=False)
         return xa * scale + shift
 
     def forward(self, x: Tensor) -> Tensor:
@@ -119,7 +119,8 @@ class LayerNorm(_StatelessModule):
         mean = xa.mean(axis=-1, keepdims=True)
         var = xa.var(axis=-1, keepdims=True)
         norm = (xa - mean) / np.sqrt(var + xa.dtype.type(self.eps))
-        return norm * self.gamma.array.astype(xa.dtype) + self.beta.array.astype(xa.dtype)
+        return (norm * self.gamma.array.astype(xa.dtype, copy=False)
+                + self.beta.array.astype(xa.dtype, copy=False))
 
     def forward(self, x: Tensor) -> Tensor:
         return Tensor.wrap(self._apply(x.array))

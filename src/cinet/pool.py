@@ -148,7 +148,7 @@ class TemporalPool(CoModule):
         state.dq.append(xa)
         if t < self.delay():
             return None
-        y = (state.running_sum / self.window).astype(xa.dtype)
+        y = (state.running_sum / self.window).astype(xa.dtype, copy=False)
         # slide: the frame leaving before the next emission is either one of
         # the virtual leading zeros or the oldest cached real frame
         if state.virtual_zeros > 0:

@@ -391,6 +391,19 @@ def test_step_cost_grows_linearly_in_window():
         assert 1.8 <= large / small <= 2.2
 
 
+def test_window_input_step_cost_is_one_window():
+    # a window-input step recomputes one (n, d) window: the cost of a token
+    # block's clip pass over exactly n tokens, not n of them
+    rng = np.random.default_rng(30)
+    n, d = 5, 4
+    win_block = make_encoder(rng, "single", n, d, rpe=False, window_input=True)
+    tok_block = make_encoder(rng, "single", n, d, rpe=False)
+    step = win_block.step_cost((n, d))
+    assert step == win_block.clip_cost((n, d), 1)
+    assert step == tok_block.clip_cost((d,), n)
+    assert win_block.clip_cost((n, d), 7) == step.scaled(7)
+
+
 def test_sda_cost_grows_quadratically():
     ratio = sda_full_cost(128, 8).flops / sda_full_cost(64, 8).flops
     assert 3.6 <= ratio <= 4.4

@@ -248,3 +248,99 @@ def test_post_form_cache_bound():
     for t in range(20):
         conv.forward_step(state, rand_tensor(rng, (2, 2, 2)))
         assert len(state.acc) <= conv.receptive_field() - 1
+
+
+# -- ring-buffer state ---------------------------------------------------------------
+
+
+def _ring(state):
+    return state.fifo if state.form == "pre" else state.acc
+
+
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-5), ("f64", 1e-12)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dil", [1, 2])
+@pytest.mark.parametrize("k_t", [1, 3, 9])
+@pytest.mark.parametrize("form", ["pre", "post"])
+def test_ring_steps_match_forward_and_never_reallocate(form, k_t, dil, stride, dtype, tol):
+    rng = np.random.default_rng(100 + k_t + 10 * dil + 100 * stride)
+    rf = (k_t - 1) * dil + 1
+    length = 5 * rf + 3  # the cursor wraps at least five times
+    for pad in range(rf):
+        for spatial in [(1, 1), (2, 3)]:
+            conv = make_conv(rng, k=(k_t,) + spatial, dilation=dil, padding=pad,
+                             stride=stride, form=form, scale=0.3)
+            x = rand_tensor(rng, (length, 2, 3, 4), dtype=dtype)
+            offline = conv.forward(x).array
+            state = conv.init_state()
+            ring = None
+            outs = []
+            for t in range(length):
+                y = conv.forward_step(state, Tensor.wrap(x.array[t]))
+                if ring is None:
+                    ring = _ring(state)
+                    assert ring.shape[0] == rf - 1 and ring.dtype == x.array.dtype
+                assert _ring(state) is ring and ring.shape[0] == rf - 1
+                if y is not None:
+                    assert y.dtype == dtype
+                    outs.append(y.array)
+            assert len(outs) == offline.shape[0]
+            assert max_rel_dev(np.stack(outs), offline) < tol
+
+
+@pytest.mark.parametrize("form", ["pre", "post"])
+def test_interleaved_dtypes_share_one_module(form):
+    # the per-dtype weight layouts live on the module; two streams of
+    # different dtypes stepped alternately must each match their own clip.
+    # f64 weights, so an f64 stream served f32-rounded weights would drift
+    rng = np.random.default_rng(21)
+    w = rand_tensor(rng, (3, 2, 3, 2, 2), dtype="f64")
+    b = rand_tensor(rng, (3,), dtype="f64")
+    conv = TemporalConv(w, b, dilation=2, padding=1, form=form)
+    x32 = rand_tensor(rng, (30, 2, 4, 4), dtype="f32")
+    x64 = rand_tensor(rng, (30, 2, 4, 4), dtype="f64")
+    s32, s64 = conv.init_state(), conv.init_state()
+    o32, o64 = [], []
+    for t in range(30):
+        for state, x, outs in ((s32, x32, o32), (s64, x64, o64)):
+            y = conv.forward_step(state, Tensor.wrap(x.array[t]))
+            if y is not None:
+                assert y.array.dtype == x.array.dtype
+                outs.append(y.array)
+    assert max_rel_dev(np.stack(o32), conv.forward(x32).array) < 1e-5
+    assert max_rel_dev(np.stack(o64), conv.forward(x64).array) < 1e-12
+
+
+def test_stream_rejects_frame_of_other_dtype():
+    rng = np.random.default_rng(22)
+    conv = make_conv(rng, k=(3, 1, 1))
+    state = conv.init_state()
+    conv.forward_step(state, rand_tensor(rng, (2, 4, 4), dtype="f32"))
+    with pytest.raises(DimensionError):
+        conv.forward_step(state, rand_tensor(rng, (2, 4, 4), dtype="f64"))
+    assert state.t == 1
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k_t,dil,pad", [(3, 1, 0), (3, 2, 2), (4, 1, 3), (2, 3, 1)])
+@pytest.mark.parametrize("form", ["pre", "post"])
+def test_nan_frame_poisons_exactly_its_windows(form, k_t, dil, pad, stride):
+    rng = np.random.default_rng(23)
+    conv = make_conv(rng, c_in=2, c_out=2, k=(k_t, 1, 1), dilation=dil,
+                     padding=pad, stride=stride, form=form)
+    rf = conv.receptive_field()
+    length = 6 * rf
+    for s in (0, rf // 2, 2 * rf + 1):
+        x = rand_tensor(rng, (length, 2, 2, 2)).array.copy()
+        x[s] = np.nan
+        out = conv.forward_steps(conv.init_state(), Tensor.wrap(x)).array
+        want = offline_oracle(x, conv.weights.array, conv.bias.array, dil, pad)[::stride]
+        assert out.shape == want.shape
+        for j in range(out.shape[0]):
+            t_emit = conv.delay() + j * stride
+            poisoned = any(t_emit - k * dil == s for k in range(k_t))
+            assert np.isnan(out[j]).all() == poisoned
+            assert np.isnan(want[j]).all() == poisoned
+            if not poisoned:
+                assert np.isfinite(out[j]).all()
+                assert np.allclose(out[j], want[j], rtol=1e-4, atol=1e-5)
