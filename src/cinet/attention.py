@@ -10,6 +10,16 @@ Two step forms are implemented over a sliding window of ``n`` tokens:
 - single-output: every step emits only the current query's attention row,
   using cached keys/values.
 
+Rows are ``(..., d)``, one independent stream per index of the leading
+axes; multi-head attention passes its heads as a ``(heads,)`` axis.
+:func:`sda_full` takes the same leading axes, so one batched kernel serves
+clip mode, window input and step-mode refreshes.  Stream state is rings of
+``(..., size, d)`` slots, zero-initialised on a stream's first row; step
+``t`` owns slot ``t mod size``.  Retroactive attention keeps ``n - 1``
+queries, ``n`` keys/values (the departing pair is read from the slot the
+arriving pair then takes) and ``n`` ``d_mem``/``av_mem`` rows; single-output
+attention keeps ``n - 1`` keys/values.
+
 Numerical-stability choices: the subtract/add updates rule out the usual
 max-subtraction softmax trick, so (a) ``d_mem``/``av_mem`` accumulate in f64
 even for f32 tokens, (b) both are recomputed from the cached window every
@@ -23,8 +33,6 @@ supported only as a diagnostic knob and breaks window equivalence.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -44,22 +52,29 @@ def _clamped_exp(logits: np.ndarray, counter: list) -> np.ndarray:
     return np.exp(logits)
 
 
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale, counter=None):
+    """``A 1`` and ``A V`` of ``A = exp(Q K^T * scale)`` over leading batch
+    axes; logits are clamped and counted when a ``counter`` is given."""
+    logits = q @ np.swapaxes(k, -1, -2) * scale
+    a = np.exp(logits) if counter is None else _clamped_exp(logits, counter)
+    return a.sum(axis=-1), a @ v
+
+
 def sda_full(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
-    """Reference scaled dot-product attention over one complete window.
+    """Reference scaled dot-product attention over complete windows.
 
     ``A = exp(Q K^T * scale)``, ``D = diag(A 1)``, result ``D^-1 A V``,
-    computed directly; ``scale`` defaults to ``1/sqrt(d)``.
+    computed directly for each (n, d) window along any leading batch axes;
+    ``scale`` defaults to ``1/sqrt(d)``.
     """
-    if q.rank != 2 or k.rank != 2 or v.rank != 2:
-        raise DimensionError("Q, K, V must be rank-2")
-    n, d = q.shape
-    if k.shape != (n, d) or v.shape[0] != n:
+    if q.rank < 2 or k.rank != q.rank or v.rank != q.rank:
+        raise DimensionError(f"Q, K, V must share a rank >= 2: Q{q.shape} K{k.shape} V{v.shape}")
+    if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise DimensionError(f"window mismatch: Q{q.shape} K{k.shape} V{v.shape}")
     if scale is None:
-        scale = 1.0 / float(np.sqrt(d))  # python float: no f32 upcast
-    a = np.exp(q.array @ k.array.T * scale)
-    denom = a.sum(axis=1, keepdims=True)
-    return Tensor.wrap((a @ v.array) / denom)
+        scale = 1.0 / float(np.sqrt(q.shape[-1]))  # python float: no f32 upcast
+    denom, av = _attend(q.array, k.array, v.array, scale)
+    return Tensor.wrap(av / denom[..., None])
 
 
 def sda_full_cost(n: int, d: int) -> OpCount:
@@ -69,17 +84,50 @@ def sda_full_cost(n: int, d: int) -> OpCount:
     return OpCount(macs=macs, other=other)
 
 
+def _slide(module: CoModule, xa: np.ndarray, window_fn) -> Tensor:
+    """Clip mode of a windowed module: ``window_fn`` of every complete
+    window of ``module.n`` rows of ``xa``, stacked."""
+    n_out = module.out_len(xa.shape[0])
+    outs = np.zeros((n_out,) + module.out_frame_shape(xa.shape[1:]), dtype=xa.dtype)
+    for j in range(n_out):
+        outs[j] = window_fn(xa[j : j + module.n])
+    return Tensor.wrap(outs)
+
+
+def _check_rows(d: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
+    if q.shape[-1:] != (d,) or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
+        raise DimensionError(
+            f"rows must be (..., {d}) with equal leading axes, got "
+            f"Q{q.shape} K{k.shape} V{v.shape}")
+
+
+def _ring(ring, size: int, row: np.ndarray, dtype) -> np.ndarray:
+    """``ring``, or on a stream's first row a zero-initialised ring of
+    ``size`` slots for rows shaped like ``row``; later rows must fit it."""
+    shape = row.shape[:-1] + (size, row.shape[-1])
+    if ring is None:
+        return np.zeros(shape, dtype=dtype)
+    if ring.shape != shape or ring.dtype != dtype:
+        raise DimensionError(f"row {row.shape} {row.dtype} does not fit the "
+                             f"stream's ring {ring.shape} {ring.dtype}")
+    return ring
+
+
+def _slot_table(size: int) -> np.ndarray:
+    """Ring slots in step order: ``table[s : s + size]`` lists the slots of
+    a ``size``-slot ring from slot ``s`` on, wrapping around."""
+    return np.arange(2 * size) % max(size, 1)
+
+
 class _RetroCache:
     __slots__ = ("q_mem", "k_mem", "v_mem", "d_mem", "av_mem", "t", "clamp_events")
 
-    def __init__(self, n: int):
-        self.q_mem = deque(maxlen=max(n - 1, 1))
-        # k/v keep one extra row: the token sliding out of the window is
-        # still needed for the subtraction update
-        self.k_mem = deque(maxlen=n)
-        self.v_mem = deque(maxlen=n)
-        self.d_mem = None  # (n,) f64
-        self.av_mem = None  # (n, d) f64
+    def __init__(self):
+        self.q_mem = None  # (..., n-1, d) f64 ring of the queries still in the window
+        self.k_mem = None  # (..., n, d) f64 ring; see the module docstring
+        self.v_mem = None  # (..., n, d_v) f64 ring
+        self.d_mem = None  # (..., n) f64 ring, allocated on the first emission
+        self.av_mem = None  # (..., n, d_v) f64 ring, likewise
         self.t = 0
         self.clamp_events = [0]
 
@@ -96,6 +144,8 @@ class RetroAttention(CoModule):
         self.scale = 1.0 / float(np.sqrt(d))
         self.refresh_interval = refresh_interval  # 0 disables refreshes
         self.scale_updates = scale_updates
+        self._slots = _slot_table(n)
+        self._q_slots = _slot_table(n - 1)
 
     def delay(self) -> int:
         return 0  # emissions are aligned with the newest token
@@ -110,60 +160,67 @@ class RetroAttention(CoModule):
         return (self.n, self.d)
 
     def init_state(self) -> _RetroCache:
-        return _RetroCache(self.n)
+        return _RetroCache()
 
     # -- step ------------------------------------------------------------------
 
     def att_step(self, state: _RetroCache, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
-        qa = q.array.astype(np.float64)
-        ka = k.array.astype(np.float64)
-        va = v.array.astype(np.float64)
-        if qa.shape != (self.d,):
-            raise DimensionError(f"rows must be ({self.d},), got {qa.shape}")
+        """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
+        ``(..., n, d_v)`` window outputs, oldest row first."""
+        qa, ka, va = (a.array.astype(np.float64, copy=False) for a in (q, k, v))
+        _check_rows(self.d, qa, ka, va)
+        n, m = self.n, self.n - 1
+        state.q_mem = _ring(state.q_mem, m, qa, np.float64)
+        state.k_mem = _ring(state.k_mem, n, ka, np.float64)
+        state.v_mem = _ring(state.v_mem, n, va, np.float64)
         t = state.t
         state.t += 1
-        n = self.n
-        if t < n - 1:
-            state.q_mem.append(qa)
-            state.k_mem.append(ka)
-            state.v_mem.append(va)
+        cur = t % n  # the departing key/value's slot, and the arriving one's
+        j = t % max(m, 1)
+        if t < m:
+            state.q_mem[..., j, :] = qa
+            state.k_mem[..., cur, :] = ka
+            state.v_mem[..., cur, :] = va
             return None
-        warm_steps = t - (n - 1)
+        win = self._slots[cur + 1 : cur + 1 + n]  # window slots, oldest first
+        q_old = state.q_mem[..., self._q_slots[j : j + m], :]  # oldest first
+        warm_steps = t - m
         from_scratch = (
             state.d_mem is None
+            or n == 1
             or (self.refresh_interval and warm_steps % self.refresh_interval == 0)
         )
-        if from_scratch or n == 1:
-            k_win = list(state.k_mem)[-(n - 1):] if n > 1 else []
-            v_win = list(state.v_mem)[-(n - 1):] if n > 1 else []
-            q_all = np.stack(list(state.q_mem) + [qa]) if n > 1 else qa[None]
-            k_all = np.stack(k_win + [ka])
-            v_all = np.stack(v_win + [va])
-            a = _clamped_exp(q_all @ k_all.T * self.scale, state.clamp_events)
-            state.d_mem = a.sum(axis=1)
-            state.av_mem = a @ v_all
-        else:
-            k_old = state.k_mem[0]
-            v_old = state.v_mem[0]
-            q_mem = np.stack(state.q_mem)  # the n-1 retained queries
+        if not from_scratch:
             upd_scale = self.scale if self.scale_updates else 1.0
-            exp_old = _clamped_exp(q_mem @ k_old * upd_scale, state.clamp_events)
-            exp_new = _clamped_exp(q_mem @ ka * upd_scale, state.clamp_events)
-            d_upd = state.d_mem[1:] - exp_old + exp_new
-            av_upd = (
-                state.av_mem[1:]
-                - np.outer(exp_old, v_old)
-                + np.outer(exp_new, va)
+            v_old = state.v_mem[..., cur, None, :]
+            k_pair = np.stack([state.k_mem[..., cur, :], ka], axis=-1)
+            e = _clamped_exp(q_old @ k_pair * upd_scale, state.clamp_events)
+            rows = win[:-1]
+            state.d_mem[..., rows] = state.d_mem[..., rows] - e[..., 0] + e[..., 1]
+            state.av_mem[..., rows, :] = (
+                state.av_mem[..., rows, :]
+                - e[..., :1] * v_old
+                + e[..., 1:] * va[..., None, :]
             )
-            k_all = np.stack(list(state.k_mem)[1:] + [ka])
-            v_all = np.stack(list(state.v_mem)[1:] + [va])
-            a0 = _clamped_exp(qa @ k_all.T * self.scale, state.clamp_events)
-            state.d_mem = np.concatenate([d_upd, [a0.sum()]])
-            state.av_mem = np.concatenate([av_upd, (a0 @ v_all)[None]], axis=0)
-        out = state.av_mem / state.d_mem[:, None]
-        state.q_mem.append(qa)
-        state.k_mem.append(ka)
-        state.v_mem.append(va)
+        state.k_mem[..., cur, :] = ka
+        state.v_mem[..., cur, :] = va
+        if from_scratch:
+            q_win = np.concatenate([q_old, qa[..., None, :]], axis=-2)
+            denom, av = _attend(q_win, state.k_mem, state.v_mem, self.scale,
+                                state.clamp_events)
+            if state.d_mem is None:
+                state.d_mem = np.zeros(denom.shape)
+                state.av_mem = np.zeros(av.shape)
+            state.d_mem[..., win] = denom
+            state.av_mem[..., win, :] = av
+        else:
+            denom, av = _attend(qa[..., None, :], state.k_mem, state.v_mem, self.scale,
+                                state.clamp_events)
+            state.d_mem[..., cur] = denom[..., 0]
+            state.av_mem[..., cur, :] = av[..., 0, :]
+        if m:
+            state.q_mem[..., j, :] = qa
+        out = (state.av_mem / state.d_mem[..., None])[..., win, :]
         return Tensor.wrap(out.astype(q.array.dtype, copy=False))
 
     def forward_step(self, state: _RetroCache, x_t: Tensor) -> StepOutput:
@@ -171,13 +228,8 @@ class RetroAttention(CoModule):
 
     def forward(self, x: Tensor) -> Tensor:
         """Offline self-attention: one full window result per position."""
-        t_in = x.shape[0]
-        n_out = self.out_len(t_in)
-        outs = np.zeros((n_out, self.n, self.d), dtype=x.array.dtype)
-        for j in range(n_out):
-            win = Tensor.wrap(x.array[j : j + self.n])
-            outs[j] = sda_full(win, win, win, self.scale).array
-        return Tensor.wrap(outs)
+        return _slide(self, x.array,
+                      lambda win: sda_full(*[Tensor.wrap(win)] * 3, self.scale).array)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n, d = self.n, self.d
@@ -198,9 +250,9 @@ class RetroAttention(CoModule):
 class _SingleCache:
     __slots__ = ("k_mem", "v_mem", "t", "clamp_events")
 
-    def __init__(self, n: int):
-        self.k_mem = deque(maxlen=max(n - 1, 1))
-        self.v_mem = deque(maxlen=max(n - 1, 1))
+    def __init__(self):
+        self.k_mem = None  # (..., n-1, d) ring of the previous keys, in their dtype
+        self.v_mem = None  # (..., n-1, d_v) ring of the previous values
         self.t = 0
         self.clamp_events = [0]
 
@@ -228,38 +280,37 @@ class SingleAttention(CoModule):
         return (self.d,)
 
     def init_state(self) -> _SingleCache:
-        return _SingleCache(self.n)
+        return _SingleCache()
 
     def att_step(self, state: _SingleCache, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
-        if q.shape != (self.d,):
-            raise DimensionError(f"rows must be ({self.d},), got {q.shape}")
+        """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
+        newest query's ``(..., d_v)`` output."""
+        qa, ka, va = q.array, k.array, v.array
+        _check_rows(self.d, qa, ka, va)
+        m = self.n - 1
+        state.k_mem = _ring(state.k_mem, m, ka, ka.dtype)
+        state.v_mem = _ring(state.v_mem, m, va, va.dtype)
         t = state.t
         state.t += 1
-        if t < self.n - 1:
-            state.k_mem.append(k.array)
-            state.v_mem.append(v.array)
-            return None
-        k_all = np.stack(list(state.k_mem) + [k.array]) if self.n > 1 else k.array[None]
-        v_all = np.stack(list(state.v_mem) + [v.array]) if self.n > 1 else v.array[None]
-        a = _clamped_exp(q.array @ k_all.T * q.array.dtype.type(self.scale),
-                         state.clamp_events)
-        y = (a @ v_all) / a.sum()
-        if self.n > 1:
-            state.k_mem.append(k.array)
-            state.v_mem.append(v.array)
-        return Tensor.wrap(y.astype(q.array.dtype, copy=False))
+        y = None
+        if t >= m:
+            # the ring's slot order differs from step order; the sums do not care
+            k_win = np.concatenate([state.k_mem, ka[..., None, :]], axis=-2)
+            v_win = np.concatenate([state.v_mem, va[..., None, :]], axis=-2)
+            denom, av = _attend(qa[..., None, :], k_win, v_win, qa.dtype.type(self.scale),
+                                state.clamp_events)
+            y = Tensor.wrap((av[..., 0, :] / denom).astype(qa.dtype, copy=False))
+        if m:
+            state.k_mem[..., t % m, :] = ka
+            state.v_mem[..., t % m, :] = va
+        return y
 
     def forward_step(self, state: _SingleCache, x_t: Tensor) -> StepOutput:
         return self.att_step(state, x_t, x_t, x_t)
 
     def forward(self, x: Tensor) -> Tensor:
-        t_in = x.shape[0]
-        n_out = self.out_len(t_in)
-        outs = np.zeros((n_out, self.d), dtype=x.array.dtype)
-        for j in range(n_out):
-            win = Tensor.wrap(x.array[j : j + self.n])
-            outs[j] = sda_full(win, win, win, self.scale).array[-1]
-        return Tensor.wrap(outs)
+        return _slide(self, x.array,
+                      lambda win: sda_full(*[Tensor.wrap(win)] * 3, self.scale).array[-1])
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n, d = self.n, self.d
@@ -274,11 +325,12 @@ class SingleAttention(CoModule):
 
 
 class MultiheadAttention(CoModule):
-    """Per-head continual attention with stacked projections.
+    """Continual attention over heads on a leading axis, with stacked projections.
 
     ``w_q``/``w_k`` are (d_model, d_k), ``w_v`` is (d_model, d_v) and
     ``w_o`` is (d_v, d_o); head ``i`` uses the ``i``-th column slice of
-    each.  ``mode`` picks the retroactive or single-output step form.
+    each.  ``mode`` picks the retroactive or single-output step form; one
+    such module steps all heads at once, as ``(heads, d_h)`` rows.
     """
 
     def __init__(self, mode: str, n: int, w_q: Tensor, w_k: Tensor, w_v: Tensor,
@@ -322,56 +374,37 @@ class MultiheadAttention(CoModule):
         return (self.d_o,)
 
     def init_state(self):
-        return [self._head.init_state() for _ in range(self.heads)]
+        return self._head.init_state()
 
-    def _project(self, x: np.ndarray):
-        dt = x.dtype
-        return (
-            x @ self.w_q.array.astype(dt, copy=False),
-            x @ self.w_k.array.astype(dt, copy=False),
-            x @ self.w_v.array.astype(dt, copy=False),
-        )
+    def _heads(self, x: np.ndarray, w: Tensor) -> Tensor:
+        """Project a (d_model,) token or (n, d_model) window by ``w`` into
+        (heads, d_h) or (heads, n, d_h) head rows."""
+        a = x @ w.array.astype(x.dtype, copy=False)
+        return Tensor.wrap(a.reshape(a.shape[:-1] + (self.heads, -1)).swapaxes(0, -2))
+
+    def _merge(self, y: np.ndarray) -> np.ndarray:
+        """Head outputs (heads, d_h) or (heads, n, d_h) -> heads concatenated, then ``w_o``."""
+        cat = y.swapaxes(0, -2).reshape(y.shape[1:-1] + (-1,))
+        return cat @ self.w_o.array.astype(y.dtype, copy=False)
+
+    def _window(self, win: np.ndarray) -> np.ndarray:
+        """Attention output (n, d_o) of one complete (n, d_model) window."""
+        q, k, v = (self._heads(win, w) for w in (self.w_q, self.w_k, self.w_v))
+        return self._merge(sda_full(q, k, v, self._head.scale).array)
 
     def att_step(self, state, x_q: Tensor, x_k: Tensor, x_v: Tensor) -> StepOutput:
-        dt = x_q.array.dtype
-        q = x_q.array @ self.w_q.array.astype(dt, copy=False)
-        k = x_k.array @ self.w_k.array.astype(dt, copy=False)
-        v = x_v.array @ self.w_v.array.astype(dt, copy=False)
-        outs = []
-        for i in range(self.heads):
-            sk = slice(i * self._dh_k, (i + 1) * self._dh_k)
-            sv = slice(i * self._dh_v, (i + 1) * self._dh_v)
-            y = self._head.att_step(
-                state[i], Tensor.wrap(q[sk]), Tensor.wrap(k[sk]), Tensor.wrap(v[sv])
-            )
-            outs.append(y)
-        if any(y is None for y in outs):
-            return None  # all heads consumed the token; they warm together
-        cat = np.concatenate([y.array for y in outs], axis=-1)
-        return Tensor.wrap(cat @ self.w_o.array.astype(dt, copy=False))
+        y = self._head.att_step(state, self._heads(x_q.array, self.w_q),
+                                self._heads(x_k.array, self.w_k), self._heads(x_v.array, self.w_v))
+        return None if y is None else Tensor.wrap(self._merge(y.array))
 
     def forward_step(self, state, x_t: Tensor) -> StepOutput:
         return self.att_step(state, x_t, x_t, x_t)
 
     def forward(self, x: Tensor) -> Tensor:
         """Sliding-window offline multi-head self-attention."""
-        t_in = x.shape[0]
-        n_out = self.out_len(t_in)
-        shape = (n_out,) + self.out_frame_shape(x.shape[1:])
-        outs = np.zeros(shape, dtype=x.array.dtype)
-        for j in range(n_out):
-            win = x.array[j : j + self.n]
-            q, k, v = self._project(win)
-            heads = []
-            for i in range(self.heads):
-                sk = slice(i * self._dh_k, (i + 1) * self._dh_k)
-                sv = slice(i * self._dh_v, (i + 1) * self._dh_v)
-                a = sda_full(Tensor.wrap(q[:, sk]), Tensor.wrap(k[:, sk]),
-                             Tensor.wrap(v[:, sv]), self._head.scale).array
-                heads.append(a)
-            cat = np.concatenate(heads, axis=-1) @ self.w_o.array.astype(x.array.dtype)
-            outs[j] = cat if self.mode == "retro" else cat[-1]
-        return Tensor.wrap(outs)
+        if self.mode == "retro":
+            return _slide(self, x.array, self._window)
+        return _slide(self, x.array, lambda win: self._window(win)[-1])
 
     def _proj_cost(self) -> OpCount:
         return OpCount(macs=self.d_model * (2 * self.d_k + self.d_v))
@@ -439,12 +472,13 @@ class RecyclingPositionalEncoding(CoModule):
 
 
 class _EncoderState:
-    __slots__ = ("mha", "rpe", "tokens")
+    __slots__ = ("mha", "rpe", "tokens", "t")
 
-    def __init__(self, mha_state, rpe_state, n: int):
+    def __init__(self, mha_state, rpe_state):
         self.mha = mha_state
         self.rpe = rpe_state
-        self.tokens = deque(maxlen=n)  # encoded inputs for the retro residual
+        self.tokens = None  # retro: (n, d_model) ring of encoded inputs for the residual
+        self.t = 0
 
 
 class EncoderBlock(CoModule):
@@ -480,6 +514,7 @@ class EncoderBlock(CoModule):
         self.ln1, self.ln2 = ln1, ln2
         self.rpe = rpe
         self.window_input = window_input
+        self._slots = _slot_table(n)
 
     def delay(self) -> int:
         return 0
@@ -496,10 +531,10 @@ class EncoderBlock(CoModule):
         return (self.d_model,)
 
     def init_state(self) -> _EncoderState:
+        # a window-input step recomputes its window and keeps no attention cache
         return _EncoderState(
-            self.mha.init_state(),
+            None if self.window_input else self.mha.init_state(),
             self.rpe.init_state() if self.rpe else None,
-            self.n,
         )
 
     # -- shared math -------------------------------------------------------------
@@ -516,17 +551,7 @@ class EncoderBlock(CoModule):
 
     def _offline_window(self, win: np.ndarray) -> np.ndarray:
         """Full block output for one complete (n, d_model) window."""
-        q, k, v = self.mha._project(win)
-        heads = []
-        for i in range(self.mha.heads):
-            sk = slice(i * self.mha._dh_k, (i + 1) * self.mha._dh_k)
-            sv = slice(i * self.mha._dh_v, (i + 1) * self.mha._dh_v)
-            heads.append(
-                sda_full(Tensor.wrap(q[:, sk]), Tensor.wrap(k[:, sk]),
-                         Tensor.wrap(v[:, sv]), self.mha._head.scale).array
-            )
-        att = np.concatenate(heads, axis=-1) @ self.mha.w_o.array.astype(win.dtype, copy=False)
-        return self._block_tail(win, att)
+        return self._block_tail(win, self.mha._window(win))
 
     # -- step mode ------------------------------------------------------------------
 
@@ -539,34 +564,28 @@ class EncoderBlock(CoModule):
             raise DimensionError(f"token must be ({self.d_model},), got {x_t.shape}")
         if self.rpe is not None:
             x_t = self.rpe.forward_step(state.rpe, x_t)
-        if self.mode == "retro":
-            state.tokens.append(x_t.array)
+        sel = x_t.array
         att = self.mha.forward_step(state.mha, x_t)
-        if att is None:
-            return None
-        if self.mode == "single":
-            return Tensor.wrap(self._block_tail(x_t.array, att.array))
-        sel = np.stack(state.tokens)
-        return Tensor.wrap(self._block_tail(sel, att.array))
+        if self.mode == "retro":
+            tokens = state.tokens = _ring(state.tokens, self.n, sel, sel.dtype)
+            cur = state.t % self.n
+            state.t += 1
+            tokens[cur] = sel
+            sel = tokens[self._slots[cur + 1 : cur + 1 + self.n]]  # the window, oldest first
+        return None if att is None else Tensor.wrap(self._block_tail(sel, att.array))
 
     # -- clip mode --------------------------------------------------------------------
 
     def forward(self, x: Tensor) -> Tensor:
         if self.window_input:
-            outs = [self._offline_window(x.array[j])[-1] for j in range(x.shape[0])]
-            if not outs:
-                return Tensor.wrap(np.zeros((0, self.d_model), dtype=x.array.dtype))
-            return Tensor.wrap(np.stack(outs))
-        xa = x.array
-        if self.rpe is not None:
-            xa = self.rpe.forward(x).array
-        n_out = self.out_len(x.shape[0])
-        shape = (n_out,) + self.out_frame_shape(x.shape[1:])
-        outs = np.zeros(shape, dtype=xa.dtype)
-        for j in range(n_out):
-            block = self._offline_window(xa[j : j + self.n])
-            outs[j] = block if self.mode == "retro" else block[-1]
-        return Tensor.wrap(outs)
+            outs = np.zeros((x.shape[0], self.d_model), dtype=x.array.dtype)
+            for j in range(x.shape[0]):
+                outs[j] = self._offline_window(x.array[j])[-1]
+            return Tensor.wrap(outs)
+        xa = x.array if self.rpe is None else self.rpe.forward(x).array
+        if self.mode == "retro":
+            return _slide(self, xa, self._offline_window)
+        return _slide(self, xa, lambda win: self._offline_window(win)[-1])
 
     # -- analytic cost --------------------------------------------------------------
 

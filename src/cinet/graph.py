@@ -13,8 +13,7 @@ self-loop added before normalization for single-partition graphs).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -115,19 +114,20 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
 
 
 class _BlockState:
-    __slots__ = ("tc", "res_q", "pushed")
+    __slots__ = ("tc", "res", "t")
 
     def __init__(self, tc_state):
         self.tc = tc_state
-        self.res_q = deque()
-        self.pushed = 0
+        # (res_delay, c_in, v) ring of the inputs awaiting their residual,
+        # allocated on the first frame; step t owns slot t mod res_delay
+        self.res = None
+        self.t = 0
 
 
 class StGcnBlock(CoModule):
     def __init__(self, graph: SkeletonGraph, w_gc: Sequence[Tensor],
                  tc: TemporalConv, bn: BatchNorm,
-                 residual: str = "identity", res_weight: Optional[Tensor] = None,
-                 res_delay: Optional[int] = None):
+                 residual: str = "identity", res_weight: Optional[Tensor] = None):
         if tc.k_h != 1 or tc.k_w != 1:
             raise DimensionError("block temporal conv must be pointwise spatially")
         self.graph = graph
@@ -150,16 +150,11 @@ class StGcnBlock(CoModule):
         if residual == "pointwise":
             if res_weight is None or res_weight.shape != (self.c_in, self.c_out):
                 raise DimensionError(f"pointwise residual needs ({self.c_in},{self.c_out}) weight")
-        # the residual buffer must match the temporal conv delay exactly
-        if res_delay is not None and res_delay != tc.delay():
-            raise ValueError(
-                f"res_delay {res_delay} != temporal conv delay {tc.delay()}"
-            )
         self.tc = tc
         self.bn = bn
         self.residual = residual
         self.res_weight = res_weight
-        self.res_delay = tc.delay()
+        self.res_delay = tc.delay()  # the residual lands on the aligned step
 
     def delay(self) -> int:
         return self.tc.delay()
@@ -176,9 +171,6 @@ class StGcnBlock(CoModule):
             raise DimensionError(f"frame {frame_shape} != ({self.c_in},{self.graph.v})")
         return (self.c_out, v)
 
-    def children(self) -> List[CoModule]:
-        return []
-
     def _res(self, xa: np.ndarray) -> np.ndarray:
         if self.residual == "pointwise":
             return self.res_weight.array.astype(xa.dtype, copy=False).T @ xa
@@ -190,24 +182,25 @@ class StGcnBlock(CoModule):
     def forward_step(self, state: _BlockState, x_t: Tensor) -> StepOutput:
         if x_t.shape != (self.c_in, self.graph.v):
             raise DimensionError(f"frame {x_t.shape} != ({self.c_in},{self.graph.v})")
-        t = state.pushed
-        if self.residual != "none":
-            state.res_q.append(x_t.array)
-        state.pushed += 1
+        xa = x_t.array
+        d = self.res_delay if self.residual != "none" else 0
+        if d and state.res is None:
+            state.res = np.zeros((d,) + xa.shape, dtype=xa.dtype)
+        slot = state.t % max(d, 1)
+        state.t += 1
         g = graph_conv(x_t, self.graph, self.w_gc)
-        tc_out = self.tc.forward_step(
-            state.tc, Tensor.wrap(g.array[:, :, None])
-        )
-        if tc_out is None:
-            return None
-        y = self.bn._apply(tc_out.array[:, :, 0], channel_axis=0)
-        if self.residual != "none":
-            target = t - self.res_delay
-            while state.pushed - len(state.res_q) < target:
-                state.res_q.popleft()  # inputs skipped by the stride
-            # project lazily so strides never spend work on skipped frames
-            y = y + self._res(state.res_q.popleft())
-        return Tensor.wrap(np.maximum(y, 0))
+        tc_out = self.tc.forward_step(state.tc, Tensor.wrap(g.array[:, :, None]))
+        y = None
+        if tc_out is not None:
+            y = self.bn._apply(tc_out.array[:, :, 0], channel_axis=0)
+            if self.residual != "none":
+                # the input res_delay steps back, held in this slot since; it is
+                # projected only here, so strides spend no work on skipped frames
+                y = y + self._res(state.res[slot] if d else xa)
+            y = Tensor.wrap(np.maximum(y, 0))
+        if d:
+            state.res[slot] = xa
+        return y
 
     def forward(self, x: Tensor) -> Tensor:
         if x.rank != 3:

@@ -96,11 +96,6 @@ class BatchNorm(_StatelessModule):
         return self.step_cost(frame_shape).scaled(t)
 
 
-def bn_apply(bn: BatchNorm, x: Tensor, channel_axis: int = 0) -> Tensor:
-    """Functional form of :class:`BatchNorm` with an explicit channel axis."""
-    return Tensor.wrap(bn._apply(x.array, channel_axis))
-
-
 class LayerNorm(_StatelessModule):
     """Standardize the last axis with sample statistics, then affine."""
 
@@ -135,8 +130,3 @@ class LayerNorm(_StatelessModule):
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
         return self.step_cost(frame_shape).scaled(t)
-
-
-def ln_apply(ln: LayerNorm, x: Tensor) -> Tensor:
-    """Functional form of :class:`LayerNorm` over the last axis."""
-    return Tensor.wrap(ln._apply(x.array))

@@ -12,7 +12,6 @@ limited to scalar-with-tensor and equal shapes.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -288,7 +287,3 @@ def load_blob(path, shape: Sequence[int], offset: int = 0, dtype: str = "f32") -
             f"blob {path} too short: wanted {count} f32 at offset {offset}"
         )
     return Tensor.wrap(raw.astype(DTYPES[dtype]).reshape(tuple(shape)))
-
-
-def write_manifest(path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True))

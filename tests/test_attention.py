@@ -138,6 +138,45 @@ def test_retro_without_update_scaling_breaks_equality():
     assert worst > 1e-4
 
 
+# -- heads on a leading axis ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_head_rows_are_independent_streams_in_fixed_rings(n):
+    # (h, d) rows step h streams at once: each output slice equals a 1-D
+    # stream of its own, across a refresh, and every ring keeps one object
+    # and shape from the row that allocates it on
+    h, d, d_v = 3, 4, 2
+    steps = n - 1 + 64 + 10
+    rng = np.random.default_rng(40 + n)
+    q, k = (rng.uniform(-1, 1, (steps, h, d)) for _ in range(2))
+    v = rng.uniform(-1, 1, (steps, h, d_v))
+    retro_rings = {"q_mem": (h, n - 1, d), "k_mem": (h, n, d), "v_mem": (h, n, d_v),
+                   "d_mem": (h, n), "av_mem": (h, n, d_v)}
+    single_rings = {"k_mem": (h, n - 1, d), "v_mem": (h, n - 1, d_v)}
+    for att, shapes in ((RetroAttention(n, d), retro_rings),
+                        (SingleAttention(n, d), single_rings)):
+        state = att.init_state()
+        solo = [att.init_state() for _ in range(h)]
+        rings = {}
+        for t in range(steps):
+            y = att.att_step(state, *(Tensor.wrap(a[t]) for a in (q, k, v)))
+            ys = [att.att_step(s, *(Tensor.wrap(a[t, i]) for a in (q, k, v)))
+                  for i, s in enumerate(solo)]
+            if t < n - 1:
+                assert y is None and all(z is None for z in ys)
+            else:
+                assert max_rel_dev(y.array, np.stack([z.array for z in ys])) < 1e-12
+            for name, shape in shapes.items():
+                ring = getattr(state, name)
+                if ring is None:  # d_mem/av_mem: allocated on the first emission
+                    assert name in ("d_mem", "av_mem") and t < n - 1
+                    continue
+                assert rings.setdefault(name, ring) is ring
+                assert ring.shape == shape
+        assert set(rings) == set(shapes)
+
+
 # -- single-output -----------------------------------------------------------------
 
 
@@ -221,9 +260,10 @@ def offline_mha_oracle(xs, mha):
     return np.stack(outs)
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("mode", ["retro", "single"])
-def test_mha_vs_offline_oracle(mode):
-    n, d, h = 4, 4, 2
+def test_mha_vs_offline_oracle(mode, heads):
+    n, d, h = 4, 4, heads
     rng = np.random.default_rng(12)
     mha = MultiheadAttention(mode, n, *(rand_tensor(rng, (d, d)) for _ in range(4)),
                              heads=h)
@@ -340,6 +380,18 @@ def test_two_block_wiring_retro_then_single():
         outs.append(second.forward_step(s2, mid).array)
     assert off.shape == (len(outs), d)
     assert max_rel_dev(np.stack(outs), off.array) < 1e-4
+    # a window-input step recomputes its window: its state caches nothing
+    assert not held_arrays(s2)
+
+
+def held_arrays(obj):
+    """Arrays reachable from a stream state through slots, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in held_arrays(item)]
+    names = getattr(type(obj), "__slots__", ())
+    return [a for name in names for a in held_arrays(getattr(obj, name, None))]
 
 
 # -- numerical stability ----------------------------------------------------------------

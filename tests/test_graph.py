@@ -119,19 +119,6 @@ def test_block_zero_input_zero_output():
             assert np.allclose(out.array, 0.0, atol=1e-6)
 
 
-def test_block_rejects_mismatched_res_delay():
-    rng = np.random.default_rng(5)
-    graph = SkeletonGraph.chain(4, partitions=1)
-    w_gc = [rand_tensor(rng, (3, 3))]
-    tc = TemporalConv(rand_tensor(rng, (3, 3, 5, 1, 1)), rand_tensor(rng, (3,)))
-    with pytest.raises(ValueError):
-        StGcnBlock(graph, w_gc, tc, identity_bn(3), residual="identity",
-                   res_delay=tc.delay() + 1)
-    blk = StGcnBlock(graph, w_gc, tc, identity_bn(3), residual="identity",
-                     res_delay=tc.delay())
-    assert blk.res_delay == tc.delay()
-
-
 def test_three_block_network_equivalence():
     rng = np.random.default_rng(6)
     blocks = [make_block(rng, v=25, c_in=4, c_out=4) for _ in range(3)]

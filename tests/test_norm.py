@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cinet.errors import DimensionError
-from cinet.norm import BatchNorm, LayerNorm, bn_apply, ln_apply, step_momentum
+from cinet.norm import BatchNorm, LayerNorm, step_momentum
 from cinet.tensor import Tensor
 
 from conftest import rand_tensor
@@ -32,7 +32,7 @@ def make_bn(rng, c, identity=False):
 def test_bn_identity_params():
     bn = make_bn(None, 3, identity=True)
     x = rand_tensor(np.random.default_rng(0), (3, 4, 4))
-    assert np.allclose(bn_apply(bn, x).array, x.array, atol=1e-5)
+    assert np.allclose(bn.forward_step(bn.init_state(), x).array, x.array, atol=1e-5)
 
 
 def test_bn_constant_input_gives_beta():
@@ -42,7 +42,7 @@ def test_bn_constant_input_gives_beta():
     bn = BatchNorm(Tensor.wrap(np.ones(c, dtype=np.float32)), beta, mean,
                    Tensor.wrap(np.ones(c, dtype=np.float32)))
     x = Tensor.full((c, 2, 2), 1.5)
-    out = bn_apply(bn, x).array
+    out = bn.forward_step(bn.init_state(), x).array
     assert np.allclose(out, beta.array[:, None, None], atol=1e-5)
 
 
@@ -50,7 +50,7 @@ def test_bn_vs_scalar_formula_oracle():
     rng = np.random.default_rng(2)
     bn = make_bn(rng, 3)
     x = rand_tensor(rng, (3, 2, 2))
-    got = bn_apply(bn, x).array
+    got = bn.forward_step(bn.init_state(), x).array
     for c in range(3):
         for i in range(2):
             for j in range(2):
@@ -63,7 +63,9 @@ def test_bn_vs_scalar_formula_oracle():
 def test_bn_channel_mismatch():
     bn = make_bn(np.random.default_rng(3), 3)
     with pytest.raises(DimensionError):
-        bn_apply(bn, Tensor.zeros((4, 2, 2)))
+        bn.forward_step(bn.init_state(), Tensor.zeros((4, 2, 2)))
+    with pytest.raises(DimensionError):
+        bn.forward(Tensor.zeros((5, 4, 2, 2)))
 
 
 def test_bn_rejects_negative_variance():
@@ -77,7 +79,7 @@ def test_ln_constant_vector_gives_beta():
     d = 5
     beta = rand_tensor(np.random.default_rng(4), (d,))
     ln = LayerNorm(rand_tensor(np.random.default_rng(5), (d,)), beta)
-    out = ln_apply(ln, Tensor.full((d,), 3.0)).array
+    out = ln.forward_step(ln.init_state(), Tensor.full((d,), 3.0)).array
     assert np.allclose(out, beta.array, atol=1e-3)
 
 
@@ -86,7 +88,7 @@ def test_ln_statistics_oracle():
     gamma = 1.7
     ln = LayerNorm(Tensor.full((d,), gamma), Tensor.full((d,), 0.25))
     x = rand_tensor(np.random.default_rng(6), (d,), scale=3.0)
-    out = ln_apply(ln, x).array
+    out = ln.forward_step(ln.init_state(), x).array
     assert out.mean() == pytest.approx(0.25, abs=1e-4)
     assert out.std() == pytest.approx(abs(gamma), rel=1e-3)
 
@@ -95,8 +97,8 @@ def test_ln_idempotent_when_affine_is_identity():
     d = 8
     ln = LayerNorm(Tensor.wrap(np.ones(d, dtype=np.float32)), Tensor.zeros((d,)))
     x = rand_tensor(np.random.default_rng(7), (3, d))
-    once = ln_apply(ln, x)
-    twice = ln_apply(ln, once)
+    once = ln.forward(x)
+    twice = ln.forward(once)
     assert np.allclose(twice.array, once.array, atol=1e-5)
 
 
