@@ -4,7 +4,8 @@
 For each config: verify offline/online equivalence, then report the
 per-prediction cost of sliding-window processing next to the steady
 per-step cost, their ratio, and measured wall-clock throughput in both
-modes.  Lengths are chosen per model (300 for the skeleton network, the
+modes with their ratio (steps/s over sliding-window predictions/s, each
+prediction a clip-mode ``forward`` over one receptive field).  Lengths are chosen per model (300 for the skeleton network, the
 attention window for encoders, 64 for plain conv stacks).
 """
 
@@ -35,7 +36,8 @@ def bench(path: Path) -> bool:
           f"flops/pred offline={offline:.3e} step={step:.3e} "
           f"ratio={offline / step:6.1f}x  "
           f"steps/s={tp_step['throughput']:8.1f} "
-          f"slide preds/s={tp_off['throughput']:8.1f}")
+          f"slide preds/s={tp_off['throughput']:8.1f} "
+          f"wall ratio={tp_step['throughput'] / tp_off['throughput']:6.1f}x")
     return bool(check["pass"])
 
 

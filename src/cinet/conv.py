@@ -32,6 +32,14 @@ kernel needs no unfolding, so an emission is one
 
 Both emit on exactly the same schedule and differ only in summation order.
 ``auto`` picks whichever caches fewer elements.
+
+Clip mode lays the whole clip out once as channel-major columns
+``(C*KH*KW, padding + T, H'*W')``: leading zero frames fill the padding and a
+spatial kernel is unfolded once per clip.  Each tap is then one
+``(c_out, C*KH*KW)`` matrix product over a strided view of those columns,
+with no per-tap copy, accumulated into one ``(c_out, n_out*H'*W')`` buffer.
+A temporal stride splits the time axis into stride phases, so the frames a
+tap reads stay adjacent.
 """
 
 from __future__ import annotations
@@ -44,13 +52,6 @@ import numpy as np
 from .errors import DimensionError
 from .module import CoModule, OpCount, StepOutput
 from .tensor import Tensor
-
-
-def _spatial(xa: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Cross-correlate (..., C, H, W) with (O, C, KH, KW), stride 1, no pad."""
-    kh, kw = w.shape[2], w.shape[3]
-    windows = np.lib.stride_tricks.sliding_window_view(xa, (kh, kw), axis=(-2, -1))
-    return np.einsum("...cijab,ocab->...oij", windows, w, optimize=True)
 
 
 def _unfold_index(frames: int, frame_shape: tuple, kh: int, kw: int) -> np.ndarray:
@@ -126,6 +127,7 @@ class TemporalConv(CoModule):
         self.form = form
         self._rf = rf
         self._layouts = {}  # (dtype, frame shape) -> _Layout
+        self._tap_weights = {}  # dtype -> tap-major weights
 
     # -- temporal properties --------------------------------------------------
 
@@ -159,25 +161,47 @@ class TemporalConv(CoModule):
     def forward(self, x: Tensor) -> Tensor:
         if x.rank != 4:
             raise DimensionError(f"clip must be (T,C,H,W), got {x.shape}")
-        t_in = x.shape[0]
-        out_shape = self.out_frame_shape(x.shape[1:])
+        xa = x.array
+        t_in = xa.shape[0]
+        oc, oh, ow = out_shape = self.out_frame_shape(xa.shape[1:])
         n_out = self.out_len(t_in)
         if n_out == 0:
-            return Tensor.wrap(np.zeros((0,) + out_shape, dtype=x.array.dtype))
-        wa = self.weights.array.astype(x.array.dtype, copy=False)
-        ba = self.bias.array.astype(x.array.dtype, copy=False)
-        out = np.empty((n_out,) + out_shape, dtype=x.array.dtype)
-        out[:] = ba[:, None, None]
-        # emission j happens at input step delay + j*stride; tap k reads the
-        # frame k*dilation steps back (virtual zeros for negative indices)
-        steps = self.delay() + np.arange(n_out) * self.temporal_stride
-        for k in range(self.k_t):
-            src = steps - k * self.dilation
-            valid = src >= 0
-            if not valid.any():
-                continue
-            out[valid] += _spatial(x.array[src[valid]], wa[:, :, k])
-        return Tensor.wrap(out)
+            return Tensor.wrap(np.zeros((0,) + out_shape, dtype=xa.dtype))
+        # effective frame e is input frame e - padding (leading zeros before
+        # it); emission j reads e = (k_t-1-k)*dilation + j*stride for tap k.
+        # Frames are laid out as (C*KH*KW, stride, frames per phase, H'*W')
+        # columns, e at phase e % stride and row e // stride, so each tap
+        # reads n_out consecutive rows of one phase: a view, not a copy.
+        s, pad = self.temporal_stride, self.padding
+        m = -(-(pad + t_in) // s)
+        buf = np.zeros((self.c_in, m * s) + xa.shape[2:], dtype=xa.dtype)
+        buf[:, pad:pad + t_in] = xa.transpose(1, 0, 2, 3)
+        # (C, KH, KW, stride, m, H', W') windows over buf read as (C, m,
+        # stride, H, W); made contiguous once (a no-op for an unstrided 1x1
+        # kernel), so every tap below is a view
+        sc, sh, sw = buf.strides[0], buf.strides[2], buf.strides[3]
+        win = np.ndarray((self.c_in, self.k_h, self.k_w, s, m, oh, ow), buf.dtype, buf,
+                         strides=(sc, sh, sw, buf.strides[1], s * buf.strides[1], sh, sw))
+        cols = np.ascontiguousarray(win).reshape(-1, s, m, oh * ow)
+        acc = None
+        for k, w in enumerate(self._taps(xa.dtype)):
+            e = (self.k_t - 1 - k) * self.dilation
+            y = w @ cols[:, e % s, e // s:e // s + n_out].reshape(cols.shape[0], -1)
+            if acc is None:
+                acc = y
+            else:
+                acc += y
+        acc += self.bias.array.astype(xa.dtype, copy=False)[:, None]
+        return Tensor.wrap(acc.reshape(oc, n_out, oh, ow).transpose(1, 0, 2, 3))
+
+    def _taps(self, dtype: np.dtype) -> np.ndarray:
+        """(k_t, c_out, C*KH*KW) weights, tap-major, made once per dtype."""
+        taps = self._tap_weights.get(dtype)
+        if taps is None:
+            w = self.weights.array.astype(dtype)
+            taps = w.transpose(2, 0, 1, 3, 4).reshape(self.k_t, self.c_out, -1)
+            self._tap_weights[dtype] = taps
+        return taps
 
     # -- step mode ----------------------------------------------------------------
 
@@ -196,16 +220,15 @@ class TemporalConv(CoModule):
         if form == "auto":
             form = self.cache_elements(frame_shape)["chosen"]
         k_t, d, stride, n = self.k_t, self.dilation, self.temporal_stride, self._rf - 1
-        w = self.weights.array.astype(dtype)
+        taps = self._taps(dtype)
         if form == "pre":
             frames = k_t
-            w = w[:, :, ::-1].transpose(0, 2, 1, 3, 4).reshape(self.c_out, -1)
+            w = taps[::-1].transpose(1, 0, 2).reshape(self.c_out, -1)
             plan = [(w, np.array([(ph - k * d) % n for k in range(k_t - 1, 0, -1)],
                                  dtype=np.intp))
                     for ph in range(max(n, 1))]
         else:
             frames = 1
-            taps = w.transpose(2, 0, 1, 3, 4).reshape(k_t, self.c_out, -1)
             live = [[k for k in range(k_t) if (p + k * d - self.delay()) % stride == 0]
                     for p in range(stride)]
             w_live = [taps[ks].reshape(-1, taps.shape[2]) for ks in live]

@@ -8,7 +8,10 @@ land on the aligned time-step, and ReLU:
 
 The skeleton is a set of normalized adjacency partitions; each partition is
 normalized symmetrically as ``D^-1/2 (A) D^-1/2`` at construction (with the
-self-loop added before normalization for single-partition graphs).
+self-loop added before normalization for single-partition graphs).  The
+graph convolution ``sum_p W_p^T x A_p`` runs as one ``x @ A_cat``, all
+partitions side by side, and one channel mix with the stacked ``W_p``, on a
+frame in step mode and on the whole clip in clip mode.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ class SkeletonGraph:
                 raise DimensionError(f"partition shape {p.shape} != ({v},{v})")
         self.v = v
         self.partitions = list(partitions)
+        # (dtype, ids of the W_p) -> stacked weights; the entry holds the
+        # weight tensors, so their ids stay theirs while it exists
+        self._stacks = {}
 
     @staticmethod
     def from_edges(v: int, edges: Sequence[tuple], partitions: int = 1,
@@ -93,6 +99,31 @@ def _bfs_distance(a: np.ndarray, root: int) -> np.ndarray:
     return dist
 
 
+def _stacked(graph: SkeletonGraph, w_gc: Sequence[Tensor], dtype: np.dtype) -> tuple:
+    """``A_cat`` (v, P*v), the partitions side by side, and ``W`` (c_out,
+    c_in*P), column ``c*P + p`` holding ``W_p[c]``, in ``dtype``.  Made once
+    per weight set and dtype and kept on the graph; tensors are immutable,
+    so the weights' identities key them."""
+    key = (dtype, tuple(map(id, w_gc)))
+    hit = graph._stacks.get(key)
+    if hit is None:
+        a_cat = np.concatenate([a.array for a in graph.partitions], axis=1).astype(dtype)
+        w = np.stack([w.array for w in w_gc], axis=1)  # (c_in, P, c_out)
+        w_cat = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T, dtype=dtype)
+        hit = graph._stacks[key] = (a_cat, w_cat, tuple(w_gc))
+    return hit[0], hit[1]
+
+
+def _gc(xa: np.ndarray, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> np.ndarray:
+    """Graph convolution of (..., c_in, v) frames: every partition's
+    aggregation in one ``x @ A_cat``, whose rows read as (c_in*P, v) per
+    frame, then one channel mix with the stacked weights."""
+    c_in, v = xa.shape[-2:]
+    a_cat, w_cat = _stacked(graph, w_gc, xa.dtype)
+    y = xa.reshape(-1, v) @ a_cat
+    return w_cat @ y.reshape(xa.shape[:-2] + (c_in * len(graph.partitions), v))
+
+
 def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Tensor:
     """Spatial graph convolution of one (c_in, v) frame.
 
@@ -105,12 +136,7 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
         raise DimensionError(
             f"{len(w_gc)} weight sets for {len(graph.partitions)} partitions"
         )
-    dt = x_t.array.dtype
-    out = None
-    for w, a in zip(w_gc, graph.partitions):
-        y = w.array.astype(dt, copy=False).T @ x_t.array @ a.array.astype(dt, copy=False)
-        out = y if out is None else out + y
-    return Tensor.wrap(out)
+    return Tensor.wrap(_gc(x_t.array, graph, w_gc))
 
 
 class _BlockState:
@@ -205,19 +231,13 @@ class StGcnBlock(CoModule):
     def forward(self, x: Tensor) -> Tensor:
         if x.rank != 3:
             raise DimensionError(f"clip must be (T, c_in, v), got {x.shape}")
-        dt = x.array.dtype
-        g = None
-        for w, a in zip(self.w_gc, self.graph.partitions):
-            y = np.einsum("io,tiv,vu->tou", w.array.astype(dt), x.array,
-                          a.array.astype(dt), optimize=True)
-            g = y if g is None else g + y
+        xa = x.array
+        g = _gc(xa, self.graph, self.w_gc)
         tc_out = self.tc.forward(Tensor.wrap(g[:, :, :, None])).array[:, :, :, 0]
         y = self.bn._apply(tc_out, channel_axis=1)
         if self.residual != "none":
-            idx = np.arange(y.shape[0]) * self.stride()
-            res = np.stack([self._res(x.array[i]) for i in idx]) if len(idx) else \
-                np.zeros_like(y)
-            y = y + res
+            # emission j lands on input j*stride, as in step mode
+            y = y + self._res(xa[:y.shape[0] * self.stride():self.stride()])
         return Tensor.wrap(np.maximum(y, 0))
 
     # -- analytic cost -------------------------------------------------------------
@@ -279,22 +299,22 @@ class GlobalAverageHead(CoModule):
     def init_state(self) -> _HeadState:
         return _HeadState(self.pool.init_state())
 
-    def _classify(self, pooled: np.ndarray) -> np.ndarray:
-        feat = pooled.reshape(self.channels, -1).mean(axis=1)
-        dt = pooled.dtype
+    def _classify(self, feat: np.ndarray) -> np.ndarray:
+        """Logits of (..., C) node-mean features."""
+        dt = feat.dtype
         return feat @ self.weight.array.astype(dt, copy=False) + self.bias.array.astype(dt, copy=False)
 
     def forward_step(self, state: _HeadState, x_t: Tensor) -> StepOutput:
         pooled = self.pool.forward_step(state.pool, x_t)
         if pooled is None:
             return None
-        return Tensor.wrap(self._classify(pooled.array))
+        return Tensor.wrap(self._classify(pooled.array.reshape(self.channels, -1).mean(axis=1)))
 
     def forward(self, x: Tensor) -> Tensor:
-        pooled = self.pool.forward(x)
-        outs = np.stack([self._classify(pooled.array[j]) for j in range(pooled.shape[0])]) \
-            if pooled.shape[0] else np.zeros((0, self.classes), dtype=x.array.dtype)
-        return Tensor.wrap(outs)
+        pooled = self.pool.forward(x).array
+        nodes = int(np.prod(pooled.shape[2:]))
+        return Tensor.wrap(self._classify(
+            pooled.reshape(pooled.shape[0], self.channels, nodes).mean(axis=2)))
 
     def _classify_cost(self, frame_shape: tuple) -> OpCount:
         n = int(np.prod(frame_shape))

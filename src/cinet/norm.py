@@ -111,9 +111,11 @@ class LayerNorm(_StatelessModule):
     def _apply(self, xa: np.ndarray) -> np.ndarray:
         if xa.shape[-1] != self.d:
             raise DimensionError(f"last extent {xa.shape[-1]} != {self.d}")
-        mean = xa.mean(axis=-1, keepdims=True)
-        var = xa.var(axis=-1, keepdims=True)
-        norm = (xa - mean) / np.sqrt(var + xa.dtype.type(self.eps))
+        # the arithmetic of xa.mean and xa.var, with the mean and the
+        # centred array computed once instead of once each
+        c = xa - np.add.reduce(xa, -1, keepdims=True) / self.d
+        var = np.add.reduce(c * c, -1, keepdims=True) / self.d
+        norm = c / np.sqrt(var + xa.dtype.type(self.eps))
         return (norm * self.gamma.array.astype(xa.dtype, copy=False)
                 + self.beta.array.astype(xa.dtype, copy=False))
 

@@ -106,11 +106,9 @@ class TemporalPool(CoModule):
             # cumulative sums over the zero-prefixed sequence
             csum = np.cumsum(x.array.astype(np.float64), axis=0)
             csum = np.concatenate([np.zeros((1,) + x.shape[1:]), csum], axis=0)
-            out = np.empty((n_out,) + x.shape[1:], dtype=np.float64)
-            for j in range(n_out):
-                end = self.delay() + j + 1  # exclusive, in real-frame indexing
-                start = max(0, end - self.window)
-                out[j] = (csum[end] - csum[start]) / self.window
+            ends = self.delay() + np.arange(n_out) + 1  # exclusive, real-frame indexing
+            starts = np.maximum(ends - self.window, 0)
+            out = (csum[ends] - csum[starts]) / self.window
             return Tensor.wrap(out.astype(x.array.dtype))
         windows = np.lib.stride_tricks.sliding_window_view(x.array, self.window, axis=0)
         return Tensor.wrap(np.ascontiguousarray(windows.max(axis=-1)))

@@ -55,7 +55,9 @@ class Tensor:
 
     @staticmethod
     def wrap(arr: np.ndarray) -> "Tensor":
-        """Adopt an ndarray (copied only if not f32/f64 contiguous)."""
+        """Adopt an f32/f64 ndarray as an immutable tensor.  A read-only
+        contiguous array is shared; any other array is copied, so a freshly
+        computed (writeable) result is copied too."""
         if arr.dtype not in (np.float32, np.float64):
             raise ValueError(f"unsupported ndarray dtype {arr.dtype}")
         t = object.__new__(Tensor)

@@ -89,6 +89,30 @@ def test_forward_vs_loop_oracle_seed13():
         assert np.allclose(got, want, rtol=1e-4, atol=1e-5)
 
 
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-5), ("f64", 1e-12)])
+@pytest.mark.parametrize("dil", [1, 2])
+@pytest.mark.parametrize("k_t", [1, 3, 9])
+def test_forward_vs_loop_oracle_grid(k_t, dil, dtype, tol):
+    # the oracle emits every stride-1 window; a strided clip keeps every
+    # stride-th of them, so one oracle run checks strides 1, 2 and 3
+    rng = np.random.default_rng(200 + k_t + 10 * dil)
+    rf = (k_t - 1) * dil + 1
+    for pad in range(rf):
+        for spatial, frame in [((1, 1), (2, 2, 3)), ((2, 3), (2, 3, 4))]:
+            w = rand_tensor(rng, (2, 2, k_t) + spatial, dtype=dtype, scale=0.3)
+            b = rand_tensor(rng, (2,), dtype=dtype, scale=0.3)
+            for length in (rf - 1, rf, 5 * rf + 3):
+                x = rand_tensor(rng, (length,) + frame, dtype=dtype)
+                want = offline_oracle(x.array, w.array, b.array, dil, pad)
+                for stride in (1, 2, 3):
+                    conv = TemporalConv(w, b, dilation=dil, padding=pad,
+                                        temporal_stride=stride)
+                    got = conv.forward(x).array
+                    assert got.dtype == x.array.dtype
+                    assert got.shape == want[::stride].shape
+                    assert max_rel_dev(got, want[::stride]) < tol
+
+
 def test_forward_too_short_gives_empty():
     conv = make_conv(np.random.default_rng(1), k=(3, 1, 1))
     out = conv.forward(rand_tensor(np.random.default_rng(2), (2, 2, 3, 3)))
@@ -341,6 +365,32 @@ def test_nan_frame_poisons_exactly_its_windows(form, k_t, dil, pad, stride):
             poisoned = any(t_emit - k * dil == s for k in range(k_t))
             assert np.isnan(out[j]).all() == poisoned
             assert np.isnan(want[j]).all() == poisoned
+            if not poisoned:
+                assert np.isfinite(out[j]).all()
+                assert np.allclose(out[j], want[j], rtol=1e-4, atol=1e-5)
+
+
+@pytest.mark.parametrize("spatial", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("k_t,dil,pad", [(3, 1, 0), (3, 2, 2), (4, 1, 3), (2, 3, 1)])
+def test_nan_frame_poisons_exactly_its_clip_windows(k_t, dil, pad, stride, spatial):
+    # clip-mode twin of the step test above: the clip's leading zero frames
+    # and unread frames must not pick up the NaN through a shared product
+    rng = np.random.default_rng(24)
+    conv = make_conv(rng, c_in=2, c_out=2, k=(k_t,) + spatial, dilation=dil,
+                     padding=pad, stride=stride)
+    rf = conv.receptive_field()
+    length = 6 * rf
+    for s in (0, rf // 2, 2 * rf + 1):
+        x = rand_tensor(rng, (length, 2, 3, 4)).array.copy()
+        x[s] = np.nan
+        out = conv.forward(Tensor.wrap(x)).array
+        want = offline_oracle(x, conv.weights.array, conv.bias.array, dil, pad)[::stride]
+        assert out.shape == want.shape
+        for j in range(out.shape[0]):
+            t_emit = conv.delay() + j * stride
+            poisoned = any(t_emit - k * dil == s for k in range(k_t))
+            assert np.isnan(out[j]).all() == poisoned
             if not poisoned:
                 assert np.isfinite(out[j]).all()
                 assert np.allclose(out[j], want[j], rtol=1e-4, atol=1e-5)

@@ -107,6 +107,22 @@ def test_block_offline_equals_steps():
     assert max_rel_dev(online.array, offline.array) < 1e-4
 
 
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-5), ("f64", 1e-12)])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("residual,c_in", [("none", 4), ("identity", 5), ("pointwise", 3)])
+def test_block_clip_equals_steps_strided(residual, c_in, stride, dtype, tol):
+    rng = np.random.default_rng(10 + stride)
+    for padding in (0, 2):
+        blk = make_block(rng, v=7, c_in=c_in, c_out=5, k_t=3, stride=stride,
+                         padding=padding, residual=residual)
+        x = rand_tensor(rng, (23, c_in, 7), dtype=dtype)
+        offline = blk.forward(x)
+        online = blk.forward_steps(blk.init_state(), x)
+        assert offline.shape == online.shape == (blk.out_len(23), 5, 7)
+        assert offline.array.dtype == x.array.dtype
+        assert max_rel_dev(online.array, offline.array) < tol
+
+
 def test_block_zero_input_zero_output():
     rng = np.random.default_rng(4)
     blk = make_block(rng, v=6, c_in=3, c_out=3, k_t=3, residual="identity")
@@ -169,6 +185,17 @@ def test_stride_two_halves_emission_rate():
     long = net.forward_steps(net.init_state(), x_long).shape[0]
     # past warm-up, 40 extra input steps yield 20 extra emissions
     assert long - short == 20
+
+
+@pytest.mark.parametrize("length", [5, 6, 30])
+def test_head_clip_equals_steps(length):
+    rng = np.random.default_rng(11)
+    head = GlobalAverageHead(6, rand_tensor(rng, (3, 4)), rand_tensor(rng, (4,)))
+    x = rand_tensor(rng, (length, 3, 9))
+    offline = head.forward(x)
+    online = head.forward_steps(head.init_state(), x)
+    assert offline.shape == online.shape == (max(length - 5, 0), 4)
+    assert max_rel_dev(online.array, offline.array) < 1e-6
 
 
 def test_head_rejects_wrong_channels():

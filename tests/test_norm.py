@@ -102,6 +102,22 @@ def test_ln_idempotent_when_affine_is_identity():
     assert np.allclose(twice.array, once.array, atol=1e-5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8,), (16, 8), (3, 5, 7)])
+def test_ln_bit_identical_to_mean_var_formula(shape, dtype):
+    rng = np.random.default_rng(12)
+    d = shape[-1]
+    gamma = Tensor.wrap(rng.normal(size=d).astype(dtype))
+    beta = Tensor.wrap(rng.normal(size=d).astype(dtype))
+    ln = LayerNorm(gamma, beta)
+    for _ in range(20):
+        xa = (rng.normal(size=shape) * rng.uniform(0.01, 100) + rng.uniform(-50, 50)).astype(dtype)
+        mean = xa.mean(axis=-1, keepdims=True)
+        var = xa.var(axis=-1, keepdims=True)
+        want = (xa - mean) / np.sqrt(var + dtype(ln.eps)) * gamma.array + beta.array
+        assert np.array_equal(ln.forward(Tensor.wrap(xa)).array, want)
+
+
 def test_norms_step_equals_clip():
     rng = np.random.default_rng(8)
     bn = make_bn(rng, 4)

@@ -72,6 +72,19 @@ def test_forward_matches_steps():
         assert max_rel_dev(online.array, offline.array) < 1e-6
 
 
+@pytest.mark.parametrize("window,padding", [(1, 0), (4, 0), (4, 3), (7, 2)])
+def test_avg_forward_equals_cumsum_loop(window, padding):
+    # one f64 cumulative sum, each output a difference of two of its rows
+    x = rand_tensor(np.random.default_rng(13), (40, 3, 5)).array
+    pool = TemporalPool("avg", window, padding=padding)
+    csum = np.concatenate([np.zeros((1, 3, 5)), np.cumsum(x.astype(np.float64), axis=0)])
+    want = []
+    for j in range(pool.out_len(40)):
+        end = pool.delay() + j + 1
+        want.append(((csum[end] - csum[max(0, end - window)]) / window).astype(x.dtype))
+    assert np.array_equal(pool.forward(Tensor.wrap(x)).array, np.stack(want))
+
+
 def test_constant_input_avg_gives_constant():
     pool = TemporalPool("avg", 4)
     x = Tensor.full((10, 3), 2.25)
