@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput
+from .module import CoModule, OpCount, StepOutput, ring_buffer
 from .tensor import Tensor
 from .norm import LayerNorm
 
@@ -101,16 +101,9 @@ def _check_rows(d: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
             f"Q{q.shape} K{k.shape} V{v.shape}")
 
 
-def _ring(ring, size: int, row: np.ndarray, dtype) -> np.ndarray:
-    """``ring``, or on a stream's first row a zero-initialised ring of
-    ``size`` slots for rows shaped like ``row``; later rows must fit it."""
-    shape = row.shape[:-1] + (size, row.shape[-1])
-    if ring is None:
-        return np.zeros(shape, dtype=dtype)
-    if ring.shape != shape or ring.dtype != dtype:
-        raise DimensionError(f"row {row.shape} {row.dtype} does not fit the "
-                             f"stream's ring {ring.shape} {ring.dtype}")
-    return ring
+def _rows(size: int, row: np.ndarray) -> tuple:
+    """Shape of a ring of ``size`` slots for rows shaped like ``row``."""
+    return row.shape[:-1] + (size, row.shape[-1])
 
 
 def _slot_table(size: int) -> np.ndarray:
@@ -170,9 +163,9 @@ class RetroAttention(CoModule):
         qa, ka, va = (a.array.astype(np.float64, copy=False) for a in (q, k, v))
         _check_rows(self.d, qa, ka, va)
         n, m = self.n, self.n - 1
-        state.q_mem = _ring(state.q_mem, m, qa, np.float64)
-        state.k_mem = _ring(state.k_mem, n, ka, np.float64)
-        state.v_mem = _ring(state.v_mem, n, va, np.float64)
+        state.q_mem = ring_buffer(state.q_mem, _rows(m, qa), np.float64)
+        state.k_mem = ring_buffer(state.k_mem, _rows(n, ka), np.float64)
+        state.v_mem = ring_buffer(state.v_mem, _rows(n, va), np.float64)
         t = state.t
         state.t += 1
         cur = t % n  # the departing key/value's slot, and the arriving one's
@@ -208,9 +201,8 @@ class RetroAttention(CoModule):
             q_win = np.concatenate([q_old, qa[..., None, :]], axis=-2)
             denom, av = _attend(q_win, state.k_mem, state.v_mem, self.scale,
                                 state.clamp_events)
-            if state.d_mem is None:
-                state.d_mem = np.zeros(denom.shape)
-                state.av_mem = np.zeros(av.shape)
+            state.d_mem = ring_buffer(state.d_mem, denom.shape, np.float64)
+            state.av_mem = ring_buffer(state.av_mem, av.shape, np.float64)
             state.d_mem[..., win] = denom
             state.av_mem[..., win, :] = av
         else:
@@ -288,8 +280,8 @@ class SingleAttention(CoModule):
         qa, ka, va = q.array, k.array, v.array
         _check_rows(self.d, qa, ka, va)
         m = self.n - 1
-        state.k_mem = _ring(state.k_mem, m, ka, ka.dtype)
-        state.v_mem = _ring(state.v_mem, m, va, va.dtype)
+        state.k_mem = ring_buffer(state.k_mem, _rows(m, ka), ka.dtype)
+        state.v_mem = ring_buffer(state.v_mem, _rows(m, va), va.dtype)
         t = state.t
         state.t += 1
         y = None
@@ -567,7 +559,7 @@ class EncoderBlock(CoModule):
         sel = x_t.array
         att = self.mha.forward_step(state.mha, x_t)
         if self.mode == "retro":
-            tokens = state.tokens = _ring(state.tokens, self.n, sel, sel.dtype)
+            tokens = state.tokens = ring_buffer(state.tokens, (self.n,) + sel.shape, sel.dtype)
             cur = state.t % self.n
             state.t += 1
             tokens[cur] = sel

@@ -1,4 +1,4 @@
-"""Containers: sequential chaining, delayed residuals, parallel branches.
+"""Containers: sequential chaining, parallel branches, residuals.
 
 Temporal bookkeeping rules (all integer, checked by property tests):
 
@@ -7,28 +7,33 @@ Temporal bookkeeping rules (all integer, checked by property tests):
   the stages before it.  Worked example: stages with (delay, stride) of
   (2, 2) then (2, 1) compose to stride 2 and delay 2 + 2*2 = 6 input steps,
   because the second stage's two-step delay elapses at the halved clock.
-- residual: the shortcut is buffered so its value lands on the emission
-  aligned with the same input step; composite delay equals the inner delay.
-  Residuals across strided modules are rejected rather than guessed at.
-- parallel: all branches must share one stride (and emission phase); each
-  is buffered up to the slowest branch, composite delay is the max.
+- parallel: all branches must share one stride ``s`` (and emission phase);
+  composite delay ``D`` is the max branch delay and the container emits at
+  steps ``t >= warmup()`` with ``(t - warmup()) % s == 0``.
+- residual: a parallel of the inner module and a shortcut (identity by
+  default), summed.  Residuals across strided modules are rejected rather
+  than guessed at.
 
 Step mode never lets a not-ready placeholder enter arithmetic: a stage that
-gets nothing simply produces nothing.  Alignment works by tagging each
-branch emission with the input index it corresponds to (``t - delay``) and
-reducing only matching tags, which also handles modules whose warm-up
-exceeds their delay (windowed attention).
+gets nothing simply produces nothing.  Parallel branches are aligned by
+lags fixed at construction: branch ``b`` keeps its last
+``lag_b = ceil((D - delay_b) / s)`` emissions in a zero-initialised ring
+whose cursor is its emission count.  On an emitting step the slot under the
+cursor, the oldest of those emissions, is the one aligned with the
+container's output; it is read before the branch's emission of that step
+takes the slot.  A branch with ``lag_b = 0`` contributes the emission of
+the step itself.  A branch whose warm-up exceeds its delay (windowed
+attention) only moves the container's warm-up.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Sequence
 
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput
+from .module import CoModule, OpCount, StepOutput, ring_buffer
 from .tensor import Tensor
 
 
@@ -168,118 +173,14 @@ class Sequential(CoModule):
         return total
 
 
-class _AlignedQueue:
-    """Emissions of one branch, tagged with the input index each aligns to."""
-
-    __slots__ = ("q",)
-
-    def __init__(self):
-        self.q = deque()
-
-    def push(self, index: int, value: np.ndarray) -> None:
-        self.q.append((index, value))
-
-    def discard_below(self, index: int) -> None:
-        while self.q and self.q[0][0] < index:
-            self.q.popleft()
-
-    def front_index(self):
-        return self.q[0][0] if self.q else None
-
-
-def _aligned_pop(queues: List[_AlignedQueue]):
-    """Pop one matching-tag value per queue, or None if not all are ready."""
-    fronts = [q.front_index() for q in queues]
-    if any(f is None for f in fronts):
-        return None
-    target = max(fronts)
-    for q in queues:
-        q.discard_below(target)
-    if any(q.front_index() != target for q in queues):
-        return None
-    return [q.q.popleft()[1] for q in queues]
-
-
-class _BranchingState:
-    __slots__ = ("branches", "queues", "t")
+class _ParallelState:
+    __slots__ = ("branches", "rings", "counts", "t")
 
     def __init__(self, branch_states):
         self.branches = branch_states
-        self.queues = [_AlignedQueue() for _ in branch_states]
+        self.rings = [None] * len(branch_states)  # (lag, ...) rings of branch emissions
+        self.counts = [0] * len(branch_states)  # emissions per branch: the ring cursors
         self.t = 0
-
-
-class Residual(CoModule):
-    """Add a delayed shortcut around a stride-1 module."""
-
-    def __init__(self, inner: CoModule, shortcut: CoModule | None = None):
-        if inner.stride() != 1:
-            raise ValueError("residual around a strided module is not defined")
-        self.inner = inner
-        self.shortcut = shortcut if shortcut is not None else Identity()
-
-    def children(self) -> List[CoModule]:
-        return [self.inner, self.shortcut]
-
-    def delay(self) -> int:
-        return self.inner.delay()
-
-    def warmup(self) -> int:
-        return self.inner.delay() + max(self.inner.warmup() - self.inner.delay(), 0)
-
-    def receptive_field(self) -> int:
-        d = self.inner.delay()
-        return 1 + d + max(self.inner.receptive_field() - 1 - d, 0)
-
-    def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        a = self.inner.out_frame_shape(frame_shape)
-        b = self.shortcut.out_frame_shape(frame_shape)
-        if a != b:
-            raise DimensionError(f"branch frames differ: {a} vs {b}")
-        return a
-
-    def init_state(self) -> _BranchingState:
-        return _BranchingState([self.inner.init_state(), self.shortcut.init_state()])
-
-    def forward_step(self, state: _BranchingState, x_t: Tensor) -> StepOutput:
-        t = state.t
-        state.t += 1
-        pairs = ((self.inner, 0), (self.shortcut, 1))
-        for mod, i in pairs:
-            y = mod.forward_step(state.branches[i], x_t)
-            if y is not None:
-                state.queues[i].push(t - mod.delay(), y.array)
-        vals = _aligned_pop(state.queues)
-        if vals is None:
-            return None
-        return Tensor.wrap(vals[0] + vals[1])
-
-    def forward(self, x: Tensor) -> Tensor:
-        main = self.inner.forward(x).array
-        side = self.shortcut.forward(x).array
-        # emission j of a branch aligns with input warmup_b - delay_b + j
-        drop_main = self.warmup() - self.delay() - (self.inner.warmup() - self.inner.delay())
-        drop_side = self.warmup() - self.delay()
-        main = main[drop_main:]
-        side = side[drop_side:]
-        n = min(len(main), len(side))
-        return Tensor.wrap(main[:n] + side[:n])
-
-    def step_cost(self, frame_shape: tuple) -> OpCount:
-        out = int(np.prod(self.out_frame_shape(frame_shape)))
-        return (
-            self.inner.step_cost(frame_shape)
-            + self.shortcut.step_cost(frame_shape)
-            + OpCount(other=out)
-        )
-
-    def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        out = int(np.prod(self.out_frame_shape(frame_shape)))
-        return (
-            self.inner.clip_cost(frame_shape, t)
-            + self.shortcut.clip_cost(frame_shape, t)
-            + OpCount(other=out).scaled(self.out_len(t))
-        )
 
 
 class Parallel(CoModule):
@@ -299,6 +200,8 @@ class Parallel(CoModule):
             raise ValueError("branch emission phases differ")
         self.branches = list(branches)
         self.reduce = reduce
+        self._lags = [-(-(self.delay() - b.delay()) // s) for b in self.branches]
+        self._warmup = self.warmup()
 
     def children(self) -> List[CoModule]:
         return list(self.branches)
@@ -327,8 +230,8 @@ class Parallel(CoModule):
             raise DimensionError(f"concat branches disagree beyond channels: {shapes}")
         return (sum(s[0] for s in shapes),) + shapes[0][1:]
 
-    def init_state(self) -> _BranchingState:
-        return _BranchingState([b.init_state() for b in self.branches])
+    def init_state(self) -> _ParallelState:
+        return _ParallelState([b.init_state() for b in self.branches])
 
     def _combine(self, vals: List[np.ndarray], channel_axis: int = 0) -> Tensor:
         if self.reduce == "sum":
@@ -338,17 +241,23 @@ class Parallel(CoModule):
             return Tensor.wrap(out)
         return Tensor.wrap(np.concatenate(vals, axis=channel_axis))
 
-    def forward_step(self, state: _BranchingState, x_t: Tensor) -> StepOutput:
+    def forward_step(self, state: _ParallelState, x_t: Tensor) -> StepOutput:
         t = state.t
         state.t += 1
-        for i, b in enumerate(self.branches):
-            y = b.forward_step(state.branches[i], x_t)
-            if y is not None:
-                state.queues[i].push(t - b.delay(), y.array)
-        vals = _aligned_pop(state.queues)
-        if vals is None:
-            return None
-        return self._combine(vals)
+        ys = [b.forward_step(s, x_t) for b, s in zip(self.branches, state.branches)]
+        out = None
+        if t >= self._warmup and (t - self._warmup) % self.stride() == 0:
+            # a lagged branch's aligned emission is the oldest in its ring,
+            # read before this step's emission takes its slot
+            out = self._combine([y.array if lag == 0 else ring[c % lag] for y, lag, ring, c
+                                 in zip(ys, self._lags, state.rings, state.counts)])
+        for i, (y, lag) in enumerate(zip(ys, self._lags)):
+            if lag and y is not None:
+                ring = state.rings[i] = ring_buffer(state.rings[i], (lag,) + y.shape,
+                                                    y.array.dtype)
+                ring[state.counts[i] % lag] = y.array
+                state.counts[i] += 1
+        return out
 
     def forward(self, x: Tensor) -> Tensor:
         base = self.warmup() - self.delay()
@@ -381,3 +290,14 @@ class Parallel(CoModule):
             out = int(np.prod(self.out_frame_shape(frame_shape)))
             total = total + OpCount(other=(len(self.branches) - 1) * out).scaled(self.out_len(t))
         return total
+
+
+class Residual(Parallel):
+    """Add a shortcut around a stride-1 module: the parallel sum of both."""
+
+    def __init__(self, inner: CoModule, shortcut: CoModule | None = None):
+        if inner.stride() != 1:
+            raise ValueError("residual around a strided module is not defined")
+        self.inner = inner
+        self.shortcut = shortcut if shortcut is not None else Identity()
+        super().__init__([self.inner, self.shortcut], "sum")

@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput
+from .module import CoModule, OpCount, StepOutput, ring_buffer
 from .tensor import Tensor
 
 
@@ -248,24 +248,6 @@ class TemporalConv(CoModule):
         self._layouts[(dtype, frame_shape)] = lay
         return lay
 
-    def _ring(self, state: _ConvState, lay: _Layout, xa: np.ndarray) -> np.ndarray:
-        """The stream's ring, allocated on the first frame; later frames
-        must match the first one's shape and dtype."""
-        pre = lay.form == "pre"
-        ring = state.fifo if pre else state.acc
-        shape = (self._rf - 1,) + (xa.shape if pre else lay.out_shape)
-        if ring is None:
-            ring = np.zeros(shape, dtype=xa.dtype)
-            if pre:
-                state.fifo = ring
-            else:
-                state.acc = ring
-        elif ring.shape != shape or ring.dtype != xa.dtype:
-            raise DimensionError(
-                f"frame {xa.shape} {xa.dtype} does not fit the stream's "
-                f"ring {ring.shape} {ring.dtype}")
-        return ring
-
     def _unfold(self, lay: _Layout, xa: np.ndarray) -> np.ndarray:
         if lay.cols is None:
             return xa.reshape(-1, xa.shape[-2] * xa.shape[-1])
@@ -277,7 +259,10 @@ class TemporalConv(CoModule):
         xa = x_t.array
         lay = self._layout(xa.dtype, xa.shape)
         state.form = lay.form
-        ring = self._ring(state, lay, xa)
+        if lay.form == "pre":
+            ring = state.fifo = ring_buffer(state.fifo, (self._rf - 1,) + xa.shape, xa.dtype)
+        else:
+            ring = state.acc = ring_buffer(state.acc, (self._rf - 1,) + lay.out_shape, xa.dtype)
         n = self._rf - 1
         t = state.t
         state.t += 1

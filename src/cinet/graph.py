@@ -22,7 +22,7 @@ import numpy as np
 
 from .conv import TemporalConv
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput
+from .module import CoModule, OpCount, StepOutput, ring_buffer
 from .norm import BatchNorm
 from .pool import TemporalPool
 from .tensor import Tensor
@@ -210,8 +210,8 @@ class StGcnBlock(CoModule):
             raise DimensionError(f"frame {x_t.shape} != ({self.c_in},{self.graph.v})")
         xa = x_t.array
         d = self.res_delay if self.residual != "none" else 0
-        if d and state.res is None:
-            state.res = np.zeros((d,) + xa.shape, dtype=xa.dtype)
+        if d:
+            state.res = ring_buffer(state.res, (d,) + xa.shape, xa.dtype)
         slot = state.t % max(d, 1)
         state.t += 1
         g = graph_conv(x_t, self.graph, self.w_gc)

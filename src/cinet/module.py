@@ -17,6 +17,10 @@ describe each module:
 - ``warmup()``: number of initial steps with no emission.  For convolutions
   warm-up equals delay; windowed attention has warm-up ``n - 1`` but delay 0
   because its emission is aligned with the newest token.
+
+The frames and partial results a stream must remember live in rings made
+by ``ring_buffer``: zero-initialised arrays of a fixed number of slots whose
+cursor is a step or emission counter, so a stream's state never grows.
 """
 
 from __future__ import annotations
@@ -26,9 +30,22 @@ from typing import List, Optional
 
 import numpy as np
 
+from .errors import DimensionError
 from .tensor import Tensor
 
 StepOutput = Optional[Tensor]
+
+
+def ring_buffer(buf: Optional[np.ndarray], shape: tuple, dtype) -> np.ndarray:
+    """``buf``, or on a stream's first frame (``buf`` is ``None``) a
+    zero-initialised ring of ``shape`` in ``dtype``.  A later frame that
+    needs another shape or dtype raises instead of being cast into the ring."""
+    if buf is None:
+        return np.zeros(shape, dtype=dtype)
+    if buf.shape != shape or buf.dtype != dtype:
+        raise DimensionError(f"stream drifted: needs a ring {shape} {np.dtype(dtype)}, "
+                             f"holds {buf.shape} {buf.dtype}")
+    return buf
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """Continual temporal pooling: running windowed average and sliding maximum.
 
 The average keeps a running sum (newest frame added, oldest subtracted) and
-refreshes it from the cached window every ``refresh_interval`` steps, since
-add/subtract accumulation is not exactly associative in floating point.  The
-sum is accumulated in f64 regardless of the stream dtype.
+the window's ``window - 1`` older frames in a zero-initialised ring in the
+stream dtype; step ``t`` reads the leaving frame from slot
+``t mod (window - 1)`` and then writes its own frame there.  Zero slots
+stand for the padding frames before the stream, so they leave the sum
+without a special case.  The sum is accumulated in f64 regardless of the
+stream dtype and refreshed from the ring every ``refresh_interval`` steps,
+since add/subtract accumulation is not exactly associative in floating
+point.
 
 The maximum uses a queue-with-max built from two stacks carrying elementwise
 running maxima: amortized O(1) comparisons per element per step and never
@@ -16,12 +21,10 @@ pool with ``window`` set to that receptive field.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput
+from .module import CoModule, OpCount, StepOutput, ring_buffer
 from .tensor import Tensor
 
 
@@ -60,14 +63,13 @@ class _MaxQueue:
 
 
 class _PoolState:
-    __slots__ = ("t", "frame_shape", "dq", "running_sum", "virtual_zeros", "maxq")
+    __slots__ = ("t", "frame", "ring", "running_sum", "maxq")
 
-    def __init__(self, padding: int):
+    def __init__(self):
         self.t = 0
-        self.frame_shape = None
-        self.dq = deque()  # frames awaiting subtraction (avg)
-        self.running_sum = None  # f64 accumulator
-        self.virtual_zeros = padding  # leading zeros not yet slid out
+        self.frame = None  # max: (shape, dtype) of the stream's first frame
+        self.ring = None  # avg: (window-1, ...) ring of the window's older frames
+        self.running_sum = None  # avg: f64 sum of the ring's frames
         self.maxq = _MaxQueue()
 
 
@@ -116,44 +118,41 @@ class TemporalPool(CoModule):
     # -- step mode ----------------------------------------------------------------
 
     def init_state(self) -> _PoolState:
-        return _PoolState(self.padding)
+        return _PoolState()
 
     def forward_step(self, state: _PoolState, x_t: Tensor) -> StepOutput:
-        if state.frame_shape is None:
-            state.frame_shape = x_t.shape
-        elif x_t.shape != state.frame_shape:
-            raise DimensionError(
-                f"frame shape drift: {x_t.shape} after {state.frame_shape}"
-            )
+        xa = x_t.array
+        n = self.window - 1
+        if self.kind == "avg":
+            ring = state.ring = ring_buffer(state.ring, (n,) + xa.shape, xa.dtype)
+        elif state.frame is None:
+            state.frame = (xa.shape, xa.dtype)
+        elif (xa.shape, xa.dtype) != state.frame:
+            raise DimensionError(f"frame drift: {xa.shape} {xa.dtype} after "
+                                 f"{state.frame[0]} {state.frame[1]}")
         t = state.t
         state.t += 1
-        xa = x_t.array
         if self.kind == "max":
             state.maxq.push(xa)
             if len(state.maxq) > self.window:
                 state.maxq.pop_oldest()
-            if t >= self.window - 1:
+            if t >= n:
                 return Tensor.wrap(state.maxq.max().astype(xa.dtype, copy=False))
             return None
-        if state.running_sum is None:
-            state.running_sum = np.zeros(x_t.shape, dtype=np.float64)
-        if self.refresh_interval and t and t % self.refresh_interval == 0:
-            state.running_sum = sum(
-                (f.astype(np.float64) for f in state.dq),
-                np.zeros(state.frame_shape, dtype=np.float64),
-            )
-        state.running_sum = state.running_sum + xa
-        state.dq.append(xa)
-        if t < self.delay():
-            return None
-        y = (state.running_sum / self.window).astype(xa.dtype, copy=False)
-        # slide: the frame leaving before the next emission is either one of
-        # the virtual leading zeros or the oldest cached real frame
-        if state.virtual_zeros > 0:
-            state.virtual_zeros -= 1
+        if t == 0 or (self.refresh_interval and t % self.refresh_interval == 0):
+            state.running_sum = ring.sum(axis=0, dtype=np.float64)
+        state.running_sum += xa
+        y = None
+        if t >= self.delay():
+            y = Tensor.wrap((state.running_sum / self.window).astype(xa.dtype, copy=False))
+        # frame t - n leaves the sum: a zero slot (padding, or before the
+        # stream) until the ring has wrapped, x_t itself for a 1-frame window
+        if n:
+            state.running_sum -= ring[t % n]
+            ring[t % n] = xa
         else:
-            state.running_sum = state.running_sum - state.dq.popleft()
-        return Tensor.wrap(y)
+            state.running_sum -= xa
+        return y
 
     # -- analytic cost ----------------------------------------------------------
     # avg step: add + subtract + divide per element; max step: one push

@@ -122,6 +122,20 @@ def test_residual_pointwise_shortcut():
     assert max_rel_dev(online.array, offline.array) < 1e-4
 
 
+def test_residual_delayed_shortcut_counts_its_delay():
+    # the shortcut's delay, not only the inner module's, sets the residual's
+    rng = np.random.default_rng(16)
+    res = Residual(conv_layer(rng, k_t=1), shortcut=conv_layer(rng, k_t=3))
+    assert (res.delay(), res.warmup()) == (2, 2)
+    x = rand_tensor(rng, (10, CH, 2, 2))
+    offline = res.forward(x)
+    assert res.out_len(10) == 8 == offline.shape[0]
+    assert max_rel_dev(res.forward_steps(res.init_state(), x).array, offline.array) < 1e-5
+    seq = Sequential([res, conv_layer(rng, k_t=2)])
+    assert seq.delay() == 3
+    assert seq.out_len(10) == 7 == seq.forward(x).shape[0]
+
+
 # -- parallel ---------------------------------------------------------------------
 
 
@@ -150,6 +164,28 @@ def test_parallel_forward_equals_steps():
     online = par.forward_steps(par.init_state(), x)
     assert offline.shape == online.shape
     assert max_rel_dev(online.array, offline.array) < 1e-4
+
+
+@pytest.mark.parametrize("k_ts", [(1, 2), (1, 4), (2, 5), (1, 3)])
+@pytest.mark.parametrize("reduce", ["sum", "concat"])
+def test_parallel_lags_strided_branches(k_ts, reduce):
+    # stride-2 branches whose delays differ by an odd count: the faster
+    # branch's aligned emission is ceil(diff / 2) of its emissions back; at
+    # an even count (1, 3) it also emits on the container's steps, so its
+    # ring slot must be read before that emission overwrites it
+    rng = np.random.default_rng(17)
+    par = Parallel([conv_layer(rng, k_t=k, stride=2) for k in k_ts], reduce=reduce)
+    assert par.delay() == par.warmup() == k_ts[1] - 1
+    x = rand_tensor(rng, (23, CH, 2, 2))
+    offline = par.forward(x)
+    assert offline.shape[0] == par.out_len(23)
+    online = par.forward_steps(par.init_state(), x)
+    assert online.shape == offline.shape
+    assert max_rel_dev(online.array, offline.array) < 1e-5
+    state = par.init_state()
+    chunks = [par.forward_steps(state, Tensor.wrap(x.array[a:b]))
+              for a, b in ((0, 1), (1, 4), (4, 5), (5, 13), (13, 23))]
+    assert np.array_equal(np.concatenate([c.array for c in chunks]), online.array)
 
 
 def test_parallel_rejects_unequal_strides():

@@ -114,13 +114,24 @@ def test_shape_drift_rejected():
         pool.forward_step(state, Tensor.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("drift", ["shape", "dtype"])
+@pytest.mark.parametrize("kind", ["avg", "max"])
+def test_frame_drift_rejected(kind, drift):
+    pool = TemporalPool(kind, 3)
+    state = pool.init_state()
+    pool.forward_step(state, Tensor.zeros((2, 2)))
+    bad = Tensor.zeros((3, 2)) if drift == "shape" else Tensor.zeros((2, 2), dtype="f64")
+    with pytest.raises(DimensionError):
+        pool.forward_step(state, bad)
+
+
 def test_running_sum_matches_window_contents():
     rng = np.random.default_rng(6)
     pool = TemporalPool("avg", 5, padding=2)
     state = pool.init_state()
     for t in range(40):
         pool.forward_step(state, rand_tensor(rng, (2,)))
-        exact = sum((f.astype(np.float64) for f in state.dq), np.zeros(2))
+        exact = sum((f.astype(np.float64) for f in state.ring), np.zeros(2))
         assert np.allclose(state.running_sum, exact, atol=1e-9)
 
 
@@ -149,6 +160,6 @@ def test_drift_bound_over_one_million_steps():
             if t % 5000 == 0 and t >= window:
                 # after the post-emission subtraction the sum covers the
                 # frames still cached for the next window
-                exact = sum((f.astype(np.float64) for f in state.dq), np.zeros(2))
+                exact = sum((f.astype(np.float64) for f in state.ring), np.zeros(2))
                 worst = max(worst, float(np.abs(state.running_sum - exact).max()))
         assert worst <= bound, f"interval={interval}: drift {worst}"
