@@ -6,16 +6,45 @@ per-prediction cost of sliding-window processing next to the steady
 per-step cost, their ratio, and measured wall-clock throughput in both
 modes with their ratio (steps/s over sliding-window predictions/s, each
 prediction a clip-mode ``forward`` over one receptive field).  Lengths are chosen per model (300 for the skeleton network, the
-attention window for encoders, 64 for plain conv stacks).
+attention window for encoders, 64 for plain conv stacks).  The last column
+counts ``Tensor.wrap`` calls per steady-state ``forward_step``: layers hand
+arrays to each other, so it reads at most 1, the one wrap at the edge.
 """
 
 import sys
 from pathlib import Path
 
 from cinet.cli import check_equivalence, count_flops, measure_throughput
-from cinet.config import build_model, load_config
+from cinet.config import build_model, load_config, random_stream
+from cinet.tensor import Tensor
 
 LENGTHS = {"toy_costgcn": 300, "encoder_one_block": 64, "encoder_two_block": 48}
+
+
+def wraps_per_step(cfg: dict, model, steps: int = 64) -> float:
+    """``Tensor.wrap`` calls per ``forward_step`` past warm-up, counted by
+    wrapping ``Tensor.wrap`` around the steady-state step loop."""
+    x = random_stream(2, model.warmup() + steps, tuple(cfg["input"]["shape"]),
+                      cfg.get("dtype", "f32"))
+    frames = [Tensor.wrap(x.array[t]) for t in range(x.shape[0])]
+    state = model.init_state()
+    for f in frames[:model.warmup()]:
+        model.forward_step(state, f)
+    saved = Tensor.__dict__["wrap"]
+    calls = 0
+
+    def counted(arr):
+        nonlocal calls
+        calls += 1
+        return saved.__func__(arr)
+
+    Tensor.wrap = staticmethod(counted)
+    try:
+        for f in frames[model.warmup():]:
+            model.forward_step(state, f)
+    finally:
+        Tensor.wrap = saved
+    return calls / steps
 
 
 def bench(path: Path) -> bool:
@@ -29,6 +58,7 @@ def bench(path: Path) -> bool:
     tp_step = measure_throughput(cfg, model, "step", min(t, 64), 1, 5)
     window = model.receptive_field()
     tp_off = measure_throughput(cfg, model, "offline", window, 1, 5)
+    wraps = wraps_per_step(cfg, model)
 
     print(f"{cfg['name']:>20}  T={t:<4d} "
           f"equiv={'ok' if check['pass'] else 'FAIL'} "
@@ -37,7 +67,8 @@ def bench(path: Path) -> bool:
           f"ratio={offline / step:6.1f}x  "
           f"steps/s={tp_step['throughput']:8.1f} "
           f"slide preds/s={tp_off['throughput']:8.1f} "
-          f"wall ratio={tp_step['throughput'] / tp_off['throughput']:6.1f}x")
+          f"wall ratio={tp_step['throughput'] / tp_off['throughput']:6.1f}x  "
+          f"wraps/step={wraps:.2f}")
     return bool(check["pass"])
 
 

@@ -13,7 +13,7 @@ that stream; the layer objects themselves are immutable and shareable.
 """
 
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, matmul, conv_spatial, elementwise, reduce
+from .tensor import Tensor, matmul, conv_spatial, reduce
 from .module import CoModule
 from .conv import TemporalConv
 from .pool import TemporalPool
@@ -35,7 +35,6 @@ __all__ = [
     "Tensor",
     "matmul",
     "conv_spatial",
-    "elementwise",
     "reduce",
     "CoModule",
     "TemporalConv",

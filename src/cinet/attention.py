@@ -34,6 +34,8 @@ supported only as a diagnostic knob and breaks window equivalence.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .errors import DimensionError
@@ -73,8 +75,13 @@ def sda_full(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Ten
         raise DimensionError(f"window mismatch: Q{q.shape} K{k.shape} V{v.shape}")
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))  # python float: no f32 upcast
-    denom, av = _attend(q.array, k.array, v.array, scale)
-    return Tensor.wrap(av / denom[..., None])
+    return Tensor.wrap(_sda(q.array, k.array, v.array, scale))
+
+
+def _sda(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
+    """The kernel behind :func:`sda_full`, on arrays."""
+    denom, av = _attend(q, k, v, scale)
+    return av / denom[..., None]
 
 
 def sda_full_cost(n: int, d: int) -> OpCount:
@@ -84,14 +91,14 @@ def sda_full_cost(n: int, d: int) -> OpCount:
     return OpCount(macs=macs, other=other)
 
 
-def _slide(module: CoModule, xa: np.ndarray, window_fn) -> Tensor:
+def _slide(module: CoModule, xa: np.ndarray, window_fn) -> np.ndarray:
     """Clip mode of a windowed module: ``window_fn`` of every complete
     window of ``module.n`` rows of ``xa``, stacked."""
     n_out = module.out_len(xa.shape[0])
     outs = np.zeros((n_out,) + module.out_frame_shape(xa.shape[1:]), dtype=xa.dtype)
     for j in range(n_out):
         outs[j] = window_fn(xa[j : j + module.n])
-    return Tensor.wrap(outs)
+    return outs
 
 
 def _check_rows(d: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
@@ -112,10 +119,35 @@ def _slot_table(size: int) -> np.ndarray:
     return np.arange(2 * size) % max(size, 1)
 
 
+class _WindowAttention(CoModule):
+    """The attention forms over a window of ``n`` tokens: emissions aligned
+    with the newest token, self-attention steps, and ``att_step`` as the
+    public shim over the array-level ``_att(state, q, k, v)``."""
+
+    def delay(self) -> int:
+        return 0
+
+    def warmup(self) -> int:
+        return self.n - 1
+
+    def receptive_field(self) -> int:
+        return self.n
+
+    def att_step(self, state, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
+        """Consume one row each of ``q``, ``k``, ``v``; the emission, or
+        ``None`` during warm-up."""
+        y = self._att(state, q.array, k.array, v.array)
+        return None if y is None else Tensor.wrap(y)
+
+    def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
+        return self._att(state, a, a, a)
+
+
 class _RetroCache:
-    __slots__ = ("q_mem", "k_mem", "v_mem", "d_mem", "av_mem", "t", "clamp_events")
+    __slots__ = ("q_mem", "k_mem", "v_mem", "d_mem", "av_mem", "t", "clamp_events", "dtype")
 
     def __init__(self):
+        self.dtype = None  # the stream's row dtype, fixed by its first row
         self.q_mem = None  # (..., n-1, d) f64 ring of the queries still in the window
         self.k_mem = None  # (..., n, d) f64 ring; see the module docstring
         self.v_mem = None  # (..., n, d_v) f64 ring
@@ -125,7 +157,7 @@ class _RetroCache:
         self.clamp_events = [0]
 
 
-class RetroAttention(CoModule):
+class RetroAttention(_WindowAttention):
     """Sliding-window self-attention emitting all ``n`` rows each step."""
 
     def __init__(self, n: int, d: int, refresh_interval: int = 64,
@@ -140,15 +172,6 @@ class RetroAttention(CoModule):
         self._slots = _slot_table(n)
         self._q_slots = _slot_table(n - 1)
 
-    def delay(self) -> int:
-        return 0  # emissions are aligned with the newest token
-
-    def warmup(self) -> int:
-        return self.n - 1
-
-    def receptive_field(self) -> int:
-        return self.n
-
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         return (self.n, self.d)
 
@@ -157,10 +180,16 @@ class RetroAttention(CoModule):
 
     # -- step ------------------------------------------------------------------
 
-    def att_step(self, state: _RetroCache, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
+    def _att(self, state: _RetroCache, q: np.ndarray, k: np.ndarray,
+             v: np.ndarray) -> Optional[np.ndarray]:
         """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
-        ``(..., n, d_v)`` window outputs, oldest row first."""
-        qa, ka, va = (a.array.astype(np.float64, copy=False) for a in (q, k, v))
+        ``(..., n, d_v)`` window outputs, oldest row first, in the rows' dtype."""
+        if state.dtype is None:
+            state.dtype = q.dtype
+        if not q.dtype == k.dtype == v.dtype == state.dtype:
+            raise DimensionError(f"stream drifted: rows {q.dtype}/{k.dtype}/{v.dtype} "
+                                 f"after {state.dtype}")
+        qa, ka, va = (a.astype(np.float64, copy=False) for a in (q, k, v))
         _check_rows(self.d, qa, ka, va)
         n, m = self.n, self.n - 1
         state.q_mem = ring_buffer(state.q_mem, _rows(m, qa), np.float64)
@@ -213,15 +242,11 @@ class RetroAttention(CoModule):
         if m:
             state.q_mem[..., j, :] = qa
         out = (state.av_mem / state.d_mem[..., None])[..., win, :]
-        return Tensor.wrap(out.astype(q.array.dtype, copy=False))
+        return out.astype(q.dtype, copy=False)
 
-    def forward_step(self, state: _RetroCache, x_t: Tensor) -> StepOutput:
-        return self.att_step(state, x_t, x_t, x_t)
-
-    def forward(self, x: Tensor) -> Tensor:
+    def _clip(self, xa: np.ndarray) -> np.ndarray:
         """Offline self-attention: one full window result per position."""
-        return _slide(self, x.array,
-                      lambda win: sda_full(*[Tensor.wrap(win)] * 3, self.scale).array)
+        return _slide(self, xa, lambda win: _sda(win, win, win, self.scale))
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n, d = self.n, self.d
@@ -249,7 +274,7 @@ class _SingleCache:
         self.clamp_events = [0]
 
 
-class SingleAttention(CoModule):
+class SingleAttention(_WindowAttention):
     """Sliding-window attention emitting only the newest query's row."""
 
     def __init__(self, n: int, d: int):
@@ -259,25 +284,16 @@ class SingleAttention(CoModule):
         self.d = d
         self.scale = 1.0 / float(np.sqrt(d))
 
-    def delay(self) -> int:
-        return 0
-
-    def warmup(self) -> int:
-        return self.n - 1
-
-    def receptive_field(self) -> int:
-        return self.n
-
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         return (self.d,)
 
     def init_state(self) -> _SingleCache:
         return _SingleCache()
 
-    def att_step(self, state: _SingleCache, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
+    def _att(self, state: _SingleCache, qa: np.ndarray, ka: np.ndarray,
+             va: np.ndarray) -> Optional[np.ndarray]:
         """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
         newest query's ``(..., d_v)`` output."""
-        qa, ka, va = q.array, k.array, v.array
         _check_rows(self.d, qa, ka, va)
         m = self.n - 1
         state.k_mem = ring_buffer(state.k_mem, _rows(m, ka), ka.dtype)
@@ -291,18 +307,14 @@ class SingleAttention(CoModule):
             v_win = np.concatenate([state.v_mem, va[..., None, :]], axis=-2)
             denom, av = _attend(qa[..., None, :], k_win, v_win, qa.dtype.type(self.scale),
                                 state.clamp_events)
-            y = Tensor.wrap((av[..., 0, :] / denom).astype(qa.dtype, copy=False))
+            y = (av[..., 0, :] / denom).astype(qa.dtype, copy=False)
         if m:
             state.k_mem[..., t % m, :] = ka
             state.v_mem[..., t % m, :] = va
         return y
 
-    def forward_step(self, state: _SingleCache, x_t: Tensor) -> StepOutput:
-        return self.att_step(state, x_t, x_t, x_t)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return _slide(self, x.array,
-                      lambda win: sda_full(*[Tensor.wrap(win)] * 3, self.scale).array[-1])
+    def _clip(self, xa: np.ndarray) -> np.ndarray:
+        return _slide(self, xa, lambda win: _sda(win, win, win, self.scale)[-1])
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n, d = self.n, self.d
@@ -316,7 +328,7 @@ class SingleAttention(CoModule):
         return per.scaled(self.out_len(t))
 
 
-class MultiheadAttention(CoModule):
+class MultiheadAttention(_WindowAttention):
     """Continual attention over heads on a leading axis, with stacked projections.
 
     ``w_q``/``w_k`` are (d_model, d_k), ``w_v`` is (d_model, d_v) and
@@ -351,15 +363,6 @@ class MultiheadAttention(CoModule):
             self._head = SingleAttention(n, dh_k)
         self._dh_k, self._dh_v = dh_k, dh_v
 
-    def delay(self) -> int:
-        return 0
-
-    def warmup(self) -> int:
-        return self.n - 1
-
-    def receptive_field(self) -> int:
-        return self.n
-
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if self.mode == "retro":
             return (self.n, self.d_o)
@@ -368,11 +371,11 @@ class MultiheadAttention(CoModule):
     def init_state(self):
         return self._head.init_state()
 
-    def _heads(self, x: np.ndarray, w: Tensor) -> Tensor:
+    def _heads(self, x: np.ndarray, w: Tensor) -> np.ndarray:
         """Project a (d_model,) token or (n, d_model) window by ``w`` into
         (heads, d_h) or (heads, n, d_h) head rows."""
         a = x @ w.array.astype(x.dtype, copy=False)
-        return Tensor.wrap(a.reshape(a.shape[:-1] + (self.heads, -1)).swapaxes(0, -2))
+        return np.ascontiguousarray(a.reshape(a.shape[:-1] + (self.heads, -1)).swapaxes(0, -2))
 
     def _merge(self, y: np.ndarray) -> np.ndarray:
         """Head outputs (heads, d_h) or (heads, n, d_h) -> heads concatenated, then ``w_o``."""
@@ -382,21 +385,19 @@ class MultiheadAttention(CoModule):
     def _window(self, win: np.ndarray) -> np.ndarray:
         """Attention output (n, d_o) of one complete (n, d_model) window."""
         q, k, v = (self._heads(win, w) for w in (self.w_q, self.w_k, self.w_v))
-        return self._merge(sda_full(q, k, v, self._head.scale).array)
+        return self._merge(_sda(q, k, v, self._head.scale))
 
-    def att_step(self, state, x_q: Tensor, x_k: Tensor, x_v: Tensor) -> StepOutput:
-        y = self._head.att_step(state, self._heads(x_q.array, self.w_q),
-                                self._heads(x_k.array, self.w_k), self._heads(x_v.array, self.w_v))
-        return None if y is None else Tensor.wrap(self._merge(y.array))
+    def _att(self, state, x_q: np.ndarray, x_k: np.ndarray,
+             x_v: np.ndarray) -> Optional[np.ndarray]:
+        y = self._head._att(state, self._heads(x_q, self.w_q), self._heads(x_k, self.w_k),
+                            self._heads(x_v, self.w_v))
+        return None if y is None else self._merge(y)
 
-    def forward_step(self, state, x_t: Tensor) -> StepOutput:
-        return self.att_step(state, x_t, x_t, x_t)
-
-    def forward(self, x: Tensor) -> Tensor:
+    def _clip(self, xa: np.ndarray) -> np.ndarray:
         """Sliding-window offline multi-head self-attention."""
         if self.mode == "retro":
-            return _slide(self, x.array, self._window)
-        return _slide(self, x.array, lambda win: self._window(win)[-1])
+            return _slide(self, xa, self._window)
+        return _slide(self, xa, lambda win: self._window(win)[-1])
 
     def _proj_cost(self) -> OpCount:
         return OpCount(macs=self.d_model * (2 * self.d_k + self.d_v))
@@ -447,14 +448,14 @@ class RecyclingPositionalEncoding(CoModule):
     def init_state(self) -> _RpeState:
         return _RpeState()
 
-    def forward_step(self, state: _RpeState, x_t: Tensor) -> StepOutput:
-        p = self.table.array[state.tau].astype(x_t.array.dtype, copy=False)
+    def _step(self, state: _RpeState, a: np.ndarray) -> np.ndarray:
+        p = self.table.array[state.tau].astype(a.dtype, copy=False)
         state.tau = (state.tau + 1) % self.period
-        return Tensor.wrap(x_t.array + p)
+        return a + p
 
-    def forward(self, x: Tensor) -> Tensor:
-        idx = np.arange(x.shape[0]) % self.period
-        return Tensor.wrap(x.array + self.table.array[idx].astype(x.array.dtype))
+    def _clip(self, a: np.ndarray) -> np.ndarray:
+        idx = np.arange(a.shape[0]) % self.period
+        return a + self.table.array[idx].astype(a.dtype)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         return OpCount(other=int(np.prod(frame_shape)))
@@ -547,34 +548,35 @@ class EncoderBlock(CoModule):
 
     # -- step mode ------------------------------------------------------------------
 
-    def forward_step(self, state: _EncoderState, x_t: Tensor) -> StepOutput:
+    def _step(self, state: _EncoderState, a: np.ndarray) -> Optional[np.ndarray]:
         if self.window_input:
-            if x_t.rank != 2:
-                raise DimensionError(f"window input must be (n, d), got {x_t.shape}")
-            return Tensor.wrap(self._offline_window(x_t.array)[-1])
-        if x_t.shape != (self.d_model,):
-            raise DimensionError(f"token must be ({self.d_model},), got {x_t.shape}")
+            if a.ndim != 2:
+                raise DimensionError(f"window input must be (n, d), got {a.shape}")
+            return self._offline_window(a)[-1]
+        if a.shape != (self.d_model,):
+            raise DimensionError(f"token must be ({self.d_model},), got {a.shape}")
         if self.rpe is not None:
-            x_t = self.rpe.forward_step(state.rpe, x_t)
-        sel = x_t.array
-        att = self.mha.forward_step(state.mha, x_t)
+            a = self.rpe._step(state.rpe, a)
+        sel = a
+        att = self.mha._step(state.mha, a)
         if self.mode == "retro":
             tokens = state.tokens = ring_buffer(state.tokens, (self.n,) + sel.shape, sel.dtype)
             cur = state.t % self.n
             state.t += 1
             tokens[cur] = sel
             sel = tokens[self._slots[cur + 1 : cur + 1 + self.n]]  # the window, oldest first
-        return None if att is None else Tensor.wrap(self._block_tail(sel, att.array))
+        return None if att is None else self._block_tail(sel, att)
 
     # -- clip mode --------------------------------------------------------------------
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _clip(self, xa: np.ndarray) -> np.ndarray:
         if self.window_input:
-            outs = np.zeros((x.shape[0], self.d_model), dtype=x.array.dtype)
-            for j in range(x.shape[0]):
-                outs[j] = self._offline_window(x.array[j])[-1]
-            return Tensor.wrap(outs)
-        xa = x.array if self.rpe is None else self.rpe.forward(x).array
+            outs = np.zeros((xa.shape[0], self.d_model), dtype=xa.dtype)
+            for j in range(xa.shape[0]):
+                outs[j] = self._offline_window(xa[j])[-1]
+            return outs
+        if self.rpe is not None:
+            xa = self.rpe._clip(xa)
         if self.mode == "retro":
             return _slide(self, xa, self._offline_window)
         return _slide(self, xa, lambda win: self._offline_window(win)[-1])

@@ -28,12 +28,12 @@ attention) only moves the container's warm-up.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput, ring_buffer
+from .module import CoModule, OpCount, ring_buffer
 from .tensor import Tensor
 
 
@@ -51,10 +51,16 @@ class Identity(CoModule):
         return None
 
     def forward(self, x: Tensor) -> Tensor:
-        return x
+        return x  # the tensor itself: there is nothing to wrap
 
-    def forward_step(self, state, x_t: Tensor) -> StepOutput:
+    def forward_step(self, state, x_t: Tensor) -> Tensor:
         return x_t
+
+    def _clip(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+    def _step(self, state, a: np.ndarray) -> np.ndarray:
+        return a
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         return OpCount()
@@ -89,13 +95,13 @@ class Pointwise(CoModule):
     def _apply(self, xa: np.ndarray, channel_axis: int) -> np.ndarray:
         w = self.weight.array.astype(xa.dtype, copy=False)
         moved = np.moveaxis(xa, channel_axis, -1)
-        return np.moveaxis(moved @ w, -1, channel_axis)
+        return np.ascontiguousarray(np.moveaxis(moved @ w, -1, channel_axis))
 
-    def forward(self, x: Tensor) -> Tensor:
-        return Tensor.wrap(self._apply(x.array, channel_axis=1))
+    def _clip(self, a: np.ndarray) -> np.ndarray:
+        return self._apply(a, channel_axis=1)
 
-    def forward_step(self, state, x_t: Tensor) -> StepOutput:
-        return Tensor.wrap(self._apply(x_t.array, channel_axis=0))
+    def _step(self, state, a: np.ndarray) -> np.ndarray:
+        return self._apply(a, channel_axis=0)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         spatial = int(np.prod(frame_shape[1:])) if len(frame_shape) > 1 else 1
@@ -144,18 +150,17 @@ class Sequential(CoModule):
     def init_state(self) -> list:
         return [m.init_state() for m in self.modules]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _clip(self, a: np.ndarray) -> np.ndarray:
         for m in self.modules:
-            x = m.forward(x)
-        return x
+            a = m._clip(a)
+        return a
 
-    def forward_step(self, state: list, x_t: Tensor) -> StepOutput:
-        y = x_t
+    def _step(self, state: list, a: np.ndarray) -> Optional[np.ndarray]:
         for m, s in zip(self.modules, state):
-            y = m.forward_step(s, y)
-            if y is None:
+            a = m._step(s, a)
+            if a is None:
                 return None
-        return y
+        return a
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         total = OpCount()
@@ -233,38 +238,37 @@ class Parallel(CoModule):
     def init_state(self) -> _ParallelState:
         return _ParallelState([b.init_state() for b in self.branches])
 
-    def _combine(self, vals: List[np.ndarray], channel_axis: int = 0) -> Tensor:
+    def _combine(self, vals: List[np.ndarray], channel_axis: int = 0) -> np.ndarray:
         if self.reduce == "sum":
             out = vals[0]
             for v in vals[1:]:
                 out = out + v
-            return Tensor.wrap(out)
-        return Tensor.wrap(np.concatenate(vals, axis=channel_axis))
+            return out
+        return np.concatenate(vals, axis=channel_axis)
 
-    def forward_step(self, state: _ParallelState, x_t: Tensor) -> StepOutput:
+    def _step(self, state: _ParallelState, a: np.ndarray) -> Optional[np.ndarray]:
         t = state.t
         state.t += 1
-        ys = [b.forward_step(s, x_t) for b, s in zip(self.branches, state.branches)]
+        ys = [b._step(s, a) for b, s in zip(self.branches, state.branches)]
         out = None
         if t >= self._warmup and (t - self._warmup) % self.stride() == 0:
             # a lagged branch's aligned emission is the oldest in its ring,
             # read before this step's emission takes its slot
-            out = self._combine([y.array if lag == 0 else ring[c % lag] for y, lag, ring, c
+            out = self._combine([y if lag == 0 else ring[c % lag] for y, lag, ring, c
                                  in zip(ys, self._lags, state.rings, state.counts)])
         for i, (y, lag) in enumerate(zip(ys, self._lags)):
             if lag and y is not None:
-                ring = state.rings[i] = ring_buffer(state.rings[i], (lag,) + y.shape,
-                                                    y.array.dtype)
-                ring[state.counts[i] % lag] = y.array
+                ring = state.rings[i] = ring_buffer(state.rings[i], (lag,) + y.shape, y.dtype)
+                ring[state.counts[i] % lag] = y
                 state.counts[i] += 1
         return out
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _clip(self, a: np.ndarray) -> np.ndarray:
         base = self.warmup() - self.delay()
         s = self.stride()
         outs = []
         for b in self.branches:
-            o = b.forward(x).array
+            o = b._clip(a)
             drop = (base - (b.warmup() - b.delay())) // s
             outs.append(o[drop:])
         n = min(len(o) for o in outs)

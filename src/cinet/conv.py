@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput, ring_buffer
+from .module import CoModule, OpCount, ring_buffer
 from .tensor import Tensor
 
 
@@ -158,15 +158,14 @@ class TemporalConv(CoModule):
 
     # -- clip mode --------------------------------------------------------------
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.rank != 4:
-            raise DimensionError(f"clip must be (T,C,H,W), got {x.shape}")
-        xa = x.array
+    def _clip(self, xa: np.ndarray) -> np.ndarray:
+        if xa.ndim != 4:
+            raise DimensionError(f"clip must be (T,C,H,W), got {xa.shape}")
         t_in = xa.shape[0]
         oc, oh, ow = out_shape = self.out_frame_shape(xa.shape[1:])
         n_out = self.out_len(t_in)
         if n_out == 0:
-            return Tensor.wrap(np.zeros((0,) + out_shape, dtype=xa.dtype))
+            return np.zeros((0,) + out_shape, dtype=xa.dtype)
         # effective frame e is input frame e - padding (leading zeros before
         # it); emission j reads e = (k_t-1-k)*dilation + j*stride for tap k.
         # Frames are laid out as (C*KH*KW, stride, frames per phase, H'*W')
@@ -192,7 +191,7 @@ class TemporalConv(CoModule):
             else:
                 acc += y
         acc += self.bias.array.astype(xa.dtype, copy=False)[:, None]
-        return Tensor.wrap(acc.reshape(oc, n_out, oh, ow).transpose(1, 0, 2, 3))
+        return np.ascontiguousarray(acc.reshape(oc, n_out, oh, ow).transpose(1, 0, 2, 3))
 
     def _taps(self, dtype: np.dtype) -> np.ndarray:
         """(k_t, c_out, C*KH*KW) weights, tap-major, made once per dtype."""
@@ -253,10 +252,9 @@ class TemporalConv(CoModule):
             return xa.reshape(-1, xa.shape[-2] * xa.shape[-1])
         return np.take(xa, lay.cols)
 
-    def forward_step(self, state: _ConvState, x_t: Tensor) -> StepOutput:
-        if x_t.rank != 3:
-            raise DimensionError(f"frame must be (C,H,W), got {x_t.shape}")
-        xa = x_t.array
+    def _step(self, state: _ConvState, xa: np.ndarray) -> Optional[np.ndarray]:
+        if xa.ndim != 3:
+            raise DimensionError(f"frame must be (C,H,W), got {xa.shape}")
         lay = self._layout(xa.dtype, xa.shape)
         state.form = lay.form
         if lay.form == "pre":
@@ -293,10 +291,9 @@ class TemporalConv(CoModule):
                     ring[slots] += c[lo:hi]
                 if last:
                     ring[t % n] = c[-1]
-        if y is None:
-            return None
-        y += lay.bias
-        return Tensor.wrap(y)
+        if y is not None:
+            y += lay.bias
+        return y
 
     # -- analytic cost ---------------------------------------------------------------
 

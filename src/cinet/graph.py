@@ -22,7 +22,7 @@ import numpy as np
 
 from .conv import TemporalConv
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput, ring_buffer
+from .module import CoModule, OpCount, ring_buffer
 from .norm import BatchNorm
 from .pool import TemporalPool
 from .tensor import Tensor
@@ -205,40 +205,36 @@ class StGcnBlock(CoModule):
     def init_state(self) -> _BlockState:
         return _BlockState(self.tc.init_state())
 
-    def forward_step(self, state: _BlockState, x_t: Tensor) -> StepOutput:
-        if x_t.shape != (self.c_in, self.graph.v):
-            raise DimensionError(f"frame {x_t.shape} != ({self.c_in},{self.graph.v})")
-        xa = x_t.array
+    def _step(self, state: _BlockState, xa: np.ndarray) -> Optional[np.ndarray]:
+        if xa.shape != (self.c_in, self.graph.v):
+            raise DimensionError(f"frame {xa.shape} != ({self.c_in},{self.graph.v})")
         d = self.res_delay if self.residual != "none" else 0
         if d:
             state.res = ring_buffer(state.res, (d,) + xa.shape, xa.dtype)
         slot = state.t % max(d, 1)
         state.t += 1
-        g = graph_conv(x_t, self.graph, self.w_gc)
-        tc_out = self.tc.forward_step(state.tc, Tensor.wrap(g.array[:, :, None]))
+        tc_out = self.tc._step(state.tc, _gc(xa, self.graph, self.w_gc)[:, :, None])
         y = None
         if tc_out is not None:
-            y = self.bn._apply(tc_out.array[:, :, 0], channel_axis=0)
+            y = self.bn._apply(tc_out[:, :, 0], channel_axis=0)
             if self.residual != "none":
                 # the input res_delay steps back, held in this slot since; it is
                 # projected only here, so strides spend no work on skipped frames
                 y = y + self._res(state.res[slot] if d else xa)
-            y = Tensor.wrap(np.maximum(y, 0))
+            y = np.maximum(y, 0)
         if d:
             state.res[slot] = xa
         return y
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.rank != 3:
-            raise DimensionError(f"clip must be (T, c_in, v), got {x.shape}")
-        xa = x.array
-        g = _gc(xa, self.graph, self.w_gc)
-        tc_out = self.tc.forward(Tensor.wrap(g[:, :, :, None])).array[:, :, :, 0]
+    def _clip(self, xa: np.ndarray) -> np.ndarray:
+        if xa.ndim != 3:
+            raise DimensionError(f"clip must be (T, c_in, v), got {xa.shape}")
+        tc_out = self.tc._clip(_gc(xa, self.graph, self.w_gc)[:, :, :, None])[:, :, :, 0]
         y = self.bn._apply(tc_out, channel_axis=1)
         if self.residual != "none":
             # emission j lands on input j*stride, as in step mode
             y = y + self._res(xa[:y.shape[0] * self.stride():self.stride()])
-        return Tensor.wrap(np.maximum(y, 0))
+        return np.maximum(y, 0)
 
     # -- analytic cost -------------------------------------------------------------
 
@@ -304,17 +300,16 @@ class GlobalAverageHead(CoModule):
         dt = feat.dtype
         return feat @ self.weight.array.astype(dt, copy=False) + self.bias.array.astype(dt, copy=False)
 
-    def forward_step(self, state: _HeadState, x_t: Tensor) -> StepOutput:
-        pooled = self.pool.forward_step(state.pool, x_t)
+    def _step(self, state: _HeadState, a: np.ndarray) -> Optional[np.ndarray]:
+        pooled = self.pool._step(state.pool, a)
         if pooled is None:
             return None
-        return Tensor.wrap(self._classify(pooled.array.reshape(self.channels, -1).mean(axis=1)))
+        return self._classify(pooled.reshape(self.channels, -1).mean(axis=1))
 
-    def forward(self, x: Tensor) -> Tensor:
-        pooled = self.pool.forward(x).array
+    def _clip(self, a: np.ndarray) -> np.ndarray:
+        pooled = self.pool._clip(a)
         nodes = int(np.prod(pooled.shape[2:]))
-        return Tensor.wrap(self._classify(
-            pooled.reshape(pooled.shape[0], self.channels, nodes).mean(axis=2)))
+        return self._classify(pooled.reshape(pooled.shape[0], self.channels, nodes).mean(axis=2))
 
     def _classify_cost(self, frame_shape: tuple) -> OpCount:
         n = int(np.prod(frame_shape))

@@ -7,8 +7,19 @@ ready step outputs of a fresh stream must reproduce ``forward`` exactly:
 that equivalence is the core guarantee everything in this package is tested
 against.
 
-Step outputs are ``Tensor`` or ``None`` (not ready).  Two timing numbers
-describe each module:
+Step outputs are ``Tensor`` or ``None`` (not ready).  Inside the package,
+modules hand plain ndarrays to each other: a subclass implements
+``_step(state, a) -> ndarray | None`` and ``_clip(a) -> ndarray``, containers
+and blocks call their children's ``_step``/``_clip`` directly, and only the
+public ``forward_step``/``forward``/``forward_steps`` defined here wrap a
+result in a ``Tensor``, once per call.  The ``_step``/``_clip`` contract:
+
+- never write to the input array, and never keep a reference to it (a ring
+  copies the frame in);
+- return a C-contiguous array that no state holds a writeable reference to:
+  a fresh result, or the input itself.
+
+Two timing numbers describe each module:
 
 - ``delay()``: input steps between a frame's arrival and the emission of
   the output aligned with it.  A temporal convolution with kernel ``K_T``,
@@ -91,27 +102,31 @@ class CoModule:
 
     def forward(self, x: Tensor) -> Tensor:
         """Offline clip mode over a (T, ...) sequence."""
-        raise NotImplementedError
+        return Tensor.wrap(self._clip(x.array))
 
     def init_state(self):
         raise NotImplementedError
 
     def forward_step(self, state, x_t: Tensor) -> StepOutput:
-        raise NotImplementedError
+        """Consume one step; the ready output, or ``None`` during warm-up."""
+        y = self._step(state, x_t.array)
+        return None if y is None else Tensor.wrap(y)
 
     def forward_steps(self, state, x: Tensor) -> Tensor:
         """Feed each step of a (T, ...) sequence; stack the ready outputs."""
-        outs = []
-        for t in range(x.shape[0]):
-            y = self.forward_step(state, Tensor.wrap(x.array[t]))
-            if y is not None:
-                outs.append(y.array)
+        xa = x.array
+        outs = [y for y in (self._step(state, xa[t]) for t in range(xa.shape[0]))
+                if y is not None]
         if not outs:
-            frame = x.shape[1:]
             return Tensor.wrap(
-                np.zeros((0,) + self.out_frame_shape(frame), dtype=x.array.dtype)
-            )
+                np.zeros((0,) + self.out_frame_shape(xa.shape[1:]), dtype=xa.dtype))
         return Tensor.wrap(np.stack(outs, axis=0))
+
+    def _clip(self, a: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
+        raise NotImplementedError
 
     # -- introspection for composition and counting --------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput
+from .module import CoModule, OpCount
 from .tensor import Tensor
 
 
@@ -83,11 +83,11 @@ class BatchNorm(_StatelessModule):
         shift = self._shift.reshape(shape).astype(xa.dtype, copy=False)
         return xa * scale + shift
 
-    def forward(self, x: Tensor) -> Tensor:
-        return Tensor.wrap(self._apply(x.array, channel_axis=1))
+    def _clip(self, a: np.ndarray) -> np.ndarray:
+        return self._apply(a, channel_axis=1)
 
-    def forward_step(self, state, x_t: Tensor) -> StepOutput:
-        return Tensor.wrap(self._apply(x_t.array, channel_axis=0))
+    def _step(self, state, a: np.ndarray) -> np.ndarray:
+        return self._apply(a, channel_axis=0)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         return OpCount(macs=int(np.prod(frame_shape)))
@@ -119,11 +119,11 @@ class LayerNorm(_StatelessModule):
         return (norm * self.gamma.array.astype(xa.dtype, copy=False)
                 + self.beta.array.astype(xa.dtype, copy=False))
 
-    def forward(self, x: Tensor) -> Tensor:
-        return Tensor.wrap(self._apply(x.array))
+    def _clip(self, a: np.ndarray) -> np.ndarray:
+        return self._apply(a)
 
-    def forward_step(self, state, x_t: Tensor) -> StepOutput:
-        return Tensor.wrap(self._apply(x_t.array))
+    def _step(self, state, a: np.ndarray) -> np.ndarray:
+        return self._apply(a)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n = int(np.prod(frame_shape))

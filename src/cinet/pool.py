@@ -21,11 +21,12 @@ pool with ``window`` set to that receptive field.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput, ring_buffer
-from .tensor import Tensor
+from .module import CoModule, OpCount, ring_buffer
 
 
 class _MaxQueue:
@@ -42,6 +43,7 @@ class _MaxQueue:
         return len(self.front_max) + len(self.back_raw)
 
     def push(self, x: np.ndarray) -> None:
+        x = x.copy()  # the caller's frame is not the queue's to keep
         m = np.maximum(self.back_max[-1], x) if self.back_max else x
         self.back_raw.append(x)
         self.back_max.append(m)
@@ -57,9 +59,10 @@ class _MaxQueue:
         self.front_max.pop()
 
     def max(self) -> np.ndarray:
+        """A fresh array: the queue keeps its frames to itself."""
         if self.front_max and self.back_max:
             return np.maximum(self.front_max[-1], self.back_max[-1])
-        return self.front_max[-1] if self.front_max else self.back_max[-1]
+        return (self.front_max[-1] if self.front_max else self.back_max[-1]).copy()
 
 
 class _PoolState:
@@ -99,29 +102,27 @@ class TemporalPool(CoModule):
 
     # -- clip mode -------------------------------------------------------------
 
-    def forward(self, x: Tensor) -> Tensor:
-        t_in = x.shape[0]
-        n_out = self.out_len(t_in)
+    def _clip(self, xa: np.ndarray) -> np.ndarray:
+        n_out = self.out_len(xa.shape[0])
         if n_out == 0:
-            return Tensor.wrap(np.zeros((0,) + x.shape[1:], dtype=x.array.dtype))
+            return np.zeros((0,) + xa.shape[1:], dtype=xa.dtype)
         if self.kind == "avg":
             # cumulative sums over the zero-prefixed sequence
-            csum = np.cumsum(x.array.astype(np.float64), axis=0)
-            csum = np.concatenate([np.zeros((1,) + x.shape[1:]), csum], axis=0)
+            csum = np.cumsum(xa.astype(np.float64), axis=0)
+            csum = np.concatenate([np.zeros((1,) + xa.shape[1:]), csum], axis=0)
             ends = self.delay() + np.arange(n_out) + 1  # exclusive, real-frame indexing
             starts = np.maximum(ends - self.window, 0)
             out = (csum[ends] - csum[starts]) / self.window
-            return Tensor.wrap(out.astype(x.array.dtype))
-        windows = np.lib.stride_tricks.sliding_window_view(x.array, self.window, axis=0)
-        return Tensor.wrap(np.ascontiguousarray(windows.max(axis=-1)))
+            return out.astype(xa.dtype)
+        windows = np.lib.stride_tricks.sliding_window_view(xa, self.window, axis=0)
+        return np.ascontiguousarray(windows.max(axis=-1))
 
     # -- step mode ----------------------------------------------------------------
 
     def init_state(self) -> _PoolState:
         return _PoolState()
 
-    def forward_step(self, state: _PoolState, x_t: Tensor) -> StepOutput:
-        xa = x_t.array
+    def _step(self, state: _PoolState, xa: np.ndarray) -> Optional[np.ndarray]:
         n = self.window - 1
         if self.kind == "avg":
             ring = state.ring = ring_buffer(state.ring, (n,) + xa.shape, xa.dtype)
@@ -137,14 +138,14 @@ class TemporalPool(CoModule):
             if len(state.maxq) > self.window:
                 state.maxq.pop_oldest()
             if t >= n:
-                return Tensor.wrap(state.maxq.max().astype(xa.dtype, copy=False))
+                return state.maxq.max()
             return None
         if t == 0 or (self.refresh_interval and t % self.refresh_interval == 0):
             state.running_sum = ring.sum(axis=0, dtype=np.float64)
         state.running_sum += xa
         y = None
         if t >= self.delay():
-            y = Tensor.wrap((state.running_sum / self.window).astype(xa.dtype, copy=False))
+            y = (state.running_sum / self.window).astype(xa.dtype, copy=False)
         # frame t - n leaves the sum: a zero slot (padding, or before the
         # stream) until the ring has wrapped, x_t itself for a 1-frame window
         if n:

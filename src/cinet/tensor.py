@@ -1,19 +1,20 @@
-"""Dense row-major tensors and the small set of operations the layers need.
+"""Dense row-major tensors, three checked reference ops (``matmul``,
+``conv_spatial``, ``reduce``) and little-endian f32 weight-blob I/O.
 
-Tensors are immutable after construction and all operations are pure, so
-values can be shared freely between streams and threads.  Two element types
-are supported, ``f32`` and ``f64``; the attention layers rely on ``f64``
-being available for their internal accumulators.
+Tensors are immutable after construction, so values can be shared freely
+between streams and threads.  Two element types are supported, ``f32`` and
+``f64``; the attention layers rely on ``f64`` being available for their
+internal accumulators.
 
-Convolution here follows the cross-correlation convention (no kernel flip),
-matching mainstream deep-learning semantics.  Broadcasting is deliberately
-limited to scalar-with-tensor and equal shapes.
+``Tensor`` is the type at the package's public edge: weights, inputs and
+the outputs of the public call modes.  Layers compute on plain ndarrays and
+wrap a result once, where it leaves a public method.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -57,7 +58,12 @@ class Tensor:
     def wrap(arr: np.ndarray) -> "Tensor":
         """Adopt an f32/f64 ndarray as an immutable tensor.  A read-only
         contiguous array is shared; any other array is copied, so a freshly
-        computed (writeable) result is copied too."""
+        computed (writeable) result is copied too and the tensor never
+        aliases memory someone can still write.  This is the one hand-off
+        from arrays to ``Tensor``: the public call modes and shims
+        (``forward*``, ``att_step``, ``graph_conv``, ``sda_full``) and the
+        reference ops call it once on their result, and layers never call
+        it on each other's."""
         if arr.dtype not in (np.float32, np.float64):
             raise ValueError(f"unsupported ndarray dtype {arr.dtype}")
         t = object.__new__(Tensor)
@@ -132,7 +138,9 @@ def _same_dtype(*ts: Tensor) -> str:
     return dts.pop()
 
 
-# -- linear algebra --------------------------------------------------------
+# -- reference ops ------------------------------------------------------------
+# Checked tensor-level ops for callers outside the layers; the layers do the
+# same arithmetic on plain ndarrays.
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -146,7 +154,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv_spatial(x: Tensor, w: Tensor, pad: tuple = (0, 0)) -> Tensor:
-    """2-D cross-correlation with zero padding and stride 1.
+    """2-D cross-correlation (no kernel flip) with zero padding and stride 1.
 
     ``x`` is (C_in, H, W), ``w`` is (C_out, C_in, K_H, K_W); the output is
     (C_out, H + 2*pad_h - K_H + 1, W + 2*pad_w - K_W + 1).
@@ -172,44 +180,6 @@ def conv_spatial(x: Tensor, w: Tensor, pad: tuple = (0, 0)) -> Tensor:
     return Tensor.wrap(out.astype(x.array.dtype, copy=False))
 
 
-# -- elementwise and reductions --------------------------------------------
-
-_UNARY = {
-    "exp": np.exp,
-    "relu": lambda a: np.maximum(a, 0),
-}
-_BINARY = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-}
-
-
-def elementwise(op: str, *args) -> Tensor:
-    """Apply ``add``/``sub``/``mul``/``exp``/``relu``/``scale`` elementwise.
-
-    Binary ops accept two equal-shape tensors or a tensor and a scalar;
-    ``scale`` takes a tensor and a scalar factor.
-    """
-    if op in _UNARY:
-        (x,) = args
-        return Tensor.wrap(_UNARY[op](x.array))
-    if op == "scale":
-        x, factor = args
-        return Tensor.wrap(x.array * x.array.dtype.type(factor))
-    if op not in _BINARY:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    a, b = args
-    if isinstance(b, (int, float)):
-        return Tensor.wrap(_BINARY[op](a.array, a.array.dtype.type(b)))
-    if isinstance(a, (int, float)):
-        return Tensor.wrap(_BINARY[op](b.array.dtype.type(a), b.array))
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    _same_dtype(a, b)
-    return Tensor.wrap(_BINARY[op](a.array, b.array))
-
-
 def reduce(op: str, x: Tensor, axis: int) -> Tensor:
     """Reduce one axis with ``sum``, ``mean`` or ``max``; the axis is removed."""
     if not 0 <= axis < x.rank:
@@ -218,43 +188,6 @@ def reduce(op: str, x: Tensor, axis: int) -> Tensor:
     if fn is None:
         raise ValueError(f"unknown reduce op {op!r}")
     return Tensor.wrap(fn(x.array, axis=axis).astype(x.array.dtype, copy=False))
-
-
-# -- shape plumbing ---------------------------------------------------------
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    expected = int(np.prod(shape)) if len(shape) else 1
-    if expected != x.size:
-        raise DimensionError(f"cannot reshape {x.shape} to {tuple(shape)}")
-    return Tensor.wrap(x.array.reshape(tuple(shape)))
-
-
-def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    return Tensor.wrap(np.ascontiguousarray(np.transpose(x.array, axes)))
-
-
-def concat(ts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = list(ts)
-    if not ts:
-        raise DimensionError("concat of zero tensors")
-    _same_dtype(*ts)
-    return Tensor.wrap(np.concatenate([t.array for t in ts], axis=axis))
-
-
-def tslice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    if not 0 <= axis < x.rank:
-        raise DimensionError(f"axis {axis} out of range for rank {x.rank}")
-    idx = [slice(None)] * x.rank
-    idx[axis] = slice(start, stop)
-    return Tensor.wrap(np.ascontiguousarray(x.array[tuple(idx)]))
-
-
-def stack(ts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not ts:
-        raise DimensionError("stack of zero tensors")
-    _same_dtype(*ts)
-    return Tensor.wrap(np.stack([t.array for t in ts], axis=axis))
 
 
 # -- weight blob I/O ---------------------------------------------------------

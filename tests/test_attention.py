@@ -12,6 +12,7 @@ from cinet.attention import (
     sda_full,
     sda_full_cost,
 )
+from cinet.errors import DimensionError
 from cinet.norm import LayerNorm
 from cinet.tensor import Tensor
 
@@ -175,6 +176,20 @@ def test_head_rows_are_independent_streams_in_fixed_rings(n):
                 assert rings.setdefault(name, ring) is ring
                 assert ring.shape == shape
         assert set(rings) == set(shapes)
+
+
+def test_retro_rejects_row_dtype_drift():
+    # the rings hold f64 whatever the rows are, so the stream's row dtype is
+    # remembered from its first row: an f64 row after f32 ones is refused,
+    # as every other ring-backed layer refuses it
+    rng = np.random.default_rng(41)
+    retro = RetroAttention(3, 4)
+    state = retro.init_state()
+    for t in range(4):
+        y = retro.forward_step(state, rand_tensor(rng, (4,)))
+        assert (y is None) == (t < 2) and (y is None or y.dtype == "f32")
+    with pytest.raises(DimensionError):
+        retro.forward_step(state, rand_tensor(rng, (4,), dtype="f64"))
 
 
 # -- single-output -----------------------------------------------------------------

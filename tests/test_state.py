@@ -19,19 +19,18 @@ from test_attention import make_encoder
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
-def reachable(state):
-    """(bytes of the distinct arrays, number of deques) reachable from ``state``."""
-    seen, nbytes, deques = set(), 0, 0
+def walk(state):
+    """Every distinct object reachable from ``state``; arrays are leaves."""
+    seen = set()
     stack = [state]
     while stack:
         obj = stack.pop()
         if obj is None or isinstance(obj, (int, float, str, bool, np.dtype)) or id(obj) in seen:
             continue
         seen.add(id(obj))
+        yield obj
         if isinstance(obj, np.ndarray):
-            nbytes += obj.nbytes
             continue
-        deques += isinstance(obj, deque)
         if isinstance(obj, dict):
             stack.extend(obj.values())
         elif isinstance(obj, (list, tuple, set, deque)):
@@ -40,7 +39,13 @@ def reachable(state):
             stack.extend(vars(obj).values() if hasattr(obj, "__dict__") else ())
             for cls in type(obj).__mro__:
                 stack.extend(getattr(obj, name, None) for name in getattr(cls, "__slots__", ()))
-    return nbytes, deques
+
+
+def reachable(state):
+    """(bytes of the distinct arrays, number of deques) reachable from ``state``."""
+    objs = list(walk(state))
+    return (sum(o.nbytes for o in objs if isinstance(o, np.ndarray)),
+            sum(isinstance(o, deque) for o in objs))
 
 
 def steps(model):

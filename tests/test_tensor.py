@@ -6,19 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cinet.errors import DimensionError
-from cinet.tensor import (
-    Tensor,
-    concat,
-    conv_spatial,
-    elementwise,
-    load_blob,
-    matmul,
-    reduce,
-    reshape,
-    save_blob,
-    transpose,
-    tslice,
-)
+from cinet.tensor import Tensor, conv_spatial, load_blob, matmul, reduce, save_blob
 
 from conftest import rand_tensor
 
@@ -138,33 +126,7 @@ def test_conv_kernel_too_large():
         conv_spatial(Tensor.zeros((1, 2, 2)), Tensor.zeros((1, 1, 3, 3)), (0, 0))
 
 
-# -- elementwise and reduce ----------------------------------------------------
-
-
-def test_elementwise_exp_zero():
-    out = elementwise("exp", Tensor.zeros((2, 3)))
-    assert np.all(out.array == 1.0)
-
-
-def test_elementwise_relu():
-    out = elementwise("relu", Tensor([-1.0, 2.0]))
-    assert np.array_equal(out.array, np.array([0.0, 2.0], dtype=np.float32))
-
-
-def test_elementwise_add_identity():
-    x = rand_tensor(np.random.default_rng(2), (3, 2))
-    assert np.array_equal(elementwise("add", x, 0.0).array, x.array)
-
-
-def test_elementwise_shape_mismatch():
-    with pytest.raises(DimensionError):
-        elementwise("add", Tensor.zeros((2,)), Tensor.zeros((3,)))
-
-
-def test_elementwise_scale():
-    x = Tensor([1.0, -2.0])
-    assert np.array_equal(elementwise("scale", x, 3.0).array,
-                          np.array([3.0, -6.0], dtype=np.float32))
+# -- reduce ----------------------------------------------------------------
 
 
 def test_reduce_sum_example():
@@ -191,18 +153,7 @@ def test_reduce_axis_out_of_range():
         reduce("sum", Tensor.zeros((2, 2)), 2)
 
 
-# -- shape plumbing, immutability, blobs ------------------------------------------
-
-
-def test_reshape_transpose_slice_concat():
-    x = Tensor(np.arange(6, dtype=np.float32), (2, 3))
-    assert reshape(x, (3, 2)).shape == (3, 2)
-    assert transpose(x).shape == (3, 2)
-    assert np.array_equal(tslice(x, 1, 0, 2).array, x.array[:, :2])
-    both = concat([x, x], axis=0)
-    assert both.shape == (4, 3)
-    with pytest.raises(DimensionError):
-        reshape(x, (4, 2))
+# -- immutability, blobs --------------------------------------------------------
 
 
 def test_tensor_invariants_and_immutability():
