@@ -5,10 +5,12 @@ For each config: verify offline/online equivalence, then report the
 per-prediction cost of sliding-window processing next to the steady
 per-step cost, their ratio, and measured wall-clock throughput in both
 modes with their ratio (steps/s over sliding-window predictions/s, each
-prediction a clip-mode ``forward`` over one receptive field).  Lengths are chosen per model (300 for the skeleton network, the
-attention window for encoders, 64 for plain conv stacks).  The last column
-counts ``Tensor.wrap`` calls per steady-state ``forward_step``: layers hand
-arrays to each other, so it reads at most 1, the one wrap at the edge.
+prediction a clip-mode ``forward`` over one receptive field), and the
+frames/s of one clip-mode ``forward`` over a whole ``STREAM``-frame stream.
+Lengths are chosen per model (300 for the skeleton network, the attention
+window for encoders, 64 for plain conv stacks).  The last column counts
+``Tensor.wrap`` calls per steady-state ``forward_step``: layers hand arrays
+to each other, so it reads at most 1, the one wrap at the edge.
 """
 
 import sys
@@ -19,6 +21,7 @@ from cinet.config import build_model, load_config, random_stream
 from cinet.tensor import Tensor
 
 LENGTHS = {"toy_costgcn": 300, "encoder_one_block": 64, "encoder_two_block": 48}
+STREAM = 400  # frames of the whole-stream clip pass
 
 
 def wraps_per_step(cfg: dict, model, steps: int = 64) -> float:
@@ -58,6 +61,7 @@ def bench(path: Path) -> bool:
     tp_step = measure_throughput(cfg, model, "step", min(t, 64), 1, 5)
     window = model.receptive_field()
     tp_off = measure_throughput(cfg, model, "offline", window, 1, 5)
+    tp_clip = measure_throughput(cfg, model, "offline", STREAM, 1, 5)
     wraps = wraps_per_step(cfg, model)
 
     print(f"{cfg['name']:>20}  T={t:<4d} "
@@ -66,6 +70,7 @@ def bench(path: Path) -> bool:
           f"flops/pred offline={offline:.3e} step={step:.3e} "
           f"ratio={offline / step:6.1f}x  "
           f"steps/s={tp_step['throughput']:8.1f} "
+          f"clip frames/s={tp_clip['throughput'] * STREAM:9.0f} "
           f"slide preds/s={tp_off['throughput']:8.1f} "
           f"wall ratio={tp_step['throughput'] / tp_off['throughput']:6.1f}x  "
           f"wraps/step={wraps:.2f}")

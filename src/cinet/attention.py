@@ -11,14 +11,16 @@ Two step forms are implemented over a sliding window of ``n`` tokens:
   using cached keys/values.
 
 Rows are ``(..., d)``, one independent stream per index of the leading
-axes; multi-head attention passes its heads as a ``(heads,)`` axis.
-:func:`sda_full` takes the same leading axes, so one batched kernel serves
-clip mode, window input and step-mode refreshes.  Stream state is rings of
-``(..., size, d)`` slots, zero-initialised on a stream's first row; step
-``t`` owns slot ``t mod size``.  Retroactive attention keeps ``n - 1``
-queries, ``n`` keys/values (the departing pair is read from the slot the
-arriving pair then takes) and ``n`` ``d_mem``/``av_mem`` rows; single-output
-attention keeps ``n - 1`` keys/values.
+axes; multi-head attention passes its heads as a ``(heads,)`` axis, axis -3
+of window rows.  :func:`sda_full` takes the same leading axes, so one
+batched kernel serves clip mode, window input and step-mode refreshes.
+Clip mode is one batched call over a ``(W, n, ...)`` strided view of the
+clip's ``W`` complete windows; no Python loop walks the windows.  Stream
+state is rings of ``(..., size, d)`` slots, zero-initialised on a stream's
+first row; step ``t`` owns slot ``t mod size``.  Retroactive attention keeps
+``n - 1`` queries, ``n`` keys/values (the departing pair is read from the
+slot the arriving pair then takes) and ``n`` ``d_mem``/``av_mem`` rows;
+single-output attention keeps ``n - 1`` keys/values.
 
 Numerical-stability choices: the subtract/add updates rule out the usual
 max-subtraction softmax trick, so (a) ``d_mem``/``av_mem`` accumulate in f64
@@ -91,14 +93,12 @@ def sda_full_cost(n: int, d: int) -> OpCount:
     return OpCount(macs=macs, other=other)
 
 
-def _slide(module: CoModule, xa: np.ndarray, window_fn) -> np.ndarray:
-    """Clip mode of a windowed module: ``window_fn`` of every complete
-    window of ``module.n`` rows of ``xa``, stacked."""
-    n_out = module.out_len(xa.shape[0])
-    outs = np.zeros((n_out,) + module.out_frame_shape(xa.shape[1:]), dtype=xa.dtype)
-    for j in range(n_out):
-        outs[j] = window_fn(xa[j : j + module.n])
-    return outs
+def _windows(xa: np.ndarray, n: int) -> np.ndarray:
+    """A ``(W, n, ...)`` view of the ``W`` complete windows of ``n`` rows of
+    ``xa``, oldest first; no windows when ``xa`` has fewer than ``n`` rows."""
+    xa = np.ascontiguousarray(xa)
+    s = xa.strides
+    return np.ndarray((max(len(xa) - n + 1, 0), n) + xa.shape[1:], xa.dtype, xa, 0, s[:1] + s)
 
 
 def _check_rows(d: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
@@ -246,7 +246,8 @@ class RetroAttention(_WindowAttention):
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         """Offline self-attention: one full window result per position."""
-        return _slide(self, xa, lambda win: _sda(win, win, win, self.scale))
+        w = _windows(xa, self.n)
+        return _sda(w, w, w, self.scale)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n, d = self.n, self.d
@@ -314,7 +315,8 @@ class SingleAttention(_WindowAttention):
         return y
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
-        return _slide(self, xa, lambda win: _sda(win, win, win, self.scale)[-1])
+        w = _windows(xa, self.n)
+        return _sda(w[:, -1:], w, w, self.scale)[:, 0]
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n, d = self.n, self.d
@@ -372,18 +374,22 @@ class MultiheadAttention(_WindowAttention):
         return self._head.init_state()
 
     def _heads(self, x: np.ndarray, w: Tensor) -> np.ndarray:
-        """Project a (d_model,) token or (n, d_model) window by ``w`` into
-        (heads, d_h) or (heads, n, d_h) head rows."""
+        """Project a (d_model,) token or (..., n, d_model) windows by ``w``
+        into (heads, d_h) or (..., heads, n, d_h) head rows: views of the
+        projection, which the matmuls read in place, without a copy."""
         a = x @ w.array.astype(x.dtype, copy=False)
-        return np.ascontiguousarray(a.reshape(a.shape[:-1] + (self.heads, -1)).swapaxes(0, -2))
+        h = a.reshape(a.shape[:-1] + (self.heads, a.shape[-1] // self.heads))
+        return h.swapaxes(-3, -2) if h.ndim > 2 else h
 
     def _merge(self, y: np.ndarray) -> np.ndarray:
-        """Head outputs (heads, d_h) or (heads, n, d_h) -> heads concatenated, then ``w_o``."""
-        cat = y.swapaxes(0, -2).reshape(y.shape[1:-1] + (-1,))
+        """Head outputs (heads, d_h) or (..., heads, n, d_h) -> heads
+        concatenated, then ``w_o``."""
+        cat = y.swapaxes(-3, -2) if y.ndim > 2 else y
+        cat = cat.reshape(cat.shape[:-2] + (self.d_v,))
         return cat @ self.w_o.array.astype(y.dtype, copy=False)
 
     def _window(self, win: np.ndarray) -> np.ndarray:
-        """Attention output (n, d_o) of one complete (n, d_model) window."""
+        """Attention output (..., n, d_o) of complete (..., n, d_model) windows."""
         q, k, v = (self._heads(win, w) for w in (self.w_q, self.w_k, self.w_v))
         return self._merge(_sda(q, k, v, self._head.scale))
 
@@ -395,9 +401,8 @@ class MultiheadAttention(_WindowAttention):
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         """Sliding-window offline multi-head self-attention."""
-        if self.mode == "retro":
-            return _slide(self, xa, self._window)
-        return _slide(self, xa, lambda win: self._window(win)[-1])
+        y = self._window(_windows(xa, self.n))
+        return y if self.mode == "retro" else np.ascontiguousarray(y[:, -1])
 
     def _proj_cost(self) -> OpCount:
         return OpCount(macs=self.d_model * (2 * self.d_k + self.d_v))
@@ -455,7 +460,7 @@ class RecyclingPositionalEncoding(CoModule):
 
     def _clip(self, a: np.ndarray) -> np.ndarray:
         idx = np.arange(a.shape[0]) % self.period
-        return a + self.table.array[idx].astype(a.dtype)
+        return a + self.table.array[idx].astype(a.dtype, copy=False)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         return OpCount(other=int(np.prod(frame_shape)))
@@ -496,6 +501,9 @@ class EncoderBlock(CoModule):
             raise ValueError(f"unknown encoder mode {mode!r}")
         if window_input and mode != "single":
             raise ValueError("window input is only meaningful for single mode")
+        if mha.mode != mode or mha.n != n:
+            raise ValueError(f"a {mode!r} block over n={n} needs a {mode!r} attention over "
+                             f"n={n}, got {mha.mode!r} over n={mha.n}")
         self.mode = mode
         self.n = n
         self.mha = mha
@@ -543,7 +551,7 @@ class EncoderBlock(CoModule):
         return self.ln2._apply(y + self._ff(y))
 
     def _offline_window(self, win: np.ndarray) -> np.ndarray:
-        """Full block output for one complete (n, d_model) window."""
+        """Full block output for complete (..., n, d_model) windows."""
         return self._block_tail(win, self.mha._window(win))
 
     # -- step mode ------------------------------------------------------------------
@@ -570,16 +578,10 @@ class EncoderBlock(CoModule):
     # -- clip mode --------------------------------------------------------------------
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
-        if self.window_input:
-            outs = np.zeros((xa.shape[0], self.d_model), dtype=xa.dtype)
-            for j in range(xa.shape[0]):
-                outs[j] = self._offline_window(xa[j])[-1]
-            return outs
-        if self.rpe is not None:
-            xa = self.rpe._clip(xa)
-        if self.mode == "retro":
-            return _slide(self, xa, self._offline_window)
-        return _slide(self, xa, lambda win: self._offline_window(win)[-1])
+        if not self.window_input:  # window input arrives as (T, n, d_model) windows
+            xa = _windows(xa if self.rpe is None else self.rpe._clip(xa), self.n)
+        y = self._offline_window(xa)
+        return y if self.mode == "retro" else np.ascontiguousarray(y[:, -1])
 
     # -- analytic cost --------------------------------------------------------------
 

@@ -10,10 +10,17 @@ stream dtype and refreshed from the ring every ``refresh_interval`` steps,
 since add/subtract accumulation is not exactly associative in floating
 point.
 
-The maximum uses a queue-with-max built from two stacks carrying elementwise
-running maxima: amortized O(1) comparisons per element per step and never
-more than ``window`` stacked frames.  Zero padding is rejected for max
-pooling because padding with zeros corrupts maxima of negative signals.
+The maximum splits the stream into blocks of ``window`` frames and keeps
+two arrays in the stream dtype: the running maximum of the current block so
+far (its prefix) and a ring of ``window`` slots.  At step ``t``, with
+``r = t mod window``, slots ``0..r`` hold the current block's frames and the
+slots after ``r`` the elementwise suffix maxima of the last complete block,
+which the ring recomputes in place when a block completes.  The window
+ending at step ``t`` is the current block's ``r + 1`` frames plus the last
+block's frames from slot ``r + 1`` on, so its maximum is one comparison of
+the prefix with slot ``r + 1``: amortized O(1) comparisons per element per
+step.  Zero padding is rejected for max pooling because padding with zeros
+corrupts maxima of negative signals.
 
 A global-average head over a temporal receptive field is just an average
 pool with ``window`` set to that receptive field.
@@ -25,55 +32,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError
 from .module import CoModule, OpCount, ring_buffer
 
 
-class _MaxQueue:
-    """Elementwise queue-with-max over frames (two-stack arrangement)."""
-
-    __slots__ = ("front_max", "back_raw", "back_max")
-
-    def __init__(self):
-        self.front_max = []  # suffix maxima; top is the oldest side's max
-        self.back_raw = []
-        self.back_max = []
-
-    def __len__(self):
-        return len(self.front_max) + len(self.back_raw)
-
-    def push(self, x: np.ndarray) -> None:
-        x = x.copy()  # the caller's frame is not the queue's to keep
-        m = np.maximum(self.back_max[-1], x) if self.back_max else x
-        self.back_raw.append(x)
-        self.back_max.append(m)
-
-    def pop_oldest(self) -> None:
-        if not self.front_max:
-            m = None
-            while self.back_raw:
-                x = self.back_raw.pop()
-                m = x if m is None else np.maximum(m, x)
-                self.front_max.append(m)
-            self.back_max.clear()
-        self.front_max.pop()
-
-    def max(self) -> np.ndarray:
-        """A fresh array: the queue keeps its frames to itself."""
-        if self.front_max and self.back_max:
-            return np.maximum(self.front_max[-1], self.back_max[-1])
-        return (self.front_max[-1] if self.front_max else self.back_max[-1]).copy()
-
-
 class _PoolState:
-    __slots__ = ("t", "frame", "ring", "running_sum", "maxq")
+    __slots__ = ("t", "ring", "running_sum", "prefix")
 
     def __init__(self):
         self.t = 0
-        self.frame = None  # max: (shape, dtype) of the stream's first frame
-        self.ring = None  # avg: (window-1, ...) ring of the window's older frames
+        self.ring = None  # avg: (window-1, ...) older frames; max: (window, ...), see above
         self.running_sum = None  # avg: f64 sum of the ring's frames
-        self.maxq = _MaxQueue()
+        self.prefix = None  # max: running max of the current block's frames
 
 
 class TemporalPool(CoModule):
@@ -123,23 +92,12 @@ class TemporalPool(CoModule):
         return _PoolState()
 
     def _step(self, state: _PoolState, xa: np.ndarray) -> Optional[np.ndarray]:
+        if self.kind == "max":
+            return self._max_step(state, xa)
         n = self.window - 1
-        if self.kind == "avg":
-            ring = state.ring = ring_buffer(state.ring, (n,) + xa.shape, xa.dtype)
-        elif state.frame is None:
-            state.frame = (xa.shape, xa.dtype)
-        elif (xa.shape, xa.dtype) != state.frame:
-            raise DimensionError(f"frame drift: {xa.shape} {xa.dtype} after "
-                                 f"{state.frame[0]} {state.frame[1]}")
+        ring = state.ring = ring_buffer(state.ring, (n,) + xa.shape, xa.dtype)
         t = state.t
         state.t += 1
-        if self.kind == "max":
-            state.maxq.push(xa)
-            if len(state.maxq) > self.window:
-                state.maxq.pop_oldest()
-            if t >= n:
-                return state.maxq.max()
-            return None
         if t == 0 or (self.refresh_interval and t % self.refresh_interval == 0):
             state.running_sum = ring.sum(axis=0, dtype=np.float64)
         state.running_sum += xa
@@ -155,9 +113,27 @@ class TemporalPool(CoModule):
             state.running_sum -= xa
         return y
 
+    def _max_step(self, state: _PoolState, xa: np.ndarray) -> Optional[np.ndarray]:
+        w = self.window
+        ring = state.ring = ring_buffer(state.ring, (w,) + xa.shape, xa.dtype)
+        prefix = state.prefix = ring_buffer(state.prefix, xa.shape, xa.dtype)
+        t = state.t
+        state.t += 1
+        r = t % w  # slots 0..r: this block's frames; r+1..: the last block's suffix maxima
+        ring[r] = xa
+        if r:
+            np.maximum(prefix, xa, out=prefix)
+        else:
+            prefix[...] = xa
+        if r < w - 1:
+            return np.maximum(ring[r + 1], prefix) if t >= w - 1 else None
+        for i in range(w - 2, -1, -1):  # the block is complete: its suffix maxima, in place
+            np.maximum(ring[i], ring[i + 1], out=ring[i])
+        return prefix.copy()
+
     # -- analytic cost ----------------------------------------------------------
-    # avg step: add + subtract + divide per element; max step: one push
-    # comparison, one output combine, one amortized flip comparison.
+    # avg step: add + subtract + divide per element; max step: one prefix
+    # comparison, one output combine, one amortized suffix comparison.
     # Maintenance refreshes are excluded from the counts.
 
     def step_cost(self, frame_shape: tuple) -> OpCount:

@@ -9,6 +9,7 @@ from cinet.attention import (
     RecyclingPositionalEncoding,
     RetroAttention,
     SingleAttention,
+    _sda,
     sda_full,
     sda_full_cost,
 )
@@ -399,6 +400,21 @@ def test_two_block_wiring_retro_then_single():
     assert not held_arrays(s2)
 
 
+@pytest.mark.parametrize("mode,window_input,mha_mode,mha_n", [
+    ("retro", False, "single", 4), ("single", False, "retro", 4),
+    ("single", True, "retro", 4), ("single", False, "single", 5), ("retro", False, "retro", 3),
+])
+def test_encoder_rejects_attention_of_another_mode_or_window(mode, window_input, mha_mode,
+                                                              mha_n):
+    rng = np.random.default_rng(21)
+    ok = make_encoder(rng, mode, n=4, d=6, rpe=False, window_input=window_input)
+    m = ok.mha
+    mha = MultiheadAttention(mha_mode, mha_n, m.w_q, m.w_k, m.w_v, m.w_o)
+    with pytest.raises(ValueError):
+        EncoderBlock(mode, 4, mha, ok.ff_w1, ok.ff_b1, ok.ff_w2, ok.ff_b2, ok.ln1, ok.ln2,
+                     window_input=window_input)
+
+
 def held_arrays(obj):
     """Arrays reachable from a stream state through slots, lists and tuples."""
     if isinstance(obj, np.ndarray):
@@ -474,3 +490,73 @@ def test_window_input_step_cost_is_one_window():
 def test_sda_cost_grows_quadratically():
     ratio = sda_full_cost(128, 8).flops / sda_full_cost(64, 8).flops
     assert 3.6 <= ratio <= 4.4
+
+
+# -- clip mode: one batched call over every window ------------------------------------
+
+
+def layer_norm_oracle(ln, x):
+    x = x.astype(np.float64)
+    c = x - x.mean(axis=-1, keepdims=True)
+    norm = c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + ln.eps)
+    return norm * ln.gamma.array + ln.beta.array
+
+
+def encoder_oracle(blk, win):
+    """Block output of one (n, d) window from the two-loop attention oracle."""
+    y = layer_norm_oracle(blk.ln1, win + offline_mha_oracle(win, blk.mha)[0])
+    h = np.maximum(y @ blk.ff_w1.array + blk.ff_b1.array, 0)
+    return layer_norm_oracle(blk.ln2, y + h @ blk.ff_w2.array + blk.ff_b2.array)
+
+
+def clip_case(kind, n, d, rng):
+    """(module, per-window kernel, per-window oracle, windows-as-input flag)."""
+    if kind in ("retro", "single"):
+        mod = RetroAttention(n, d) if kind == "retro" else SingleAttention(n, d)
+        if kind == "retro":
+            return mod, lambda w: _sda(w, w, w, mod.scale), \
+                lambda w: softmax_attention_oracle(w, w, w), False
+        return mod, lambda w: _sda(w[-1:], w, w, mod.scale)[0], \
+            lambda w: softmax_attention_oracle(w, w, w)[-1], False
+    if kind.startswith("mha"):
+        _, mode, heads = kind.split("-")
+        mod = MultiheadAttention(mode, n, *(rand_tensor(rng, (d, d)) for _ in range(4)),
+                                 heads=int(heads))
+        last = slice(None) if mode == "retro" else -1
+        return mod, lambda w: mod._window(w)[last], \
+            lambda w: offline_mha_oracle(w, mod)[0][last], False
+    mode = "single" if kind == "enc-window" else kind[4:]
+    window_input = kind == "enc-window"
+    blk = make_encoder(rng, mode, n, d, h=2, rpe=not window_input, window_input=window_input)
+    last = slice(None) if mode == "retro" else -1
+    return blk, lambda w: blk._offline_window(w)[last], \
+        lambda w: encoder_oracle(blk, w)[last], window_input
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("t_of_n", [lambda n: n - 1, lambda n: n, lambda n: 3 * n + 2],
+                         ids=["n-1", "n", "3n+2"])
+@pytest.mark.parametrize("kind", ["retro", "single", "mha-retro-1", "mha-retro-2",
+                                  "mha-single-1", "mha-single-2", "enc-retro", "enc-single",
+                                  "enc-window"])
+def test_clip_equals_the_kernel_run_per_window(kind, t_of_n, dtype):
+    n, d = 4, 6
+    rng = np.random.default_rng(41)
+    mod, kernel, oracle, window_input = clip_case(kind, n, d, rng)
+    t = t_of_n(n)
+    if window_input:
+        x = rand_tensor(rng, (t, n, d), dtype=dtype, scale=0.5)
+        wins = list(x.array)
+    else:
+        x = rand_tensor(rng, (t, d), dtype=dtype, scale=0.5)
+        xe = mod.rpe._clip(x.array) if getattr(mod, "rpe", None) else x.array
+        wins = [xe[j : j + n] for j in range(t - n + 1)]
+    got = mod.forward(x).array
+    # the loop clip mode ran before it was one batched call
+    want = np.zeros((len(wins),) + mod.out_frame_shape(x.shape[1:]), dtype=x.array.dtype)
+    for j, win in enumerate(wins):
+        want[j] = kernel(win)
+    assert got.dtype == x.array.dtype and np.array_equal(got, want)
+    if wins:
+        assert max_rel_dev(got, np.stack([oracle(w) for w in wins])) < 1e-4
+    assert got.flags.c_contiguous and not np.shares_memory(got, x.array)

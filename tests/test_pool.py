@@ -135,17 +135,6 @@ def test_running_sum_matches_window_contents():
         assert np.allclose(state.running_sum, exact, atol=1e-9)
 
 
-def test_max_structure_bounded_by_window():
-    rng = np.random.default_rng(7)
-    pool = TemporalPool("max", 6)
-    state = pool.init_state()
-    for _ in range(50):
-        pool.forward_step(state, rand_tensor(rng, (3,)))
-        assert len(state.maxq) <= pool.window
-        assert len(state.maxq.front_max) <= pool.window
-        assert len(state.maxq.back_raw) <= pool.window
-
-
 @pytest.mark.slow
 def test_drift_bound_over_one_million_steps():
     window = 8

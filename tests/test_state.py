@@ -11,6 +11,7 @@ from cinet.containers import Parallel, Residual
 from cinet.conv import TemporalConv
 from cinet.errors import DimensionError
 from cinet.module import ring_buffer
+from cinet.pool import TemporalPool
 from cinet.tensor import Tensor
 
 from conftest import rand_tensor
@@ -73,9 +74,15 @@ def strided_parallel_case():
     return par, rand_tensor(rng, (steps(par), 3, 2, 2))
 
 
+def max_pool_case():
+    pool = TemporalPool("max", 5)
+    return pool, rand_tensor(np.random.default_rng(32), (steps(pool), 2, 3))
+
+
 CASES = [pytest.param(lambda p=p: config_case(p), id=p.stem) for p in CONFIGS] + [
     pytest.param(residual_case, id="residual-single-encoder"),
     pytest.param(strided_parallel_case, id="parallel-stride-2"),
+    pytest.param(max_pool_case, id="max-pool"),
 ]
 
 
