@@ -8,12 +8,14 @@ modes with their ratio (steps/s over sliding-window predictions/s, each
 prediction a clip-mode ``forward`` over one receptive field), and the
 frames/s of one clip-mode ``forward`` over a whole ``STREAM``-frame stream.
 Lengths are chosen per model (300 for the skeleton network, the attention
-window for encoders, 64 for plain conv stacks).  The last column counts
-``Tensor.wrap`` calls per steady-state ``forward_step``: layers hand arrays
-to each other, so it reads at most 1, the one wrap at the edge.
+window for encoders, 64 for plain conv stacks).  Steps/s times ``STEPS``
+steps past warm-up, so a model with a long warm-up is not timed on steps
+that emit nothing.
 """
 
+import statistics
 import sys
+import time
 from pathlib import Path
 
 from cinet.cli import check_equivalence, count_flops, measure_throughput
@@ -22,32 +24,25 @@ from cinet.tensor import Tensor
 
 LENGTHS = {"toy_costgcn": 300, "encoder_one_block": 64, "encoder_two_block": 48}
 STREAM = 400  # frames of the whole-stream clip pass
+STEPS = 64  # timed steps per repeat
 
 
-def wraps_per_step(cfg: dict, model, steps: int = 64) -> float:
-    """``Tensor.wrap`` calls per ``forward_step`` past warm-up, counted by
-    wrapping ``Tensor.wrap`` around the steady-state step loop."""
-    x = random_stream(2, model.warmup() + steps, tuple(cfg["input"]["shape"]),
+def steady_steps_per_s(cfg: dict, model, repeats: int = 5) -> float:
+    """Median over ``repeats`` of ``STEPS`` ``forward_step`` calls per second,
+    each repeat timed on a fresh state already advanced through ``warmup()``."""
+    x = random_stream(0, model.warmup() + STEPS, tuple(cfg["input"]["shape"]),
                       cfg.get("dtype", "f32"))
     frames = [Tensor.wrap(x.array[t]) for t in range(x.shape[0])]
-    state = model.init_state()
-    for f in frames[:model.warmup()]:
-        model.forward_step(state, f)
-    saved = Tensor.__dict__["wrap"]
-    calls = 0
-
-    def counted(arr):
-        nonlocal calls
-        calls += 1
-        return saved.__func__(arr)
-
-    Tensor.wrap = staticmethod(counted)
-    try:
+    rates = []
+    for _ in range(repeats):
+        state = model.init_state()
+        for f in frames[:model.warmup()]:
+            model.forward_step(state, f)
+        t0 = time.perf_counter()
         for f in frames[model.warmup():]:
             model.forward_step(state, f)
-    finally:
-        Tensor.wrap = saved
-    return calls / steps
+        rates.append(STEPS / (time.perf_counter() - t0))
+    return statistics.median(rates)
 
 
 def bench(path: Path) -> bool:
@@ -58,22 +53,20 @@ def bench(path: Path) -> bool:
     check = check_equivalence(cfg, model, length=t, seed=1, tol=1e-4)
     step = count_flops(cfg, model, "step", t)["total"]["flops"]
     offline = count_flops(cfg, model, "offline", t)["total"]["flops"]
-    tp_step = measure_throughput(cfg, model, "step", min(t, 64), 1, 5)
+    steps_per_s = steady_steps_per_s(cfg, model)
     window = model.receptive_field()
     tp_off = measure_throughput(cfg, model, "offline", window, 1, 5)
     tp_clip = measure_throughput(cfg, model, "offline", STREAM, 1, 5)
-    wraps = wraps_per_step(cfg, model)
 
     print(f"{cfg['name']:>20}  T={t:<4d} "
           f"equiv={'ok' if check['pass'] else 'FAIL'} "
           f"(max_rel {check['max_rel']:.1e})  "
           f"flops/pred offline={offline:.3e} step={step:.3e} "
           f"ratio={offline / step:6.1f}x  "
-          f"steps/s={tp_step['throughput']:8.1f} "
+          f"steps/s={steps_per_s:8.1f} "
           f"clip frames/s={tp_clip['throughput'] * STREAM:9.0f} "
           f"slide preds/s={tp_off['throughput']:8.1f} "
-          f"wall ratio={tp_step['throughput'] / tp_off['throughput']:6.1f}x  "
-          f"wraps/step={wraps:.2f}")
+          f"wall ratio={steps_per_s / tp_off['throughput']:6.1f}x")
     return bool(check["pass"])
 
 

@@ -22,6 +22,9 @@ first row; step ``t`` owns slot ``t mod size``.  Retroactive attention keeps
 slot the arriving pair then takes) and ``n`` ``d_mem``/``av_mem`` rows;
 single-output attention keeps ``n - 1`` keys/values.
 
+:class:`EncoderBlock` takes its step form and window from its attention; a
+positional encoding is a ``Sequential`` stage ahead of a token-input block.
+
 Numerical-stability choices: the subtract/add updates rule out the usual
 max-subtraction softmax trick, so (a) ``d_mem``/``av_mem`` accumulate in f64
 even for f32 tokens, (b) both are recomputed from the cached window every
@@ -454,11 +457,15 @@ class RecyclingPositionalEncoding(CoModule):
         return _RpeState()
 
     def _step(self, state: _RpeState, a: np.ndarray) -> np.ndarray:
+        if a.shape != self.table.shape[1:]:  # checked before the counter moves
+            raise DimensionError(f"token must be {self.table.shape[1:]}, got {a.shape}")
         p = self.table.array[state.tau].astype(a.dtype, copy=False)
         state.tau = (state.tau + 1) % self.period
         return a + p
 
     def _clip(self, a: np.ndarray) -> np.ndarray:
+        if a.shape[1:] != self.table.shape[1:]:
+            raise DimensionError(f"tokens must be (T, {self.table.shape[1]}), got {a.shape}")
         idx = np.arange(a.shape[0]) % self.period
         return a + self.table.array[idx].astype(a.dtype, copy=False)
 
@@ -470,73 +477,58 @@ class RecyclingPositionalEncoding(CoModule):
 
 
 class _EncoderState:
-    __slots__ = ("mha", "rpe", "tokens", "t")
+    __slots__ = ("mha", "tokens", "t")
 
-    def __init__(self, mha_state, rpe_state):
+    def __init__(self, mha_state):
         self.mha = mha_state
-        self.rpe = rpe_state
-        self.tokens = None  # retro: (n, d_model) ring of encoded inputs for the residual
+        self.tokens = None  # retro: (n, d_model) ring of inputs for the residual
         self.t = 0
 
 
 class EncoderBlock(CoModule):
-    """Transformer encoder block over a sliding window of ``n`` tokens.
+    """Transformer encoder block over the window of its attention ``mha``.
 
     ``y = LN(Sel(x) + MHA(x, x, x))``, ``z = LN(y + FF(y))`` with FF an
-    affine-ReLU-affine token map.  In single mode ``Sel`` picks the newest
-    token and one row is emitted; in retro mode all ``n`` rows are.
+    affine-ReLU-affine token map.  Mode and window ``n`` are the attention's:
+    in single mode ``Sel`` picks the newest token and one row is emitted; in
+    retro mode all ``n`` rows are.  A positional encoding is a stage ahead.
 
-    With ``window_input=True`` the block consumes complete (n, d) windows
-    (as emitted by an upstream retroactive block), recomputing the single
-    newest-row output per window; that is the two-block wiring where a
-    retroactive block runs first and a single-output block last.
+    With ``window_input=True`` a single-mode block consumes complete (n, d)
+    windows (as emitted by an upstream retroactive block), recomputing the
+    newest-row output per window and keeping no state; that is the two-block
+    wiring where a retroactive block runs first and a single-output block last.
     """
 
-    def __init__(self, mode: str, n: int, mha: MultiheadAttention,
+    def __init__(self, mha: MultiheadAttention,
                  ff_w1: Tensor, ff_b1: Tensor, ff_w2: Tensor, ff_b2: Tensor,
-                 ln1: LayerNorm, ln2: LayerNorm,
-                 rpe: RecyclingPositionalEncoding | None = None,
-                 window_input: bool = False):
-        if mode not in ("retro", "single"):
-            raise ValueError(f"unknown encoder mode {mode!r}")
-        if window_input and mode != "single":
+                 ln1: LayerNorm, ln2: LayerNorm, window_input: bool = False):
+        if window_input and mha.mode != "single":
             raise ValueError("window input is only meaningful for single mode")
-        if mha.mode != mode or mha.n != n:
-            raise ValueError(f"a {mode!r} block over n={n} needs a {mode!r} attention over "
-                             f"n={n}, got {mha.mode!r} over n={mha.n}")
-        self.mode = mode
-        self.n = n
         self.mha = mha
         self.d_model = mha.d_model
         self.ff_dim = ff_w1.shape[1]
-        if ff_w1.shape[0] != self.d_model or ff_w2.shape != (self.ff_dim, self.d_model):
-            raise DimensionError("feed-forward shapes disagree with d_model")
+        if (mha.d_o != self.d_model or ff_w1.shape[0] != self.d_model
+                or ff_w2.shape != (self.ff_dim, self.d_model)):
+            raise DimensionError("attention output or feed-forward shapes disagree with d_model")
         self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2 = ff_w1, ff_b1, ff_w2, ff_b2
         self.ln1, self.ln2 = ln1, ln2
-        self.rpe = rpe
         self.window_input = window_input
-        self._slots = _slot_table(n)
+        self._slots = _slot_table(mha.n)
 
     def delay(self) -> int:
         return 0
 
     def warmup(self) -> int:
-        return 0 if self.window_input else self.n - 1
+        return 0 if self.window_input else self.mha.n - 1
 
     def receptive_field(self) -> int:
-        return 1 if self.window_input else self.n
+        return 1 if self.window_input else self.mha.n
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        if self.mode == "retro":
-            return (self.n, self.d_model)
-        return (self.d_model,)
+        return self.mha.out_frame_shape(frame_shape)
 
-    def init_state(self) -> _EncoderState:
-        # a window-input step recomputes its window and keeps no attention cache
-        return _EncoderState(
-            None if self.window_input else self.mha.init_state(),
-            self.rpe.init_state() if self.rpe else None,
-        )
+    def init_state(self) -> Optional[_EncoderState]:
+        return None if self.window_input else _EncoderState(self.mha.init_state())
 
     # -- shared math -------------------------------------------------------------
 
@@ -556,32 +548,36 @@ class EncoderBlock(CoModule):
 
     # -- step mode ------------------------------------------------------------------
 
-    def _step(self, state: _EncoderState, a: np.ndarray) -> Optional[np.ndarray]:
+    def _step(self, state: Optional[_EncoderState], a: np.ndarray) -> Optional[np.ndarray]:
         if self.window_input:
-            if a.ndim != 2:
-                raise DimensionError(f"window input must be (n, d), got {a.shape}")
+            if a.shape != (self.mha.n, self.d_model):
+                raise DimensionError(f"window input must be ({self.mha.n}, {self.d_model}), "
+                                     f"got {a.shape}")
             return self._offline_window(a)[-1]
         if a.shape != (self.d_model,):
             raise DimensionError(f"token must be ({self.d_model},), got {a.shape}")
-        if self.rpe is not None:
-            a = self.rpe._step(state.rpe, a)
         sel = a
         att = self.mha._step(state.mha, a)
-        if self.mode == "retro":
-            tokens = state.tokens = ring_buffer(state.tokens, (self.n,) + sel.shape, sel.dtype)
-            cur = state.t % self.n
+        if self.mha.mode == "retro":
+            n = self.mha.n
+            tokens = state.tokens = ring_buffer(state.tokens, (n,) + sel.shape, sel.dtype)
+            cur = state.t % n
             state.t += 1
             tokens[cur] = sel
-            sel = tokens[self._slots[cur + 1 : cur + 1 + self.n]]  # the window, oldest first
+            sel = tokens[self._slots[cur + 1 : cur + 1 + n]]  # the window, oldest first
         return None if att is None else self._block_tail(sel, att)
 
     # -- clip mode --------------------------------------------------------------------
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
-        if not self.window_input:  # window input arrives as (T, n, d_model) windows
-            xa = _windows(xa if self.rpe is None else self.rpe._clip(xa), self.n)
+        if self.window_input:
+            if xa.ndim != 3 or xa.shape[1:] != (self.mha.n, self.d_model):
+                raise DimensionError(f"window input must be (T, {self.mha.n}, {self.d_model}), "
+                                     f"got {xa.shape}")
+        else:
+            xa = _windows(xa, self.mha.n)
         y = self._offline_window(xa)
-        return y if self.mode == "retro" else np.ascontiguousarray(y[:, -1])
+        return y if self.mha.mode == "retro" else np.ascontiguousarray(y[:, -1])
 
     # -- analytic cost --------------------------------------------------------------
 
@@ -595,18 +591,10 @@ class EncoderBlock(CoModule):
     def step_cost(self, frame_shape: tuple) -> OpCount:
         if self.window_input:
             return self.clip_cost(frame_shape, 1)  # a step recomputes one window
-        rows = self.n if self.mode == "retro" else 1
-        cost = self.mha.step_cost(frame_shape) + self._tail_cost(rows)
-        if self.rpe is not None:
-            cost = cost + self.rpe.step_cost(frame_shape)
-        return cost
+        rows = self.mha.n if self.mha.mode == "retro" else 1
+        return self.mha.step_cost(frame_shape) + self._tail_cost(rows)
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        if self.window_input:
-            per = self.mha.clip_cost((self.d_model,), self.n) + self._tail_cost(self.n)
-            return per.scaled(t)
-        per_win = self.mha.clip_cost((self.d_model,), self.n) + self._tail_cost(self.n)
-        cost = per_win.scaled(self.out_len(t))
-        if self.rpe is not None:
-            cost = cost + self.rpe.clip_cost(frame_shape, t)
-        return cost
+        n = self.mha.n
+        per_win = self.mha.clip_cost((self.d_model,), n) + self._tail_cost(n)
+        return per_win.scaled(self.out_len(t))

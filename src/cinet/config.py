@@ -14,7 +14,8 @@ Layer entries (defaults in parentheses):
 - maxpool_t:        window
 - batchnorm:        channels, eps(1e-5), init
 - layernorm:        d, eps(1e-5), init
-- co_encoder_block: mode, n, d_model, heads(1), ff_dim, rpe_period(n), init
+- co_encoder_block: mode, n, d_model, heads(1), ff_dim, rpe_period(n), init;
+                    an encoded token block is Sequential([RPE stage, block])
 - stgcn_block:      v, partitions(1), c_in, c_out, tc_kernel, tc_stride(1),
                     tc_padding(0), residual("auto"), init
 - head:             pool_window, classes, init   (channels inferred upstream)
@@ -270,10 +271,7 @@ def _build_entry(entry: dict, path: str, dtype: str, base: Path, frame) -> CoMod
     raise ConfigError(path, f"unknown layer type {kind!r}")
 
 
-def _build_encoder(entry: dict, init: _Init, frame) -> EncoderBlock:
-    mode = entry["mode"]
-    if mode not in ("retro", "single"):
-        raise ValueError(f"mode must be 'retro' or 'single', got {mode!r}")
+def _build_encoder(entry: dict, init: _Init, frame) -> CoModule:
     n = entry["n"]
     d = entry["d_model"]
     heads = entry.get("heads", 1)
@@ -289,15 +287,16 @@ def _build_encoder(entry: dict, init: _Init, frame) -> EncoderBlock:
     ln1 = LayerNorm(init.draw((d,)), init.draw((d,)))
     ln2 = LayerNorm(init.draw((d,)), init.draw((d,)))
     period = entry.get("rpe_period", n)
-    rpe = RecyclingPositionalEncoding(init.draw((period, d))) if period else None
-    mha = MultiheadAttention(mode, n, w_q, w_k, w_v, w_o, heads=heads,
+    table = init.draw((period, d)) if period else None
+    mha = MultiheadAttention(entry["mode"], n, w_q, w_k, w_v, w_o, heads=heads,
                              refresh_interval=entry.get("refresh_interval", 64))
     # a single-output block directly after a retroactive one consumes that
     # block's (n, d) window emissions and recomputes per window
-    window_input = bool(frame) and len(frame) == 2 and frame == (n, d) and mode == "single"
-    return EncoderBlock(mode, n, mha, ff_w1, ff_b1, ff_w2, ff_b2, ln1, ln2,
-                        rpe=None if window_input else rpe,
-                        window_input=window_input)
+    window_input = frame == (n, d) and mha.mode == "single"
+    block = EncoderBlock(mha, ff_w1, ff_b1, ff_w2, ff_b2, ln1, ln2, window_input=window_input)
+    if window_input or table is None:
+        return block
+    return Sequential([RecyclingPositionalEncoding(table), block])
 
 
 def _build_stgcn(entry: dict, init: _Init, dtype: str) -> StGcnBlock:

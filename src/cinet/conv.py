@@ -84,13 +84,12 @@ class _Layout(NamedTuple):
 
 
 class _ConvState:
-    __slots__ = ("fifo", "acc", "t", "form")
+    __slots__ = ("ring", "t")
 
-    def __init__(self, form: str):
-        self.fifo = None  # pre: (rf-1, C, H, W) ring of raw frames
-        self.acc = None  # post: (rf-1, O, H', W') ring of partial sums
+    def __init__(self):
+        # pre: (rf-1, C, H, W) raw frames; post: (rf-1, O, H', W') partial sums
+        self.ring = None
         self.t = 0  # steps consumed; modulo rf-1 it is the ring cursor
-        self.form = form  # resolved on the first frame for "auto"
 
 
 class TemporalConv(CoModule):
@@ -205,7 +204,7 @@ class TemporalConv(CoModule):
     # -- step mode ----------------------------------------------------------------
 
     def init_state(self) -> _ConvState:
-        return _ConvState(self.form)
+        return _ConvState()
 
     def _emits_at(self, t: int) -> bool:
         return t >= self.delay() and (t - self.delay()) % self.temporal_stride == 0
@@ -256,12 +255,9 @@ class TemporalConv(CoModule):
         if xa.ndim != 3:
             raise DimensionError(f"frame must be (C,H,W), got {xa.shape}")
         lay = self._layout(xa.dtype, xa.shape)
-        state.form = lay.form
-        if lay.form == "pre":
-            ring = state.fifo = ring_buffer(state.fifo, (self._rf - 1,) + xa.shape, xa.dtype)
-        else:
-            ring = state.acc = ring_buffer(state.acc, (self._rf - 1,) + lay.out_shape, xa.dtype)
         n = self._rf - 1
+        slot = xa.shape if lay.form == "pre" else lay.out_shape
+        ring = state.ring = ring_buffer(state.ring, (n,) + slot, xa.dtype)
         t = state.t
         state.t += 1
         y = None

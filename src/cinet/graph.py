@@ -11,7 +11,8 @@ normalized symmetrically as ``D^-1/2 (A) D^-1/2`` at construction (with the
 self-loop added before normalization for single-partition graphs).  The
 graph convolution ``sum_p W_p^T x A_p`` runs as one ``x @ A_cat``, all
 partitions side by side, and one channel mix with the stacked ``W_p``, on a
-frame in step mode and on the whole clip in clip mode.
+frame in step mode and on the whole clip in clip mode.  The block stacks its
+weights once per dtype; the ``graph_conv`` reference stacks them per call.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ class SkeletonGraph:
                 raise DimensionError(f"partition shape {p.shape} != ({v},{v})")
         self.v = v
         self.partitions = list(partitions)
-        # (dtype, ids of the W_p) -> stacked weights; the entry holds the
-        # weight tensors, so their ids stay theirs while it exists
-        self._stacks = {}
 
     @staticmethod
     def from_edges(v: int, edges: Sequence[tuple], partitions: int = 1,
@@ -101,27 +99,19 @@ def _bfs_distance(a: np.ndarray, root: int) -> np.ndarray:
 
 def _stacked(graph: SkeletonGraph, w_gc: Sequence[Tensor], dtype: np.dtype) -> tuple:
     """``A_cat`` (v, P*v), the partitions side by side, and ``W`` (c_out,
-    c_in*P), column ``c*P + p`` holding ``W_p[c]``, in ``dtype``.  Made once
-    per weight set and dtype and kept on the graph; tensors are immutable,
-    so the weights' identities key them."""
-    key = (dtype, tuple(map(id, w_gc)))
-    hit = graph._stacks.get(key)
-    if hit is None:
-        a_cat = np.concatenate([a.array for a in graph.partitions], axis=1).astype(dtype)
-        w = np.stack([w.array for w in w_gc], axis=1)  # (c_in, P, c_out)
-        w_cat = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T, dtype=dtype)
-        hit = graph._stacks[key] = (a_cat, w_cat, tuple(w_gc))
-    return hit[0], hit[1]
+    c_in*P), column ``c*P + p`` holding ``W_p[c]``, in ``dtype``."""
+    a_cat = np.concatenate([a.array for a in graph.partitions], axis=1).astype(dtype)
+    w = np.stack([w.array for w in w_gc], axis=1)  # (c_in, P, c_out)
+    return a_cat, np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T, dtype=dtype)
 
 
-def _gc(xa: np.ndarray, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> np.ndarray:
+def _gc(xa: np.ndarray, a_cat: np.ndarray, w_cat: np.ndarray) -> np.ndarray:
     """Graph convolution of (..., c_in, v) frames: every partition's
     aggregation in one ``x @ A_cat``, whose rows read as (c_in*P, v) per
     frame, then one channel mix with the stacked weights."""
-    c_in, v = xa.shape[-2:]
-    a_cat, w_cat = _stacked(graph, w_gc, xa.dtype)
+    v = xa.shape[-1]
     y = xa.reshape(-1, v) @ a_cat
-    return w_cat @ y.reshape(xa.shape[:-2] + (c_in * len(graph.partitions), v))
+    return w_cat @ y.reshape(xa.shape[:-2] + (w_cat.shape[1], v))
 
 
 def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Tensor:
@@ -136,7 +126,7 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
         raise DimensionError(
             f"{len(w_gc)} weight sets for {len(graph.partitions)} partitions"
         )
-    return Tensor.wrap(_gc(x_t.array, graph, w_gc))
+    return Tensor.wrap(_gc(x_t.array, *_stacked(graph, w_gc, x_t.array.dtype)))
 
 
 class _BlockState:
@@ -181,6 +171,7 @@ class StGcnBlock(CoModule):
         self.residual = residual
         self.res_weight = res_weight
         self.res_delay = tc.delay()  # the residual lands on the aligned step
+        self._stacks = {}  # dtype -> stacked graph-conv weights (A_cat, W)
 
     def delay(self) -> int:
         return self.tc.delay()
@@ -205,6 +196,13 @@ class StGcnBlock(CoModule):
     def init_state(self) -> _BlockState:
         return _BlockState(self.tc.init_state())
 
+    def _stack(self, dtype: np.dtype) -> tuple:
+        """``(A_cat, W)`` of :func:`_stacked` in ``dtype``, made once per dtype."""
+        stack = self._stacks.get(dtype)
+        if stack is None:
+            stack = self._stacks[dtype] = _stacked(self.graph, self.w_gc, dtype)
+        return stack
+
     def _step(self, state: _BlockState, xa: np.ndarray) -> Optional[np.ndarray]:
         if xa.shape != (self.c_in, self.graph.v):
             raise DimensionError(f"frame {xa.shape} != ({self.c_in},{self.graph.v})")
@@ -213,7 +211,7 @@ class StGcnBlock(CoModule):
             state.res = ring_buffer(state.res, (d,) + xa.shape, xa.dtype)
         slot = state.t % max(d, 1)
         state.t += 1
-        tc_out = self.tc._step(state.tc, _gc(xa, self.graph, self.w_gc)[:, :, None])
+        tc_out = self.tc._step(state.tc, _gc(xa, *self._stack(xa.dtype))[:, :, None])
         y = None
         if tc_out is not None:
             y = self.bn._apply(tc_out[:, :, 0], channel_axis=0)
@@ -229,7 +227,7 @@ class StGcnBlock(CoModule):
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         if xa.ndim != 3:
             raise DimensionError(f"clip must be (T, c_in, v), got {xa.shape}")
-        tc_out = self.tc._clip(_gc(xa, self.graph, self.w_gc)[:, :, :, None])[:, :, :, 0]
+        tc_out = self.tc._clip(_gc(xa, *self._stack(xa.dtype))[:, :, :, None])[:, :, :, 0]
         y = self.bn._apply(tc_out, channel_axis=1)
         if self.residual != "none":
             # emission j lands on input j*stride, as in step mode
@@ -263,13 +261,6 @@ class StGcnBlock(CoModule):
         return self._gc_cost().scaled(t) + self._per_emission().scaled(self.out_len(t))
 
 
-class _HeadState:
-    __slots__ = ("pool",)
-
-    def __init__(self, pool_state):
-        self.pool = pool_state
-
-
 class GlobalAverageHead(CoModule):
     """Running global average over time and nodes, then a linear classifier."""
 
@@ -292,16 +283,16 @@ class GlobalAverageHead(CoModule):
             raise DimensionError(f"expected {self.channels} channels, got {frame_shape[0]}")
         return (self.classes,)
 
-    def init_state(self) -> _HeadState:
-        return _HeadState(self.pool.init_state())
+    def init_state(self):
+        return self.pool.init_state()  # the head itself keeps nothing
 
     def _classify(self, feat: np.ndarray) -> np.ndarray:
         """Logits of (..., C) node-mean features."""
         dt = feat.dtype
         return feat @ self.weight.array.astype(dt, copy=False) + self.bias.array.astype(dt, copy=False)
 
-    def _step(self, state: _HeadState, a: np.ndarray) -> Optional[np.ndarray]:
-        pooled = self.pool._step(state.pool, a)
+    def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
+        pooled = self.pool._step(state, a)
         if pooled is None:
             return None
         return self._classify(pooled.reshape(self.channels, -1).mean(axis=1))

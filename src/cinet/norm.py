@@ -30,10 +30,6 @@ def step_momentum(m_seq: float, length: int) -> float:
     return 2.0 / (length * (2.0 / m_seq - 1.0) + 1.0)
 
 
-class _Stateless:
-    __slots__ = ()
-
-
 class _StatelessModule(CoModule):
     def delay(self) -> int:
         return 0
@@ -44,8 +40,8 @@ class _StatelessModule(CoModule):
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         return tuple(frame_shape)
 
-    def init_state(self) -> _Stateless:
-        return _Stateless()
+    def init_state(self) -> None:
+        return None
 
 
 class BatchNorm(_StatelessModule):

@@ -13,6 +13,7 @@ from cinet.attention import (
     sda_full,
     sda_full_cost,
 )
+from cinet.containers import Sequential
 from cinet.errors import DimensionError
 from cinet.norm import LayerNorm
 from cinet.tensor import Tensor
@@ -339,16 +340,18 @@ def test_rpe_exact_periodicity():
 
 
 def make_encoder(rng, mode, n, d, h=1, ff=None, rpe=True, window_input=False):
+    """An encoder block; with ``rpe`` the ``Sequential`` of a recycling
+    positional encoding and the block, as a config builds it."""
     ff = ff or d
     mha = MultiheadAttention(mode if not window_input else "single", n,
                              *(rand_tensor(rng, (d, d)) for _ in range(4)), heads=h)
     ln1 = LayerNorm(rand_tensor(rng, (d,), scale=0.3), rand_tensor(rng, (d,), scale=0.3))
     ln2 = LayerNorm(rand_tensor(rng, (d,), scale=0.3), rand_tensor(rng, (d,), scale=0.3))
     enc = RecyclingPositionalEncoding(rand_tensor(rng, (n, d), scale=0.3)) if rpe else None
-    return EncoderBlock(mode, n, mha,
-                        rand_tensor(rng, (d, ff)), rand_tensor(rng, (ff,)),
-                        rand_tensor(rng, (ff, d)), rand_tensor(rng, (d,)),
-                        ln1, ln2, rpe=enc, window_input=window_input)
+    blk = EncoderBlock(mha, rand_tensor(rng, (d, ff)), rand_tensor(rng, (ff,)),
+                       rand_tensor(rng, (ff, d)), rand_tensor(rng, (d,)),
+                       ln1, ln2, window_input=window_input)
+    return blk if enc is None else Sequential([enc, blk])
 
 
 def test_encoder_zero_branches_collapse_to_double_layernorm():
@@ -357,8 +360,7 @@ def test_encoder_zero_branches_collapse_to_double_layernorm():
     eye = Tensor.wrap(np.eye(d, dtype=np.float32))
     mha = MultiheadAttention("single", n, eye, eye, eye, Tensor.zeros((d, d)), heads=1)
     ln = LayerNorm(Tensor.wrap(np.ones(d, dtype=np.float32)), Tensor.zeros((d,)))
-    blk = EncoderBlock("single", n, mha,
-                       Tensor.zeros((d, d)), Tensor.zeros((d,)),
+    blk = EncoderBlock(mha, Tensor.zeros((d, d)), Tensor.zeros((d,)),
                        Tensor.zeros((d, d)), Tensor.zeros((d,)), ln, ln)
     state = blk.init_state()
     for t in range(6):
@@ -378,6 +380,29 @@ def test_encoder_steps_match_offline_windows(mode):
     online = blk.forward_steps(blk.init_state(), x)
     assert offline.shape == online.shape
     assert max_rel_dev(online.array, offline.array) < 1e-4
+
+
+def test_encoded_block_rejects_a_token_of_another_width_without_moving_the_stream():
+    # the positional-encoding stage sees a token before the block does; a
+    # rejected token must leave the stream's position where it was
+    rng = np.random.default_rng(23)
+    enc = make_encoder(rng, "single", n=4, d=6)
+    x = stream(rng, 12, 6, scale=0.5)
+    clean = enc.forward_steps(enc.init_state(), x).array
+    state = enc.init_state()
+    outs = []
+    for t in range(12):
+        if t == 5:
+            for shape in [(7,), (1, 6)]:
+                with pytest.raises(DimensionError):
+                    enc.forward_step(state, Tensor.zeros(shape))
+        y = enc.forward_step(state, Tensor.wrap(x.array[t]))
+        if y is not None:
+            outs.append(y.array)
+    assert np.array_equal(np.stack(outs), clean)
+    for shape in [(12, 7), (12, 1, 6)]:
+        with pytest.raises(DimensionError):
+            enc.forward(Tensor.zeros(shape))
 
 
 def test_two_block_wiring_retro_then_single():
@@ -400,19 +425,42 @@ def test_two_block_wiring_retro_then_single():
     assert not held_arrays(s2)
 
 
-@pytest.mark.parametrize("mode,window_input,mha_mode,mha_n", [
-    ("retro", False, "single", 4), ("single", False, "retro", 4),
-    ("single", True, "retro", 4), ("single", False, "single", 5), ("retro", False, "retro", 3),
-])
+@pytest.mark.parametrize("mode,window_input,mha_mode,mha_n", [("single", True, "retro", 4)])
 def test_encoder_rejects_attention_of_another_mode_or_window(mode, window_input, mha_mode,
                                                               mha_n):
+    # a block takes its mode and window from its attention; what is left to
+    # reject is window input over a retroactive attention
     rng = np.random.default_rng(21)
     ok = make_encoder(rng, mode, n=4, d=6, rpe=False, window_input=window_input)
     m = ok.mha
     mha = MultiheadAttention(mha_mode, mha_n, m.w_q, m.w_k, m.w_v, m.w_o)
     with pytest.raises(ValueError):
-        EncoderBlock(mode, 4, mha, ok.ff_w1, ok.ff_b1, ok.ff_w2, ok.ff_b2, ok.ln1, ok.ln2,
+        EncoderBlock(mha, ok.ff_w1, ok.ff_b1, ok.ff_w2, ok.ff_b2, ok.ln1, ok.ln2,
                      window_input=window_input)
+
+
+def test_encoder_rejects_attention_output_of_another_width():
+    rng = np.random.default_rng(24)
+    ok = make_encoder(rng, "single", n=4, d=6, rpe=False)
+    m = ok.mha
+    mha = MultiheadAttention("single", 4, m.w_q, m.w_k, m.w_v, rand_tensor(rng, (6, 5)))
+    with pytest.raises(DimensionError):
+        EncoderBlock(mha, ok.ff_w1, ok.ff_b1, ok.ff_w2, ok.ff_b2, ok.ln1, ok.ln2)
+
+
+@pytest.mark.parametrize("call", ["step", "clip"])
+def test_window_input_rejects_windows_of_another_length(call):
+    rng = np.random.default_rng(22)
+    blk = make_encoder(rng, "single", n=4, d=6, rpe=False, window_input=True)
+    shapes = {"step": [(5, 6), (3, 6), (4, 7), (6,), (1, 4, 6)],
+              "clip": [(3, 7, 6), (3, 3, 6), (3, 4, 5), (4, 6)]}[call]
+    for shape in shapes:
+        x = rand_tensor(rng, shape)
+        with pytest.raises(DimensionError):
+            if call == "step":
+                blk.forward_step(blk.init_state(), x)
+            else:
+                blk.forward(x)
 
 
 def held_arrays(obj):
@@ -527,9 +575,10 @@ def clip_case(kind, n, d, rng):
             lambda w: offline_mha_oracle(w, mod)[0][last], False
     mode = "single" if kind == "enc-window" else kind[4:]
     window_input = kind == "enc-window"
-    blk = make_encoder(rng, mode, n, d, h=2, rpe=not window_input, window_input=window_input)
+    mod = make_encoder(rng, mode, n, d, h=2, rpe=not window_input, window_input=window_input)
+    blk = mod if window_input else mod.modules[1]  # token blocks follow their encoding
     last = slice(None) if mode == "retro" else -1
-    return blk, lambda w: blk._offline_window(w)[last], \
+    return mod, lambda w: blk._offline_window(w)[last], \
         lambda w: encoder_oracle(blk, w)[last], window_input
 
 
@@ -549,7 +598,8 @@ def test_clip_equals_the_kernel_run_per_window(kind, t_of_n, dtype):
         wins = list(x.array)
     else:
         x = rand_tensor(rng, (t, d), dtype=dtype, scale=0.5)
-        xe = mod.rpe._clip(x.array) if getattr(mod, "rpe", None) else x.array
+        # an encoded block's windows are read after its positional-encoding stage
+        xe = mod.modules[0]._clip(x.array) if isinstance(mod, Sequential) else x.array
         wins = [xe[j : j + n] for j in range(t - n + 1)]
     got = mod.forward(x).array
     # the loop clip mode ran before it was one batched call

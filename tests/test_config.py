@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cinet.attention import EncoderBlock, RecyclingPositionalEncoding
 from cinet.config import build_model, canonical_json, load_config, validate_config
 from cinet.containers import Residual, Sequential
 from cinet.errors import ConfigError
@@ -148,6 +149,26 @@ def test_retro_then_single_encoder_stack_uses_window_input():
     model = build_model(cfg)
     assert model.modules[1].window_input
     assert model.out_frame_shape((3,)) == (3,)
+
+
+def test_encoder_entries_compose_the_positional_encoding_as_a_stage():
+    enc = {"type": "co_encoder_block", "n": 4, "d_model": 3, "ff_dim": 4}
+    model = build_model(base_cfg([dict(enc, mode="retro"), dict(enc, mode="single")],
+                                 shape=(3,)))
+    first, second = model.modules
+    # a token block with an encoding (rpe_period defaults to n) is a Sequential
+    assert isinstance(first, Sequential) and len(first.modules) == 2
+    rpe, block = first.modules
+    assert isinstance(rpe, RecyclingPositionalEncoding) and rpe.period == 4
+    assert isinstance(block, EncoderBlock) and not block.window_input
+    # the window-input block is bare and keeps no stream state
+    assert isinstance(second, EncoderBlock) and second.window_input
+    assert second.init_state() is None
+    bare = build_model(base_cfg([dict(enc, mode="single", rpe_period=0)], shape=(3,)))
+    assert isinstance(bare.modules[0], EncoderBlock) and not bare.modules[0].window_input
+    with pytest.raises(ConfigError) as err:
+        build_model(base_cfg([dict(enc, mode="both")], shape=(3,)))
+    assert err.value.path == "layers[0]"
 
 
 def test_sequential_top_level_always():

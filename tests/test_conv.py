@@ -240,7 +240,8 @@ def test_auto_form_resolves_to_smaller_cache():
     conv = make_conv(rng, c_in=16, c_out=4, k=(3, 1, 1), form="auto")
     state = conv.init_state()
     conv.forward_step(state, rand_tensor(rng, (16, 2, 2)))
-    assert state.form == "post"
+    # post form: the ring's slots hold output-shaped partial sums
+    assert state.ring.shape == (conv.receptive_field() - 1,) + conv.out_frame_shape((16, 2, 2))
 
 
 # -- invariants -------------------------------------------------------------------
@@ -258,7 +259,7 @@ def test_alignment_law_and_fifo_bound():
         ready = 0
         for t in range(16):
             out = conv.forward_step(state, Tensor.wrap(x.array[t]))
-            assert len(state.fifo) <= conv.receptive_field() - 1
+            assert len(state.ring) <= conv.receptive_field() - 1
             if out is not None:
                 assert max_rel_dev(out.array, offline[ready]) < tol
                 ready += 1
@@ -271,14 +272,10 @@ def test_post_form_cache_bound():
     state = conv.init_state()
     for t in range(20):
         conv.forward_step(state, rand_tensor(rng, (2, 2, 2)))
-        assert len(state.acc) <= conv.receptive_field() - 1
+        assert len(state.ring) <= conv.receptive_field() - 1
 
 
 # -- ring-buffer state ---------------------------------------------------------------
-
-
-def _ring(state):
-    return state.fifo if state.form == "pre" else state.acc
 
 
 @pytest.mark.parametrize("dtype,tol", [("f32", 1e-5), ("f64", 1e-12)])
@@ -302,9 +299,9 @@ def test_ring_steps_match_forward_and_never_reallocate(form, k_t, dil, stride, d
             for t in range(length):
                 y = conv.forward_step(state, Tensor.wrap(x.array[t]))
                 if ring is None:
-                    ring = _ring(state)
+                    ring = state.ring
                     assert ring.shape[0] == rf - 1 and ring.dtype == x.array.dtype
-                assert _ring(state) is ring and ring.shape[0] == rf - 1
+                assert state.ring is ring and ring.shape[0] == rf - 1
                 if y is not None:
                     assert y.dtype == dtype
                     outs.append(y.array)
