@@ -9,40 +9,19 @@ prediction a clip-mode ``forward`` over one receptive field), and the
 frames/s of one clip-mode ``forward`` over a whole ``STREAM``-frame stream.
 Lengths are chosen per model (300 for the skeleton network, the attention
 window for encoders, 64 for plain conv stacks).  Steps/s times ``STEPS``
-steps past warm-up, so a model with a long warm-up is not timed on steps
-that emit nothing.
+steps past warm-up (as ``cinbench throughput --mode step`` does), so a model
+with a long warm-up is not timed on steps that emit nothing.
 """
 
-import statistics
 import sys
-import time
 from pathlib import Path
 
 from cinet.cli import check_equivalence, count_flops, measure_throughput
-from cinet.config import build_model, load_config, random_stream
-from cinet.tensor import Tensor
+from cinet.config import build_model, load_config
 
 LENGTHS = {"toy_costgcn": 300, "encoder_one_block": 64, "encoder_two_block": 48}
 STREAM = 400  # frames of the whole-stream clip pass
 STEPS = 64  # timed steps per repeat
-
-
-def steady_steps_per_s(cfg: dict, model, repeats: int = 5) -> float:
-    """Median over ``repeats`` of ``STEPS`` ``forward_step`` calls per second,
-    each repeat timed on a fresh state already advanced through ``warmup()``."""
-    x = random_stream(0, model.warmup() + STEPS, tuple(cfg["input"]["shape"]),
-                      cfg.get("dtype", "f32"))
-    frames = [Tensor.wrap(x.array[t]) for t in range(x.shape[0])]
-    rates = []
-    for _ in range(repeats):
-        state = model.init_state()
-        for f in frames[:model.warmup()]:
-            model.forward_step(state, f)
-        t0 = time.perf_counter()
-        for f in frames[model.warmup():]:
-            model.forward_step(state, f)
-        rates.append(STEPS / (time.perf_counter() - t0))
-    return statistics.median(rates)
 
 
 def bench(path: Path) -> bool:
@@ -53,7 +32,7 @@ def bench(path: Path) -> bool:
     check = check_equivalence(cfg, model, length=t, seed=1, tol=1e-4)
     step = count_flops(cfg, model, "step", t)["total"]["flops"]
     offline = count_flops(cfg, model, "offline", t)["total"]["flops"]
-    steps_per_s = steady_steps_per_s(cfg, model)
+    steps_per_s = measure_throughput(cfg, model, "step", STEPS, 1, 5)["throughput"]
     window = model.receptive_field()
     tp_off = measure_throughput(cfg, model, "offline", window, 1, 5)
     tp_clip = measure_throughput(cfg, model, "offline", STREAM, 1, 5)

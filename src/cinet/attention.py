@@ -14,8 +14,8 @@ Rows are ``(..., d)``, one independent stream per index of the leading
 axes; multi-head attention passes its heads as a ``(heads,)`` axis, axis -3
 of window rows.  :func:`sda_full` takes the same leading axes, so one
 batched kernel serves clip mode, window input and step-mode refreshes.
-Clip mode is one batched call over a ``(W, n, ...)`` strided view of the
-clip's ``W`` complete windows; no Python loop walks the windows.  Stream
+Clip mode runs that kernel over a ``(W, n, ...)`` strided view of the clip's
+``W`` complete windows, ``WINDOW_BATCH`` windows per call.  Stream
 state is rings of ``(..., size, d)`` slots, zero-initialised on a stream's
 first row; step ``t`` owns slot ``t mod size``.  Retroactive attention keeps
 ``n - 1`` queries, ``n`` keys/values (the departing pair is read from the
@@ -44,11 +44,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, StepOutput, ring_buffer
+from .module import CoModule, OpCount, PerFrame, StepOutput, ring_buffer
 from .tensor import Tensor
 from .norm import LayerNorm
 
 LOGIT_CLAMP = 30.0
+WINDOW_BATCH = 128  # clip-mode windows per kernel call, bounding its temporaries
 
 
 def _clamped_exp(logits: np.ndarray, counter: list) -> np.ndarray:
@@ -102,6 +103,16 @@ def _windows(xa: np.ndarray, n: int) -> np.ndarray:
     xa = np.ascontiguousarray(xa)
     s = xa.strides
     return np.ndarray((max(len(xa) - n + 1, 0), n) + xa.shape[1:], xa.dtype, xa, 0, s[:1] + s)
+
+
+def _batched(kernel, windows: np.ndarray) -> np.ndarray:
+    """``kernel`` over ``WINDOW_BATCH`` of the ``(W, ...)`` windows at a time,
+    as one C-contiguous array: peak memory does not grow with ``W``, and as
+    windows are independent, the batch size changes no bit of the result."""
+    if len(windows) <= WINDOW_BATCH:
+        return np.ascontiguousarray(kernel(windows))
+    return np.concatenate([kernel(windows[i:i + WINDOW_BATCH])
+                           for i in range(0, len(windows), WINDOW_BATCH)])
 
 
 def _check_rows(d: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
@@ -249,8 +260,7 @@ class RetroAttention(_WindowAttention):
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         """Offline self-attention: one full window result per position."""
-        w = _windows(xa, self.n)
-        return _sda(w, w, w, self.scale)
+        return _batched(lambda w: _sda(w, w, w, self.scale), _windows(xa, self.n))
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n, d = self.n, self.d
@@ -318,8 +328,7 @@ class SingleAttention(_WindowAttention):
         return y
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
-        w = _windows(xa, self.n)
-        return _sda(w[:, -1:], w, w, self.scale)[:, 0]
+        return _batched(lambda w: _sda(w[:, -1:], w, w, self.scale)[:, 0], _windows(xa, self.n))
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n, d = self.n, self.d
@@ -404,8 +413,8 @@ class MultiheadAttention(_WindowAttention):
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         """Sliding-window offline multi-head self-attention."""
-        y = self._window(_windows(xa, self.n))
-        return y if self.mode == "retro" else np.ascontiguousarray(y[:, -1])
+        last = slice(None) if self.mode == "retro" else -1
+        return _batched(lambda w: self._window(w)[:, last], _windows(xa, self.n))
 
     def _proj_cost(self) -> OpCount:
         return OpCount(macs=self.d_model * (2 * self.d_k + self.d_v))
@@ -431,11 +440,13 @@ class _RpeState:
         self.tau = 0
 
 
-class RecyclingPositionalEncoding(CoModule):
+class RecyclingPositionalEncoding(PerFrame):
     """Add positional encodings indexed by a modular time counter.
 
     Positions are fixed in time rather than in sequence, so cached tokens
     never need re-encoding; after ``period`` steps the encodings repeat.
+    Timing and cost are a ``PerFrame``'s; the step counter ``tau`` is the
+    one piece of state, so both modes are its own.
     """
 
     def __init__(self, table: Tensor):
@@ -443,15 +454,6 @@ class RecyclingPositionalEncoding(CoModule):
             raise DimensionError(f"encoding table must be (period, d), got {table.shape}")
         self.table = table
         self.period = table.shape[0]
-
-    def delay(self) -> int:
-        return 0
-
-    def receptive_field(self) -> int:
-        return 1
-
-    def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        return tuple(frame_shape)
 
     def init_state(self) -> _RpeState:
         return _RpeState()
@@ -472,17 +474,13 @@ class RecyclingPositionalEncoding(CoModule):
     def step_cost(self, frame_shape: tuple) -> OpCount:
         return OpCount(other=int(np.prod(frame_shape)))
 
-    def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        return self.step_cost(frame_shape).scaled(t)
-
 
 class _EncoderState:
-    __slots__ = ("mha", "tokens", "t")
+    __slots__ = ("mha", "tokens")
 
     def __init__(self, mha_state):
         self.mha = mha_state
         self.tokens = None  # retro: (n, d_model) ring of inputs for the residual
-        self.t = 0
 
 
 class EncoderBlock(CoModule):
@@ -561,8 +559,7 @@ class EncoderBlock(CoModule):
         if self.mha.mode == "retro":
             n = self.mha.n
             tokens = state.tokens = ring_buffer(state.tokens, (n,) + sel.shape, sel.dtype)
-            cur = state.t % n
-            state.t += 1
+            cur = (state.mha.t - 1) % n  # the slot of the step the attention just took
             tokens[cur] = sel
             sel = tokens[self._slots[cur + 1 : cur + 1 + n]]  # the window, oldest first
         return None if att is None else self._block_tail(sel, att)
@@ -576,8 +573,8 @@ class EncoderBlock(CoModule):
                                      f"got {xa.shape}")
         else:
             xa = _windows(xa, self.mha.n)
-        y = self._offline_window(xa)
-        return y if self.mha.mode == "retro" else np.ascontiguousarray(y[:, -1])
+        last = slice(None) if self.mha.mode == "retro" else -1
+        return _batched(lambda w: self._offline_window(w)[:, last], xa)
 
     # -- analytic cost --------------------------------------------------------------
 

@@ -9,7 +9,9 @@ Subcommands
   reports one full clip pass, i.e. the per-prediction cost of sliding-window
   processing.
 - ``throughput``: wall-clock steps/s (step mode) or clips/s (offline mode),
-  single stream, single thread, median over repeats.
+  single stream, single thread, median over repeats.  Step mode times
+  ``--length`` steps past warm-up: each repeat first advances a fresh state
+  through ``warmup()`` steps untimed, so no timed step is a no-op.
 
 Conventions (also embedded in every report): FLOPs = 2 * MACs for
 multiply-accumulate work; exponential, division and comparison count as one
@@ -150,16 +152,20 @@ def measure_throughput(cfg: dict, model: Sequential, mode: str, length: int,
         report["no_data"] = True
         return report
     frame = _frame_shape(cfg)
-    x = random_stream(seed, length, frame, cfg.get("dtype", "f32"))
-    frames = [Tensor.wrap(x.array[t]) for t in range(length)]
+    lead = report["warmup_steps"] = model.warmup() if mode == "step" else 0
+    x = random_stream(seed, lead + length, frame, cfg.get("dtype", "f32"))
+    frames = [Tensor.wrap(f) for f in x.array]
     rates = []
     for r in range(warmup + repeats):
-        t0 = time.perf_counter()
         if mode == "step":
             state = model.init_state()
-            for f in frames:
+            for f in frames[:lead]:
+                model.forward_step(state, f)
+            t0 = time.perf_counter()
+            for f in frames[lead:]:
                 model.forward_step(state, f)
         else:
+            t0 = time.perf_counter()
             model.forward(x)
         elapsed = time.perf_counter() - t0
         if r >= warmup:

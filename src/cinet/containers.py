@@ -28,48 +28,31 @@ attention) only moves the container's warm-up.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, ring_buffer
+from .module import CoModule, OpCount, PerFrame, ring_buffer
 from .tensor import Tensor
 
 
-class Identity(CoModule):
-    def delay(self) -> int:
-        return 0
-
-    def receptive_field(self) -> int:
-        return 1
-
-    def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        return tuple(frame_shape)
-
-    def init_state(self):
-        return None
-
+class Identity(PerFrame):
     def forward(self, x: Tensor) -> Tensor:
         return x  # the tensor itself: there is nothing to wrap
 
     def forward_step(self, state, x_t: Tensor) -> Tensor:
         return x_t
 
-    def _clip(self, a: np.ndarray) -> np.ndarray:
-        return a
-
-    def _step(self, state, a: np.ndarray) -> np.ndarray:
+    def _apply(self, a: np.ndarray, channel_axis: int) -> np.ndarray:
         return a
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         return OpCount()
 
-    def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        return OpCount()
 
-
-class Pointwise(CoModule):
+class Pointwise(PerFrame):
     """Per-step channel projection (a 1x1x1 convolution without bias)."""
 
     def __init__(self, weight: Tensor):
@@ -78,37 +61,24 @@ class Pointwise(CoModule):
         self.weight = weight
         self.c_in, self.c_out = weight.shape
 
-    def delay(self) -> int:
-        return 0
-
-    def receptive_field(self) -> int:
-        return 1
-
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if frame_shape[0] != self.c_in:
             raise DimensionError(f"expected {self.c_in} channels, got {frame_shape[0]}")
         return (self.c_out,) + tuple(frame_shape[1:])
 
-    def init_state(self):
-        return None
-
     def _apply(self, xa: np.ndarray, channel_axis: int) -> np.ndarray:
+        """``W^T`` on the channel axis; the axes after it are the GEMM's columns."""
+        lead, tail = xa.shape[:channel_axis], xa.shape[channel_axis + 1:]
+        if xa.shape[channel_axis] != self.c_in:
+            raise DimensionError(f"axis {channel_axis} extent {xa.shape[channel_axis]} != "
+                                 f"{self.c_in} channels")
         w = self.weight.array.astype(xa.dtype, copy=False)
-        moved = np.moveaxis(xa, channel_axis, -1)
-        return np.ascontiguousarray(np.moveaxis(moved @ w, -1, channel_axis))
-
-    def _clip(self, a: np.ndarray) -> np.ndarray:
-        return self._apply(a, channel_axis=1)
-
-    def _step(self, state, a: np.ndarray) -> np.ndarray:
-        return self._apply(a, channel_axis=0)
+        y = w.T @ xa.reshape(lead + (self.c_in, math.prod(tail)))
+        return y.reshape(lead + (self.c_out,) + tail)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         spatial = int(np.prod(frame_shape[1:])) if len(frame_shape) > 1 else 1
         return OpCount(macs=self.c_in * self.c_out * spatial)
-
-    def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        return self.step_cost(frame_shape).scaled(t)
 
 
 class Sequential(CoModule):

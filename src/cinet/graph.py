@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .containers import Identity, Pointwise
 from .conv import TemporalConv
 from .errors import DimensionError
 from .module import CoModule, OpCount, ring_buffer
@@ -130,14 +131,13 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
 
 
 class _BlockState:
-    __slots__ = ("tc", "res", "t")
+    __slots__ = ("tc", "res")
 
     def __init__(self, tc_state):
         self.tc = tc_state
         # (res_delay, c_in, v) ring of the inputs awaiting their residual,
-        # allocated on the first frame; step t owns slot t mod res_delay
+        # allocated on the first frame; the conv's step t owns slot t mod res_delay
         self.res = None
-        self.t = 0
 
 
 class StGcnBlock(CoModule):
@@ -169,7 +169,8 @@ class StGcnBlock(CoModule):
         self.tc = tc
         self.bn = bn
         self.residual = residual
-        self.res_weight = res_weight
+        self.shortcut = (Pointwise(res_weight) if residual == "pointwise"
+                         else Identity() if residual == "identity" else None)
         self.res_delay = tc.delay()  # the residual lands on the aligned step
         self._stacks = {}  # dtype -> stacked graph-conv weights (A_cat, W)
 
@@ -188,11 +189,6 @@ class StGcnBlock(CoModule):
             raise DimensionError(f"frame {frame_shape} != ({self.c_in},{self.graph.v})")
         return (self.c_out, v)
 
-    def _res(self, xa: np.ndarray) -> np.ndarray:
-        if self.residual == "pointwise":
-            return self.res_weight.array.astype(xa.dtype, copy=False).T @ xa
-        return xa
-
     def init_state(self) -> _BlockState:
         return _BlockState(self.tc.init_state())
 
@@ -206,19 +202,18 @@ class StGcnBlock(CoModule):
     def _step(self, state: _BlockState, xa: np.ndarray) -> Optional[np.ndarray]:
         if xa.shape != (self.c_in, self.graph.v):
             raise DimensionError(f"frame {xa.shape} != ({self.c_in},{self.graph.v})")
-        d = self.res_delay if self.residual != "none" else 0
+        d = self.res_delay if self.shortcut is not None else 0
         if d:
             state.res = ring_buffer(state.res, (d,) + xa.shape, xa.dtype)
-        slot = state.t % max(d, 1)
-        state.t += 1
+        slot = state.tc.t % max(d, 1)
         tc_out = self.tc._step(state.tc, _gc(xa, *self._stack(xa.dtype))[:, :, None])
         y = None
         if tc_out is not None:
             y = self.bn._apply(tc_out[:, :, 0], channel_axis=0)
-            if self.residual != "none":
+            if self.shortcut is not None:
                 # the input res_delay steps back, held in this slot since; it is
                 # projected only here, so strides spend no work on skipped frames
-                y = y + self._res(state.res[slot] if d else xa)
+                y = y + self.shortcut._apply(state.res[slot] if d else xa, 0)
             y = np.maximum(y, 0)
         if d:
             state.res[slot] = xa
@@ -229,9 +224,9 @@ class StGcnBlock(CoModule):
             raise DimensionError(f"clip must be (T, c_in, v), got {xa.shape}")
         tc_out = self.tc._clip(_gc(xa, *self._stack(xa.dtype))[:, :, :, None])[:, :, :, 0]
         y = self.bn._apply(tc_out, channel_axis=1)
-        if self.residual != "none":
+        if self.shortcut is not None:
             # emission j lands on input j*stride, as in step mode
-            y = y + self._res(xa[:y.shape[0] * self.stride():self.stride()])
+            y = y + self.shortcut._apply(xa[:y.shape[0] * self.stride():self.stride()], 1)
         return np.maximum(y, 0)
 
     # -- analytic cost -------------------------------------------------------------
@@ -246,10 +241,10 @@ class StGcnBlock(CoModule):
         v = self.graph.v
         cost = self.tc._per_emission((self.c_out, v, 1))
         cost = cost + self.bn.step_cost((self.c_out, v))
-        if self.residual == "pointwise":
-            cost = cost + OpCount(macs=self.c_in * self.c_out * v)
-        extra = (2 if self.residual != "none" else 1) * self.c_out * v  # add + relu
-        return cost + OpCount(other=extra)
+        if self.shortcut is None:
+            return cost + OpCount(other=self.c_out * v)  # relu
+        cost = cost + self.shortcut.step_cost((self.c_in, v))
+        return cost + OpCount(other=2 * self.c_out * v)  # add + relu
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         per = self._per_emission()

@@ -152,3 +152,32 @@ class CoModule:
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
         """Arithmetic of one offline forward pass over a length-``t`` clip."""
         raise NotImplementedError
+
+
+class PerFrame(CoModule):
+    """A stateless layer mapping each frame on its own: delay 0, receptive
+    field 1, a clip costs ``t`` steps, and both modes run one kernel,
+    ``_apply(a, channel_axis)``, with the channels on axis 1 of a ``(T, C,
+    ...)`` clip and on axis 0 of a ``(C, ...)`` frame.  A subclass supplies
+    ``step_cost`` and ``_apply`` (and ``out_frame_shape`` if it reshapes)."""
+
+    def delay(self) -> int:
+        return 0
+
+    def receptive_field(self) -> int:
+        return 1
+
+    def out_frame_shape(self, frame_shape: tuple) -> tuple:
+        return tuple(frame_shape)
+
+    def init_state(self) -> None:
+        return None
+
+    def _clip(self, a: np.ndarray) -> np.ndarray:
+        return self._apply(a, 1)
+
+    def _step(self, state, a: np.ndarray) -> np.ndarray:
+        return self._apply(a, 0)
+
+    def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
+        return self.step_cost(frame_shape).scaled(t)

@@ -1,8 +1,9 @@
 """Inference-mode normalization layers and the step-momentum helper.
 
-Both layers are stateless, so their step and clip modes are identical by
-construction.  Batch normalization uses frozen running statistics (training
-is out of scope); layer normalization standardizes the last axis.
+Both layers are ``PerFrame``: stateless, one kernel for step and clip mode,
+so the two modes agree by construction.  Batch normalization uses frozen
+running statistics (training is out of scope) on the channel axis; layer
+normalization standardizes the last axis whatever the channel axis.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount
+from .module import OpCount, PerFrame
 from .tensor import Tensor
 
 
@@ -30,21 +31,7 @@ def step_momentum(m_seq: float, length: int) -> float:
     return 2.0 / (length * (2.0 / m_seq - 1.0) + 1.0)
 
 
-class _StatelessModule(CoModule):
-    def delay(self) -> int:
-        return 0
-
-    def receptive_field(self) -> int:
-        return 1
-
-    def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        return tuple(frame_shape)
-
-    def init_state(self) -> None:
-        return None
-
-
-class BatchNorm(_StatelessModule):
+class BatchNorm(PerFrame):
     """Per-channel affine normalization with frozen running statistics."""
 
     def __init__(self, gamma: Tensor, beta: Tensor, running_mean: Tensor,
@@ -79,20 +66,11 @@ class BatchNorm(_StatelessModule):
         shift = self._shift.reshape(shape).astype(xa.dtype, copy=False)
         return xa * scale + shift
 
-    def _clip(self, a: np.ndarray) -> np.ndarray:
-        return self._apply(a, channel_axis=1)
-
-    def _step(self, state, a: np.ndarray) -> np.ndarray:
-        return self._apply(a, channel_axis=0)
-
     def step_cost(self, frame_shape: tuple) -> OpCount:
         return OpCount(macs=int(np.prod(frame_shape)))
 
-    def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        return self.step_cost(frame_shape).scaled(t)
 
-
-class LayerNorm(_StatelessModule):
+class LayerNorm(PerFrame):
     """Standardize the last axis with sample statistics, then affine."""
 
     def __init__(self, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
@@ -104,7 +82,8 @@ class LayerNorm(_StatelessModule):
         self.eps = eps
         self.gamma, self.beta = gamma, beta
 
-    def _apply(self, xa: np.ndarray) -> np.ndarray:
+    def _apply(self, xa: np.ndarray, channel_axis: int = -1) -> np.ndarray:
+        """Normalize the last axis; ``channel_axis`` is not read."""
         if xa.shape[-1] != self.d:
             raise DimensionError(f"last extent {xa.shape[-1]} != {self.d}")
         # the arithmetic of xa.mean and xa.var, with the mean and the
@@ -115,16 +94,7 @@ class LayerNorm(_StatelessModule):
         return (norm * self.gamma.array.astype(xa.dtype, copy=False)
                 + self.beta.array.astype(xa.dtype, copy=False))
 
-    def _clip(self, a: np.ndarray) -> np.ndarray:
-        return self._apply(a)
-
-    def _step(self, state, a: np.ndarray) -> np.ndarray:
-        return self._apply(a)
-
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n = int(np.prod(frame_shape))
         tokens = n // self.d
         return OpCount(macs=2 * n, other=2 * n + 2 * tokens)
-
-    def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        return self.step_cost(frame_shape).scaled(t)

@@ -1,9 +1,13 @@
 """Continual attention against the from-scratch window oracle."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cinet.attention import (
+    WINDOW_BATCH,
     EncoderBlock,
     MultiheadAttention,
     RecyclingPositionalEncoding,
@@ -13,6 +17,7 @@ from cinet.attention import (
     sda_full,
     sda_full_cost,
 )
+from cinet.config import build_model, load_config, random_stream
 from cinet.containers import Sequential
 from cinet.errors import DimensionError
 from cinet.norm import LayerNorm
@@ -583,8 +588,9 @@ def clip_case(kind, n, d, rng):
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
-@pytest.mark.parametrize("t_of_n", [lambda n: n - 1, lambda n: n, lambda n: 3 * n + 2],
-                         ids=["n-1", "n", "3n+2"])
+@pytest.mark.parametrize("t_of_n", [lambda n: n - 1, lambda n: n, lambda n: 3 * n + 2,
+                                    lambda n: 2 * WINDOW_BATCH + n + 1],
+                         ids=["n-1", "n", "3n+2", "3-batches"])
 @pytest.mark.parametrize("kind", ["retro", "single", "mha-retro-1", "mha-retro-2",
                                   "mha-single-1", "mha-single-2", "enc-retro", "enc-single",
                                   "enc-window"])
@@ -610,3 +616,21 @@ def test_clip_equals_the_kernel_run_per_window(kind, t_of_n, dtype):
     if wins:
         assert max_rel_dev(got, np.stack([oracle(w) for w in wins])) < 1e-4
     assert got.flags.c_contiguous and not np.shares_memory(got, x.array)
+
+
+def test_clip_memory_is_bounded_by_the_window_batch():
+    """Clip mode's temporaries are ``WINDOW_BATCH`` windows deep, not one per
+    window of the clip: one call over all 961 windows of this 1024-frame
+    stream would peak near 71 MB."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "encoder_one_block.json"
+    cfg = load_config(path)
+    model = build_model(cfg, path.parent)
+    x = random_stream(3, 1024, tuple(cfg["input"]["shape"]), cfg["dtype"])
+    tracemalloc.start()
+    try:
+        y = model.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (1024 - 63, 8)
+    assert peak <= 16e6, f"clip peak {peak / 1e6:.1f} MB"

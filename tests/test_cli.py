@@ -1,12 +1,16 @@
 """Benchmark CLI: equivalence checks, FLOP accounting, reports, exit codes."""
 
 import json
+import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cinet import cli
 from cinet.cli import check_equivalence, count_flops, main, measure_throughput
-from cinet.config import build_model
+from cinet.config import build_model, load_config
 from cinet.errors import ConfigError
 
 from conftest import rand_tensor
@@ -148,6 +152,32 @@ def test_throughput_median_is_reproducible():
         if abs(a - b) <= 0.2 * max(a, b):
             return
     raise AssertionError(f"medians never stabilized within 20%: {medians}")
+
+
+def test_step_throughput_times_only_steps_past_warmup(monkeypatch):
+    """encoder_one_block emits nothing for 63 steps; a 64-step timing that
+    started on a fresh state would time 63 no-ops and one emission."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "encoder_one_block.json"
+    cfg = load_config(path)
+    model = build_model(cfg, path.parent)
+    timing = [False]  # each clock read opens or closes a timed span
+    timed = []  # per timed forward_step: did it emit?
+
+    def clock():
+        timing[0] = not timing[0]
+        return time.perf_counter()
+
+    def forward_step(state, x_t):
+        y = type(model).forward_step(model, state, x_t)
+        if timing[0]:
+            timed.append(y is not None)
+        return y
+
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=clock, strftime=time.strftime))
+    monkeypatch.setattr(model, "forward_step", forward_step)
+    report = measure_throughput(cfg, model, "step", 64, 1, 3)
+    assert report["warmup_steps"] == model.warmup() == 63
+    assert len(timed) == (1 + 3) * 64 and all(timed)
 
 
 def test_throughput_requires_three_repeats():
