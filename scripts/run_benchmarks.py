@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Equivalence + FLOP-ratio + throughput sweep over the bundled configs.
 
-For each config: verify offline/online equivalence, then report the
-per-prediction cost of sliding-window processing next to the steady
-per-step cost, their ratio, and measured wall-clock throughput in both
-modes with their ratio (steps/s over sliding-window predictions/s, each
-prediction a clip-mode ``forward`` over one receptive field), and the
-frames/s of one clip-mode ``forward`` over a whole ``STREAM``-frame stream.
-Lengths are chosen per model (300 for the skeleton network, the attention
-window for encoders, 64 for plain conv stacks).  Steps/s times ``STEPS``
-steps past warm-up (as ``cinbench throughput --mode step`` does), so a model
-with a long warm-up is not timed on steps that emit nothing.
+For each config: verify offline/online equivalence over ``LENGTHS`` frames
+(300 for the skeleton network, the attention window for encoders, 64 for
+plain conv stacks), then report the per-prediction cost of sliding-window
+processing next to the steady per-step cost, their ratio, and measured
+wall-clock throughput in both modes with their ratio (steps/s over
+sliding-window predictions/s), and the frames/s of one clip-mode ``forward``
+over a whole ``STREAM``-frame stream.  A prediction is a clip-mode
+``forward`` over one receptive field, both where its FLOPs are counted and
+where it is timed.  Steps/s times ``STEPS`` steps past warm-up (as
+``cinbench throughput --mode step`` does), so a model with a long warm-up is
+not timed on steps that emit nothing.
 """
 
 import sys
@@ -30,14 +31,14 @@ def bench(path: Path) -> bool:
     t = LENGTHS.get(cfg["name"], 64)
 
     check = check_equivalence(cfg, model, length=t, seed=1, tol=1e-4)
-    step = count_flops(cfg, model, "step", t)["total"]["flops"]
-    offline = count_flops(cfg, model, "offline", t)["total"]["flops"]
-    steps_per_s = measure_throughput(cfg, model, "step", STEPS, 1, 5)["throughput"]
     window = model.receptive_field()
+    step = count_flops(cfg, model, "step", window)["total"]["flops"]
+    offline = count_flops(cfg, model, "offline", window)["total"]["flops"]
+    steps_per_s = measure_throughput(cfg, model, "step", STEPS, 1, 5)["throughput"]
     tp_off = measure_throughput(cfg, model, "offline", window, 1, 5)
     tp_clip = measure_throughput(cfg, model, "offline", STREAM, 1, 5)
 
-    print(f"{cfg['name']:>20}  T={t:<4d} "
+    print(f"{cfg['name']:>20}  T={t:<4d} rf={window:<4d} "
           f"equiv={'ok' if check['pass'] else 'FAIL'} "
           f"(max_rel {check['max_rel']:.1e})  "
           f"flops/pred offline={offline:.3e} step={step:.3e} "

@@ -15,15 +15,29 @@ axes; multi-head attention passes its heads as a ``(heads,)`` axis, axis -3
 of window rows.  :func:`sda_full` takes the same leading axes, so one
 batched kernel serves clip mode, window input and step-mode refreshes.
 Clip mode runs that kernel over a ``(W, n, ...)`` strided view of the clip's
-``W`` complete windows, ``WINDOW_BATCH`` windows per call.  Stream
-state is rings of ``(..., size, d)`` slots, zero-initialised on a stream's
-first row; step ``t`` owns slot ``t mod size``.  Retroactive attention keeps
-``n - 1`` queries, ``n`` keys/values (the departing pair is read from the
-slot the arriving pair then takes) and ``n`` ``d_mem``/``av_mem`` rows;
-single-output attention keeps ``n - 1`` keys/values.
+``W`` complete windows, ``WINDOW_BATCH`` windows per call.
+
+Stream state is zero-initialised on a stream's first row.  Retroactive
+attention keeps ``n - 1`` queries, ``n`` keys/values and ``n``
+``d_mem``/``av_mem`` rows as ``(..., size, d)`` arrays in window order,
+oldest row first: each step reads the departing key/value from the oldest
+row, shifts every array by one row and writes the newest row last.  That is
+O(n*d), the order of the update itself, and the emission is read off
+``av_mem``/``d_mem`` without a gather.  Single-output attention keeps
+``n - 1`` keys/values in a ring where step ``t`` owns slot ``t mod (n - 1)``:
+its one output row is a sum over the window, whatever the slot order.
+
+Multi-head attention projects a self-attention token or window by one
+matmul with ``w_q | w_k | w_v`` concatenated once per dtype, and reads the
+head rows as views of that product; rows that differ (cross-attention)
+are projected by their own weights.
 
 :class:`EncoderBlock` takes its step form and window from its attention; a
 positional encoding is a ``Sequential`` stage ahead of a token-input block.
+A window-input block (the single-output block after a retroactive one)
+needs only its window's newest row: it projects keys and values for all
+``n`` rows but the query of that row alone, and runs attention, the
+residual, LayerNorms and feed-forward on that one row.
 
 Numerical-stability choices: the subtract/add updates rule out the usual
 max-subtraction softmax trick, so (a) ``d_mem``/``av_mem`` accumulate in f64
@@ -63,7 +77,7 @@ def _clamped_exp(logits: np.ndarray, counter: list) -> np.ndarray:
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale, counter=None):
     """``A 1`` and ``A V`` of ``A = exp(Q K^T * scale)`` over leading batch
     axes; logits are clamped and counted when a ``counter`` is given."""
-    logits = q @ np.swapaxes(k, -1, -2) * scale
+    logits = q @ k.swapaxes(-1, -2) * scale
     a = np.exp(logits) if counter is None else _clamped_exp(logits, counter)
     return a.sum(axis=-1), a @ v
 
@@ -127,10 +141,11 @@ def _rows(size: int, row: np.ndarray) -> tuple:
     return row.shape[:-1] + (size, row.shape[-1])
 
 
-def _slot_table(size: int) -> np.ndarray:
-    """Ring slots in step order: ``table[s : s + size]`` lists the slots of
-    a ``size``-slot ring from slot ``s`` on, wrapping around."""
-    return np.arange(2 * size) % max(size, 1)
+def _push(rows: np.ndarray, row: np.ndarray) -> None:
+    """Shift window-order ``(..., size, d)`` rows by one, the oldest out, and
+    write ``row`` as the newest."""
+    rows[..., :-1, :] = rows[..., 1:, :]
+    rows[..., -1, :] = row
 
 
 class _WindowAttention(CoModule):
@@ -162,11 +177,12 @@ class _RetroCache:
 
     def __init__(self):
         self.dtype = None  # the stream's row dtype, fixed by its first row
-        self.q_mem = None  # (..., n-1, d) f64 ring of the queries still in the window
-        self.k_mem = None  # (..., n, d) f64 ring; see the module docstring
-        self.v_mem = None  # (..., n, d_v) f64 ring
-        self.d_mem = None  # (..., n) f64 ring, allocated on the first emission
-        self.av_mem = None  # (..., n, d_v) f64 ring, likewise
+        # f64 rows in window order, oldest first; see the module docstring
+        self.q_mem = None  # (..., n-1, d): the queries still in the window
+        self.k_mem = None  # (..., n, d)
+        self.v_mem = None  # (..., n, d_v)
+        self.d_mem = None  # (..., n), allocated on the first emission
+        self.av_mem = None  # (..., n, d_v), likewise
         self.t = 0
         self.clamp_events = [0]
 
@@ -183,8 +199,6 @@ class RetroAttention(_WindowAttention):
         self.scale = 1.0 / float(np.sqrt(d))
         self.refresh_interval = refresh_interval  # 0 disables refreshes
         self.scale_updates = scale_updates
-        self._slots = _slot_table(n)
-        self._q_slots = _slot_table(n - 1)
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         return (self.n, self.d)
@@ -206,57 +220,52 @@ class RetroAttention(_WindowAttention):
         qa, ka, va = (a.astype(np.float64, copy=False) for a in (q, k, v))
         _check_rows(self.d, qa, ka, va)
         n, m = self.n, self.n - 1
-        state.q_mem = ring_buffer(state.q_mem, _rows(m, qa), np.float64)
-        state.k_mem = ring_buffer(state.k_mem, _rows(n, ka), np.float64)
-        state.v_mem = ring_buffer(state.v_mem, _rows(n, va), np.float64)
+        q_mem = state.q_mem = ring_buffer(state.q_mem, _rows(m, qa), np.float64)
+        k_mem = state.k_mem = ring_buffer(state.k_mem, _rows(n, ka), np.float64)
+        v_mem = state.v_mem = ring_buffer(state.v_mem, _rows(n, va), np.float64)
         t = state.t
         state.t += 1
-        cur = t % n  # the departing key/value's slot, and the arriving one's
-        j = t % max(m, 1)
         if t < m:
-            state.q_mem[..., j, :] = qa
-            state.k_mem[..., cur, :] = ka
-            state.v_mem[..., cur, :] = va
+            _push(q_mem, qa)
+            _push(k_mem, ka)
+            _push(v_mem, va)
             return None
-        win = self._slots[cur + 1 : cur + 1 + n]  # window slots, oldest first
-        q_old = state.q_mem[..., self._q_slots[j : j + m], :]  # oldest first
-        warm_steps = t - m
         from_scratch = (
             state.d_mem is None
             or n == 1
-            or (self.refresh_interval and warm_steps % self.refresh_interval == 0)
+            or (self.refresh_interval and (t - m) % self.refresh_interval == 0)
         )
         if not from_scratch:
+            # the window's rows but the newest lose the oldest key/value and
+            # gain the arriving one, moving up one row as they do
             upd_scale = self.scale if self.scale_updates else 1.0
-            v_old = state.v_mem[..., cur, None, :]
-            k_pair = np.stack([state.k_mem[..., cur, :], ka], axis=-1)
-            e = _clamped_exp(q_old @ k_pair * upd_scale, state.clamp_events)
-            rows = win[:-1]
-            state.d_mem[..., rows] = state.d_mem[..., rows] - e[..., 0] + e[..., 1]
-            state.av_mem[..., rows, :] = (
-                state.av_mem[..., rows, :]
-                - e[..., :1] * v_old
+            k_pair = np.empty(ka.shape + (2,))  # (..., d, 2): departing, arriving
+            k_pair[..., 0] = k_mem[..., 0, :]
+            k_pair[..., 1] = ka
+            e = _clamped_exp(q_mem @ k_pair * upd_scale, state.clamp_events)
+            state.d_mem[..., :-1] = state.d_mem[..., 1:] - e[..., 0] + e[..., 1]
+            state.av_mem[..., :-1, :] = (
+                state.av_mem[..., 1:, :]
+                - e[..., :1] * v_mem[..., :1, :]
                 + e[..., 1:] * va[..., None, :]
             )
-        state.k_mem[..., cur, :] = ka
-        state.v_mem[..., cur, :] = va
+        _push(k_mem, ka)
+        _push(v_mem, va)
         if from_scratch:
-            q_win = np.concatenate([q_old, qa[..., None, :]], axis=-2)
-            denom, av = _attend(q_win, state.k_mem, state.v_mem, self.scale,
-                                state.clamp_events)
+            q_win = np.concatenate([q_mem, qa[..., None, :]], axis=-2)
+            denom, av = _attend(q_win, k_mem, v_mem, self.scale, state.clamp_events)
             state.d_mem = ring_buffer(state.d_mem, denom.shape, np.float64)
             state.av_mem = ring_buffer(state.av_mem, av.shape, np.float64)
-            state.d_mem[..., win] = denom
-            state.av_mem[..., win, :] = av
+            state.d_mem[...] = denom
+            state.av_mem[...] = av
         else:
-            denom, av = _attend(qa[..., None, :], state.k_mem, state.v_mem, self.scale,
+            denom, av = _attend(qa[..., None, :], k_mem, v_mem, self.scale,
                                 state.clamp_events)
-            state.d_mem[..., cur] = denom[..., 0]
-            state.av_mem[..., cur, :] = av[..., 0, :]
+            state.d_mem[..., -1] = denom[..., 0]
+            state.av_mem[..., -1, :] = av[..., 0, :]
         if m:
-            state.q_mem[..., j, :] = qa
-        out = (state.av_mem / state.d_mem[..., None])[..., win, :]
-        return out.astype(q.dtype, copy=False)
+            _push(q_mem, qa)
+        return (state.av_mem / state.d_mem[..., None]).astype(q.dtype, copy=False)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         """Offline self-attention: one full window result per position."""
@@ -376,6 +385,7 @@ class MultiheadAttention(_WindowAttention):
         else:
             self._head = SingleAttention(n, dh_k)
         self._dh_k, self._dh_v = dh_k, dh_v
+        self._w_qkv = {}  # dtype -> w_q | w_k | w_v, made on first use
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if self.mode == "retro":
@@ -385,13 +395,33 @@ class MultiheadAttention(_WindowAttention):
     def init_state(self):
         return self._head.init_state()
 
-    def _heads(self, x: np.ndarray, w: Tensor) -> np.ndarray:
-        """Project a (d_model,) token or (..., n, d_model) windows by ``w``
-        into (heads, d_h) or (..., heads, n, d_h) head rows: views of the
-        projection, which the matmuls read in place, without a copy."""
-        a = x @ w.array.astype(x.dtype, copy=False)
+    def _qkv(self, dtype: np.dtype) -> np.ndarray:
+        """``w_q | w_k | w_v`` as one (d_model, 2*d_k + d_v) matrix, made once per dtype."""
+        w = self._w_qkv.get(dtype)
+        if w is None:
+            w = np.concatenate([self.w_q.array, self.w_k.array, self.w_v.array], axis=1)
+            w = self._w_qkv[dtype] = w.astype(dtype)
+        return w
+
+    def _split(self, a: np.ndarray) -> np.ndarray:
+        """A (d,) or (..., n, d) projection -> (heads, d_h) or (..., heads, n,
+        d_h) head rows: a view, which the matmuls read in place."""
         h = a.reshape(a.shape[:-1] + (self.heads, a.shape[-1] // self.heads))
         return h.swapaxes(-3, -2) if h.ndim > 2 else h
+
+    def _heads(self, x_q: np.ndarray, x_k: np.ndarray, x_v: np.ndarray) -> tuple:
+        """q, k, v head rows of (d_model,) tokens or (..., n, d_model) windows.
+        Self-attention (one array thrice) takes one matmul by ``w_q | w_k |
+        w_v`` and three views of it; distinct rows each take their own weight."""
+        dk = self.d_k
+        if x_q is x_k and x_k is x_v:
+            p = x_q @ self._qkv(x_q.dtype)
+            q, k, v = p[..., :dk], p[..., dk:2 * dk], p[..., 2 * dk:]
+        else:
+            q = x_q @ self._qkv(x_q.dtype)[:, :dk]
+            k = x_k @ self._qkv(x_k.dtype)[:, dk:2 * dk]
+            v = x_v @ self._qkv(x_v.dtype)[:, 2 * dk:]
+        return self._split(q), self._split(k), self._split(v)
 
     def _merge(self, y: np.ndarray) -> np.ndarray:
         """Head outputs (heads, d_h) or (..., heads, n, d_h) -> heads
@@ -402,13 +432,25 @@ class MultiheadAttention(_WindowAttention):
 
     def _window(self, win: np.ndarray) -> np.ndarray:
         """Attention output (..., n, d_o) of complete (..., n, d_model) windows."""
-        q, k, v = (self._heads(win, w) for w in (self.w_q, self.w_k, self.w_v))
-        return self._merge(_sda(q, k, v, self._head.scale))
+        return self._merge(_sda(*self._heads(win, win, win), self._head.scale))
+
+    def _newest(self, win: np.ndarray) -> np.ndarray:
+        """Attention output (..., 1, d_o) of the newest row of complete (...,
+        n, d_model) windows: keys and values of every row, one query."""
+        w = self._qkv(win.dtype)
+        q = self._split(win[..., -1:, :] @ w[:, :self.d_k])
+        kv = win @ w[:, self.d_k:]
+        # K^T as contiguous rows: a one-row q K^T is a matrix-vector product,
+        # and over a strided K^T BLAS runs it as a transposed gemv whose sums
+        # round unlike the window's gemm; laid out this way, the newest row
+        # gets the bits that row of ``_window`` gets
+        k_t = np.ascontiguousarray(self._split(kv[..., :self.d_k]).swapaxes(-1, -2))
+        v = self._split(kv[..., self.d_k:])
+        return self._merge(_sda(q, k_t.swapaxes(-1, -2), v, self._head.scale))
 
     def _att(self, state, x_q: np.ndarray, x_k: np.ndarray,
              x_v: np.ndarray) -> Optional[np.ndarray]:
-        y = self._head._att(state, self._heads(x_q, self.w_q), self._heads(x_k, self.w_k),
-                            self._heads(x_v, self.w_v))
+        y = self._head._att(state, *self._heads(x_q, x_k, x_v))
         return None if y is None else self._merge(y)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
@@ -480,7 +522,7 @@ class _EncoderState:
 
     def __init__(self, mha_state):
         self.mha = mha_state
-        self.tokens = None  # retro: (n, d_model) ring of inputs for the residual
+        self.tokens = None  # retro: (n, d_model) window of inputs for the residual, oldest first
 
 
 class EncoderBlock(CoModule):
@@ -492,9 +534,10 @@ class EncoderBlock(CoModule):
     retro mode all ``n`` rows are.  A positional encoding is a stage ahead.
 
     With ``window_input=True`` a single-mode block consumes complete (n, d)
-    windows (as emitted by an upstream retroactive block), recomputing the
-    newest-row output per window and keeping no state; that is the two-block
-    wiring where a retroactive block runs first and a single-output block last.
+    windows (as emitted by an upstream retroactive block), computing the
+    newest row's output from the window and keeping no state; that is the
+    two-block wiring where a retroactive block runs first and a single-output
+    block last.
     """
 
     def __init__(self, mha: MultiheadAttention,
@@ -511,7 +554,7 @@ class EncoderBlock(CoModule):
         self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2 = ff_w1, ff_b1, ff_w2, ff_b2
         self.ln1, self.ln2 = ln1, ln2
         self.window_input = window_input
-        self._slots = _slot_table(mha.n)
+        self._ff_cast = {}  # dtype -> feed-forward weights in it, made on first use
 
     def delay(self) -> int:
         return 0
@@ -531,10 +574,17 @@ class EncoderBlock(CoModule):
     # -- shared math -------------------------------------------------------------
 
     def _ff(self, ya: np.ndarray) -> np.ndarray:
-        dt = ya.dtype
-        h = np.maximum(ya @ self.ff_w1.array.astype(dt, copy=False)
-                       + self.ff_b1.array.astype(dt, copy=False), 0)
-        return h @ self.ff_w2.array.astype(dt, copy=False) + self.ff_b2.array.astype(dt, copy=False)
+        ff = self._ff_cast.get(ya.dtype)
+        if ff is None:
+            ff = self._ff_cast[ya.dtype] = tuple(
+                t.array.astype(ya.dtype) for t in (self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2))
+        w1, b1, w2, b2 = ff
+        h = ya @ w1
+        h += b1
+        np.maximum(h, 0, out=h)
+        y = h @ w2
+        y += b2
+        return y
 
     def _block_tail(self, sel: np.ndarray, att: np.ndarray) -> np.ndarray:
         y = self.ln1._apply(sel + att)
@@ -544,6 +594,13 @@ class EncoderBlock(CoModule):
         """Full block output for complete (..., n, d_model) windows."""
         return self._block_tail(win, self.mha._window(win))
 
+    def _newest(self, win: np.ndarray) -> np.ndarray:
+        """Block output (..., d_model) of the newest row of complete (..., n,
+        d_model) windows: the window-input kernel of both modes.  The row
+        keeps its window axis through the tail, so a window's products are
+        the same BLAS calls whether it comes alone or in a batch."""
+        return self._block_tail(win[..., -1:, :], self.mha._newest(win))[..., 0, :]
+
     # -- step mode ------------------------------------------------------------------
 
     def _step(self, state: Optional[_EncoderState], a: np.ndarray) -> Optional[np.ndarray]:
@@ -551,17 +608,14 @@ class EncoderBlock(CoModule):
             if a.shape != (self.mha.n, self.d_model):
                 raise DimensionError(f"window input must be ({self.mha.n}, {self.d_model}), "
                                      f"got {a.shape}")
-            return self._offline_window(a)[-1]
+            return self._newest(a)
         if a.shape != (self.d_model,):
             raise DimensionError(f"token must be ({self.d_model},), got {a.shape}")
         sel = a
         att = self.mha._step(state.mha, a)
         if self.mha.mode == "retro":
-            n = self.mha.n
-            tokens = state.tokens = ring_buffer(state.tokens, (n,) + sel.shape, sel.dtype)
-            cur = (state.mha.t - 1) % n  # the slot of the step the attention just took
-            tokens[cur] = sel
-            sel = tokens[self._slots[cur + 1 : cur + 1 + n]]  # the window, oldest first
+            sel = state.tokens = ring_buffer(state.tokens, (self.mha.n,) + a.shape, a.dtype)
+            _push(sel, a)  # the window, oldest first
         return None if att is None else self._block_tail(sel, att)
 
     # -- clip mode --------------------------------------------------------------------
@@ -571,10 +625,9 @@ class EncoderBlock(CoModule):
             if xa.ndim != 3 or xa.shape[1:] != (self.mha.n, self.d_model):
                 raise DimensionError(f"window input must be (T, {self.mha.n}, {self.d_model}), "
                                      f"got {xa.shape}")
-        else:
-            xa = _windows(xa, self.mha.n)
+            return _batched(self._newest, xa)
         last = slice(None) if self.mha.mode == "retro" else -1
-        return _batched(lambda w: self._offline_window(w)[:, last], xa)
+        return _batched(lambda w: self._offline_window(w)[:, last], _windows(xa, self.mha.n))
 
     # -- analytic cost --------------------------------------------------------------
 
@@ -587,11 +640,17 @@ class EncoderBlock(CoModule):
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         if self.window_input:
-            return self.clip_cost(frame_shape, 1)  # a step recomputes one window
+            return self.clip_cost(frame_shape, 1)  # a step computes one window's row
         rows = self.mha.n if self.mha.mode == "retro" else 1
         return self.mha.step_cost(frame_shape) + self._tail_cost(rows)
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        n = self.mha.n
-        per_win = self.mha.clip_cost((self.d_model,), n) + self._tail_cost(n)
+        m = self.mha
+        if self.window_input:
+            # the newest row of a window costs a token step, plus the keys and
+            # values of the n - 1 older rows, which a token block has cached
+            older = OpCount(macs=(m.n - 1) * m.d_model * (m.d_k + m.d_v))
+            per_win = m.step_cost((self.d_model,)) + older + self._tail_cost(1)
+        else:
+            per_win = m.clip_cost((self.d_model,), m.n) + self._tail_cost(m.n)
         return per_win.scaled(self.out_len(t))

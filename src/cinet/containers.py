@@ -60,6 +60,7 @@ class Pointwise(PerFrame):
             raise DimensionError(f"weight must be (c_in, c_out), got {weight.shape}")
         self.weight = weight
         self.c_in, self.c_out = weight.shape
+        self._w_t = {}  # dtype -> W^T in it, made on first use
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if frame_shape[0] != self.c_in:
@@ -68,12 +69,16 @@ class Pointwise(PerFrame):
 
     def _apply(self, xa: np.ndarray, channel_axis: int) -> np.ndarray:
         """``W^T`` on the channel axis; the axes after it are the GEMM's columns."""
-        lead, tail = xa.shape[:channel_axis], xa.shape[channel_axis + 1:]
         if xa.shape[channel_axis] != self.c_in:
             raise DimensionError(f"axis {channel_axis} extent {xa.shape[channel_axis]} != "
                                  f"{self.c_in} channels")
-        w = self.weight.array.astype(xa.dtype, copy=False)
-        y = w.T @ xa.reshape(lead + (self.c_in, math.prod(tail)))
+        w_t = self._w_t.get(xa.dtype)
+        if w_t is None:
+            w_t = self._w_t[xa.dtype] = self.weight.array.astype(xa.dtype).T
+        if channel_axis == 0 and xa.ndim == 2:  # a (c_in, V) frame is the GEMM's operand
+            return w_t @ xa
+        lead, tail = xa.shape[:channel_axis], xa.shape[channel_axis + 1:]
+        y = w_t @ xa.reshape(lead + (self.c_in, math.prod(tail)))
         return y.reshape(lead + (self.c_out,) + tail)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:

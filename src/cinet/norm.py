@@ -81,18 +81,27 @@ class LayerNorm(PerFrame):
         self.d = gamma.shape[0]
         self.eps = eps
         self.gamma, self.beta = gamma, beta
+        self._affine = {}  # dtype -> (gamma, beta, eps) in it, made on first use
 
     def _apply(self, xa: np.ndarray, channel_axis: int = -1) -> np.ndarray:
         """Normalize the last axis; ``channel_axis`` is not read."""
         if xa.shape[-1] != self.d:
             raise DimensionError(f"last extent {xa.shape[-1]} != {self.d}")
+        cast = self._affine.get(xa.dtype)
+        if cast is None:
+            cast = self._affine[xa.dtype] = (self.gamma.array.astype(xa.dtype),
+                                             self.beta.array.astype(xa.dtype),
+                                             xa.dtype.type(self.eps))
+        gamma, beta, eps = cast
         # the arithmetic of xa.mean and xa.var, with the mean and the
-        # centred array computed once instead of once each
+        # centred array computed once instead of once each; the divide,
+        # scale and shift then run in place on the fresh centred array
         c = xa - np.add.reduce(xa, -1, keepdims=True) / self.d
         var = np.add.reduce(c * c, -1, keepdims=True) / self.d
-        norm = c / np.sqrt(var + xa.dtype.type(self.eps))
-        return (norm * self.gamma.array.astype(xa.dtype, copy=False)
-                + self.beta.array.astype(xa.dtype, copy=False))
+        c /= np.sqrt(var + eps)
+        c *= gamma
+        c += beta
+        return c
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n = int(np.prod(frame_shape))

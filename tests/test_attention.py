@@ -20,6 +20,7 @@ from cinet.attention import (
 from cinet.config import build_model, load_config, random_stream
 from cinet.containers import Sequential
 from cinet.errors import DimensionError
+from cinet.module import OpCount
 from cinet.norm import LayerNorm
 from cinet.tensor import Tensor
 
@@ -199,6 +200,78 @@ def test_retro_rejects_row_dtype_drift():
         retro.forward_step(state, rand_tensor(rng, (4,), dtype="f64"))
 
 
+def test_retro_state_is_the_window_in_order():
+    # every state array holds f64 rows oldest first: the last n - 1 queries,
+    # the last n keys and values, and the n row sums and weighted values the
+    # emission is read off without a gather
+    n, d, h, steps = 4, 3, 2, 30
+    rng = np.random.default_rng(42)
+    retro = RetroAttention(n, d, refresh_interval=5)
+    q, k, v = (rng.uniform(-1, 1, (steps, h, d)).astype(np.float32) for _ in range(3))
+    shapes = {"q_mem": (h, n - 1, d), "k_mem": (h, n, d), "v_mem": (h, n, d),
+              "d_mem": (h, n), "av_mem": (h, n, d)}
+    state = retro.init_state()
+    for t in range(steps):
+        y = retro.att_step(state, *(Tensor.wrap(a[t]) for a in (q, k, v)))
+        for name, shape in shapes.items():
+            held = getattr(state, name)
+            if held is None:  # d_mem/av_mem: allocated on the first emission
+                assert name in ("d_mem", "av_mem") and t < n - 1
+                continue
+            assert held.shape == shape and held.dtype == np.float64
+        if t < n - 1:
+            assert y is None
+            continue
+        assert np.array_equal(state.q_mem, q[t - n + 2 : t + 1].swapaxes(0, 1))
+        assert np.array_equal(state.k_mem, k[t - n + 1 : t + 1].swapaxes(0, 1))
+        assert np.array_equal(state.v_mem, v[t - n + 1 : t + 1].swapaxes(0, 1))
+        want = (state.av_mem / state.d_mem[..., None]).astype(np.float32)
+        assert np.array_equal(y.array, want)
+    with pytest.raises(DimensionError):
+        retro.att_step(state, *(Tensor.wrap(a[0].astype(np.float64)) for a in (q, k, v)))
+
+
+def test_retro_refresh_step_recomputes_the_window():
+    # a refresh step recomputes d_mem/av_mem from the window's rows, so its
+    # emission is the from-scratch attention of that window.  Unscaled
+    # updates make every other step drift far from it, so only a real
+    # recomputation lands within f64 rounding on the refresh steps
+    n, d, interval, steps = 5, 4, 8, 70
+    rng = np.random.default_rng(43)
+    retro = RetroAttention(n, d, refresh_interval=interval, scale_updates=False)
+    q, k, v = (rng.uniform(-1.5, 1.5, (steps, d)) for _ in range(3))
+    state = retro.init_state()
+    refreshed = 0
+    for t in range(steps):
+        y = retro.att_step(state, *(Tensor.wrap(a[t]) for a in (q, k, v)))
+        if y is None:
+            continue
+        win = slice(t - n + 1, t + 1)
+        dev = max_rel_dev(y.array, sda_full(*(Tensor.wrap(a[win]) for a in (q, k, v))).array)
+        if (t - (n - 1)) % interval == 0:
+            assert dev < 1e-12
+            refreshed += 1
+        else:
+            assert dev > 1e-6
+    assert refreshed == (steps - n) // interval + 1
+
+
+def test_clamp_events_count_on_the_update_and_the_scratch_row():
+    # logits above 30 are clamped and counted wherever they are exponentiated:
+    # n * n on a from-scratch step, and otherwise 2 * (n - 1) update terms plus
+    # the n of the newest row
+    n, d = 3, 2
+    retro = RetroAttention(n, d, refresh_interval=0)
+    state = retro.init_state()
+    big = Tensor.wrap(np.full(d, 40.0, dtype=np.float32))
+    counts = [0]
+    for _ in range(6):
+        retro.att_step(state, big, big, big)
+        counts.append(state.clamp_events[0])
+    per_step = [b - a for a, b in zip(counts, counts[1:])]
+    assert per_step == [0, 0, n * n] + [2 * (n - 1) + n] * 3
+
+
 # -- single-output -----------------------------------------------------------------
 
 
@@ -296,6 +369,30 @@ def test_mha_vs_offline_oracle(mode, heads):
         want = want[:, -1]
     assert got.shape == want.shape
     assert max_rel_dev(got, want) < 1e-4
+
+
+@pytest.mark.parametrize("mode", ["retro", "single"])
+def test_cross_attention_projects_each_row_by_its_own_weight(mode):
+    # distinct q/k/v rows bypass the fused w_q | w_k | w_v projection of
+    # self-attention: each row is projected by its own weight
+    n, d, h, steps = 4, 6, 2, 12
+    rng = np.random.default_rng(13)
+    mha = MultiheadAttention(mode, n, *(rand_tensor(rng, (d, d), dtype="f64") for _ in range(4)),
+                             heads=h)
+    xq, xk, xv = (rng.normal(size=(steps, d)) for _ in range(3))
+    dh = d // h
+    state = mha.init_state()
+    for t in range(steps):
+        y = mha.att_step(state, *(Tensor.wrap(a[t]) for a in (xq, xk, xv)))
+        if t < n - 1:
+            assert y is None
+            continue
+        win = slice(t - n + 1, t + 1)
+        q, k, v = (x[win] @ w.array for x, w in ((xq, mha.w_q), (xk, mha.w_k), (xv, mha.w_v)))
+        heads = [softmax_attention_oracle(*(a[:, i * dh : (i + 1) * dh] for a in (q, k, v)))
+                 for i in range(h)]
+        want = np.concatenate(heads, axis=1) @ mha.w_o.array
+        assert max_rel_dev(y.array, want if mode == "retro" else want[-1]) < 1e-6
 
 
 # -- recycling positional encoding ---------------------------------------------------
@@ -430,6 +527,20 @@ def test_two_block_wiring_retro_then_single():
     assert not held_arrays(s2)
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_window_input_block_computes_the_newest_row(dtype):
+    # one query row per window: steps equal the clip bit for bit, and each
+    # window's row is the newest row of the full-window oracle
+    rng = np.random.default_rng(25)
+    n, d = 5, 6
+    blk = make_encoder(rng, "single", n, d, h=2, rpe=False, window_input=True)
+    x = rand_tensor(rng, (40, n, d), dtype=dtype, scale=0.5)
+    clip = blk.forward(x).array
+    assert np.array_equal(blk.forward_steps(blk.init_state(), x).array, clip)
+    for row, win in zip(clip, x.array):
+        assert max_rel_dev(row, encoder_oracle(blk, win)[-1]) < 1e-4
+
+
 @pytest.mark.parametrize("mode,window_input,mha_mode,mha_n", [("single", True, "retro", 4)])
 def test_encoder_rejects_attention_of_another_mode_or_window(mode, window_input, mha_mode,
                                                               mha_n):
@@ -528,15 +639,17 @@ def test_step_cost_grows_linearly_in_window():
 
 
 def test_window_input_step_cost_is_one_window():
-    # a window-input step recomputes one (n, d) window: the cost of a token
-    # block's clip pass over exactly n tokens, not n of them
+    # a window-input step computes the newest row of one (n, d) window: a
+    # token block's step, plus the keys and values of the n - 1 older rows
+    # that a token block reads from its cache; less than a full window
     rng = np.random.default_rng(30)
     n, d = 5, 4
     win_block = make_encoder(rng, "single", n, d, rpe=False, window_input=True)
     tok_block = make_encoder(rng, "single", n, d, rpe=False)
     step = win_block.step_cost((n, d))
     assert step == win_block.clip_cost((n, d), 1)
-    assert step == tok_block.clip_cost((d,), n)
+    assert step == tok_block.step_cost((d,)) + OpCount(macs=(n - 1) * d * 2 * d)
+    assert step.macs < tok_block.clip_cost((d,), n).macs
     assert win_block.clip_cost((n, d), 7) == step.scaled(7)
 
 
@@ -583,8 +696,9 @@ def clip_case(kind, n, d, rng):
     mod = make_encoder(rng, mode, n, d, h=2, rpe=not window_input, window_input=window_input)
     blk = mod if window_input else mod.modules[1]  # token blocks follow their encoding
     last = slice(None) if mode == "retro" else -1
-    return mod, lambda w: blk._offline_window(w)[last], \
-        lambda w: encoder_oracle(blk, w)[last], window_input
+    # a window-input block computes only the newest row: its own kernel
+    kernel = blk._newest if window_input else lambda w: blk._offline_window(w)[last]
+    return mod, kernel, lambda w: encoder_oracle(blk, w)[last], window_input
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
