@@ -28,9 +28,9 @@ O(n*d), the order of the update itself, and the emission is read off
 its one output row is a sum over the window, whatever the slot order.
 
 Multi-head attention projects a self-attention token or window by one
-matmul with ``w_q | w_k | w_v`` concatenated once per dtype, and reads the
-head rows as views of that product; rows that differ (cross-attention)
-are projected by their own weights.
+matmul with ``w_q | w_k | w_v``, concatenated in both stream dtypes at
+construction, and reads the head rows as views of that product; rows that
+differ (cross-attention) are projected by their own weights.
 
 :class:`EncoderBlock` takes its step form and window from its attention; a
 positional encoding is a ``Sequential`` stage ahead of a token-input block.
@@ -42,7 +42,8 @@ residual, LayerNorms and feed-forward on that one row.
 Numerical-stability choices: the subtract/add updates rule out the usual
 max-subtraction softmax trick, so (a) ``d_mem``/``av_mem`` accumulate in f64
 even for f32 tokens, (b) both are recomputed from the cached window every
-``refresh_interval`` steps to bound drift, and (c) exponent arguments are
+``RetroAttention.refresh_interval`` steps (64 under multi-head attention)
+to bound drift, and (c) exponent arguments are
 clamped to +-30 (exp overflows f32 near 88; 30 leaves headroom through
 subtraction chains) with a counter recording clamp events.
 
@@ -58,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, PerFrame, StepOutput, ring_buffer
+from .module import CoModule, OpCount, PerFrame, StepOutput, per_dtype, ring_buffer
 from .tensor import Tensor
 from .norm import LayerNorm
 
@@ -361,7 +362,7 @@ class MultiheadAttention(_WindowAttention):
     """
 
     def __init__(self, mode: str, n: int, w_q: Tensor, w_k: Tensor, w_v: Tensor,
-                 w_o: Tensor, heads: int = 1, refresh_interval: int = 64):
+                 w_o: Tensor, heads: int = 1):
         if mode not in ("retro", "single"):
             raise ValueError(f"unknown attention mode {mode!r}")
         self.mode = mode
@@ -380,12 +381,10 @@ class MultiheadAttention(_WindowAttention):
         self.w_q, self.w_k, self.w_v, self.w_o = w_q, w_k, w_v, w_o
         dh_k = self.d_k // heads
         dh_v = self.d_v // heads
-        if mode == "retro":
-            self._head = RetroAttention(n, dh_k, refresh_interval)
-        else:
-            self._head = SingleAttention(n, dh_k)
+        self._head = RetroAttention(n, dh_k) if mode == "retro" else SingleAttention(n, dh_k)
         self._dh_k, self._dh_v = dh_k, dh_v
-        self._w_qkv = {}  # dtype -> w_q | w_k | w_v, made on first use
+        w_qkv = np.concatenate([w_q.array, w_k.array, w_v.array], axis=1)
+        self._w = per_dtype(lambda dt: (w_qkv.astype(dt), w_o.array.astype(dt)))
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if self.mode == "retro":
@@ -394,14 +393,6 @@ class MultiheadAttention(_WindowAttention):
 
     def init_state(self):
         return self._head.init_state()
-
-    def _qkv(self, dtype: np.dtype) -> np.ndarray:
-        """``w_q | w_k | w_v`` as one (d_model, 2*d_k + d_v) matrix, made once per dtype."""
-        w = self._w_qkv.get(dtype)
-        if w is None:
-            w = np.concatenate([self.w_q.array, self.w_k.array, self.w_v.array], axis=1)
-            w = self._w_qkv[dtype] = w.astype(dtype)
-        return w
 
     def _split(self, a: np.ndarray) -> np.ndarray:
         """A (d,) or (..., n, d) projection -> (heads, d_h) or (..., heads, n,
@@ -415,12 +406,12 @@ class MultiheadAttention(_WindowAttention):
         w_v`` and three views of it; distinct rows each take their own weight."""
         dk = self.d_k
         if x_q is x_k and x_k is x_v:
-            p = x_q @ self._qkv(x_q.dtype)
+            p = x_q @ self._w[x_q.dtype][0]
             q, k, v = p[..., :dk], p[..., dk:2 * dk], p[..., 2 * dk:]
         else:
-            q = x_q @ self._qkv(x_q.dtype)[:, :dk]
-            k = x_k @ self._qkv(x_k.dtype)[:, dk:2 * dk]
-            v = x_v @ self._qkv(x_v.dtype)[:, 2 * dk:]
+            q = x_q @ self._w[x_q.dtype][0][:, :dk]
+            k = x_k @ self._w[x_k.dtype][0][:, dk:2 * dk]
+            v = x_v @ self._w[x_v.dtype][0][:, 2 * dk:]
         return self._split(q), self._split(k), self._split(v)
 
     def _merge(self, y: np.ndarray) -> np.ndarray:
@@ -428,7 +419,7 @@ class MultiheadAttention(_WindowAttention):
         concatenated, then ``w_o``."""
         cat = y.swapaxes(-3, -2) if y.ndim > 2 else y
         cat = cat.reshape(cat.shape[:-2] + (self.d_v,))
-        return cat @ self.w_o.array.astype(y.dtype, copy=False)
+        return cat @ self._w[y.dtype][1]
 
     def _window(self, win: np.ndarray) -> np.ndarray:
         """Attention output (..., n, d_o) of complete (..., n, d_model) windows."""
@@ -437,7 +428,7 @@ class MultiheadAttention(_WindowAttention):
     def _newest(self, win: np.ndarray) -> np.ndarray:
         """Attention output (..., 1, d_o) of the newest row of complete (...,
         n, d_model) windows: keys and values of every row, one query."""
-        w = self._qkv(win.dtype)
+        w = self._w[win.dtype][0]
         q = self._split(win[..., -1:, :] @ w[:, :self.d_k])
         kv = win @ w[:, self.d_k:]
         # K^T as contiguous rows: a one-row q K^T is a matrix-vector product,
@@ -496,6 +487,7 @@ class RecyclingPositionalEncoding(PerFrame):
             raise DimensionError(f"encoding table must be (period, d), got {table.shape}")
         self.table = table
         self.period = table.shape[0]
+        self._w = per_dtype(table.array.astype)
 
     def init_state(self) -> _RpeState:
         return _RpeState()
@@ -503,7 +495,7 @@ class RecyclingPositionalEncoding(PerFrame):
     def _step(self, state: _RpeState, a: np.ndarray) -> np.ndarray:
         if a.shape != self.table.shape[1:]:  # checked before the counter moves
             raise DimensionError(f"token must be {self.table.shape[1:]}, got {a.shape}")
-        p = self.table.array[state.tau].astype(a.dtype, copy=False)
+        p = self._w[a.dtype][state.tau]
         state.tau = (state.tau + 1) % self.period
         return a + p
 
@@ -511,7 +503,7 @@ class RecyclingPositionalEncoding(PerFrame):
         if a.shape[1:] != self.table.shape[1:]:
             raise DimensionError(f"tokens must be (T, {self.table.shape[1]}), got {a.shape}")
         idx = np.arange(a.shape[0]) % self.period
-        return a + self.table.array[idx].astype(a.dtype, copy=False)
+        return a + self._w[a.dtype][idx]
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         return OpCount(other=int(np.prod(frame_shape)))
@@ -554,7 +546,8 @@ class EncoderBlock(CoModule):
         self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2 = ff_w1, ff_b1, ff_w2, ff_b2
         self.ln1, self.ln2 = ln1, ln2
         self.window_input = window_input
-        self._ff_cast = {}  # dtype -> feed-forward weights in it, made on first use
+        self._w = per_dtype(lambda dt: tuple(
+            t.array.astype(dt) for t in (ff_w1, ff_b1, ff_w2, ff_b2)))
 
     def delay(self) -> int:
         return 0
@@ -574,11 +567,7 @@ class EncoderBlock(CoModule):
     # -- shared math -------------------------------------------------------------
 
     def _ff(self, ya: np.ndarray) -> np.ndarray:
-        ff = self._ff_cast.get(ya.dtype)
-        if ff is None:
-            ff = self._ff_cast[ya.dtype] = tuple(
-                t.array.astype(ya.dtype) for t in (self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2))
-        w1, b1, w2, b2 = ff
+        w1, b1, w2, b2 = self._w[ya.dtype]
         h = ya @ w1
         h += b1
         np.maximum(h, 0, out=h)

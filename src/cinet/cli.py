@@ -86,20 +86,10 @@ def _ops_dict(c: OpCount) -> dict:
 def count_flops(cfg: dict, model: Sequential, mode: str, length: int) -> dict:
     frame = _frame_shape(cfg)
     report = _base_report(cfg, mode, length, model)
-    rows = []
-    total = OpCount()
-    fs, t, cum = frame, length, 1
-    for entry, module in zip(cfg["layers"], model.modules):
-        if mode == "step":
-            cost = module.step_cost(fs).scaled(1 / cum if cum > 1 else 1)
-        else:
-            cost = module.clip_cost(fs, t)
-        rows.append({"type": entry["type"], **_ops_dict(cost)})
-        total = total + cost
-        fs = module.out_frame_shape(fs)
-        t = module.out_len(t)
-        cum *= module.stride()
-    report["layers"] = rows
+    costs = model._stage_costs(frame, None if mode == "step" else length)
+    total = sum(costs, OpCount())
+    report["layers"] = [{"type": entry["type"], **_ops_dict(cost)}
+                        for entry, cost in zip(cfg["layers"], costs)]
     report["total"] = _ops_dict(total)
     if mode == "step":
         report["per_step"] = _ops_dict(total)

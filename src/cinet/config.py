@@ -9,7 +9,7 @@ A config is a JSON object::
 Layer entries (defaults in parentheses):
 
 - conv3d:           c_in, c_out, kernel [KT,KH,KW], dilation(1), padding(0),
-                    stride(1), form("auto"), init
+                    stride(1), init
 - avgpool_t:        window, padding(0)
 - maxpool_t:        window
 - batchnorm:        channels, eps(1e-5), init
@@ -30,6 +30,10 @@ Each layer draws its tensors from its own generator stream in a fixed,
 documented field order (weights before biases, query/key/value/output
 projections, then feed-forward, norm and encoding tables), so identical
 configs always rebuild bit-identical weights.
+
+Validation is strict: a field that the layer type or init scheme does not
+read, a value of the wrong kind (``_VALUE_KINDS``) or a blob path naming no
+file raises ``ConfigError`` at the field's path, e.g. ``layers[0].kernel``.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ def load_config(path) -> dict:
     path = Path(path)
     try:
         cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(str(path), f"not valid JSON: {e}") from e
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(str(path), f"not a readable JSON file: {e}") from e
     validate_config(cfg)
     return cfg
 
@@ -75,27 +79,46 @@ def validate_config(cfg: dict) -> None:
     dtype = cfg.get("dtype", "f32")
     if dtype not in ("f32", "f64"):
         raise ConfigError("dtype", f"must be f32 or f64, got {dtype!r}")
-    shape = cfg.get("input", {}).get("shape")
-    if shape is not None and (
-        not isinstance(shape, list) or any(not isinstance(e, int) or e < 0 for e in shape)
-    ):
+    inp = cfg.get("input", {})
+    if not isinstance(inp, dict):
+        raise ConfigError("input", "must be an object")
+    shape = inp.get("shape")
+    if shape is not None and not (type(shape) is list
+                                  and all(type(e) is int and e >= 0 for e in shape)):
         raise ConfigError("input.shape", "must be a list of nonnegative ints")
     _validate_layers(cfg["layers"], "layers")
 
 
-_REQUIRED = {
-    "conv3d": ("c_in", "c_out", "kernel"),
-    "avgpool_t": ("window",),
-    "maxpool_t": ("window",),
-    "batchnorm": ("channels",),
-    "layernorm": ("d",),
-    "co_encoder_block": ("mode", "n", "d_model", "ff_dim"),
-    "stgcn_block": ("v", "c_in", "c_out", "tc_kernel"),
-    "head": ("pool_window", "classes"),
-    "sequential": ("layers",),
-    "residual": ("inner",),
-    "parallel": ("branches",),
-}
+# (test, what the value must be, the fields of that kind); layers, branches,
+# inner and init are checked on their own.  ``type(v) is int`` keeps bools out.
+_VALUE_KINDS = (
+    (lambda v: type(v) is int and v > 0, "a positive int", "c_in c_out dilation stride window "
+     "channels d n d_model heads ff_dim v partitions tc_kernel tc_stride pool_window classes"),
+    (lambda v: type(v) is int and v >= 0, "a nonnegative int",
+     "padding tc_padding rpe_period seed offset"),
+    (lambda v: type(v) in (int, float), "a number", "eps lo hi value"),
+    (lambda v: type(v) is str, "a string", "mode residual shortcut reduce path"),
+    (lambda v: type(v) is list and len(v) == 3 and all(type(e) is int and e > 0 for e in v),
+     "a list of three positive ints", "kernel"),
+)
+_FIELD_KIND = {f: (test, what) for test, what, fields in _VALUE_KINDS for f in fields.split()}
+
+# layer type or init scheme -> (required fields, optional fields)
+_LAYERS = {kind: (req.split(), opt.split()) for kind, (req, opt) in {
+    "conv3d": ("c_in c_out kernel", "dilation padding stride init"),
+    "avgpool_t": ("window", "padding"),
+    "maxpool_t": ("window", ""),
+    "batchnorm": ("channels", "eps init"),
+    "layernorm": ("d", "eps init"),
+    "co_encoder_block": ("mode n d_model ff_dim", "heads rpe_period init"),
+    "stgcn_block": ("v c_in c_out tc_kernel", "partitions tc_stride tc_padding residual init"),
+    "head": ("pool_window classes", "init"),
+    "sequential": ("layers", ""),
+    "residual": ("inner", "shortcut init"),
+    "parallel": ("branches", "reduce"),
+}.items()}
+_SCHEMES = {kind: (req.split(), opt.split()) for kind, (req, opt) in {
+    "uniform": ("seed", "lo hi"), "constant": ("value", ""), "blob": ("path", "offset")}.items()}
 
 
 def _validate_layers(layers, path: str) -> None:
@@ -105,32 +128,38 @@ def _validate_layers(layers, path: str) -> None:
         _validate_entry(entry, f"{path}[{i}]")
 
 
-def _validate_entry(entry, path: str) -> None:
-    if not isinstance(entry, dict) or "type" not in entry:
-        raise ConfigError(path, "layer entry must be an object with a 'type'")
-    kind = entry["type"]
-    if kind not in _REQUIRED:
-        raise ConfigError(f"{path}.type", f"unknown layer type {kind!r}")
-    for field in _REQUIRED[kind]:
-        if field not in entry:
+def _check_fields(obj, table: dict, key: str, path: str) -> str:
+    """``obj`` is an object whose ``key`` names a kind of ``table``, holding
+    every required field of that kind's (required, optional) fields, no
+    other field, and values of the kind ``_FIELD_KIND`` gives each field.
+    Returns the kind."""
+    kind = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{path}.{key}", f"unknown {key} {kind!r}" if isinstance(obj, dict)
+                          else f"must be an object with a {key!r}")
+    required, optional = table[kind]
+    for field in required:
+        if field not in obj:
             raise ConfigError(f"{path}.{field}", f"missing required field for {kind}")
+    for field, value in obj.items():
+        if field != key and field not in required and field not in optional:
+            raise ConfigError(f"{path}.{field}", f"unknown field for {kind}")
+        check = _FIELD_KIND.get(field)
+        if check and not check[0](value):
+            raise ConfigError(f"{path}.{field}", f"must be {check[1]}, got {value!r}")
+    return kind
+
+
+def _validate_entry(entry, path: str) -> None:
+    kind = _check_fields(entry, _LAYERS, "type", path)
     if kind == "sequential":
         _validate_layers(entry["layers"], f"{path}.layers")
     elif kind == "parallel":
         _validate_layers(entry["branches"], f"{path}.branches")
     elif kind == "residual":
         _validate_entry(entry["inner"], f"{path}.inner")
-    init = entry.get("init")
-    if init is not None:
-        scheme = init.get("scheme")
-        if scheme not in ("uniform", "constant", "blob"):
-            raise ConfigError(f"{path}.init.scheme", f"unknown scheme {scheme!r}")
-        if scheme == "uniform" and "seed" not in init:
-            raise ConfigError(f"{path}.init.seed", "uniform init needs a seed")
-        if scheme == "constant" and "value" not in init:
-            raise ConfigError(f"{path}.init.value", "constant init needs a value")
-        if scheme == "blob" and "path" not in init:
-            raise ConfigError(f"{path}.init.path", "blob init needs a path")
+    if "init" in entry:
+        _check_fields(entry["init"], _SCHEMES, "scheme", f"{path}.init")
 
 
 class _Init:
@@ -149,6 +178,8 @@ class _Init:
             self.value = float(spec["value"])
         else:
             self.blob_path = base_dir / spec["path"]
+            if not self.blob_path.is_file():
+                raise ConfigError(f"{path}.init.path", f"no such file {str(self.blob_path)!r}")
             self.offset = int(spec.get("offset", 0))
 
     def draw(self, shape: tuple) -> Tensor:
@@ -207,13 +238,9 @@ def _build_entry(entry: dict, path: str, dtype: str, base: Path, frame) -> CoMod
             kt, kh, kw = entry["kernel"]
             w = init.draw((entry["c_out"], entry["c_in"], kt, kh, kw))
             b = init.draw((entry["c_out"],))
-            return TemporalConv(
-                w, b,
-                dilation=entry.get("dilation", 1),
-                padding=entry.get("padding", 0),
-                temporal_stride=entry.get("stride", 1),
-                form=entry.get("form", "auto"),
-            )
+            return TemporalConv(w, b, dilation=entry.get("dilation", 1),
+                                padding=entry.get("padding", 0),
+                                temporal_stride=entry.get("stride", 1))
         if kind == "avgpool_t":
             return TemporalPool("avg", entry["window"], entry.get("padding", 0))
         if kind == "maxpool_t":
@@ -288,8 +315,7 @@ def _build_encoder(entry: dict, init: _Init, frame) -> CoModule:
     ln2 = LayerNorm(init.draw((d,)), init.draw((d,)))
     period = entry.get("rpe_period", n)
     table = init.draw((period, d)) if period else None
-    mha = MultiheadAttention(entry["mode"], n, w_q, w_k, w_v, w_o, heads=heads,
-                             refresh_interval=entry.get("refresh_interval", 64))
+    mha = MultiheadAttention(entry["mode"], n, w_q, w_k, w_v, w_o, heads=heads)
     # a single-output block directly after a retroactive one consumes that
     # block's (n, d) window emissions and recomputes per window
     window_input = frame == (n, d) and mha.mode == "single"

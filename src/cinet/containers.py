@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, PerFrame, ring_buffer
+from .module import CoModule, OpCount, PerFrame, per_dtype, ring_buffer
 from .tensor import Tensor
 
 
@@ -60,7 +60,7 @@ class Pointwise(PerFrame):
             raise DimensionError(f"weight must be (c_in, c_out), got {weight.shape}")
         self.weight = weight
         self.c_in, self.c_out = weight.shape
-        self._w_t = {}  # dtype -> W^T in it, made on first use
+        self._w = per_dtype(lambda dt: weight.array.astype(dt).T)  # W^T
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if frame_shape[0] != self.c_in:
@@ -72,9 +72,7 @@ class Pointwise(PerFrame):
         if xa.shape[channel_axis] != self.c_in:
             raise DimensionError(f"axis {channel_axis} extent {xa.shape[channel_axis]} != "
                                  f"{self.c_in} channels")
-        w_t = self._w_t.get(xa.dtype)
-        if w_t is None:
-            w_t = self._w_t[xa.dtype] = self.weight.array.astype(xa.dtype).T
+        w_t = self._w[xa.dtype]
         if channel_axis == 0 and xa.ndim == 2:  # a (c_in, V) frame is the GEMM's operand
             return w_t @ xa
         lead, tail = xa.shape[:channel_axis], xa.shape[channel_axis + 1:]
@@ -112,10 +110,7 @@ class Sequential(CoModule):
         return 1 + sum((m.receptive_field() - 1) * s for m, s in self._cumulative())
 
     def stride(self) -> int:
-        s = 1
-        for m in self.modules:
-            s *= m.stride()
-        return s
+        return math.prod(m.stride() for m in self.modules)
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         for m in self.modules:
@@ -137,20 +132,24 @@ class Sequential(CoModule):
                 return None
         return a
 
-    def step_cost(self, frame_shape: tuple) -> OpCount:
-        total = OpCount()
+    def _stage_costs(self, frame_shape: tuple, t: Optional[int] = None) -> List[OpCount]:
+        """Each stage's cost per input step of the container (``t`` is
+        ``None``), or over one clip of ``t`` frames."""
+        costs = []
         for m, s in self._cumulative():
-            total = total + m.step_cost(frame_shape).scaled(1 / s if s > 1 else 1)
+            if t is None:
+                costs.append(m.step_cost(frame_shape).scaled(1 / s if s > 1 else 1))
+            else:
+                costs.append(m.clip_cost(frame_shape, t))
+                t = m.out_len(t)
             frame_shape = m.out_frame_shape(frame_shape)
-        return total
+        return costs
+
+    def step_cost(self, frame_shape: tuple) -> OpCount:
+        return sum(self._stage_costs(frame_shape), OpCount())
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        total = OpCount()
-        for m in self.modules:
-            total = total + m.clip_cost(frame_shape, t)
-            frame_shape = m.out_frame_shape(frame_shape)
-            t = m.out_len(t)
-        return total
+        return sum(self._stage_costs(frame_shape, t), OpCount())
 
 
 class _ParallelState:

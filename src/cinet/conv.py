@@ -23,15 +23,17 @@ step counter is the ring's cursor and the state never grows or reallocates:
   oldest tap's product overwrites the slot just emitted instead of adding
   to it.
 
-Weights are arranged for those products once per frame dtype and shape, on
-the first such frame (oldest tap first for ``pre``, tap-major for ``post``),
-and kept on the module with the per-phase slot tables.  A spatial kernel is
+The layer arranges its weights tap-major, with the bias, in both stream
+dtypes at construction.  The step path's layout depends on the frame shape
+too, so it is made on the first frame of each dtype and shape and kept on
+the module: the arrangement that caches fewer elements (``pre`` on a tie),
+its weights for those products (oldest tap first for ``pre``, the live
+taps for ``post``) and the per-phase slot tables.  A spatial kernel is
 unfolded (im2col) through a gather index built at the same time; a 1x1
 kernel needs no unfolding, so an emission is one
 ``(c_out, k*c_in) @ (k*c_in, H*W)`` matrix product.
 
 Both emit on exactly the same schedule and differ only in summation order.
-``auto`` picks whichever caches fewer elements.
 
 Clip mode lays the whole clip out once as channel-major columns
 ``(C*KH*KW, padding + T, H'*W')``: leading zero frames fill the padding and a
@@ -50,7 +52,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, ring_buffer
+from .module import CoModule, OpCount, per_dtype, ring_buffer
 from .tensor import Tensor
 
 
@@ -102,7 +104,6 @@ class TemporalConv(CoModule):
         dilation: int = 1,
         padding: int = 0,
         temporal_stride: int = 1,
-        form: str = "auto",
     ):
         if weights.rank != 5:
             raise DimensionError(f"weights must be (O,C,KT,KH,KW), got {weights.shape}")
@@ -113,8 +114,6 @@ class TemporalConv(CoModule):
             raise ValueError("dilation must be >= 1")
         if temporal_stride < 1:
             raise ValueError("stride must be >= 1")
-        if form not in ("pre", "post", "auto"):
-            raise ValueError(f"unknown form {form!r}")
         rf = (self.k_t - 1) * dilation + 1
         if not 0 <= padding <= rf - 1:
             raise ValueError(f"padding {padding} outside [0, {rf - 1}]")
@@ -123,10 +122,12 @@ class TemporalConv(CoModule):
         self.dilation = dilation
         self.padding = padding
         self.temporal_stride = temporal_stride
-        self.form = form
         self._rf = rf
-        self._layouts = {}  # (dtype, frame shape) -> _Layout
-        self._tap_weights = {}  # dtype -> tap-major weights
+        # (k_t, c_out, C*KH*KW) tap-major weights and the (c_out,) bias
+        self._w = per_dtype(lambda dt: (
+            weights.array.astype(dt).transpose(2, 0, 1, 3, 4).reshape(self.k_t, self.c_out, -1),
+            bias.array.astype(dt)))
+        self._layouts = {}  # (dtype, frame shape) -> _Layout, made on its first frame
 
     # -- temporal properties --------------------------------------------------
 
@@ -181,25 +182,17 @@ class TemporalConv(CoModule):
         win = np.ndarray((self.c_in, self.k_h, self.k_w, s, m, oh, ow), buf.dtype, buf,
                          strides=(sc, sh, sw, buf.strides[1], s * buf.strides[1], sh, sw))
         cols = np.ascontiguousarray(win).reshape(-1, s, m, oh * ow)
+        taps, bias = self._w[xa.dtype]
         acc = None
-        for k, w in enumerate(self._taps(xa.dtype)):
+        for k, w in enumerate(taps):
             e = (self.k_t - 1 - k) * self.dilation
             y = w @ cols[:, e % s, e // s:e // s + n_out].reshape(cols.shape[0], -1)
             if acc is None:
                 acc = y
             else:
                 acc += y
-        acc += self.bias.array.astype(xa.dtype, copy=False)[:, None]
+        acc += bias[:, None]
         return np.ascontiguousarray(acc.reshape(oc, n_out, oh, ow).transpose(1, 0, 2, 3))
-
-    def _taps(self, dtype: np.dtype) -> np.ndarray:
-        """(k_t, c_out, C*KH*KW) weights, tap-major, made once per dtype."""
-        taps = self._tap_weights.get(dtype)
-        if taps is None:
-            w = self.weights.array.astype(dtype)
-            taps = w.transpose(2, 0, 1, 3, 4).reshape(self.k_t, self.c_out, -1)
-            self._tap_weights[dtype] = taps
-        return taps
 
     # -- step mode ----------------------------------------------------------------
 
@@ -214,11 +207,9 @@ class TemporalConv(CoModule):
         if lay is not None:
             return lay
         out_shape = self.out_frame_shape(frame_shape)
-        form = self.form
-        if form == "auto":
-            form = self.cache_elements(frame_shape)["chosen"]
+        form = self.cache_elements(frame_shape)["chosen"]
         k_t, d, stride, n = self.k_t, self.dilation, self.temporal_stride, self._rf - 1
-        taps = self._taps(dtype)
+        taps, bias = self._w[dtype]
         if form == "pre":
             frames = k_t
             w = taps[::-1].transpose(1, 0, 2).reshape(self.c_out, -1)
@@ -231,18 +222,17 @@ class TemporalConv(CoModule):
                     for p in range(stride)]
             w_live = [taps[ks].reshape(-1, taps.shape[2]) for ks in live]
             plan = []
-            for q in range(math.lcm(max(n, 1), stride)):
+            for q in range(math.lcm(n, stride)):  # post needs rf > 1: pre wins a tie
                 ks = live[q % stride]
                 mid = [k for k in ks if 0 < k < k_t - 1]
                 lo = 1 if ks and ks[0] == 0 else 0
                 slots = np.array([(q + k * d) % n for k in mid], dtype=np.intp)
-                last = k_t > 1 and bool(ks) and ks[-1] == k_t - 1
+                last = bool(ks) and ks[-1] == k_t - 1
                 plan.append((w_live[q % stride], lo, lo + len(mid), slots, last))
         cols = None
         if self.k_h > 1 or self.k_w > 1:
             cols = _unfold_index(frames, frame_shape, self.k_h, self.k_w)
-        bias = self.bias.array.astype(dtype).reshape(-1, 1, 1)
-        lay = _Layout(form, out_shape, plan, bias, cols)
+        lay = _Layout(form, out_shape, plan, bias.reshape(-1, 1, 1), cols)
         self._layouts[(dtype, frame_shape)] = lay
         return lay
 
@@ -282,7 +272,7 @@ class TemporalConv(CoModule):
             if w.shape[0]:
                 c = (w @ self._unfold(lay, xa)).reshape((-1,) + lay.out_shape)
                 if self._emits_at(t):
-                    y = c[0] + ring[t % n] if n else c[0]
+                    y = c[0] + ring[t % n]
                 if hi > lo:
                     ring[slots] += c[lo:hi]
                 if last:

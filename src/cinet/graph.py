@@ -12,7 +12,8 @@ self-loop added before normalization for single-partition graphs).  The
 graph convolution ``sum_p W_p^T x A_p`` runs as one ``x @ A_cat``, all
 partitions side by side, and one channel mix with the stacked ``W_p``, on a
 frame in step mode and on the whole clip in clip mode.  The block stacks its
-weights once per dtype; the ``graph_conv`` reference stacks them per call.
+weights in both stream dtypes at construction; the ``graph_conv`` reference
+stacks them per call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .containers import Identity, Pointwise
 from .conv import TemporalConv
 from .errors import DimensionError
-from .module import CoModule, OpCount, ring_buffer
+from .module import CoModule, OpCount, per_dtype, ring_buffer
 from .norm import BatchNorm
 from .pool import TemporalPool
 from .tensor import Tensor
@@ -168,11 +169,10 @@ class StGcnBlock(CoModule):
                 raise DimensionError(f"pointwise residual needs ({self.c_in},{self.c_out}) weight")
         self.tc = tc
         self.bn = bn
-        self.residual = residual
         self.shortcut = (Pointwise(res_weight) if residual == "pointwise"
                          else Identity() if residual == "identity" else None)
         self.res_delay = tc.delay()  # the residual lands on the aligned step
-        self._stacks = {}  # dtype -> stacked graph-conv weights (A_cat, W)
+        self._w = per_dtype(lambda dt: _stacked(graph, self.w_gc, dt))  # (A_cat, W)
 
     def delay(self) -> int:
         return self.tc.delay()
@@ -192,13 +192,6 @@ class StGcnBlock(CoModule):
     def init_state(self) -> _BlockState:
         return _BlockState(self.tc.init_state())
 
-    def _stack(self, dtype: np.dtype) -> tuple:
-        """``(A_cat, W)`` of :func:`_stacked` in ``dtype``, made once per dtype."""
-        stack = self._stacks.get(dtype)
-        if stack is None:
-            stack = self._stacks[dtype] = _stacked(self.graph, self.w_gc, dtype)
-        return stack
-
     def _step(self, state: _BlockState, xa: np.ndarray) -> Optional[np.ndarray]:
         if xa.shape != (self.c_in, self.graph.v):
             raise DimensionError(f"frame {xa.shape} != ({self.c_in},{self.graph.v})")
@@ -206,7 +199,7 @@ class StGcnBlock(CoModule):
         if d:
             state.res = ring_buffer(state.res, (d,) + xa.shape, xa.dtype)
         slot = state.tc.t % max(d, 1)
-        tc_out = self.tc._step(state.tc, _gc(xa, *self._stack(xa.dtype))[:, :, None])
+        tc_out = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype])[:, :, None])
         y = None
         if tc_out is not None:
             y = self.bn._apply(tc_out[:, :, 0], channel_axis=0)
@@ -222,7 +215,7 @@ class StGcnBlock(CoModule):
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         if xa.ndim != 3:
             raise DimensionError(f"clip must be (T, c_in, v), got {xa.shape}")
-        tc_out = self.tc._clip(_gc(xa, *self._stack(xa.dtype))[:, :, :, None])[:, :, :, 0]
+        tc_out = self.tc._clip(_gc(xa, *self._w[xa.dtype])[:, :, :, None])[:, :, :, 0]
         y = self.bn._apply(tc_out, channel_axis=1)
         if self.shortcut is not None:
             # emission j lands on input j*stride, as in step mode
@@ -266,6 +259,7 @@ class GlobalAverageHead(CoModule):
             raise DimensionError(f"bias shape {bias.shape} != ({self.classes},)")
         self.weight = weight
         self.bias = bias
+        self._w = per_dtype(lambda dt: (weight.array.astype(dt), bias.array.astype(dt)))
 
     def delay(self) -> int:
         return self.pool.delay()
@@ -283,8 +277,8 @@ class GlobalAverageHead(CoModule):
 
     def _classify(self, feat: np.ndarray) -> np.ndarray:
         """Logits of (..., C) node-mean features."""
-        dt = feat.dtype
-        return feat @ self.weight.array.astype(dt, copy=False) + self.bias.array.astype(dt, copy=False)
+        w, b = self._w[feat.dtype]
+        return feat @ w + b
 
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         pooled = self.pool._step(state, a)

@@ -32,6 +32,12 @@ Two timing numbers describe each module:
 The frames and partial results a stream must remember live in rings made
 by ``ring_buffer``: zero-initialised arrays of a fixed number of slots whose
 cursor is a step or emission counter, so a stream's state never grows.
+
+A layer arranges its weights at construction, with ``per_dtype``, in the
+form its kernel needs and in both stream dtypes; a kernel looks them up by
+its input's dtype and casts no weight, so a stream changes nothing on the
+layer.  The one table filled later is ``TemporalConv``'s step layouts,
+keyed by the frame shape a stream's first frame brings.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor
+from .tensor import DTYPES, Tensor
 
 StepOutput = Optional[Tensor]
 
@@ -57,6 +63,11 @@ def ring_buffer(buf: Optional[np.ndarray], shape: tuple, dtype) -> np.ndarray:
         raise DimensionError(f"stream drifted: needs a ring {shape} {np.dtype(dtype)}, "
                              f"holds {buf.shape} {buf.dtype}")
     return buf
+
+
+def per_dtype(make) -> dict:
+    """``{dtype: make(dtype)}`` for the two stream dtypes of ``DTYPES``."""
+    return {np.dtype(t): make(np.dtype(t)) for t in DTYPES.values()}
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .module import OpCount, PerFrame
+from .module import OpCount, PerFrame, per_dtype
 from .tensor import Tensor
 
 
@@ -49,8 +49,8 @@ class BatchNorm(PerFrame):
         self.eps = eps
         # fold into scale/shift so application is one MAC per element
         scale = gamma.array / np.sqrt(running_var.array + eps)
-        self._scale = scale
-        self._shift = beta.array - running_mean.array * scale
+        shift = beta.array - running_mean.array * scale
+        self._w = per_dtype(lambda dt: (scale.astype(dt), shift.astype(dt)))
         self.gamma, self.beta = gamma, beta
         self.running_mean, self.running_var = running_mean, running_var
 
@@ -60,10 +60,10 @@ class BatchNorm(PerFrame):
                 f"axis {channel_axis} extent {xa.shape[channel_axis]} != "
                 f"{self.channels} channels"
             )
-        shape = [1] * xa.ndim
-        shape[channel_axis] = self.channels
-        scale = self._scale.reshape(shape).astype(xa.dtype, copy=False)
-        shift = self._shift.reshape(shape).astype(xa.dtype, copy=False)
+        scale, shift = self._w[xa.dtype]
+        if xa.ndim > channel_axis + 1:  # broadcast over the axes after the channels
+            tail = (-1,) + (1,) * (xa.ndim - channel_axis - 1)
+            scale, shift = scale.reshape(tail), shift.reshape(tail)
         return xa * scale + shift
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
@@ -81,18 +81,14 @@ class LayerNorm(PerFrame):
         self.d = gamma.shape[0]
         self.eps = eps
         self.gamma, self.beta = gamma, beta
-        self._affine = {}  # dtype -> (gamma, beta, eps) in it, made on first use
+        self._w = per_dtype(lambda dt: (gamma.array.astype(dt), beta.array.astype(dt),
+                                        dt.type(eps)))
 
     def _apply(self, xa: np.ndarray, channel_axis: int = -1) -> np.ndarray:
         """Normalize the last axis; ``channel_axis`` is not read."""
         if xa.shape[-1] != self.d:
             raise DimensionError(f"last extent {xa.shape[-1]} != {self.d}")
-        cast = self._affine.get(xa.dtype)
-        if cast is None:
-            cast = self._affine[xa.dtype] = (self.gamma.array.astype(xa.dtype),
-                                             self.beta.array.astype(xa.dtype),
-                                             xa.dtype.type(self.eps))
-        gamma, beta, eps = cast
+        gamma, beta, eps = self._w[xa.dtype]
         # the arithmetic of xa.mean and xa.var, with the mean and the
         # centred array computed once instead of once each; the divide,
         # scale and shift then run in place on the fresh centred array

@@ -212,6 +212,22 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("kernel", 3), ("c_in", "2"), ("stirde", 2), ("init", {"scheme": "blob", "path": "no.bin"}),
+])
+def test_cli_malformed_field_exits_two(tmp_path, capsys, field, value):
+    cfg = conv_model_cfg()
+    cfg["layers"][0][field] = value
+    p = write_cfg(tmp_path, cfg)
+    assert main(["check", "--model", str(p)]) == 2
+    assert f"layers[0].{field}" in capsys.readouterr().err
+
+
+def test_cli_missing_model_file_exits_two(tmp_path, capsys):
+    assert main(["check", "--model", str(tmp_path / "absent.json")]) == 2
+    assert "absent.json" in capsys.readouterr().err
+
+
 def test_cli_missing_input_shape_exits_two(tmp_path):
     cfg = conv_model_cfg()
     cfg.pop("input")

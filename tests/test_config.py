@@ -82,6 +82,18 @@ def test_layer_order_does_not_shift_seeded_weights():
     ({"name": "x", "layers": [{"type": "conv3d", "c_in": 1, "c_out": 1,
                                "kernel": [2, 1, 1],
                                "init": {"scheme": "gaussian"}}]}, "init.scheme"),
+    # malformed values and unknown fields are named, not left to fail later
+    (base_cfg([conv_cfg()]) | {"input": [2, 2, 2]}, "input"),
+    (base_cfg([conv_cfg(init=5)]), "layers[0].init"),
+    (base_cfg([conv_cfg(kernel=3)]), "layers[0].kernel"),
+    (base_cfg([conv_cfg(c_in="2")]), "layers[0].c_in"),
+    (base_cfg([{"type": "avgpool_t", "window": 2.5}]), "layers[0].window"),
+    (base_cfg([conv_cfg(stirde=2)]), "layers[0].stirde"),
+    (base_cfg([conv_cfg(form="auto")]), "layers[0].form"),
+    (base_cfg([{"type": "co_encoder_block", "mode": "retro", "n": 4, "d_model": 2,
+                "ff_dim": 4, "refresh_interval": 8}], shape=(2,)), "layers[0].refresh_interval"),
+    (base_cfg([conv_cfg(init={"scheme": "uniform", "seed": 1, "hi": "x"})]),
+     "layers[0].init.hi"),
 ])
 def test_validation_errors_point_at_field(cfg, path_fragment):
     with pytest.raises(ConfigError) as err:
@@ -89,11 +101,14 @@ def test_validation_errors_point_at_field(cfg, path_fragment):
     assert path_fragment in str(err.value)
 
 
-def test_build_error_carries_layer_path():
-    cfg = base_cfg([conv_cfg(padding=99)])
-    with pytest.raises(ConfigError) as err:
-        build_model(cfg)
-    assert "layers[0]" in str(err.value)
+def test_build_error_carries_layer_path(tmp_path):
+    for entry, fragment in [
+        (conv_cfg(padding=99), "layers[0]"),
+        (conv_cfg(init={"scheme": "blob", "path": "missing.bin"}), "layers[0].init.path"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            build_model(base_cfg([entry]), tmp_path)
+        assert fragment in str(err.value)
 
 
 def test_constant_init():

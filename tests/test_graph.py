@@ -125,9 +125,11 @@ def test_block_clip_equals_steps_strided(residual, c_in, stride, dtype, tol):
 
 def test_block_zero_input_zero_output():
     rng = np.random.default_rng(4)
-    blk = make_block(rng, v=6, c_in=3, c_out=3, k_t=3, residual="identity")
+    w_gc = [rand_tensor(rng, (3, 3), scale=0.3) for _ in range(3)]
     # beta = 0 and bias = 0 so zero input stays zero through BN and ReLU
-    blk.tc.bias = Tensor.zeros((3,))
+    tc = TemporalConv(rand_tensor(rng, (3, 3, 3, 1, 1), scale=0.3), Tensor.zeros((3,)))
+    blk = StGcnBlock(SkeletonGraph.chain(6, partitions=3), w_gc, tc, identity_bn(3),
+                     residual="identity")
     state = blk.init_state()
     for t in range(8):
         out = blk.forward_step(state, Tensor.zeros((3, 6)))
