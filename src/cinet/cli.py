@@ -4,7 +4,9 @@ Subcommands
 -----------
 - ``check``: run ``forward`` and ``forward_steps`` on the same seeded random
   stream and report the maximum absolute/relative deviation.
-- ``flops``: analytic MAC/FLOP counts, per layer and total.  ``--mode step``
+- ``flops``: analytic MAC/FLOP counts, per stage of the built model (a
+  ``batchnorm`` folded into the ``conv3d`` before it shares that conv's
+  row, ``conv3d+batchnorm``) and total.  ``--mode step``
   reports steady-state cost per consumed input step; ``--mode offline``
   reports one full clip pass, i.e. the per-prediction cost of sliding-window
   processing.
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .config import build_model, load_config, random_stream
+from .config import build_model, load_config, random_stream, stage_types
 from .containers import Sequential
 from .errors import ConfigError
 from .module import OpCount
@@ -88,8 +90,8 @@ def count_flops(cfg: dict, model: Sequential, mode: str, length: int) -> dict:
     report = _base_report(cfg, mode, length, model)
     costs = model._stage_costs(frame, None if mode == "step" else length)
     total = sum(costs, OpCount())
-    report["layers"] = [{"type": entry["type"], **_ops_dict(cost)}
-                        for entry, cost in zip(cfg["layers"], costs)]
+    report["layers"] = [{"type": kind, **_ops_dict(cost)}
+                        for kind, cost in zip(stage_types(cfg["layers"]), costs, strict=True)]
     report["total"] = _ops_dict(total)
     if mode == "step":
         report["per_step"] = _ops_dict(total)

@@ -12,7 +12,9 @@ Layer entries (defaults in parentheses):
                     stride(1), init
 - avgpool_t:        window, padding(0)
 - maxpool_t:        window
-- batchnorm:        channels, eps(1e-5), init
+- batchnorm:        channels, eps(1e-5), init; right after a conv3d in the
+                    same layer list it is folded into that conv's weights
+                    and bias, and the pair builds one TemporalConv
 - layernorm:        d, eps(1e-5), init
 - co_encoder_block: mode, n, d_model, heads(1), ff_dim, rpe_period(n), init;
                     an encoded token block is Sequential([RPE stage, block])
@@ -31,9 +33,12 @@ documented field order (weights before biases, query/key/value/output
 projections, then feed-forward, norm and encoding tables), so identical
 configs always rebuild bit-identical weights.
 
-Validation is strict: a field that the layer type or init scheme does not
-read, a value of the wrong kind (``_VALUE_KINDS``) or a blob path naming no
-file raises ``ConfigError`` at the field's path, e.g. ``layers[0].kernel``.
+Validation is strict: a top-level field other than the four above, a
+field that the layer type or init scheme does not read, a value of the
+wrong kind (``_VALUE_KINDS``) or a blob path naming no file raises
+``ConfigError`` at the field's path, e.g. ``layers[0].kernel``.
+``load_config`` only reads the file; ``build_model`` validates, once per
+build.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 from .attention import EncoderBlock, MultiheadAttention, RecyclingPositionalEncoding
 from .containers import Identity, Parallel, Pointwise, Residual, Sequential
 from .conv import TemporalConv
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .graph import GlobalAverageHead, SkeletonGraph, StGcnBlock
 from .module import CoModule
 from .norm import BatchNorm, LayerNorm
@@ -61,18 +66,20 @@ def canonical_json(cfg: dict) -> str:
 
 
 def load_config(path) -> dict:
+    """The JSON config at ``path``, not yet validated (``build_model`` does)."""
     path = Path(path)
     try:
-        cfg = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(str(path), f"not a readable JSON file: {e}") from e
-    validate_config(cfg)
-    return cfg
 
 
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("$", "config must be a JSON object")
+    for field in cfg:
+        if field not in ("name", "dtype", "input", "layers"):
+            raise ConfigError(field, "unknown top-level field")
     for field in ("name", "layers"):
         if field not in cfg:
             raise ConfigError(field, "missing required field")
@@ -203,7 +210,8 @@ class _Init:
 
 
 def build_model(cfg: dict, base_dir=".") -> Sequential:
-    """Build the model tree; the top level is always a Sequential."""
+    """Validate ``cfg`` and build the model tree; the top level is always a
+    Sequential."""
     validate_config(cfg)
     dtype = cfg.get("dtype", "f32")
     base = Path(base_dir)
@@ -212,10 +220,34 @@ def build_model(cfg: dict, base_dir=".") -> Sequential:
     return Sequential(modules)
 
 
+def _folds(entries: list, i: int) -> bool:
+    """Whether entry ``i`` is a batchnorm that folds into the conv3d before it."""
+    return i > 0 and entries[i]["type"] == "batchnorm" and entries[i - 1]["type"] == "conv3d"
+
+
+def stage_types(entries: list) -> list:
+    """The type of each stage that ``build_model`` makes of the layer
+    entries ``entries``: a folded pair is one ``conv3d+batchnorm`` stage."""
+    types = []
+    for i, entry in enumerate(entries):
+        if _folds(entries, i):
+            types[-1] += "+batchnorm"
+        else:
+            types.append(entry["type"])
+    return types
+
+
 def _build_layers(entries, path, dtype, base, frame):
     modules = []
     for i, entry in enumerate(entries):
         m = _build_entry(entry, f"{path}[{i}]", dtype, base, frame)
+        if _folds(entries, i):
+            # the conv's emissions keep their shape through the fold
+            try:
+                modules[-1] = modules[-1].folded(m)
+            except DimensionError as e:
+                raise ConfigError(f"{path}[{i}]", str(e)) from e
+            continue
         modules.append(m)
         frame = _advance(m, frame, f"{path}[{i}]")
     return modules, frame

@@ -129,6 +129,20 @@ class TemporalConv(CoModule):
             bias.array.astype(dt)))
         self._layouts = {}  # (dtype, frame shape) -> _Layout, made on its first frame
 
+    def folded(self, bn) -> "TemporalConv":
+        """This conv with the inference ``BatchNorm`` ``bn`` applied to its
+        emissions, as one conv: ``w' = w * scale`` and ``b' = b * scale +
+        shift`` per output channel, computed in f64 from ``bn``'s scale and
+        shift.  The map acts on each emission, so the fold holds for any
+        dilation, padding and stride."""
+        if bn.channels != self.c_out:
+            raise DimensionError(f"batchnorm has {bn.channels} channels, "
+                                 f"conv emits {self.c_out}")
+        w = self.weights.array * bn.scale[:, None, None, None, None]
+        b = self.bias.array * bn.scale + bn.shift
+        return TemporalConv(Tensor(w, dtype="f64"), Tensor(b, dtype="f64"), self.dilation,
+                            self.padding, self.temporal_stride)
+
     # -- temporal properties --------------------------------------------------
 
     def delay(self) -> int:

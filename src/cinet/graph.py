@@ -6,6 +6,10 @@ land on the aligned time-step, and ReLU:
 
     out_t = ReLU( Delay(Res(x_t)) + BN(CoTC(GC(x_t))) )
 
+Inference batch normalization is a fixed affine map per channel, so the
+block folds it into the temporal convolution's taps and bias when it is
+built, and ``BN(CoTC(.))`` runs as one folded conv.
+
 The skeleton is a set of normalized adjacency partitions; each partition is
 normalized symmetrically as ``D^-1/2 (A) D^-1/2`` at construction (with the
 self-loop added before normalization for single-partition graphs).  The
@@ -158,8 +162,6 @@ class StGcnBlock(CoModule):
             raise DimensionError(
                 f"temporal conv is {tc.c_in}->{tc.c_out}, expected {self.c_out}->{self.c_out}"
             )
-        if bn.channels != self.c_out:
-            raise DimensionError(f"bn has {bn.channels} channels, block emits {self.c_out}")
         if residual not in ("none", "identity", "pointwise"):
             raise ValueError(f"unknown residual kind {residual!r}")
         if residual == "identity" and self.c_in != self.c_out:
@@ -167,8 +169,7 @@ class StGcnBlock(CoModule):
         if residual == "pointwise":
             if res_weight is None or res_weight.shape != (self.c_in, self.c_out):
                 raise DimensionError(f"pointwise residual needs ({self.c_in},{self.c_out}) weight")
-        self.tc = tc
-        self.bn = bn
+        self.tc = tc.folded(bn)  # BN(TC(.)) as one conv
         self.shortcut = (Pointwise(res_weight) if residual == "pointwise"
                          else Identity() if residual == "identity" else None)
         self.res_delay = tc.delay()  # the residual lands on the aligned step
@@ -199,15 +200,16 @@ class StGcnBlock(CoModule):
         if d:
             state.res = ring_buffer(state.res, (d,) + xa.shape, xa.dtype)
         slot = state.tc.t % max(d, 1)
-        tc_out = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype])[:, :, None])
-        y = None
-        if tc_out is not None:
-            y = self.bn._apply(tc_out[:, :, 0], channel_axis=0)
+        y = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype])[:, :, None])
+        if y is not None:
+            # the conv's output is a fresh array that no state holds, so the
+            # residual add and the ReLU run in place on it
+            y = y[:, :, 0]
             if self.shortcut is not None:
                 # the input res_delay steps back, held in this slot since; it is
                 # projected only here, so strides spend no work on skipped frames
-                y = y + self.shortcut._apply(state.res[slot] if d else xa, 0)
-            y = np.maximum(y, 0)
+                y += self.shortcut._apply(state.res[slot] if d else xa, 0)
+            np.maximum(y, 0, out=y)
         if d:
             state.res[slot] = xa
         return y
@@ -215,12 +217,12 @@ class StGcnBlock(CoModule):
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         if xa.ndim != 3:
             raise DimensionError(f"clip must be (T, c_in, v), got {xa.shape}")
-        tc_out = self.tc._clip(_gc(xa, *self._w[xa.dtype])[:, :, :, None])[:, :, :, 0]
-        y = self.bn._apply(tc_out, channel_axis=1)
+        # a fresh array, as in step mode: the epilogue runs in place
+        y = self.tc._clip(_gc(xa, *self._w[xa.dtype])[:, :, :, None])[:, :, :, 0]
         if self.shortcut is not None:
             # emission j lands on input j*stride, as in step mode
-            y = y + self.shortcut._apply(xa[:y.shape[0] * self.stride():self.stride()], 1)
-        return np.maximum(y, 0)
+            y += self.shortcut._apply(xa[:y.shape[0] * self.stride():self.stride()], 1)
+        return np.maximum(y, 0, out=y)
 
     # -- analytic cost -------------------------------------------------------------
 
@@ -233,7 +235,6 @@ class StGcnBlock(CoModule):
     def _per_emission(self) -> OpCount:
         v = self.graph.v
         cost = self.tc._per_emission((self.c_out, v, 1))
-        cost = cost + self.bn.step_cost((self.c_out, v))
         if self.shortcut is None:
             return cost + OpCount(other=self.c_out * v)  # relu
         cost = cost + self.shortcut.step_cost((self.c_in, v))

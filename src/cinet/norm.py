@@ -47,10 +47,13 @@ class BatchNorm(PerFrame):
             raise ValueError("running_var must be nonnegative")
         self.channels = c
         self.eps = eps
-        # fold into scale/shift so application is one MAC per element
-        scale = gamma.array / np.sqrt(running_var.array + eps)
-        shift = beta.array - running_mean.array * scale
-        self._w = per_dtype(lambda dt: (scale.astype(dt), shift.astype(dt)))
+        # the per-channel affine map y = x * scale + shift, in f64: applying
+        # it is one MAC per element, and a conv before it folds it in
+        # (``TemporalConv.folded``)
+        var = running_var.array.astype(np.float64)
+        self.scale = gamma.array / np.sqrt(var + eps)
+        self.shift = beta.array - running_mean.array * self.scale
+        self._w = per_dtype(lambda dt: (self.scale.astype(dt), self.shift.astype(dt)))
         self.gamma, self.beta = gamma, beta
         self.running_mean, self.running_var = running_mean, running_var
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cinet.conv import TemporalConv
 from cinet.tensor import Tensor
 
 
@@ -21,3 +22,26 @@ def max_rel_dev(a: np.ndarray, b: np.ndarray) -> float:
     diff = np.abs(a.astype(np.float64) - b.astype(np.float64)).max()
     scale = np.abs(b.astype(np.float64)).max()
     return float(diff / scale) if scale > 0 else float(diff)
+
+
+class ConvThenBn(TemporalConv):
+    """The unfolded oracle of ``conv.folded(bn)``: the conv as given, then
+    ``BatchNorm._apply`` on each of its emissions."""
+
+    def __init__(self, conv, bn):
+        vars(self).update(vars(conv))
+        self.bn = bn
+
+    def _step(self, state, xa):
+        y = super()._step(state, xa)
+        return None if y is None else self.bn._apply(y, 0)
+
+    def _clip(self, xa):
+        return self.bn._apply(super()._clip(xa), 1)
+
+
+def unfolded(build):
+    """``build()`` with every BatchNorm fold replaced by its oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TemporalConv, "folded", lambda conv, bn: ConvThenBn(conv, bn))
+        return build()

@@ -129,6 +129,21 @@ def test_flop_totals_are_sums_and_deterministic():
         r["flops"] - 2 * r["macs"] for r in a["layers"])
 
 
+@pytest.mark.parametrize("name,rows,macs", [
+    ("conv_stack", ["conv3d+batchnorm", "conv3d", "avgpool_t"], 4224),
+    ("toy_costgcn", ["stgcn_block"] * 4 + ["head"], 412960),
+])
+def test_flops_rows_follow_the_model_stages(name, rows, macs):
+    # a batchnorm folded into its conv3d costs nothing of its own: the
+    # totals are the unfolded ones (4288 and 414560 MACs) less its MACs
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    cfg = load_config(path)
+    report = count_flops(cfg, build_model(cfg, path.parent), "step", 64)
+    assert [r["type"] for r in report["layers"]] == rows
+    assert sum(r["macs"] for r in report["layers"]) == report["total"]["macs"] == macs
+    assert sum(r["flops"] for r in report["layers"]) == report["total"]["flops"]
+
+
 # -- throughput ----------------------------------------------------------------------
 
 

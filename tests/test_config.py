@@ -1,15 +1,25 @@
 """Config schema, deterministic builds, blob-backed weights."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cinet import cli, config
 from cinet.attention import EncoderBlock, RecyclingPositionalEncoding
-from cinet.config import build_model, canonical_json, load_config, validate_config
-from cinet.containers import Residual, Sequential
+from cinet.config import (build_model, canonical_json, load_config, random_stream,
+                          stage_types, validate_config)
+from cinet.containers import Parallel, Residual, Sequential
+from cinet.conv import TemporalConv
 from cinet.errors import ConfigError
+from cinet.norm import BatchNorm
+from cinet.pool import TemporalPool
 from cinet.tensor import Tensor, save_blob
+
+from conftest import ConvThenBn, max_rel_dev, unfolded
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def conv_cfg(seed=11, **kw):
@@ -17,6 +27,11 @@ def conv_cfg(seed=11, **kw):
              "init": {"scheme": "uniform", "seed": seed}}
     entry.update(kw)
     return entry
+
+
+def bn_cfg(channels=3, seed=5):
+    return {"type": "batchnorm", "channels": channels,
+            "init": {"scheme": "uniform", "seed": seed}}
 
 
 def base_cfg(layers, shape=(2, 2, 2), dtype="f32"):
@@ -74,7 +89,7 @@ def test_layer_order_does_not_shift_seeded_weights():
     assert np.array_equal(w1, w2)
 
 
-@pytest.mark.parametrize("cfg,path_fragment", [
+INVALID = [
     ({"name": "x"}, "layers"),
     ({"name": "x", "layers": [{"type": "nope"}]}, "layers[0].type"),
     ({"name": "x", "layers": [{"type": "conv3d"}]}, "layers[0].c_in"),
@@ -94,11 +109,36 @@ def test_layer_order_does_not_shift_seeded_weights():
                 "ff_dim": 4, "refresh_interval": 8}], shape=(2,)), "layers[0].refresh_interval"),
     (base_cfg([conv_cfg(init={"scheme": "uniform", "seed": 1, "hi": "x"})]),
      "layers[0].init.hi"),
-])
+    (base_cfg([conv_cfg()]) | {"dtpye": "f64"}, "dtpye"),
+]
+
+
+@pytest.mark.parametrize("cfg,path_fragment", INVALID)
 def test_validation_errors_point_at_field(cfg, path_fragment):
     with pytest.raises(ConfigError) as err:
         validate_config(cfg)
     assert path_fragment in str(err.value)
+
+
+@pytest.mark.parametrize("cfg,path_fragment", INVALID)
+def test_build_model_rejects_an_invalid_config_at_the_same_field(cfg, path_fragment):
+    with pytest.raises(ConfigError) as err:
+        build_model(cfg)
+    assert path_fragment in str(err.value)
+
+
+def test_each_build_validates_once(tmp_path, monkeypatch):
+    calls = []
+    validate = config.validate_config
+    monkeypatch.setattr(config, "validate_config", lambda cfg: calls.append(cfg) or validate(cfg))
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(base_cfg([conv_cfg(), bn_cfg()])))
+    build_model(load_config(p), tmp_path)
+    assert len(calls) == 1
+    for command in ("check", "flops", "throughput"):
+        calls.clear()
+        assert cli.main([command, "--model", str(p), "--length", "8"]) == 0
+        assert len(calls) == 1, command
 
 
 def test_build_error_carries_layer_path(tmp_path):
@@ -184,6 +224,83 @@ def test_encoder_entries_compose_the_positional_encoding_as_a_stage():
     with pytest.raises(ConfigError) as err:
         build_model(base_cfg([dict(enc, mode="both")], shape=(3,)))
     assert err.value.path == "layers[0]"
+
+
+def test_batchnorm_after_a_conv3d_folds_at_any_depth():
+    def seq(*layers):
+        return {"type": "sequential", "layers": list(layers)}
+
+    cfg = base_cfg([
+        conv_cfg(), bn_cfg(),
+        seq(conv_cfg(c_in=3, seed=2), bn_cfg(seed=6)),
+        {"type": "residual", "inner": seq(conv_cfg(c_in=3, seed=3), bn_cfg(seed=7))},
+        {"type": "parallel", "branches": [seq(conv_cfg(c_in=3, seed=4), bn_cfg(seed=8)),
+                                          conv_cfg(c_in=3, seed=9)]},
+    ])
+    model = build_model(cfg)
+    assert [type(m) for m in model.modules] == [TemporalConv, Sequential, Residual, Parallel]
+    assert [type(m) for m in model.modules[1].modules] == [TemporalConv]
+    assert [type(m) for m in model.modules[2].inner.modules] == [TemporalConv]
+    assert [type(m) for m in model.modules[3].branches[0].modules] == [TemporalConv]
+    assert stage_types(cfg["layers"]) == ["conv3d+batchnorm", "sequential", "residual",
+                                          "parallel"]
+    # the folded conv carries the f64 fold of the drawn weights
+    oracle = unfolded(lambda: build_model(cfg))
+    assert isinstance(oracle.modules[0], ConvThenBn)
+    first = oracle.modules[0]
+    assert np.array_equal(model.modules[0].weights.array,
+                          first.weights.array * first.bn.scale[:, None, None, None, None])
+    for dtype, tol in (("f32", 1e-6), ("f64", 1e-12)):
+        x = random_stream(2, 24, (2, 2, 2), dtype)
+        want = oracle.forward(x).array
+        assert max_rel_dev(model.forward(x).array, want) < tol
+        assert max_rel_dev(model.forward_steps(model.init_state(), x).array, want) < tol
+
+
+def test_batchnorm_without_a_conv3d_before_it_stays_a_stage():
+    cfg = base_cfg([bn_cfg(channels=2), {"type": "avgpool_t", "window": 2},
+                    bn_cfg(channels=2), conv_cfg(), {"type": "sequential", "layers": [bn_cfg()]}])
+    model = build_model(cfg)
+    assert [type(m) for m in model.modules] == [BatchNorm, TemporalPool, BatchNorm,
+                                                TemporalConv, Sequential]
+    assert [type(m) for m in model.modules[4].modules] == [BatchNorm]
+    assert stage_types(cfg["layers"]) == ["batchnorm", "avgpool_t", "batchnorm", "conv3d",
+                                          "sequential"]
+
+
+@pytest.mark.parametrize("layers,path", [
+    ([conv_cfg(), bn_cfg(channels=4)], "layers[1]"),
+    ([{"type": "sequential", "layers": [conv_cfg(), bn_cfg(channels=2)]}], "layers[0].layers[1]"),
+])
+def test_fold_with_other_channel_counts_names_the_batchnorm(layers, path):
+    with pytest.raises(ConfigError) as err:
+        build_model(base_cfg(layers))
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])
+@pytest.mark.parametrize("name,folds", [("conv_stack", 1), ("toy_costgcn", 4)])
+def test_bundled_configs_match_their_unfolded_oracle(name, folds, dtype, tol):
+    path = CONFIGS / f"{name}.json"
+    cfg = load_config(path) | {"dtype": dtype}
+    model = build_model(cfg, path.parent)
+    oracle = unfolded(lambda: build_model(cfg, path.parent))
+    found = [m for m in _walk(oracle) if isinstance(m, ConvThenBn)]
+    assert len(found) == folds
+    assert not any(isinstance(m, BatchNorm) for m in _walk(model))
+    x = random_stream(3, model.receptive_field() + 24, tuple(cfg["input"]["shape"]), dtype)
+    want = oracle.forward(x).array
+    assert len(want) >= 25
+    assert max_rel_dev(model.forward(x).array, want) < tol
+    assert max_rel_dev(model.forward_steps(model.init_state(), x).array, want) < tol
+
+
+def _walk(module):
+    """``module`` and every module under it, a StGcnBlock's conv included."""
+    yield module
+    for m in module.children() + [getattr(module, "tc", None)]:
+        if m is not None:
+            yield from _walk(m)
 
 
 def test_sequential_top_level_always():

@@ -9,7 +9,7 @@ from cinet.norm import BatchNorm
 from cinet.containers import Sequential
 from cinet.tensor import Tensor
 
-from conftest import max_rel_dev, rand_tensor
+from conftest import ConvThenBn, max_rel_dev, rand_tensor, unfolded
 
 
 def identity_bn(c):
@@ -18,12 +18,17 @@ def identity_bn(c):
                      eps=1e-12)
 
 
+def rand_bn(rng, c):
+    return BatchNorm(rand_tensor(rng, (c,)), rand_tensor(rng, (c,)), rand_tensor(rng, (c,)),
+                     Tensor.wrap(rng.uniform(0.2, 1.5, c).astype(np.float32)))
+
+
 def make_block(rng, v=25, c_in=4, c_out=4, k_t=9, stride=1, padding=0,
-               partitions=3, residual=None, bn=None, scale=0.3):
+               partitions=3, residual=None, bn=None, scale=0.3, dilation=1):
     graph = SkeletonGraph.chain(v, partitions=partitions)
     w_gc = [rand_tensor(rng, (c_in, c_out), scale=scale) for _ in range(partitions)]
     tc = TemporalConv(rand_tensor(rng, (c_out, c_out, k_t, 1, 1), scale=scale),
-                      rand_tensor(rng, (c_out,), scale=scale),
+                      rand_tensor(rng, (c_out,), scale=scale), dilation=dilation,
                       padding=padding, temporal_stride=stride)
     if residual is None:
         residual = "identity" if c_in == c_out else "pointwise"
@@ -121,6 +126,32 @@ def test_block_clip_equals_steps_strided(residual, c_in, stride, dtype, tol):
         assert offline.shape == online.shape == (blk.out_len(23), 5, 7)
         assert offline.array.dtype == x.array.dtype
         assert max_rel_dev(online.array, offline.array) < tol
+
+
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])
+@pytest.mark.parametrize("stride,padding,dilation", [
+    (1, 0, 1), (2, 0, 1), (1, 2, 1), (2, 2, 1), (1, 0, 2), (2, 2, 2)])
+@pytest.mark.parametrize("residual,c_in", [("none", 5), ("identity", 5), ("pointwise", 3)])
+def test_folded_block_matches_unfolded_oracle(residual, c_in, stride, padding, dilation,
+                                              dtype, tol):
+    def build():
+        rng = np.random.default_rng(30 + stride + 3 * padding + 7 * dilation)
+        return make_block(rng, v=7, c_in=c_in, c_out=5, k_t=3, stride=stride,
+                          padding=padding, dilation=dilation, residual=residual,
+                          bn=rand_bn(rng, 5))
+
+    blk, oracle = build(), unfolded(build)
+    assert isinstance(oracle.tc, ConvThenBn) and type(blk.tc) is TemporalConv
+    assert not hasattr(blk, "bn")
+    x = rand_tensor(np.random.default_rng(1), (23, c_in, 7), dtype=dtype)
+    want = oracle.forward(x).array
+    clip = blk.forward(x).array
+    steps = blk.forward_steps(blk.init_state(), x).array
+    assert clip.shape == steps.shape == want.shape and len(want) > 0
+    assert clip.dtype == steps.dtype == want.dtype
+    assert max_rel_dev(clip, want) < tol
+    assert max_rel_dev(steps, want) < tol
+    assert max_rel_dev(steps, clip) < tol
 
 
 def test_block_zero_input_zero_output():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cinet.containers import Sequential
+from cinet.conv import TemporalConv
 from cinet.errors import DimensionError
 from cinet.norm import BatchNorm, LayerNorm, step_momentum
 from cinet.tensor import Tensor
 
-from conftest import rand_tensor
+from conftest import max_rel_dev, rand_tensor
 
 
 def make_bn(rng, c, identity=False):
@@ -73,6 +75,42 @@ def test_bn_rejects_negative_variance():
     with pytest.raises(ValueError):
         BatchNorm(Tensor.zeros((c,)), Tensor.zeros((c,)), Tensor.zeros((c,)),
                   Tensor([-1.0, 1.0]))
+
+
+def test_bn_scale_and_shift_are_computed_in_f64():
+    bn = make_bn(np.random.default_rng(5), 4)
+    g, b, m, v = (t.array.astype(np.float64)
+                  for t in (bn.gamma, bn.beta, bn.running_mean, bn.running_var))
+    assert bn.scale.dtype == bn.shift.dtype == np.float64
+    assert np.array_equal(bn.scale, g / np.sqrt(v + bn.eps))
+    assert np.array_equal(bn.shift, b - m * bn.scale)
+
+
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])
+@pytest.mark.parametrize("kernel,dilation,padding,stride", [
+    ((3, 1, 1), 1, 0, 1), ((3, 2, 2), 1, 2, 2), ((3, 1, 1), 2, 2, 1), ((2, 3, 3), 2, 0, 2)])
+def test_bn_folded_into_a_conv_matches_conv_then_bn(kernel, dilation, padding, stride,
+                                                     dtype, tol):
+    rng = np.random.default_rng(6)
+    conv = TemporalConv(rand_tensor(rng, (4, 3) + kernel, dtype=dtype),
+                        rand_tensor(rng, (4,), dtype=dtype), dilation=dilation,
+                        padding=padding, temporal_stride=stride)
+    bn = make_bn(rng, 4)
+    oracle, folded = Sequential([conv, bn]), conv.folded(bn)
+    x = rand_tensor(rng, (20, 3, 5, 5), dtype=dtype)
+    want = oracle.forward(x).array
+    assert len(want) > 0
+    for got in (folded.forward(x), folded.forward_steps(folded.init_state(), x)):
+        assert got.shape == want.shape and got.array.dtype == want.dtype
+        assert max_rel_dev(got.array, want) < tol
+    assert folded.step_cost((3, 5, 5)) == conv.step_cost((3, 5, 5))
+
+
+def test_bn_fold_rejects_other_channel_counts():
+    rng = np.random.default_rng(7)
+    conv = TemporalConv(rand_tensor(rng, (4, 3, 2, 1, 1)), rand_tensor(rng, (4,)))
+    with pytest.raises(DimensionError):
+        conv.folded(make_bn(rng, 3))
 
 
 def test_ln_constant_vector_gives_beta():
