@@ -18,6 +18,12 @@ partitions side by side, and one channel mix with the stacked ``W_p``, on a
 frame in step mode and on the whole clip in clip mode.  The block stacks its
 weights in both stream dtypes at construction; the ``graph_conv`` reference
 stacks them per call.
+
+The classifier head averages over time and nodes, then applies a linear
+map.  All three are linear, so it takes the node mean and the classifier
+weight on each frame and averages the ``(classes,)`` logits over time,
+adding the bias last: a stream keeps a ring of logits, not of frames, in
+step and clip mode alike.
 """
 
 from __future__ import annotations
@@ -251,7 +257,8 @@ class StGcnBlock(CoModule):
 
 
 class GlobalAverageHead(CoModule):
-    """Running global average over time and nodes, then a linear classifier."""
+    """Running global average over time and nodes, then a linear classifier,
+    taken as per-frame logits averaged over time, then the bias."""
 
     def __init__(self, pool_window: int, weight: Tensor, bias: Tensor):
         self.pool = TemporalPool("avg", pool_window)
@@ -276,31 +283,26 @@ class GlobalAverageHead(CoModule):
     def init_state(self):
         return self.pool.init_state()  # the head itself keeps nothing
 
-    def _classify(self, feat: np.ndarray) -> np.ndarray:
-        """Logits of (..., C) node-mean features."""
-        w, b = self._w[feat.dtype]
-        return feat @ w + b
-
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
-        pooled = self.pool._step(state, a)
-        if pooled is None:
-            return None
-        return self._classify(pooled.reshape(self.channels, -1).mean(axis=1))
+        w, b = self._w[a.dtype]
+        pooled = self.pool._step(state, a.reshape(self.channels, -1).mean(axis=1) @ w)
+        return None if pooled is None else pooled + b
 
     def _clip(self, a: np.ndarray) -> np.ndarray:
-        pooled = self.pool._clip(a)
-        nodes = int(np.prod(pooled.shape[2:]))
-        return self._classify(pooled.reshape(pooled.shape[0], self.channels, nodes).mean(axis=2))
+        w, b = self._w[a.dtype]
+        nodes = int(np.prod(a.shape[2:]))
+        return self.pool._clip(a.reshape(a.shape[0], self.channels, nodes).mean(axis=2) @ w) + b
 
-    def _classify_cost(self, frame_shape: tuple) -> OpCount:
-        n = int(np.prod(frame_shape))
-        macs = self.channels * self.classes
-        other = (n - self.channels) + self.channels + self.classes  # node mean + bias
-        return OpCount(macs=macs, other=other)
+    def _frame_cost(self, frame_shape: tuple) -> OpCount:
+        """Node mean and classifier of one input frame."""
+        n = int(np.prod(frame_shape))  # (n - C) node sums and C divides
+        return OpCount(macs=self.channels * self.classes, other=n)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
-        return self.pool.step_cost(frame_shape) + self._classify_cost(frame_shape)
+        bias = OpCount(other=self.classes)
+        return self._frame_cost(frame_shape) + self.pool.step_cost((self.classes,)) + bias
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
-        n_out = self.out_len(t)
-        return self.pool.clip_cost(frame_shape, t) + self._classify_cost(frame_shape).scaled(n_out)
+        bias = OpCount(other=self.classes).scaled(self.out_len(t))
+        return (self._frame_cost(frame_shape).scaled(t)
+                + self.pool.clip_cost((self.classes,), t) + bias)

@@ -22,8 +22,10 @@ the prefix with slot ``r + 1``: amortized O(1) comparisons per element per
 step.  Zero padding is rejected for max pooling because padding with zeros
 corrupts maxima of negative signals.
 
-A global-average head over a temporal receptive field is just an average
-pool with ``window`` set to that receptive field.
+``cinet.graph.GlobalAverageHead`` runs an average pool with ``window`` set
+to its temporal receptive field, over per-frame ``(classes,)`` logits rather
+than whole frames: the node mean and the classifier are linear, so they
+commute with the temporal average and the pool's ring stays class-sized.
 """
 
 from __future__ import annotations

@@ -24,10 +24,6 @@ def _splitmix64(state: int):
     return state, (z ^ (z >> 31)) & _MASK
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
-
-
 class Xoshiro256pp:
     """xoshiro256++ seeded via splitmix64, per the reference construction."""
 
@@ -39,24 +35,27 @@ class Xoshiro256pp:
             state.append(out)
         self._s = state
 
-    def next_u64(self) -> int:
+    def _draw(self, n: int) -> list:
+        """The next n 64-bit outputs, advancing the state past them."""
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK, 23) + s0) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
+        out = [0] * n
+        for i in range(n):
+            x = (s0 + s3) & _MASK
+            out[i] = (((x << 23) | (x >> 41)) + s0) & _MASK  # rotl(s0 + s3, 23) + s0
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) & _MASK) | (s3 >> 19)  # rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
-        return result
+        return out
+
+    def next_u64(self) -> int:
+        return self._draw(1)[0]
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """n doubles in [lo, hi), each from one 64-bit draw (53-bit mantissa)."""
-        out = np.empty(n, dtype=np.float64)
-        span = hi - lo
-        for i in range(n):
-            u = (self.next_u64() >> 11) * (1.0 / (1 << 53))
-            out[i] = lo + u * span
-        return out
+        u = (np.array(self._draw(n), dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
+        return lo + u * (1.0 / (1 << 53)) * (hi - lo)

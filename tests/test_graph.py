@@ -1,8 +1,11 @@
 """Spatio-temporal graph convolution block and network head."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cinet.config import build_model, load_config, random_stream
 from cinet.conv import TemporalConv
 from cinet.graph import GlobalAverageHead, SkeletonGraph, StGcnBlock, graph_conv
 from cinet.norm import BatchNorm
@@ -236,3 +239,53 @@ def test_head_rejects_wrong_channels():
     head = GlobalAverageHead(4, rand_tensor(rng, (3, 2)), rand_tensor(rng, (2,)))
     with pytest.raises(Exception):
         head.out_frame_shape((5, 9))
+
+
+def test_head_state_holds_logits_not_frames():
+    rng = np.random.default_rng(12)
+    head = GlobalAverageHead(6, rand_tensor(rng, (3, 4)), rand_tensor(rng, (4,)))
+    state = head.init_state()
+    head.forward_steps(state, rand_tensor(rng, (20, 3, 9)))
+    assert state.ring.shape == (5, 4) and state.ring.dtype == np.float32
+    assert state.running_sum.shape == (4,) and state.running_sum.dtype == np.float64
+
+
+@pytest.mark.parametrize("length", [5, 6, 30])
+def test_head_clip_equals_steps_on_image_frames(length):
+    # test_head_clip_equals_steps takes (C, V) frames; these are (C, H, W)
+    rng = np.random.default_rng(13)
+    head = GlobalAverageHead(6, rand_tensor(rng, (3, 4)), rand_tensor(rng, (4,)))
+    x = rand_tensor(rng, (length, 3, 2, 4))
+    offline = head.forward(x)
+    online = head.forward_steps(head.init_state(), x)
+    assert offline.shape == online.shape == (max(length - 5, 0), 4)
+    assert max_rel_dev(online.array, offline.array) < 1e-6
+
+
+def test_toy_costgcn_head_matches_pooling_whole_frames():
+    # the head pools per-frame logits; in real arithmetic that is the
+    # classifier of the pooled frames' node mean, computed here in f64
+    path = Path(__file__).resolve().parent.parent / "configs" / "toy_costgcn.json"
+    model = build_model(load_config(path), path.parent)
+    *body, head = model.modules
+    x = random_stream(3, 400, (3, 25), "f32")
+    feats = Sequential(body).forward(x).array.astype(np.float64)
+    n = head.pool.window
+    csum = np.concatenate([np.zeros((1,) + feats.shape[1:]), np.cumsum(feats, axis=0)])
+    pooled = (csum[n:] - csum[:-n]) / n
+    ref = pooled.mean(axis=2) @ head.weight.array.astype(np.float64) \
+        + head.bias.array.astype(np.float64)
+    assert ref.shape == (len(feats) - n + 1, head.classes)
+    for out in (model.forward(x), model.forward_steps(model.init_state(), x)):
+        assert out.shape == ref.shape
+        assert max_rel_dev(out.array, ref) < 1e-6
+
+
+def test_head_cost_counts_each_frame_then_class_sized_pool():
+    rng = np.random.default_rng(14)
+    head = GlobalAverageHead(6, rand_tensor(rng, (3, 4)), rand_tensor(rng, (4,)))
+    # per frame: 3*4 MACs and 3*9 node sums/divides; pool 3 ops per class; bias
+    step = head.step_cost((3, 9))
+    assert (step.macs, step.other) == (12, 27 + 3 * 4 + 4)
+    clip = head.clip_cost((3, 9), 20)  # 15 emissions
+    assert (clip.macs, clip.other) == (20 * 12, 20 * 27 + 15 * 4 * 6 + 15 * 4)
