@@ -12,10 +12,12 @@ allocated on the first frame; step ``t`` owns slot ``t mod (rf - 1)``, so the
 step counter is the ring's cursor and the state never grows or reallocates:
 
 - ``pre``  (direct form): the ring holds the previous raw input frames.  An
-  emission gathers the tapped frames oldest-first, through a precomputed
-  slot index per ring phase, beside the newest frame and convolves them in
-  one matrix product.  Unwritten zero slots are the virtual frames before
-  the stream.
+  emission is two matrix products: the newest tap on the newest frame, and
+  the older taps on the ring's tapped frames.  Undilated, every slot is
+  tapped, so the ring is read in place in slot order, against the older
+  taps rotated to the ring phase; dilated, the tapped slots are gathered
+  oldest-first.  Unwritten zero slots are the virtual frames before the
+  stream.
 - ``post`` (transposed form): the ring holds partial sums, one slot per
   pending emission.  Each arriving frame is convolved with every live tap in
   one matrix product and each product is added to the slot of the emission
@@ -26,12 +28,15 @@ step counter is the ring's cursor and the state never grows or reallocates:
 The layer arranges its weights tap-major, with the bias, in both stream
 dtypes at construction.  The step path's layout depends on the frame shape
 too, so it is made on the first frame of each dtype and shape and kept on
-the module: the arrangement that caches fewer elements (``pre`` on a tie),
-its weights for those products (oldest tap first for ``pre``, the live
-taps for ``post``) and the per-phase slot tables.  A spatial kernel is
-unfolded (im2col) through a gather index built at the same time; a 1x1
-kernel needs no unfolding, so an emission is one
-``(c_out, k*c_in) @ (k*c_in, H*W)`` matrix product.
+the module: the arrangement that caches fewer elements (``pre`` on a tie)
+and its weights per ring phase.  For ``pre`` those are the newest tap and
+the older taps in the order the ring is read: undilated, a view of one
+table that holds the older taps oldest-first twice over, so every phase's
+rotation is a window of it at twice the taps' bytes; dilated, one
+oldest-first matrix with a slot index per phase.  For ``post`` they are the
+live taps.  A spatial kernel is unfolded (im2col) through gather indices
+built at the same time; a 1x1 kernel needs no unfolding, so each product
+reads its frames as a ``(frames*c_in, H*W)`` matrix in place.
 
 Both emit on exactly the same schedule and differ only in summation order.
 
@@ -70,19 +75,26 @@ class _Layout(NamedTuple):
     """What the step path needs for one frame dtype and shape, made once.
 
     ``plan[t % len(plan)]`` is the entry of step ``t``.  ``pre`` entries are
-    ``(w, slots)``: the (c_out, k_t*C*KH*KW) oldest-tap-first weights and
-    the ring slots of taps k_t-1 .. 1.  ``post`` entries are ``(w, lo, hi,
-    slots, last)``: the tap-major (live taps*c_out, C*KH*KW) weights of the
-    taps whose emission the stride keeps, the span of the middle taps in
-    their product and those taps' ring slots, and whether the oldest tap is
-    live.  ``cols`` is the im2col gather index, ``None`` for 1x1 kernels.
+    ``(w, w_old, slots)``: the newest tap's (c_out, C*KH*KW) weights, the
+    older taps' (c_out, (k_t-1)*C*KH*KW) weights in the order the ring is
+    read, and the ring slots of taps k_t-1 .. 1 to gather, or ``None`` when
+    the ring is read whole in slot order (dilation 1).  ``post`` entries are
+    ``(w, lo, hi, slots, last)``: the tap-major (live taps*c_out, C*KH*KW)
+    weights of the taps whose emission the stride keeps, the span of the
+    middle taps in their product and those taps' ring slots, and whether the
+    oldest tap is live.  ``cols`` unfolds one frame into im2col columns and
+    ``ring_cols`` the k_t-1 older frames ``pre`` reads; both are ``None``
+    for 1x1 kernels.  ``bias`` is (c_out, 1), added to an emission's
+    (c_out, H'*W') columns.
     """
 
     form: str
     out_shape: tuple
+    ring_shape: tuple
     plan: list
     bias: np.ndarray
     cols: Optional[np.ndarray]
+    ring_cols: Optional[np.ndarray]
 
 
 class _ConvState:
@@ -123,6 +135,7 @@ class TemporalConv(CoModule):
         self.padding = padding
         self.temporal_stride = temporal_stride
         self._rf = rf
+        self._delay = rf - 1 - padding
         # (k_t, c_out, C*KH*KW) tap-major weights and the (c_out,) bias
         self._w = per_dtype(lambda dt: (
             weights.array.astype(dt).transpose(2, 0, 1, 3, 4).reshape(self.k_t, self.c_out, -1),
@@ -146,7 +159,7 @@ class TemporalConv(CoModule):
     # -- temporal properties --------------------------------------------------
 
     def delay(self) -> int:
-        return self._rf - 1 - self.padding
+        return self._delay
 
     def receptive_field(self) -> int:
         return self._rf
@@ -213,26 +226,36 @@ class TemporalConv(CoModule):
     def init_state(self) -> _ConvState:
         return _ConvState()
 
-    def _emits_at(self, t: int) -> bool:
-        return t >= self.delay() and (t - self.delay()) % self.temporal_stride == 0
-
     def _layout(self, dtype: np.dtype, frame_shape: tuple) -> _Layout:
-        lay = self._layouts.get((dtype, frame_shape))
-        if lay is not None:
-            return lay
         out_shape = self.out_frame_shape(frame_shape)
         form = self.cache_elements(frame_shape)["chosen"]
         k_t, d, stride, n = self.k_t, self.dilation, self.temporal_stride, self._rf - 1
         taps, bias = self._w[dtype]
+        ring_cols = None
         if form == "pre":
-            frames = k_t
-            w = taps[::-1].transpose(1, 0, 2).reshape(self.c_out, -1)
-            plan = [(w, np.array([(ph - k * d) % n for k in range(k_t - 1, 0, -1)],
-                                 dtype=np.intp))
-                    for ph in range(max(n, 1))]
+            old = taps[:0:-1].transpose(1, 0, 2)  # (c_out, k_t-1, C*KH*KW), taps k_t-1 .. 1
+            if n == 0:
+                plan = [(taps[0], None, None)]
+            elif d == 1:
+                # every slot is tapped: at phase p slot s holds the input of
+                # tap n - (s - p) mod n, and column block (n - p) mod n + s of
+                # the older taps laid twice holds that tap.  np.concatenate
+                # keeps the transposed layout, so the table is made contiguous
+                # for the phase matrices to be views of it
+                table = np.ascontiguousarray(np.concatenate([old, old], axis=1))
+                plan = [(taps[0], table[:, (n - p) % n:][:, :n].reshape(self.c_out, -1), None)
+                        for p in range(n)]
+            else:
+                w_old = old.reshape(self.c_out, -1)
+                plan = [(taps[0], w_old,
+                         np.array([(p - k * d) % n for k in range(k_t - 1, 0, -1)],
+                                  dtype=np.intp))
+                        for p in range(n)]
+            ring_shape = (n,) + frame_shape
+            if n and (self.k_h > 1 or self.k_w > 1):
+                ring_cols = _unfold_index(k_t - 1, frame_shape, self.k_h, self.k_w)
         else:
-            frames = 1
-            live = [[k for k in range(k_t) if (p + k * d - self.delay()) % stride == 0]
+            live = [[k for k in range(k_t) if (p + k * d - self._delay) % stride == 0]
                     for p in range(stride)]
             w_live = [taps[ks].reshape(-1, taps.shape[2]) for ks in live]
             plan = []
@@ -243,56 +266,55 @@ class TemporalConv(CoModule):
                 slots = np.array([(q + k * d) % n for k in mid], dtype=np.intp)
                 last = bool(ks) and ks[-1] == k_t - 1
                 plan.append((w_live[q % stride], lo, lo + len(mid), slots, last))
+            ring_shape = (n,) + out_shape
         cols = None
         if self.k_h > 1 or self.k_w > 1:
-            cols = _unfold_index(frames, frame_shape, self.k_h, self.k_w)
-        lay = _Layout(form, out_shape, plan, bias.reshape(-1, 1, 1), cols)
+            cols = _unfold_index(1, frame_shape, self.k_h, self.k_w)
+        lay = _Layout(form, out_shape, ring_shape, plan, bias[:, None], cols, ring_cols)
         self._layouts[(dtype, frame_shape)] = lay
         return lay
-
-    def _unfold(self, lay: _Layout, xa: np.ndarray) -> np.ndarray:
-        if lay.cols is None:
-            return xa.reshape(-1, xa.shape[-2] * xa.shape[-1])
-        return np.take(xa, lay.cols)
 
     def _step(self, state: _ConvState, xa: np.ndarray) -> Optional[np.ndarray]:
         if xa.ndim != 3:
             raise DimensionError(f"frame must be (C,H,W), got {xa.shape}")
-        lay = self._layout(xa.dtype, xa.shape)
+        lay = self._layouts.get((xa.dtype, xa.shape))
+        if lay is None:
+            lay = self._layout(xa.dtype, xa.shape)
         n = self._rf - 1
-        slot = xa.shape if lay.form == "pre" else lay.out_shape
-        ring = state.ring = ring_buffer(state.ring, (n,) + slot, xa.dtype)
+        ring = state.ring = ring_buffer(state.ring, lay.ring_shape, xa.dtype)
         t = state.t
         state.t += 1
+        emits = t >= self._delay and (t - self._delay) % self.temporal_stride == 0
         y = None
-        entry = lay.plan[t % len(lay.plan)]
         if lay.form == "pre":
-            w, slots = entry
-            if self._emits_at(t):
+            if emits:
+                w, w_old, slots = lay.plan[t % len(lay.plan)]
+                y = w @ (xa.reshape(self.c_in, -1) if lay.cols is None
+                         else np.take(xa, lay.cols))
                 if n:
-                    win = np.empty((self.k_t,) + xa.shape, dtype=xa.dtype)
-                    np.take(ring, slots, axis=0, out=win[:-1])
-                    win[-1] = xa
-                else:
-                    win = xa
-                y = (w @ self._unfold(lay, win)).reshape(lay.out_shape)
+                    old = ring if slots is None else np.take(ring, slots, axis=0)
+                    y += w_old @ (old.reshape(w_old.shape[1], -1) if lay.ring_cols is None
+                                  else np.take(old, lay.ring_cols))
             if n:
                 ring[t % n] = xa
         else:
             # one product per live tap, ascending; tap 0 completes emission
             # t, the middle taps add to pending slots and the oldest tap
             # starts emission t + rf - 1 in the slot emission t frees
-            w, lo, hi, slots, last = entry
+            w, lo, hi, slots, last = lay.plan[t % len(lay.plan)]
             if w.shape[0]:
-                c = (w @ self._unfold(lay, xa)).reshape((-1,) + lay.out_shape)
-                if self._emits_at(t):
-                    y = c[0] + ring[t % n]
+                c = w @ (xa.reshape(self.c_in, -1) if lay.cols is None
+                         else np.take(xa, lay.cols))
+                if emits:
+                    y = c[:self.c_out] + ring[t % n].reshape(self.c_out, -1)
+                c = c.reshape((-1,) + lay.out_shape)
                 if hi > lo:
                     ring[slots] += c[lo:hi]
                 if last:
                     ring[t % n] = c[-1]
         if y is not None:
             y += lay.bias
+            y = y.reshape(lay.out_shape)
         return y
 
     # -- analytic cost ---------------------------------------------------------------

@@ -28,6 +28,7 @@ step and clip mode alike.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -179,6 +180,11 @@ class StGcnBlock(CoModule):
         self.shortcut = (Pointwise(res_weight) if residual == "pointwise"
                          else Identity() if residual == "identity" else None)
         self.res_delay = tc.delay()  # the residual lands on the aligned step
+        self._frame = (self.c_in, graph.v)
+        self._frame_out = (self.c_out, graph.v)
+        # the residual ring's shape, or () when no input waits for a shortcut
+        self._res_shape = ((self.res_delay,) + self._frame
+                           if self.shortcut is not None and self.res_delay else ())
         self._w = per_dtype(lambda dt: _stacked(graph, self.w_gc, dt))  # (A_cat, W)
 
     def delay(self) -> int:
@@ -200,24 +206,24 @@ class StGcnBlock(CoModule):
         return _BlockState(self.tc.init_state())
 
     def _step(self, state: _BlockState, xa: np.ndarray) -> Optional[np.ndarray]:
-        if xa.shape != (self.c_in, self.graph.v):
-            raise DimensionError(f"frame {xa.shape} != ({self.c_in},{self.graph.v})")
-        d = self.res_delay if self.shortcut is not None else 0
-        if d:
-            state.res = ring_buffer(state.res, (d,) + xa.shape, xa.dtype)
-        slot = state.tc.t % max(d, 1)
+        if xa.shape != self._frame:
+            raise DimensionError(f"frame {xa.shape} != {self._frame}")
+        t = state.tc.t  # modulo res_delay, the slot of the residual ring
         y = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype])[:, :, None])
+        res = None
+        if self._res_shape:
+            res = state.res = ring_buffer(state.res, self._res_shape, xa.dtype)
         if y is not None:
             # the conv's output is a fresh array that no state holds, so the
             # residual add and the ReLU run in place on it
-            y = y[:, :, 0]
+            y = y.reshape(self._frame_out)
             if self.shortcut is not None:
                 # the input res_delay steps back, held in this slot since; it is
                 # projected only here, so strides spend no work on skipped frames
-                y += self.shortcut._apply(state.res[slot] if d else xa, 0)
+                y += self.shortcut._apply(xa if res is None else res[t % self.res_delay], 0)
             np.maximum(y, 0, out=y)
-        if d:
-            state.res[slot] = xa
+        if res is not None:
+            res[t % self.res_delay] = xa
         return y
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
@@ -285,13 +291,21 @@ class GlobalAverageHead(CoModule):
 
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         w, b = self._w[a.dtype]
-        pooled = self.pool._step(state, a.reshape(self.channels, -1).mean(axis=1) @ w)
+        pooled = self.pool._step(state, self._node_mean(a.reshape(self.channels, -1)) @ w)
         return None if pooled is None else pooled + b
 
     def _clip(self, a: np.ndarray) -> np.ndarray:
         w, b = self._w[a.dtype]
-        nodes = int(np.prod(a.shape[2:]))
-        return self.pool._clip(a.reshape(a.shape[0], self.channels, nodes).mean(axis=2) @ w) + b
+        nodes = a.reshape(a.shape[0], self.channels, math.prod(a.shape[2:]))
+        return self.pool._clip(self._node_mean(nodes) @ w) + b
+
+    @staticmethod
+    def _node_mean(a: np.ndarray) -> np.ndarray:
+        """Mean over the last axis, as ``a.mean(-1)`` computes it: the sum,
+        then one in-place divide, without ``mean``'s dispatch."""
+        m = np.add.reduce(a, axis=-1)
+        m /= a.shape[-1]
+        return m
 
     def _frame_cost(self, frame_shape: tuple) -> OpCount:
         """Node mean and classifier of one input frame."""

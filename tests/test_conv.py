@@ -304,6 +304,42 @@ def test_ring_steps_match_forward_and_never_reallocate(form, k_t, dil, stride, d
             assert max_rel_dev(np.stack(outs), offline) < tol
 
 
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])
+@pytest.mark.parametrize("k_t,dil,pad,stride,spatial", [
+    (9, 1, 0, 1, (1, 1)),  # the skeleton block's conv: the ring read in place
+    (4, 1, 2, 2, (3, 3)),  # the ring unfolded through its own im2col index
+    (3, 2, 0, 1, (1, 1)),  # dilated: the tapped slots gathered
+    (3, 2, 3, 3, (3, 3)),
+])
+def test_pre_form_matches_loop_oracle_at_every_ring_phase(k_t, dil, pad, stride, spatial,
+                                                           dtype, tol):
+    rng = np.random.default_rng(25)
+    conv = make_conv(rng, c_out=C_OUT["pre"], k=(k_t,) + spatial, dilation=dil,
+                     padding=pad, stride=stride, scale=0.3)
+    frame = (2, 5, 5)
+    assert conv.cache_elements(frame)["chosen"] == "pre"
+    n = conv.receptive_field() - 1
+    x = rand_tensor(rng, (3 * n * stride + 8,) + frame, dtype=dtype).array
+    want = offline_oracle(x, conv.weights.array, conv.bias.array, dil, pad)[::stride]
+    state = conv.init_state()
+    outs, phases = [], set()
+    for t in range(len(x)):
+        y = conv._step(state, x[t])
+        if y is not None:
+            phases.add(t % n)
+            assert max_rel_dev(y, want[len(outs)]) < tol
+            outs.append(y)
+    # the stride is prime to the ring size, so every phase emitted
+    assert len(outs) == len(want) and phases == set(range(n))
+    # every phase's older-tap weights are views of one table of at most
+    # twice the taps' bytes, not a copy per phase
+    taps = (k_t - 1) * conv.c_out * conv.c_in * spatial[0] * spatial[1] * x.itemsize
+    ws = [w_old for _, w_old, _ in conv._layouts[(x.dtype, frame)].plan]
+    table = ws[0] if ws[0].base is None else ws[0].base
+    assert len(ws) == n and table.nbytes <= 2 * taps
+    assert all(np.shares_memory(w, table) for w in ws)
+
+
 @pytest.mark.parametrize("form", ["pre", "post"])
 def test_interleaved_dtypes_share_one_module(form):
     # the per-dtype weight layouts live on the module; two streams of

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cinet.graph
 from cinet.config import build_model, load_config, random_stream
 from cinet.conv import TemporalConv
 from cinet.graph import GlobalAverageHead, SkeletonGraph, StGcnBlock, graph_conv
@@ -279,6 +280,54 @@ def test_toy_costgcn_head_matches_pooling_whole_frames():
     for out in (model.forward(x), model.forward_steps(model.init_state(), x)):
         assert out.shape == ref.shape
         assert max_rel_dev(out.array, ref) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("frame", [(3, 25), (3, 2, 4)])
+def test_head_node_mean_bit_identical_to_mean_formula(frame, dtype):
+    # the head sums the nodes and divides in place; that must be the
+    # arithmetic of ``mean``, in step and clip mode alike
+    rng = np.random.default_rng(15)
+    head = GlobalAverageHead(6, rand_tensor(rng, (3, 4), dtype=dtype),
+                             rand_tensor(rng, (4,), dtype=dtype))
+    w = head.weight.array
+    x = rand_tensor(rng, (20,) + frame, dtype=dtype, scale=10).array
+    seen = []
+    step, clip = head.pool._step, head.pool._clip
+    head.pool._step = lambda state, a: seen.append(a) or step(state, a)
+    head.pool._clip = lambda a: seen.append(a) or clip(a)
+    state = head.init_state()
+    for a in x:
+        head._step(state, a)
+        assert np.array_equal(seen.pop(), a.reshape(3, -1).mean(1) @ w)
+    head._clip(x)
+    assert np.array_equal(seen.pop(), x.reshape(20, 3, -1).mean(2) @ w)
+
+
+def test_toy_costgcn_step_keeps_one_call_per_kernel(monkeypatch):
+    # the graph conv, the temporal conv and the shortcut stay separate calls,
+    # once per block and step, and the head hands its logits to its pool
+    path = Path(__file__).resolve().parent.parent / "configs" / "toy_costgcn.json"
+    model = build_model(load_config(path), path.parent)
+    *blocks, head = model.modules
+    x = random_stream(5, model.delay() + 2, (3, 25), "f32")
+    state = model.init_state()
+    model.forward_steps(state, Tensor.wrap(x.array[:-1]))
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cinet.graph, "_gc", counted("_gc", cinet.graph._gc))
+    monkeypatch.setattr(TemporalConv, "_step", counted("tc", TemporalConv._step))
+    for block in blocks:
+        monkeypatch.setattr(block.shortcut, "_apply", counted("shortcut", block.shortcut._apply))
+    monkeypatch.setattr(head.pool, "_step", counted("pool", head.pool._step))
+    assert model.forward_step(state, Tensor.wrap(x.array[-1])) is not None
+    assert calls == {"_gc": 4, "tc": 4, "shortcut": 4, "pool": 1}
 
 
 def test_head_cost_counts_each_frame_then_class_sized_pool():
