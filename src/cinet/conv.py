@@ -8,33 +8,33 @@ padding would require peeking into the future and is never applied.
 
 Two step-mode arrangements are provided.  Each keeps its stream state in one
 ring of ``rf - 1`` slots (``rf`` the receptive field), zero-initialised and
-allocated on the first frame; step ``t`` owns slot ``t mod (rf - 1)``, so the
-step counter is the ring's cursor and the state never grows or reallocates:
+allocated on the first frame, so the state never grows or reallocates.  Both
+read the ring with one geometry: ``d = dilation`` contiguous sub-rings of
+``m = k_t - 1`` slots, step ``t`` owning slot ``(t // d) mod m`` of sub-ring
+``t mod d``.  The frames of one window are ``d`` steps apart, so they and
+the sums they feed share a sub-ring, which then works as an undilated ring
+of ``m`` slots at phase ``p = (t // d) mod m``:
 
 - ``pre``  (direct form): the ring holds the previous raw input frames.  An
   emission is two matrix products: the newest tap on the newest frame, and
-  the older taps on the ring's tapped frames.  Undilated, every slot is
-  tapped, so the ring is read in place in slot order, against the older
-  taps rotated to the ring phase; dilated, the tapped slots are gathered
-  oldest-first.  Unwritten zero slots are the virtual frames before the
-  stream.
+  the older taps on the sub-ring read in place in slot order.  Unwritten
+  zero slots are the virtual frames before the stream.
 - ``post`` (transposed form): the ring holds partial sums, one slot per
-  pending emission.  Each arriving frame is convolved with every live tap in
-  one matrix product and each product is added to the slot of the emission
-  it completes.  Emissions ``t`` and ``t + rf - 1`` share a slot, so the
-  oldest tap's product overwrites the slot just emitted instead of adding
-  to it.
+  pending emission.  An emission adds the newest tap's product to its slot;
+  the slot is cleared, and one matrix product of the older taps on the
+  arriving frame adds to every slot of the sub-ring, the oldest tap starting
+  the emission ``rf - 1`` steps later in the slot just freed.
+
+In both, phase ``p`` takes the older taps rotated by ``p``, a view of one
+table that holds them twice over, so the weights of every phase cost twice
+the taps' bytes.  ``post`` is taken when it caches fewer elements and the
+stride is 1, ``pre`` otherwise: ``pre`` computes on emitting steps only,
+while ``post`` convolves every frame.
 
 The layer arranges its weights tap-major, with the bias, in both stream
 dtypes at construction.  The step path's layout depends on the frame shape
 too, so it is made on the first frame of each dtype and shape and kept on
-the module: the arrangement that caches fewer elements (``pre`` on a tie)
-and its weights per ring phase.  For ``pre`` those are the newest tap and
-the older taps in the order the ring is read: undilated, a view of one
-table that holds the older taps oldest-first twice over, so every phase's
-rotation is a window of it at twice the taps' bytes; dilated, one
-oldest-first matrix with a slot index per phase.  For ``post`` they are the
-live taps.  A spatial kernel is unfolded (im2col) through gather indices
+the module.  A spatial kernel is unfolded (im2col) through gather indices
 built at the same time; a 1x1 kernel needs no unfolding, so each product
 reads its frames as a ``(frames*c_in, H*W)`` matrix in place.
 
@@ -51,7 +51,6 @@ tap reads stay adjacent.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -74,16 +73,13 @@ def _unfold_index(frames: int, frame_shape: tuple, kh: int, kw: int) -> np.ndarr
 class _Layout(NamedTuple):
     """What the step path needs for one frame dtype and shape, made once.
 
-    ``plan[t % len(plan)]`` is the entry of step ``t``.  ``pre`` entries are
-    ``(w, w_old, slots)``: the newest tap's (c_out, C*KH*KW) weights, the
-    older taps' (c_out, (k_t-1)*C*KH*KW) weights in the order the ring is
-    read, and the ring slots of taps k_t-1 .. 1 to gather, or ``None`` when
-    the ring is read whole in slot order (dilation 1).  ``post`` entries are
-    ``(w, lo, hi, slots, last)``: the tap-major (live taps*c_out, C*KH*KW)
-    weights of the taps whose emission the stride keeps, the span of the
-    middle taps in their product and those taps' ring slots, and whether the
-    oldest tap is live.  ``cols`` unfolds one frame into im2col columns and
-    ``ring_cols`` the k_t-1 older frames ``pre`` reads; both are ``None``
+    ``w_new`` is the newest tap's (c_out, C*KH*KW) weights.  ``plan[p]`` is
+    the older taps' weights at sub-ring phase ``p``, one entry per phase
+    (none when k_t = 1): for ``pre`` a (c_out, (k_t-1)*C*KH*KW) matrix over
+    the sub-ring's frames in slot order, for ``post`` a ((k_t-1)*c_out,
+    C*KH*KW) matrix whose block ``s`` is the tap that sub-ring slot ``s``
+    collects.  ``cols`` unfolds one frame into im2col columns and
+    ``ring_cols`` the k_t-1 frames of a ``pre`` sub-ring; both are ``None``
     for 1x1 kernels.  ``bias`` is (c_out, 1), added to an emission's
     (c_out, H'*W') columns.
     """
@@ -91,6 +87,7 @@ class _Layout(NamedTuple):
     form: str
     out_shape: tuple
     ring_shape: tuple
+    w_new: np.ndarray
     plan: list
     bias: np.ndarray
     cols: Optional[np.ndarray]
@@ -101,9 +98,10 @@ class _ConvState:
     __slots__ = ("ring", "t")
 
     def __init__(self):
-        # pre: (rf-1, C, H, W) raw frames; post: (rf-1, O, H', W') partial sums
+        # pre: (rf-1, C, H, W) raw frames; post: (rf-1, O, H', W') partial
+        # sums; either read as dilation sub-rings of k_t-1 slots
         self.ring = None
-        self.t = 0  # steps consumed; modulo rf-1 it is the ring cursor
+        self.t = 0  # steps consumed; it places step t's slot in the ring
 
 
 class TemporalConv(CoModule):
@@ -176,12 +174,15 @@ class TemporalConv(CoModule):
         return (self.c_out, h - self.k_h + 1, w - self.k_w + 1)
 
     def cache_elements(self, frame_shape: tuple) -> dict:
-        """Cache sizes of both arrangements; ties go to ``pre``."""
+        """Cache sizes of both arrangements and the one the step path takes:
+        ``post`` if it caches fewer elements and the stride is 1, else ``pre``
+        (a strided ``post`` would convolve the frames ``pre`` skips)."""
         c, h, w = frame_shape
         oc, oh, ow = self.out_frame_shape(frame_shape)
         pre = (self._rf - 1) * c * h * w
         post = (self._rf - 1) * oc * oh * ow
-        return {"pre": pre, "post": post, "chosen": "pre" if pre <= post else "post"}
+        post_wins = post < pre and self.temporal_stride == 1
+        return {"pre": pre, "post": post, "chosen": "post" if post_wins else "pre"}
 
     # -- clip mode --------------------------------------------------------------
 
@@ -229,48 +230,27 @@ class TemporalConv(CoModule):
     def _layout(self, dtype: np.dtype, frame_shape: tuple) -> _Layout:
         out_shape = self.out_frame_shape(frame_shape)
         form = self.cache_elements(frame_shape)["chosen"]
-        k_t, d, stride, n = self.k_t, self.dilation, self.temporal_stride, self._rf - 1
+        m = self.k_t - 1
         taps, bias = self._w[dtype]
+        # the tap each slot of a sub-ring pairs with at phase 0, taken mod m
+        # (0 is the oldest tap, m): pre slot s holds the frame tap -s reads,
+        # post slot s collects tap s's product.  Laid twice, the table holds
+        # phase p's taps from block (m - p) mod m on
+        order = [(-s if form == "pre" else s) % m or m for s in range(m)] * 2
+        ring_shape = (self._rf - 1,) + (frame_shape if form == "pre" else out_shape)
         ring_cols = None
         if form == "pre":
-            old = taps[:0:-1].transpose(1, 0, 2)  # (c_out, k_t-1, C*KH*KW), taps k_t-1 .. 1
-            if n == 0:
-                plan = [(taps[0], None, None)]
-            elif d == 1:
-                # every slot is tapped: at phase p slot s holds the input of
-                # tap n - (s - p) mod n, and column block (n - p) mod n + s of
-                # the older taps laid twice holds that tap.  np.concatenate
-                # keeps the transposed layout, so the table is made contiguous
-                # for the phase matrices to be views of it
-                table = np.ascontiguousarray(np.concatenate([old, old], axis=1))
-                plan = [(taps[0], table[:, (n - p) % n:][:, :n].reshape(self.c_out, -1), None)
-                        for p in range(n)]
-            else:
-                w_old = old.reshape(self.c_out, -1)
-                plan = [(taps[0], w_old,
-                         np.array([(p - k * d) % n for k in range(k_t - 1, 0, -1)],
-                                  dtype=np.intp))
-                        for p in range(n)]
-            ring_shape = (n,) + frame_shape
-            if n and (self.k_h > 1 or self.k_w > 1):
-                ring_cols = _unfold_index(k_t - 1, frame_shape, self.k_h, self.k_w)
+            table = np.ascontiguousarray(taps[order].transpose(1, 0, 2))
+            plan = [table[:, (m - p) % m:][:, :m].reshape(self.c_out, -1) for p in range(m)]
+            if m and (self.k_h > 1 or self.k_w > 1):
+                ring_cols = _unfold_index(m, frame_shape, self.k_h, self.k_w)
         else:
-            live = [[k for k in range(k_t) if (p + k * d - self._delay) % stride == 0]
-                    for p in range(stride)]
-            w_live = [taps[ks].reshape(-1, taps.shape[2]) for ks in live]
-            plan = []
-            for q in range(math.lcm(n, stride)):  # post needs rf > 1: pre wins a tie
-                ks = live[q % stride]
-                mid = [k for k in ks if 0 < k < k_t - 1]
-                lo = 1 if ks and ks[0] == 0 else 0
-                slots = np.array([(q + k * d) % n for k in mid], dtype=np.intp)
-                last = bool(ks) and ks[-1] == k_t - 1
-                plan.append((w_live[q % stride], lo, lo + len(mid), slots, last))
-            ring_shape = (n,) + out_shape
+            table = taps[order]
+            plan = [table[(m - p) % m:][:m].reshape(-1, taps.shape[2]) for p in range(m)]
         cols = None
         if self.k_h > 1 or self.k_w > 1:
             cols = _unfold_index(1, frame_shape, self.k_h, self.k_w)
-        lay = _Layout(form, out_shape, ring_shape, plan, bias[:, None], cols, ring_cols)
+        lay = _Layout(form, out_shape, ring_shape, taps[0], plan, bias[:, None], cols, ring_cols)
         self._layouts[(dtype, frame_shape)] = lay
         return lay
 
@@ -280,7 +260,7 @@ class TemporalConv(CoModule):
         lay = self._layouts.get((xa.dtype, xa.shape))
         if lay is None:
             lay = self._layout(xa.dtype, xa.shape)
-        n = self._rf - 1
+        m, d = self.k_t - 1, self.dilation
         ring = state.ring = ring_buffer(state.ring, lay.ring_shape, xa.dtype)
         t = state.t
         state.t += 1
@@ -288,30 +268,24 @@ class TemporalConv(CoModule):
         y = None
         if lay.form == "pre":
             if emits:
-                w, w_old, slots = lay.plan[t % len(lay.plan)]
-                y = w @ (xa.reshape(self.c_in, -1) if lay.cols is None
-                         else np.take(xa, lay.cols))
-                if n:
-                    old = ring if slots is None else np.take(ring, slots, axis=0)
-                    y += w_old @ (old.reshape(w_old.shape[1], -1) if lay.ring_cols is None
-                                  else np.take(old, lay.ring_cols))
-            if n:
-                ring[t % n] = xa
-        else:
-            # one product per live tap, ascending; tap 0 completes emission
-            # t, the middle taps add to pending slots and the oldest tap
-            # starts emission t + rf - 1 in the slot emission t frees
-            w, lo, hi, slots, last = lay.plan[t % len(lay.plan)]
-            if w.shape[0]:
-                c = w @ (xa.reshape(self.c_in, -1) if lay.cols is None
-                         else np.take(xa, lay.cols))
+                y = lay.w_new @ (xa.reshape(self.c_in, -1) if lay.cols is None
+                                 else np.take(xa, lay.cols))
+            if m:
+                sub = ring if d == 1 else ring[t % d * m:t % d * m + m]
+                p = t // d % m
                 if emits:
-                    y = c[:self.c_out] + ring[t % n].reshape(self.c_out, -1)
-                c = c.reshape((-1,) + lay.out_shape)
-                if hi > lo:
-                    ring[slots] += c[lo:hi]
-                if last:
-                    ring[t % n] = c[-1]
+                    w = lay.plan[p]
+                    y += w @ (sub.reshape(w.shape[1], -1) if lay.ring_cols is None
+                              else np.take(sub, lay.ring_cols))
+                sub[p] = xa
+        else:
+            x = xa.reshape(self.c_in, -1) if lay.cols is None else np.take(xa, lay.cols)
+            sub = ring if d == 1 else ring[t % d * m:t % d * m + m]
+            p = t // d % m
+            if emits:
+                y = lay.w_new @ x + sub[p].reshape(self.c_out, -1)
+            sub[p] = 0
+            sub += (lay.plan[p] @ x).reshape(sub.shape)
         if y is not None:
             y += lay.bias
             y = y.reshape(lay.out_shape)

@@ -1,8 +1,12 @@
 """Continual convolution: delay arithmetic, offline oracle, step equivalence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cinet.config import build_model, random_stream
 from cinet.conv import TemporalConv
 from cinet.errors import DimensionError
 from cinet.tensor import Tensor
@@ -224,6 +228,10 @@ def test_cache_elements_examples():
     assert down.cache_elements((16, 8, 8))["chosen"] == "post"
     tie = make_conv(rng, c_in=8, c_out=8, k=(3, 1, 1))
     assert tie.cache_elements((8, 8, 8))["chosen"] == "pre"
+    # post would cache less, but it convolves every frame and pre only the
+    # frames that emit
+    strided = make_conv(rng, c_in=16, c_out=4, k=(3, 1, 1), stride=2)
+    assert strided.cache_elements((16, 8, 8)) == {"pre": 2048, "post": 512, "chosen": "pre"}
 
 
 def test_auto_form_resolves_to_smaller_cache():
@@ -285,8 +293,10 @@ def test_ring_steps_match_forward_and_never_reallocate(form, k_t, dil, stride, d
             conv = make_conv(rng, c_out=C_OUT[form], k=(k_t,) + spatial, dilation=dil,
                              padding=pad, stride=stride, scale=0.3)
             x = rand_tensor(rng, (length, 2, 3, 4), dtype=dtype)
-            # with no ring to keep (rf = 1) the tie goes to pre
-            assert conv.cache_elements((2, 3, 4))["chosen"] == (form if rf > 1 else "pre")
+            # with no ring to keep (rf = 1) the tie goes to pre, and a
+            # strided conv runs pre whatever it caches
+            want_form = form if rf > 1 and stride == 1 else "pre"
+            assert conv.cache_elements((2, 3, 4))["chosen"] == want_form
             offline = conv.forward(x).array
             state = conv.init_state()
             ring = None
@@ -304,40 +314,92 @@ def test_ring_steps_match_forward_and_never_reallocate(form, k_t, dil, stride, d
             assert max_rel_dev(np.stack(outs), offline) < tol
 
 
-@pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])
-@pytest.mark.parametrize("k_t,dil,pad,stride,spatial", [
-    (9, 1, 0, 1, (1, 1)),  # the skeleton block's conv: the ring read in place
-    (4, 1, 2, 2, (3, 3)),  # the ring unfolded through its own im2col index
-    (3, 2, 0, 1, (1, 1)),  # dilated: the tapped slots gathered
-    (3, 2, 3, 3, (3, 3)),
-])
-def test_pre_form_matches_loop_oracle_at_every_ring_phase(k_t, dil, pad, stride, spatial,
-                                                           dtype, tol):
+def _check_every_sub_ring_phase(form, k_t, dil, pad, stride, spatial, dtype, tol):
     rng = np.random.default_rng(25)
-    conv = make_conv(rng, c_out=C_OUT["pre"], k=(k_t,) + spatial, dilation=dil,
+    conv = make_conv(rng, c_out=C_OUT[form], k=(k_t,) + spatial, dilation=dil,
                      padding=pad, stride=stride, scale=0.3)
     frame = (2, 5, 5)
-    assert conv.cache_elements(frame)["chosen"] == "pre"
-    n = conv.receptive_field() - 1
+    assert conv.cache_elements(frame)["chosen"] == form
+    m, n = k_t - 1, conv.receptive_field() - 1
     x = rand_tensor(rng, (3 * n * stride + 8,) + frame, dtype=dtype).array
     want = offline_oracle(x, conv.weights.array, conv.bias.array, dil, pad)[::stride]
     state = conv.init_state()
     outs, phases = [], set()
     for t in range(len(x)):
         y = conv._step(state, x[t])
+        assert state.ring.shape[0] == n
         if y is not None:
-            phases.add(t % n)
+            phases.add((t % dil, t // dil % m))  # (sub-ring, phase)
             assert max_rel_dev(y, want[len(outs)]) < tol
             outs.append(y)
-    # the stride is prime to the ring size, so every phase emitted
-    assert len(outs) == len(want) and phases == set(range(n))
-    # every phase's older-tap weights are views of one table of at most
-    # twice the taps' bytes, not a copy per phase
-    taps = (k_t - 1) * conv.c_out * conv.c_in * spatial[0] * spatial[1] * x.itemsize
-    ws = [w_old for _, w_old, _ in conv._layouts[(x.dtype, frame)].plan]
-    table = ws[0] if ws[0].base is None else ws[0].base
-    assert len(ws) == n and table.nbytes <= 2 * taps
-    assert all(np.shares_memory(w, table) for w in ws)
+    # the stride is prime to the ring size, so every sub-ring emitted at
+    # every phase
+    assert len(outs) == len(want)
+    assert phases == {(r, p) for r in range(dil) for p in range(m)}
+    # one weight matrix per phase, each a view of one table of at most
+    # twice the taps' bytes, not a copy per phase nor a slot index
+    taps = m * conv.c_out * conv.c_in * spatial[0] * spatial[1] * x.itemsize
+    plan = conv._layouts[(x.dtype, frame)].plan
+    assert len(plan) == m
+    assert all(w.ndim == 2 and w.dtype == x.dtype for w in plan)
+    table = plan[0] if plan[0].base is None else plan[0].base
+    assert table.nbytes <= 2 * taps
+    assert all(np.shares_memory(w, table) for w in plan)
+
+
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])
+@pytest.mark.parametrize("k_t,dil,pad,stride,spatial", [
+    (9, 1, 0, 1, (1, 1)),  # the skeleton block's conv: the ring read in place
+    (4, 1, 2, 2, (3, 3)),  # the ring unfolded through its own im2col index
+    (3, 2, 0, 1, (1, 1)),  # dilated: each sub-ring read in place
+    (3, 2, 3, 3, (3, 3)),
+    (3, 3, 1, 1, (1, 1)),
+    (4, 3, 2, 5, (2, 2)),
+])
+def test_pre_form_matches_loop_oracle_at_every_ring_phase(k_t, dil, pad, stride, spatial,
+                                                           dtype, tol):
+    _check_every_sub_ring_phase("pre", k_t, dil, pad, stride, spatial, dtype, tol)
+
+
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])
+@pytest.mark.parametrize("k_t,dil,pad,spatial", [
+    (9, 1, 0, (1, 1)),
+    (4, 1, 2, (3, 3)),
+    (3, 2, 0, (1, 1)),
+    (3, 2, 3, (3, 3)),
+    (3, 3, 1, (1, 1)),
+    (4, 3, 2, (2, 2)),
+])
+def test_post_form_matches_loop_oracle_at_every_ring_phase(k_t, dil, pad, spatial, dtype, tol):
+    _check_every_sub_ring_phase("post", k_t, dil, pad, 1, spatial, dtype, tol)
+
+
+# the stack of the AC9 throughput gate in test_acceptance.py
+K8_STACK = {"name": "k8_stack", "dtype": "f32", "input": {"shape": [8, 12, 12]},
+            "layers": [
+                {"type": "conv3d", "c_in": 8, "c_out": 8, "kernel": [8, 3, 3],
+                 "init": {"scheme": "uniform", "seed": 91}},
+                {"type": "conv3d", "c_in": 8, "c_out": 8, "kernel": [8, 1, 1],
+                 "init": {"scheme": "uniform", "seed": 92}},
+            ]}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name,forms", [
+    ("conv_stack", ["post", "pre"]),
+    ("toy_costgcn", ["pre"] * 4),
+    ("k8_stack", ["post", "pre"]),
+])
+def test_bundled_traffic_keeps_its_step_arrangements(name, forms):
+    # the arrangement each conv of the benchmarked and gated models takes on
+    # its stream, so a change of the choosing rule shows here
+    cfg = K8_STACK if name == "k8_stack" else json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    model = build_model(cfg)
+    x = random_stream(0, 40, tuple(cfg["input"]["shape"]), cfg["dtype"])
+    model.forward_steps(model.init_state(), x)
+    convs = [c for m in model.modules for c in (m, getattr(m, "tc", None))
+             if isinstance(c, TemporalConv)]
+    assert [lay.form for c in convs for lay in c._layouts.values()] == forms
 
 
 @pytest.mark.parametrize("form", ["pre", "post"])
@@ -381,7 +443,7 @@ def test_nan_frame_poisons_exactly_its_windows(form, k_t, dil, pad, stride):
     rng = np.random.default_rng(23)
     conv = make_conv(rng, c_in=2, c_out=C_OUT[form], k=(k_t, 1, 1), dilation=dil,
                      padding=pad, stride=stride)
-    assert conv.cache_elements((2, 2, 2))["chosen"] == form
+    assert conv.cache_elements((2, 2, 2))["chosen"] == (form if stride == 1 else "pre")
     rf = conv.receptive_field()
     length = 6 * rf
     for s in (0, rf // 2, 2 * rf + 1):
