@@ -17,20 +17,30 @@ batched kernel serves clip mode, window input and step-mode refreshes.
 Clip mode runs that kernel over a ``(W, n, ...)`` strided view of the clip's
 ``W`` complete windows, ``WINDOW_BATCH`` windows per call.
 
-Stream state is zero-initialised on a stream's first row.  Retroactive
-attention keeps ``n - 1`` queries, ``n`` keys/values and ``n``
-``d_mem``/``av_mem`` rows as ``(..., size, d)`` arrays in window order,
-oldest row first: each step reads the departing key/value from the oldest
-row, shifts every array by one row and writes the newest row last.  That is
-O(n*d), the order of the update itself, and the emission is read off
-``av_mem``/``d_mem`` without a gather.  Single-output attention keeps
-``n - 1`` keys/values in a ring where step ``t`` owns slot ``t mod (n - 1)``:
-its one output row is a sum over the window, whatever the slot order.
+Stream state is zero-initialised on a stream's first row, whose shape and
+dtype the stream keeps: a later row that drifts is refused.  Retroactive
+attention keeps ``n - 1`` queries, ``n`` keys/values and ``n`` rows of
+``[av | d]`` as ``(..., size, d)`` f64 arrays in window order, oldest row
+first: each step reads the departing key/value from the oldest row, shifts
+every array by one row and writes the newest row last.  That is O(n*d), the
+order of the update itself, and the emission is read off ``[av | d]``
+without a gather.  The fused ``avd_mem`` holds each row's weighted values
+``av`` and row sum ``d`` side by side, so one ``(n-1, 2) @ (2, d_v+1)``
+product by the departing ``[v | 1]`` row negated and the arriving one
+updates both; ``d_mem`` and ``av_mem`` are views of it.  Single-output
+attention keeps ``n - 1`` keys/values in a ring where step ``t`` owns slot
+``t mod (n - 1)``: its one output row is a sum over the window, whatever the
+slot order.
 
 Multi-head attention projects a self-attention token or window by one
 matmul with ``w_q | w_k | w_v``, concatenated in both stream dtypes at
 construction, and reads the head rows as views of that product; rows that
-differ (cross-attention) are projected by their own weights.
+differ (cross-attention) are projected by their own weights.  In step mode
+a retroactive head's product is cast to f64 once, and one ``reshape(3,
+heads, d_h)`` of it yields every head's q, k and v row.  Rows are checked
+where they enter: ``att_step`` and ``forward_step`` of an attention, and an
+encoder block's token check; multi-head attention hands its own
+projections to its head's unchecked kernel.
 
 :class:`EncoderBlock` takes its step form and window from its attention; a
 positional encoding is a ``Sequential`` stage ahead of a token-input block.
@@ -45,7 +55,9 @@ even for f32 tokens, (b) both are recomputed from the cached window every
 ``RetroAttention.refresh_interval`` steps (64 under multi-head attention)
 to bound drift, and (c) exponent arguments are
 clamped to +-30 (exp overflows f32 near 88; 30 leaves headroom through
-subtraction chains) with a counter recording clamp events.
+subtraction chains) with a counter recording clamp events.  One reduction,
+``max |logits|``, checks the clamp; the clamped elements are counted and
+clipped only when it trips, which a NaN logit also does.
 
 The 1/sqrt(d) scaling is applied in every exponent, including the
 incremental update terms; dropping it there (``scale_updates=False``) is
@@ -59,7 +71,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, PerFrame, StepOutput, per_dtype, ring_buffer
+from .module import CoModule, OpCount, PerFrame, StepOutput, per_dtype
 from .tensor import Tensor
 from .norm import LayerNorm
 
@@ -68,9 +80,11 @@ WINDOW_BATCH = 128  # clip-mode windows per kernel call, bounding its temporarie
 
 
 def _clamped_exp(logits: np.ndarray, counter: list) -> np.ndarray:
-    n_over = int(np.count_nonzero(np.abs(logits) > LOGIT_CLAMP))
-    if n_over:
-        counter[0] += n_over
+    # one reduction checks the clamp; the clamped elements are counted only
+    # when it trips.  Written as "not <=", a NaN trips it too, so a NaN
+    # cannot hide a clamped element from the count or from the clip
+    if not np.maximum.reduce(np.abs(logits), None) <= LOGIT_CLAMP:  # abs(logits).max()
+        counter[0] += int(np.count_nonzero(np.abs(logits) > LOGIT_CLAMP))
         logits = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
     return np.exp(logits)
 
@@ -80,7 +94,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale, counter=None):
     axes; logits are clamped and counted when a ``counter`` is given."""
     logits = q @ k.swapaxes(-1, -2) * scale
     a = np.exp(logits) if counter is None else _clamped_exp(logits, counter)
-    return a.sum(axis=-1), a @ v
+    return np.add.reduce(a, -1), a @ v  # a.sum(-1) without its Python wrapper
 
 
 def sda_full(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
@@ -131,10 +145,20 @@ def _batched(kernel, windows: np.ndarray) -> np.ndarray:
 
 
 def _check_rows(d: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
-    if q.shape[-1:] != (d,) or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
+    if (q.shape[-1:] != (d,) or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]
+            or not q.dtype == k.dtype == v.dtype):
         raise DimensionError(
-            f"rows must be (..., {d}) with equal leading axes, got "
-            f"Q{q.shape} K{k.shape} V{v.shape}")
+            f"rows must be (..., {d}) with equal leading axes and one dtype, got "
+            f"Q{q.shape} {q.dtype} K{k.shape} {k.dtype} V{v.shape} {v.dtype}")
+
+
+def _check_stream(ring: np.ndarray, row: np.ndarray, held: np.dtype, dtype: np.dtype) -> None:
+    """Raise unless ``row``, from a stream of ``dtype``, has the leading axes
+    of ``ring``, which holds rows of a stream of ``held``: a stream whose
+    rows drift in shape or dtype is refused, not broadcast or cast."""
+    if row.shape[:-1] != ring.shape[:-2] or (held is not dtype and held != dtype):
+        raise DimensionError(f"stream drifted: rows {row.shape} {dtype} after "
+                             f"{ring.shape[:-2] + ring.shape[-1:]} {held}")
 
 
 def _rows(size: int, row: np.ndarray) -> tuple:
@@ -152,7 +176,12 @@ def _push(rows: np.ndarray, row: np.ndarray) -> None:
 class _WindowAttention(CoModule):
     """The attention forms over a window of ``n`` tokens: emissions aligned
     with the newest token, self-attention steps, and ``att_step`` as the
-    public shim over the array-level ``_att(state, q, k, v)``."""
+    public shim over the array-level ``_att(state, q, k, v)``.
+
+    ``_att`` checks its rows, then runs ``_kernel(state, q, k, v, dtype)``,
+    which checks only that the stream of ``dtype`` has not drifted:
+    multi-head attention, whose rows are its own projections, calls the
+    kernel directly."""
 
     def delay(self) -> int:
         return 0
@@ -174,7 +203,7 @@ class _WindowAttention(CoModule):
 
 
 class _RetroCache:
-    __slots__ = ("q_mem", "k_mem", "v_mem", "d_mem", "av_mem", "t", "clamp_events", "dtype")
+    __slots__ = ("q_mem", "k_mem", "v_mem", "avd_mem", "t", "clamp_events", "dtype")
 
     def __init__(self):
         self.dtype = None  # the stream's row dtype, fixed by its first row
@@ -182,10 +211,20 @@ class _RetroCache:
         self.q_mem = None  # (..., n-1, d): the queries still in the window
         self.k_mem = None  # (..., n, d)
         self.v_mem = None  # (..., n, d_v)
-        self.d_mem = None  # (..., n), allocated on the first emission
-        self.av_mem = None  # (..., n, d_v), likewise
+        self.avd_mem = None  # (..., n, d_v + 1): [av | d], allocated on the first emission
         self.t = 0
         self.clamp_events = [0]
+
+    # views of ``avd_mem``, not slots: a state walk counts each array once
+    @property
+    def av_mem(self) -> Optional[np.ndarray]:
+        """(..., n, d_v): each window row's exp-weighted sum of values."""
+        return None if self.avd_mem is None else self.avd_mem[..., :-1]
+
+    @property
+    def d_mem(self) -> Optional[np.ndarray]:
+        """(..., n): each window row's sum of exponentials."""
+        return None if self.avd_mem is None else self.avd_mem[..., -1]
 
 
 class RetroAttention(_WindowAttention):
@@ -200,6 +239,12 @@ class RetroAttention(_WindowAttention):
         self.scale = 1.0 / float(np.sqrt(d))
         self.refresh_interval = refresh_interval  # 0 disables refreshes
         self.scale_updates = scale_updates
+        # the f64 exponent scales as 0-d arrays, which a ufunc takes faster
+        # than a Python float, and the signs of the departing and arriving
+        # rows in an update
+        self._scale = np.array(self.scale)
+        self._upd_scale = self._scale if scale_updates else np.array(1.0)
+        self._signs = np.array([-1.0, 1.0])
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         return (self.n, self.d)
@@ -213,60 +258,67 @@ class RetroAttention(_WindowAttention):
              v: np.ndarray) -> Optional[np.ndarray]:
         """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
         ``(..., n, d_v)`` window outputs, oldest row first, in the rows' dtype."""
-        if state.dtype is None:
-            state.dtype = q.dtype
-        if not q.dtype == k.dtype == v.dtype == state.dtype:
-            raise DimensionError(f"stream drifted: rows {q.dtype}/{k.dtype}/{v.dtype} "
-                                 f"after {state.dtype}")
-        qa, ka, va = (a.astype(np.float64, copy=False) for a in (q, k, v))
-        _check_rows(self.d, qa, ka, va)
+        _check_rows(self.d, q, k, v)
+        return self._kernel(state, *(a.astype(np.float64, copy=False) for a in (q, k, v)),
+                            q.dtype)
+
+    def _kernel(self, state: _RetroCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                dtype: np.dtype) -> Optional[np.ndarray]:
+        """``_att`` on f64 rows of a stream of ``dtype``, the emission's dtype."""
         n, m = self.n, self.n - 1
-        q_mem = state.q_mem = ring_buffer(state.q_mem, _rows(m, qa), np.float64)
-        k_mem = state.k_mem = ring_buffer(state.k_mem, _rows(n, ka), np.float64)
-        v_mem = state.v_mem = ring_buffer(state.v_mem, _rows(n, va), np.float64)
+        q_mem, k_mem, v_mem = state.q_mem, state.k_mem, state.v_mem
+        if k_mem is None:  # the stream's first row shapes its rings
+            state.dtype = dtype
+            q_mem = state.q_mem = np.zeros(_rows(m, q))
+            k_mem = state.k_mem = np.zeros(_rows(n, k))
+            v_mem = state.v_mem = np.zeros(_rows(n, v))
+        else:
+            _check_stream(k_mem, k, state.dtype, dtype)
         t = state.t
         state.t += 1
         if t < m:
-            _push(q_mem, qa)
-            _push(k_mem, ka)
-            _push(v_mem, va)
+            _push(q_mem, q)
+            _push(k_mem, k)
+            _push(v_mem, v)
             return None
+        avd = state.avd_mem
         from_scratch = (
-            state.d_mem is None
+            avd is None
             or n == 1
             or (self.refresh_interval and (t - m) % self.refresh_interval == 0)
         )
         if not from_scratch:
             # the window's rows but the newest lose the oldest key/value and
-            # gain the arriving one, moving up one row as they do
-            upd_scale = self.scale if self.scale_updates else 1.0
-            k_pair = np.empty(ka.shape + (2,))  # (..., d, 2): departing, arriving
+            # gain the arriving one, moving up one row as they do: one
+            # product by the departing [v | 1] row negated and the arriving one
+            k_pair = np.empty(k.shape + (2,))  # (..., d, 2): departing, arriving
             k_pair[..., 0] = k_mem[..., 0, :]
-            k_pair[..., 1] = ka
-            e = _clamped_exp(q_mem @ k_pair * upd_scale, state.clamp_events)
-            state.d_mem[..., :-1] = state.d_mem[..., 1:] - e[..., 0] + e[..., 1]
-            state.av_mem[..., :-1, :] = (
-                state.av_mem[..., 1:, :]
-                - e[..., :1] * v_mem[..., :1, :]
-                + e[..., 1:] * va[..., None, :]
-            )
-        _push(k_mem, ka)
-        _push(v_mem, va)
+            k_pair[..., 1] = k
+            e = _clamped_exp(q_mem @ k_pair * self._upd_scale, state.clamp_events)
+            v_pair = np.empty(v.shape[:-1] + (2, v.shape[-1] + 1))  # (..., 2, d_v + 1)
+            np.negative(v_mem[..., 0, :], out=v_pair[..., 0, :-1])
+            v_pair[..., 1, :-1] = v
+            v_pair[..., -1] = self._signs
+            upd = e @ v_pair
+            upd += avd[..., 1:, :]
+            avd[..., :-1, :] = upd
+        _push(k_mem, k)
+        _push(v_mem, v)
         if from_scratch:
-            q_win = np.concatenate([q_mem, qa[..., None, :]], axis=-2)
-            denom, av = _attend(q_win, k_mem, v_mem, self.scale, state.clamp_events)
-            state.d_mem = ring_buffer(state.d_mem, denom.shape, np.float64)
-            state.av_mem = ring_buffer(state.av_mem, av.shape, np.float64)
-            state.d_mem[...] = denom
-            state.av_mem[...] = av
+            q_win = np.concatenate([q_mem, q[..., None, :]], axis=-2)
+            denom, av = _attend(q_win, k_mem, v_mem, self._scale, state.clamp_events)
+            if avd is None:
+                avd = state.avd_mem = np.empty(av.shape[:-1] + (av.shape[-1] + 1,))
+            avd[..., :-1] = av
+            avd[..., -1] = denom
         else:
-            denom, av = _attend(qa[..., None, :], k_mem, v_mem, self.scale,
+            denom, av = _attend(q[..., None, :], k_mem, v_mem, self._scale,
                                 state.clamp_events)
-            state.d_mem[..., -1] = denom[..., 0]
-            state.av_mem[..., -1, :] = av[..., 0, :]
+            avd[..., -1, :-1] = av[..., 0, :]
+            avd[..., -1, -1] = denom[..., 0]
         if m:
-            _push(q_mem, qa)
-        return (state.av_mem / state.d_mem[..., None]).astype(q.dtype, copy=False)
+            _push(q_mem, q)
+        return (avd[..., :-1] / avd[..., -1:]).astype(dtype, copy=False)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         """Offline self-attention: one full window result per position."""
@@ -307,6 +359,7 @@ class SingleAttention(_WindowAttention):
         self.n = n
         self.d = d
         self.scale = 1.0 / float(np.sqrt(d))
+        self._scale = per_dtype(lambda dt: np.array(self.scale, dt))  # see RetroAttention
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         return (self.d,)
@@ -314,27 +367,36 @@ class SingleAttention(_WindowAttention):
     def init_state(self) -> _SingleCache:
         return _SingleCache()
 
-    def _att(self, state: _SingleCache, qa: np.ndarray, ka: np.ndarray,
-             va: np.ndarray) -> Optional[np.ndarray]:
+    def _att(self, state: _SingleCache, q: np.ndarray, k: np.ndarray,
+             v: np.ndarray) -> Optional[np.ndarray]:
         """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
         newest query's ``(..., d_v)`` output."""
-        _check_rows(self.d, qa, ka, va)
+        _check_rows(self.d, q, k, v)
+        return self._kernel(state, q, k, v, q.dtype)
+
+    def _kernel(self, state: _SingleCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                dtype: np.dtype) -> Optional[np.ndarray]:
+        """``_att`` on rows of ``dtype``, which the rings keep."""
         m = self.n - 1
-        state.k_mem = ring_buffer(state.k_mem, _rows(m, ka), ka.dtype)
-        state.v_mem = ring_buffer(state.v_mem, _rows(m, va), va.dtype)
+        k_mem, v_mem = state.k_mem, state.v_mem
+        if k_mem is None:  # the stream's first row shapes its rings
+            k_mem = state.k_mem = np.zeros(_rows(m, k), dtype)
+            v_mem = state.v_mem = np.zeros(_rows(m, v), dtype)
+        else:
+            _check_stream(k_mem, k, k_mem.dtype, dtype)
         t = state.t
         state.t += 1
         y = None
         if t >= m:
             # the ring's slot order differs from step order; the sums do not care
-            k_win = np.concatenate([state.k_mem, ka[..., None, :]], axis=-2)
-            v_win = np.concatenate([state.v_mem, va[..., None, :]], axis=-2)
-            denom, av = _attend(qa[..., None, :], k_win, v_win, qa.dtype.type(self.scale),
+            k_win = np.concatenate([k_mem, k[..., None, :]], axis=-2)
+            v_win = np.concatenate([v_mem, v[..., None, :]], axis=-2)
+            denom, av = _attend(q[..., None, :], k_win, v_win, self._scale[dtype],
                                 state.clamp_events)
-            y = (av[..., 0, :] / denom).astype(qa.dtype, copy=False)
+            y = av[..., 0, :] / denom
         if m:
-            state.k_mem[..., t % m, :] = ka
-            state.v_mem[..., t % m, :] = va
+            k_mem[..., t % m, :] = k
+            v_mem[..., t % m, :] = v
         return y
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
@@ -385,6 +447,8 @@ class MultiheadAttention(_WindowAttention):
         self._dh_k, self._dh_v = dh_k, dh_v
         w_qkv = np.concatenate([w_q.array, w_k.array, w_v.array], axis=1)
         self._w = per_dtype(lambda dt: (w_qkv.astype(dt), w_o.array.astype(dt)))
+        # the retroactive head takes f64 rows, whatever the stream's dtype
+        self._row_dtype = np.dtype(np.float64) if mode == "retro" else None
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if self.mode == "retro":
@@ -400,18 +464,28 @@ class MultiheadAttention(_WindowAttention):
         h = a.reshape(a.shape[:-1] + (self.heads, a.shape[-1] // self.heads))
         return h.swapaxes(-3, -2) if h.ndim > 2 else h
 
-    def _heads(self, x_q: np.ndarray, x_k: np.ndarray, x_v: np.ndarray) -> tuple:
-        """q, k, v head rows of (d_model,) tokens or (..., n, d_model) windows.
-        Self-attention (one array thrice) takes one matmul by ``w_q | w_k |
-        w_v`` and three views of it; distinct rows each take their own weight."""
+    def _heads(self, x_q: np.ndarray, x_k: np.ndarray, x_v: np.ndarray,
+               dtype: Optional[np.dtype] = None) -> tuple:
+        """q, k, v head rows of (d_model,) tokens or (..., n, d_model) windows,
+        cast to ``dtype`` if one is given.  Self-attention (one array thrice)
+        takes one matmul by ``w_q | w_k | w_v``, one cast and three views of
+        it; distinct rows each take their own weight and cast."""
         dk = self.d_k
         if x_q is x_k and x_k is x_v:
             p = x_q @ self._w[x_q.dtype][0]
+            if dtype is not None:
+                p = p.astype(dtype)
+            if p.ndim == 1 and self.d_v == dk:  # a token: rows (3, heads, d_h)
+                return p.reshape(3, self.heads, self._dh_k)
             q, k, v = p[..., :dk], p[..., dk:2 * dk], p[..., 2 * dk:]
         else:
+            if not x_q.dtype == x_k.dtype == x_v.dtype:
+                raise DimensionError(f"rows differ in dtype: {x_q.dtype}/{x_k.dtype}/{x_v.dtype}")
             q = x_q @ self._w[x_q.dtype][0][:, :dk]
             k = x_k @ self._w[x_k.dtype][0][:, dk:2 * dk]
             v = x_v @ self._w[x_v.dtype][0][:, 2 * dk:]
+            if dtype is not None:
+                q, k, v = (a.astype(dtype) for a in (q, k, v))
         return self._split(q), self._split(k), self._split(v)
 
     def _merge(self, y: np.ndarray) -> np.ndarray:
@@ -441,7 +515,8 @@ class MultiheadAttention(_WindowAttention):
 
     def _att(self, state, x_q: np.ndarray, x_k: np.ndarray,
              x_v: np.ndarray) -> Optional[np.ndarray]:
-        y = self._head._att(state, *self._heads(x_q, x_k, x_v))
+        q, k, v = self._heads(x_q, x_k, x_v, self._row_dtype)
+        y = self._head._kernel(state, q, k, v, x_q.dtype)
         return None if y is None else self._merge(y)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
@@ -539,6 +614,7 @@ class EncoderBlock(CoModule):
             raise ValueError("window input is only meaningful for single mode")
         self.mha = mha
         self.d_model = mha.d_model
+        self._in_shape = (mha.n, self.d_model) if window_input else (self.d_model,)
         self.ff_dim = ff_w1.shape[1]
         if (mha.d_o != self.d_model or ff_w1.shape[0] != self.d_model
                 or ff_w2.shape != (self.ff_dim, self.d_model)):
@@ -546,8 +622,9 @@ class EncoderBlock(CoModule):
         self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2 = ff_w1, ff_b1, ff_w2, ff_b2
         self.ln1, self.ln2 = ln1, ln2
         self.window_input = window_input
+        # the feed-forward weights, and ReLU's 0 as a 0-d array (see LayerNorm)
         self._w = per_dtype(lambda dt: tuple(
-            t.array.astype(dt) for t in (ff_w1, ff_b1, ff_w2, ff_b2)))
+            t.array.astype(dt) for t in (ff_w1, ff_b1, ff_w2, ff_b2)) + (np.zeros((), dt),))
 
     def delay(self) -> int:
         return 0
@@ -559,7 +636,13 @@ class EncoderBlock(CoModule):
         return 1 if self.window_input else self.mha.n
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
+        if tuple(frame_shape) != self._in_shape:
+            raise self._shape_error(tuple(frame_shape))
         return self.mha.out_frame_shape(frame_shape)
+
+    def _shape_error(self, shape: tuple) -> DimensionError:
+        what = "window input" if self.window_input else "token"
+        return DimensionError(f"{what} must be {self._in_shape}, got {shape}")
 
     def init_state(self) -> Optional[_EncoderState]:
         return None if self.window_input else _EncoderState(self.mha.init_state())
@@ -567,10 +650,10 @@ class EncoderBlock(CoModule):
     # -- shared math -------------------------------------------------------------
 
     def _ff(self, ya: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = self._w[ya.dtype]
+        w1, b1, w2, b2, zero = self._w[ya.dtype]
         h = ya @ w1
         h += b1
-        np.maximum(h, 0, out=h)
+        np.maximum(h, zero, out=h)
         y = h @ w2
         y += b2
         return y
@@ -593,17 +676,16 @@ class EncoderBlock(CoModule):
     # -- step mode ------------------------------------------------------------------
 
     def _step(self, state: Optional[_EncoderState], a: np.ndarray) -> Optional[np.ndarray]:
+        if a.shape != self._in_shape:
+            raise self._shape_error(a.shape)
         if self.window_input:
-            if a.shape != (self.mha.n, self.d_model):
-                raise DimensionError(f"window input must be ({self.mha.n}, {self.d_model}), "
-                                     f"got {a.shape}")
             return self._newest(a)
-        if a.shape != (self.d_model,):
-            raise DimensionError(f"token must be ({self.d_model},), got {a.shape}")
         sel = a
-        att = self.mha._step(state.mha, a)
+        att = self.mha._step(state.mha, a)  # refuses a drifted dtype first
         if self.mha.mode == "retro":
-            sel = state.tokens = ring_buffer(state.tokens, (self.mha.n,) + a.shape, a.dtype)
+            sel = state.tokens
+            if sel is None:
+                sel = state.tokens = np.zeros((self.mha.n,) + a.shape, a.dtype)
             _push(sel, a)  # the window, oldest first
         return None if att is None else self._block_tail(sel, att)
 

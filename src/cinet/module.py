@@ -32,6 +32,8 @@ Two timing numbers describe each module:
 The frames and partial results a stream must remember live in rings made
 by ``ring_buffer``: zero-initialised arrays of a fixed number of slots whose
 cursor is a step or emission counter, so a stream's state never grows.
+Attention allocates its rings the same way on a stream's first row, and
+checks drift once per step instead of once per ring.
 
 A layer arranges its weights at construction, with ``per_dtype``, in the
 form its kernel needs and in both stream dtypes; a kernel looks them up by

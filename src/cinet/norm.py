@@ -84,19 +84,26 @@ class LayerNorm(PerFrame):
         self.d = gamma.shape[0]
         self.eps = eps
         self.gamma, self.beta = gamma, beta
+        # eps and d as 0-d arrays: a ufunc takes them faster than scalars,
+        # and computes the same bits
         self._w = per_dtype(lambda dt: (gamma.array.astype(dt), beta.array.astype(dt),
-                                        dt.type(eps)))
+                                        np.array(eps, dt), np.array(self.d, dt)))
+
+    def out_frame_shape(self, frame_shape: tuple) -> tuple:
+        if tuple(frame_shape[-1:]) != (self.d,):
+            raise DimensionError(f"last extent of frame {tuple(frame_shape)} != {self.d}")
+        return tuple(frame_shape)
 
     def _apply(self, xa: np.ndarray, channel_axis: int = -1) -> np.ndarray:
         """Normalize the last axis; ``channel_axis`` is not read."""
         if xa.shape[-1] != self.d:
             raise DimensionError(f"last extent {xa.shape[-1]} != {self.d}")
-        gamma, beta, eps = self._w[xa.dtype]
+        gamma, beta, eps, d = self._w[xa.dtype]
         # the arithmetic of xa.mean and xa.var, with the mean and the
         # centred array computed once instead of once each; the divide,
         # scale and shift then run in place on the fresh centred array
-        c = xa - np.add.reduce(xa, -1, keepdims=True) / self.d
-        var = np.add.reduce(c * c, -1, keepdims=True) / self.d
+        c = xa - np.add.reduce(xa, -1, keepdims=True) / d
+        var = np.add.reduce(c * c, -1, keepdims=True) / d
         c /= np.sqrt(var + eps)
         c *= gamma
         c += beta

@@ -154,14 +154,15 @@ def test_retro_without_update_scaling_breaks_equality():
 def test_head_rows_are_independent_streams_in_fixed_rings(n):
     # (h, d) rows step h streams at once: each output slice equals a 1-D
     # stream of its own, across a refresh, and every ring keeps one object
-    # and shape from the row that allocates it on
+    # and shape from the row that allocates it on; the row sums and weighted
+    # values are one fused [av | d] ring
     h, d, d_v = 3, 4, 2
     steps = n - 1 + 64 + 10
     rng = np.random.default_rng(40 + n)
     q, k = (rng.uniform(-1, 1, (steps, h, d)) for _ in range(2))
     v = rng.uniform(-1, 1, (steps, h, d_v))
     retro_rings = {"q_mem": (h, n - 1, d), "k_mem": (h, n, d), "v_mem": (h, n, d_v),
-                   "d_mem": (h, n), "av_mem": (h, n, d_v)}
+                   "avd_mem": (h, n, d_v + 1)}
     single_rings = {"k_mem": (h, n - 1, d), "v_mem": (h, n - 1, d_v)}
     for att, shapes in ((RetroAttention(n, d), retro_rings),
                         (SingleAttention(n, d), single_rings)):
@@ -178,8 +179,8 @@ def test_head_rows_are_independent_streams_in_fixed_rings(n):
                 assert max_rel_dev(y.array, np.stack([z.array for z in ys])) < 1e-12
             for name, shape in shapes.items():
                 ring = getattr(state, name)
-                if ring is None:  # d_mem/av_mem: allocated on the first emission
-                    assert name in ("d_mem", "av_mem") and t < n - 1
+                if ring is None:  # avd_mem: allocated on the first emission
+                    assert name == "avd_mem" and t < n - 1
                     continue
                 assert rings.setdefault(name, ring) is ring
                 assert ring.shape == shape
@@ -198,6 +199,30 @@ def test_retro_rejects_row_dtype_drift():
         assert (y is None) == (t < 2) and (y is None or y.dtype == "f32")
     with pytest.raises(DimensionError):
         retro.forward_step(state, rand_tensor(rng, (4,), dtype="f64"))
+
+
+@pytest.mark.parametrize("mode", ["retro", "single"])
+def test_drifted_rows_are_refused_before_the_stream_moves(mode):
+    # rows that change dtype or leading axes mid-stream are refused, both at
+    # a head's public edge and through multi-head attention, which hands its
+    # head rows it projected itself; the refused row moves no step counter
+    n, d = 3, 4
+    rng = np.random.default_rng(44)
+    head = RetroAttention(n, d) if mode == "retro" else SingleAttention(n, d)
+    mha = MultiheadAttention(mode, n, *(rand_tensor(rng, (d, d)) for _ in range(4)), heads=2)
+    f32, f64 = (rand_tensor(rng, (2, d), dtype=dt) for dt in ("f32", "f64"))
+    cases = [(head, lambda s, x: head.att_step(s, x, x, x), f32, [f64, Tensor.wrap(f32.array[0])]),
+             (mha, mha.forward_step, Tensor.wrap(f32.array[0]), [Tensor.wrap(f64.array[0])])]
+    for att, step, row, drifted in cases:
+        state = att.init_state()
+        for _ in range(n + 1):
+            step(state, row)
+        for bad in drifted:
+            with pytest.raises(DimensionError, match="drifted"):
+                step(state, bad)
+        assert state.t == n + 1
+    with pytest.raises(DimensionError, match="one dtype"):
+        head.att_step(head.init_state(), f32, f64, f32)
 
 
 def test_retro_state_is_the_window_in_order():
@@ -270,6 +295,15 @@ def test_clamp_events_count_on_the_update_and_the_scratch_row():
         counts.append(state.clamp_events[0])
     per_step = [b - a for a, b in zip(counts, counts[1:])]
     assert per_step == [0, 0, n * n] + [2 * (n - 1) + n] * 3
+    # a random stream of large logits, some clamped and most not: the
+    # counts are pinned, so a cheaper clamp check must count the same
+    rng = np.random.default_rng(1)
+    q, k, v = (rng.normal(0, 4, (200, 4)).astype(np.float32) for _ in range(3))
+    for att, want in ((RetroAttention(8, 4), 346), (SingleAttention(8, 4), 125)):
+        state = att.init_state()
+        for t in range(200):
+            att.att_step(state, *(Tensor.wrap(a[t]) for a in (q, k, v)))
+        assert state.clamp_events[0] == want, type(att).__name__
 
 
 # -- single-output -----------------------------------------------------------------

@@ -206,6 +206,28 @@ def test_retro_then_single_encoder_stack_uses_window_input():
     assert model.out_frame_shape((3,)) == (3,)
 
 
+def encoder_cfg(mode, n, seed=6):
+    return {"type": "co_encoder_block", "mode": mode, "n": n, "d_model": 8, "ff_dim": 4,
+            "init": {"scheme": "uniform", "seed": seed}}
+
+
+@pytest.mark.parametrize("layers,shape", [
+    # a frame narrower than the block's tokens, or than a LayerNorm's d
+    ([encoder_cfg("single", 4)], (6,)),
+    ([encoder_cfg("retro", 4)], (6,)),
+    ([{"type": "layernorm", "d": 8}], (6,)),
+    # (4, 8) windows of a retroactive block reach a token-input block, as a
+    # window-input block takes only windows of its own length
+    ([encoder_cfg("retro", 4), encoder_cfg("single", 5, seed=7)], (8,)),
+], ids=["single-token", "retro-token", "layernorm", "retro-window-into-token-block"])
+def test_encoder_frame_of_another_shape_is_refused_at_build(layers, shape):
+    # these built before, and failed only at their first forward_step
+    with pytest.raises(ConfigError) as err:
+        build_model(base_cfg(layers, shape=shape))
+    assert err.value.path == f"layers[{len(layers) - 1}]"
+    assert "rejected" in str(err.value)
+
+
 def test_encoder_entries_compose_the_positional_encoding_as_a_stage():
     enc = {"type": "co_encoder_block", "n": 4, "d_model": 3, "ff_dim": 4}
     model = build_model(base_cfg([dict(enc, mode="retro"), dict(enc, mode="single")],

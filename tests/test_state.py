@@ -101,6 +101,20 @@ def test_state_footprint_fixed_from_first_emission(make):
         assert reachable(state) == (first, 0), f"step {t}"
 
 
+STEADY_BYTES = {"conv_stack": 2304, "encoder_one_block": 4032, "encoder_two_block": 4800,
+                "toy_costgcn": 102760}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_bundled_config_steady_state_bytes_are_pinned(path):
+    # what a stream of each bundled config keeps, counted once per array: a
+    # state that holds a view beside its base counts both, and moves these
+    model, x = config_case(path)
+    state = model.init_state()
+    model.forward_steps(state, x)
+    assert reachable(state) == (STEADY_BYTES[path.stem], 0)
+
+
 def test_ring_buffer_allocates_once_and_rejects_drift():
     ring = ring_buffer(None, (3, 2), np.float32)
     assert ring.shape == (3, 2) and ring.dtype == np.float32 and not ring.any()
