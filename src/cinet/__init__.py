@@ -13,7 +13,7 @@ that stream; the layer objects themselves are immutable and shareable.
 """
 
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, matmul, conv_spatial, reduce
+from .tensor import Tensor
 from .module import CoModule
 from .conv import TemporalConv
 from .pool import TemporalPool
@@ -33,9 +33,6 @@ __all__ = [
     "ConfigError",
     "DimensionError",
     "Tensor",
-    "matmul",
-    "conv_spatial",
-    "reduce",
     "CoModule",
     "TemporalConv",
     "TemporalPool",

@@ -20,7 +20,8 @@ multiply-accumulate work; exponential, division and comparison count as one
 FLOP each.  Weight init and input streams come from the documented portable
 generator so reports reproduce across machines.
 
-Exit codes: 0 pass, 1 tolerance/measurement failure, 2 config error.
+Exit codes: 0 pass, 1 tolerance/measurement failure, 2 config error or
+out-of-range argument.
 """
 
 from __future__ import annotations
@@ -81,11 +82,17 @@ def _frame_shape(cfg: dict) -> tuple:
     return tuple(shape)
 
 
+def _nonnegative(flag: str, value) -> None:
+    if not value >= 0:  # NaN fails too
+        raise ConfigError(flag, f"must be >= 0, got {value}")
+
+
 def _ops_dict(c: OpCount) -> dict:
     return {"macs": c.macs, "flops": c.flops}
 
 
 def count_flops(cfg: dict, model: Sequential, mode: str, length: int) -> dict:
+    _nonnegative("--length", length)
     frame = _frame_shape(cfg)
     report = _base_report(cfg, mode, length, model)
     costs = model._stage_costs(frame, None if mode == "step" else length)
@@ -105,6 +112,7 @@ def count_flops(cfg: dict, model: Sequential, mode: str, length: int) -> dict:
 
 def check_equivalence(cfg: dict, model: Sequential, length: int, seed: int,
                       tol: float) -> dict:
+    _nonnegative("--tol", tol)
     frame = _frame_shape(cfg)
     if length <= model.warmup():
         raise ConfigError("--length", f"{length} steps is within the model warm-up "
@@ -137,6 +145,8 @@ def measure_throughput(cfg: dict, model: Sequential, mode: str, length: int,
                        warmup: int, repeats: int, seed: int = 0) -> dict:
     if repeats < 3:
         raise ConfigError("--repeats", "need at least 3 repeats")
+    _nonnegative("--length", length)
+    _nonnegative("--warmup", warmup)
     report = _base_report(cfg, mode, length, model)
     report["warmup_repeats"] = warmup
     report["repeats"] = repeats

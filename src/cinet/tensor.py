@@ -1,5 +1,4 @@
-"""Dense row-major tensors, three checked reference ops (``matmul``,
-``conv_spatial``, ``reduce``) and little-endian f32 weight-blob I/O.
+"""Dense row-major tensors and little-endian f32 weight-blob I/O.
 
 Tensors are immutable after construction, so values can be shared freely
 between streams and threads.  Two element types are supported, ``f32`` and
@@ -61,9 +60,8 @@ class Tensor:
         computed (writeable) result is copied too and the tensor never
         aliases memory someone can still write.  This is the one hand-off
         from arrays to ``Tensor``: the public call modes and shims
-        (``forward*``, ``att_step``, ``graph_conv``, ``sda_full``) and the
-        reference ops call it once on their result, and layers never call
-        it on each other's."""
+        (``forward*``, ``att_step``, ``graph_conv``, ``sda_full``) call it
+        once on their result, and layers never call it on each other's."""
         if arr.dtype not in (np.float32, np.float64):
             raise ValueError(f"unsupported ndarray dtype {arr.dtype}")
         t = object.__new__(Tensor)
@@ -129,65 +127,6 @@ class Tensor:
 
     def __hash__(self):
         return hash((self.shape, self.dtype, self.array.tobytes()))
-
-
-def _same_dtype(*ts: Tensor) -> str:
-    dts = {t.dtype for t in ts}
-    if len(dts) != 1:
-        raise DimensionError(f"mixed dtypes {sorted(dts)}")
-    return dts.pop()
-
-
-# -- reference ops ------------------------------------------------------------
-# Checked tensor-level ops for callers outside the layers; the layers do the
-# same arithmetic on plain ndarrays.
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Row-major matrix product of an (m, k) and a (k, n) tensor."""
-    if a.rank != 2 or b.rank != 2:
-        raise DimensionError(f"matmul needs rank-2 operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner extents differ: {a.shape} x {b.shape}")
-    _same_dtype(a, b)
-    return Tensor.wrap(a.array @ b.array)
-
-
-def conv_spatial(x: Tensor, w: Tensor, pad: tuple = (0, 0)) -> Tensor:
-    """2-D cross-correlation (no kernel flip) with zero padding and stride 1.
-
-    ``x`` is (C_in, H, W), ``w`` is (C_out, C_in, K_H, K_W); the output is
-    (C_out, H + 2*pad_h - K_H + 1, W + 2*pad_w - K_W + 1).
-    """
-    if x.rank != 3 or w.rank != 4:
-        raise DimensionError(f"expected (C,H,W) x (O,C,KH,KW), got {x.shape} x {w.shape}")
-    c_in, h, wd = x.shape
-    c_out, c_in_w, kh, kw = w.shape
-    if c_in != c_in_w:
-        raise DimensionError(f"channel mismatch: input {c_in}, kernel {c_in_w}")
-    _same_dtype(x, w)
-    ph, pw = int(pad[0]), int(pad[1])
-    hp, wp = h + 2 * ph, wd + 2 * pw
-    if kh > hp or kw > wp:
-        raise DimensionError(
-            f"kernel ({kh},{kw}) larger than padded input ({hp},{wp})"
-        )
-    xa = x.array
-    if ph or pw:
-        xa = np.pad(xa, ((0, 0), (ph, ph), (pw, pw)))
-    windows = np.lib.stride_tricks.sliding_window_view(xa, (kh, kw), axis=(1, 2))
-    out = np.einsum("cijab,ocab->oij", windows, w.array, optimize=True)
-    return Tensor.wrap(out.astype(x.array.dtype, copy=False))
-
-
-def reduce(op: str, x: Tensor, axis: int) -> Tensor:
-    """Reduce one axis with ``sum``, ``mean`` or ``max``; the axis is removed."""
-    if not 0 <= axis < x.rank:
-        raise DimensionError(f"axis {axis} out of range for rank {x.rank}")
-    fn = {"sum": np.sum, "mean": np.mean, "max": np.max}.get(op)
-    if fn is None:
-        raise ValueError(f"unknown reduce op {op!r}")
-    return Tensor.wrap(fn(x.array, axis=axis).astype(x.array.dtype, copy=False))
 
 
 # -- weight blob I/O ---------------------------------------------------------

@@ -266,6 +266,23 @@ def test_cli_throughput_runs(tmp_path, capsys):
     assert "steps/s" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["throughput", "--length", "-3"], "--length"),
+    (["throughput", "--mode", "offline", "--length", "-2"], "--length"),
+    (["flops", "--mode", "offline", "--length", "-5"], "--length"),
+    (["flops", "--mode", "step", "--length", "-5"], "--length"),
+    (["throughput", "--length", "8", "--repeats", "3", "--warmup", "-1"], "--warmup"),
+    (["check", "--length", "20", "--tol", "-1"], "--tol"),
+    (["check", "--length", "20", "--tol", "nan"], "--tol"),
+])
+def test_cli_out_of_range_argument_exits_two(tmp_path, capsys, argv, flag):
+    p = write_cfg(tmp_path, conv_model_cfg())
+    out = tmp_path / "report.json"
+    assert main([*argv, "--model", str(p), "--report", str(out)]) == 2
+    assert f"config error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_check_on_graph_network(tmp_path):
     cfg = {"name": "mini_stgcn", "dtype": "f32", "input": {"shape": [3, 25]},
            "layers": [

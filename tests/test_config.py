@@ -170,6 +170,19 @@ def test_blob_init_round_trip(tmp_path):
     assert np.array_equal(conv.bias.array, b.array)
 
 
+def test_blob_too_short_at_offset_is_a_config_error(tmp_path, capsys):
+    # 18 weights + 3 biases stored; from offset 1 the bias finds only 2 values
+    save_blob(tmp_path / "w.bin", [Tensor.zeros((3, 2, 3, 1, 1)), Tensor.zeros((3,))])
+    cfg = base_cfg([conv_cfg() | {"init": {"scheme": "blob", "path": "w.bin", "offset": 1}}])
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError) as err:
+        build_model(load_config(p), tmp_path)
+    assert err.value.path == "layers[0]" and "too short" in str(err.value)
+    assert cli.main(["flops", "--model", str(p)]) == 2
+    assert "config error: layers[0]:" in capsys.readouterr().err
+
+
 def test_nested_containers_build():
     cfg = base_cfg([
         {"type": "residual",

@@ -3,12 +3,14 @@
 Layers hand ndarrays to each other and only the public call modes wrap a
 result.  These tests pin that from outside: how often ``Tensor.wrap`` runs
 per ``forward_step``, and that an emission never shares memory with the
-stream state or changes afterwards.
+stream state or changes afterwards; and the package exports exactly the
+names listed here, so a change to the public surface is a deliberate diff.
 """
 
 import numpy as np
 import pytest
 
+import cinet
 from cinet.config import build_model, random_stream
 from cinet.tensor import Tensor
 
@@ -83,3 +85,20 @@ def test_emissions_do_not_alias_the_stream(make):
         assert not any(np.shares_memory(y.array, a) for a in held), f"emission {i} aliases state"
     assert np.array_equal(x.array, inputs)
     assert all(np.array_equal(f.array, inputs[t]) for t, f in enumerate(frames))
+
+
+PUBLIC_NAMES = [
+    "BatchNorm", "CoModule", "ConfigError", "DimensionError", "EncoderBlock",
+    "GlobalAverageHead", "LayerNorm", "MultiheadAttention", "Parallel",
+    "RecyclingPositionalEncoding", "Residual", "RetroAttention", "Sequential",
+    "SingleAttention", "SkeletonGraph", "StGcnBlock", "TemporalConv",
+    "TemporalPool", "Tensor", "graph_conv", "sda_full", "step_momentum",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(cinet.__all__) == PUBLIC_NAMES
+    assert all(hasattr(cinet, name) for name in cinet.__all__)
+    namespace = {}
+    exec("from cinet import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
