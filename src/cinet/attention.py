@@ -18,29 +18,27 @@ Clip mode runs that kernel over a ``(W, n, ...)`` strided view of the clip's
 ``W`` complete windows, ``WINDOW_BATCH`` windows per call.
 
 Stream state is zero-initialised on a stream's first row, whose shape and
-dtype the stream keeps: a later row that drifts is refused.  Retroactive
-attention keeps ``n - 1`` queries, ``n`` keys/values and ``n`` rows of
-``[av | d]`` as ``(..., size, d)`` f64 arrays in window order, oldest row
-first: each step reads the departing key/value from the oldest row, shifts
-every array by one row and writes the newest row last.  That is O(n*d), the
-order of the update itself, and the emission is read off ``[av | d]``
-without a gather.  The fused ``avd_mem`` holds each row's weighted values
-``av`` and row sum ``d`` side by side, so one ``(n-1, 2) @ (2, d_v+1)``
-product by the departing ``[v | 1]`` row negated and the arriving one
-updates both; ``d_mem`` and ``av_mem`` are views of it.  Single-output
-attention keeps ``n - 1`` keys/values in a ring where step ``t`` owns slot
-``t mod (n - 1)``: its one output row is a sum over the window, whatever the
-slot order.
+dtype the stream keeps: a later row that drifts is refused.  All of it is
+``(..., n, d)`` rows in window order, oldest first, each array shifted by
+one row per step (``_push``) and attended over in place: O(n*d), the order
+of the update itself, with no gather or copy.  Retroactive attention keeps
+f64 queries, keys, values and ``[av | d]``, reads the departing key/value
+from the oldest row before the push, and reads its emission off ``[av |
+d]``.  The fused ``avd_mem`` holds each row's weighted values ``av`` and
+row sum ``d`` side by side, so one ``(n-1, 2) @ (2, d_v+1)`` product by
+the departing ``[v | 1]`` row negated and the arriving one updates both;
+``d_mem`` and ``av_mem`` are views of it.  Single-output attention keeps
+keys and values in the stream dtype.
 
-Multi-head attention projects a self-attention token or window by one
-matmul with ``w_q | w_k | w_v``, concatenated in both stream dtypes at
-construction, and reads the head rows as views of that product; rows that
-differ (cross-attention) are projected by their own weights.  In step mode
-a retroactive head's product is cast to f64 once, and one ``reshape(3,
-heads, d_h)`` of it yields every head's q, k and v row.  Rows are checked
-where they enter: ``att_step`` and ``forward_step`` of an attention, and an
-encoder block's token check; multi-head attention hands its own
-projections to its head's unchecked kernel.
+Multi-head attention is self-attention: it projects a token or window by
+one matmul with ``w_q | w_k | w_v``, concatenated in both stream dtypes at
+construction, and reads the head rows as views of that product; q, k and v
+rows that are not one array are refused.  In step mode a retroactive
+head's product is cast to f64 once, and one ``reshape(3, heads, d_h)`` of
+it yields every head's q, k and v row.  Rows are checked where they enter:
+``att_step`` and ``forward_step`` of an attention, and an encoder block's
+token check; multi-head attention hands its own projections to its head's
+unchecked kernel.
 
 :class:`EncoderBlock` takes its step form and window from its attention; a
 positional encoding is a ``Sequential`` stage ahead of a token-input block.
@@ -208,7 +206,7 @@ class _RetroCache:
     def __init__(self):
         self.dtype = None  # the stream's row dtype, fixed by its first row
         # f64 rows in window order, oldest first; see the module docstring
-        self.q_mem = None  # (..., n-1, d): the queries still in the window
+        self.q_mem = None  # (..., n, d)
         self.k_mem = None  # (..., n, d)
         self.v_mem = None  # (..., n, d_v)
         self.avd_mem = None  # (..., n, d_v + 1): [av | d], allocated on the first emission
@@ -269,19 +267,14 @@ class RetroAttention(_WindowAttention):
         q_mem, k_mem, v_mem = state.q_mem, state.k_mem, state.v_mem
         if k_mem is None:  # the stream's first row shapes its rings
             state.dtype = dtype
-            q_mem = state.q_mem = np.zeros(_rows(m, q))
+            q_mem = state.q_mem = np.zeros(_rows(n, q))
             k_mem = state.k_mem = np.zeros(_rows(n, k))
             v_mem = state.v_mem = np.zeros(_rows(n, v))
         else:
             _check_stream(k_mem, k, state.dtype, dtype)
         t = state.t
         state.t += 1
-        if t < m:
-            _push(q_mem, q)
-            _push(k_mem, k)
-            _push(v_mem, v)
-            return None
-        avd = state.avd_mem
+        avd = state.avd_mem  # None until the first emission
         from_scratch = (
             avd is None
             or n == 1
@@ -294,7 +287,7 @@ class RetroAttention(_WindowAttention):
             k_pair = np.empty(k.shape + (2,))  # (..., d, 2): departing, arriving
             k_pair[..., 0] = k_mem[..., 0, :]
             k_pair[..., 1] = k
-            e = _clamped_exp(q_mem @ k_pair * self._upd_scale, state.clamp_events)
+            e = _clamped_exp(q_mem[..., 1:, :] @ k_pair * self._upd_scale, state.clamp_events)
             v_pair = np.empty(v.shape[:-1] + (2, v.shape[-1] + 1))  # (..., 2, d_v + 1)
             np.negative(v_mem[..., 0, :], out=v_pair[..., 0, :-1])
             v_pair[..., 1, :-1] = v
@@ -302,11 +295,13 @@ class RetroAttention(_WindowAttention):
             upd = e @ v_pair
             upd += avd[..., 1:, :]
             avd[..., :-1, :] = upd
+        _push(q_mem, q)
         _push(k_mem, k)
         _push(v_mem, v)
+        if t < m:
+            return None
         if from_scratch:
-            q_win = np.concatenate([q_mem, q[..., None, :]], axis=-2)
-            denom, av = _attend(q_win, k_mem, v_mem, self._scale, state.clamp_events)
+            denom, av = _attend(q_mem, k_mem, v_mem, self._scale, state.clamp_events)
             if avd is None:
                 avd = state.avd_mem = np.empty(av.shape[:-1] + (av.shape[-1] + 1,))
             avd[..., :-1] = av
@@ -316,8 +311,6 @@ class RetroAttention(_WindowAttention):
                                 state.clamp_events)
             avd[..., -1, :-1] = av[..., 0, :]
             avd[..., -1, -1] = denom[..., 0]
-        if m:
-            _push(q_mem, q)
         return (avd[..., :-1] / avd[..., -1:]).astype(dtype, copy=False)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
@@ -344,8 +337,8 @@ class _SingleCache:
     __slots__ = ("k_mem", "v_mem", "t", "clamp_events")
 
     def __init__(self):
-        self.k_mem = None  # (..., n-1, d) ring of the previous keys, in their dtype
-        self.v_mem = None  # (..., n-1, d_v) ring of the previous values
+        self.k_mem = None  # (..., n, d) keys in window order, in their dtype
+        self.v_mem = None  # (..., n, d_v)
         self.t = 0
         self.clamp_events = [0]
 
@@ -377,27 +370,21 @@ class SingleAttention(_WindowAttention):
     def _kernel(self, state: _SingleCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 dtype: np.dtype) -> Optional[np.ndarray]:
         """``_att`` on rows of ``dtype``, which the rings keep."""
-        m = self.n - 1
         k_mem, v_mem = state.k_mem, state.v_mem
         if k_mem is None:  # the stream's first row shapes its rings
-            k_mem = state.k_mem = np.zeros(_rows(m, k), dtype)
-            v_mem = state.v_mem = np.zeros(_rows(m, v), dtype)
+            k_mem = state.k_mem = np.zeros(_rows(self.n, k), dtype)
+            v_mem = state.v_mem = np.zeros(_rows(self.n, v), dtype)
         else:
             _check_stream(k_mem, k, k_mem.dtype, dtype)
         t = state.t
         state.t += 1
-        y = None
-        if t >= m:
-            # the ring's slot order differs from step order; the sums do not care
-            k_win = np.concatenate([k_mem, k[..., None, :]], axis=-2)
-            v_win = np.concatenate([v_mem, v[..., None, :]], axis=-2)
-            denom, av = _attend(q[..., None, :], k_win, v_win, self._scale[dtype],
-                                state.clamp_events)
-            y = av[..., 0, :] / denom
-        if m:
-            k_mem[..., t % m, :] = k
-            v_mem[..., t % m, :] = v
-        return y
+        _push(k_mem, k)
+        _push(v_mem, v)
+        if t < self.n - 1:
+            return None
+        denom, av = _attend(q[..., None, :], k_mem, v_mem, self._scale[dtype],
+                            state.clamp_events)
+        return av[..., 0, :] / denom
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         return _batched(lambda w: _sda(w[:, -1:], w, w, self.scale)[:, 0], _windows(xa, self.n))
@@ -464,28 +451,17 @@ class MultiheadAttention(_WindowAttention):
         h = a.reshape(a.shape[:-1] + (self.heads, a.shape[-1] // self.heads))
         return h.swapaxes(-3, -2) if h.ndim > 2 else h
 
-    def _heads(self, x_q: np.ndarray, x_k: np.ndarray, x_v: np.ndarray,
-               dtype: Optional[np.dtype] = None) -> tuple:
-        """q, k, v head rows of (d_model,) tokens or (..., n, d_model) windows,
-        cast to ``dtype`` if one is given.  Self-attention (one array thrice)
-        takes one matmul by ``w_q | w_k | w_v``, one cast and three views of
-        it; distinct rows each take their own weight and cast."""
+    def _heads(self, x: np.ndarray, dtype: Optional[np.dtype] = None) -> tuple:
+        """q, k, v head rows of a (d_model,) token or (..., n, d_model)
+        windows, cast to ``dtype`` if one is given: one matmul by ``w_q |
+        w_k | w_v``, one cast and three views of it."""
         dk = self.d_k
-        if x_q is x_k and x_k is x_v:
-            p = x_q @ self._w[x_q.dtype][0]
-            if dtype is not None:
-                p = p.astype(dtype)
-            if p.ndim == 1 and self.d_v == dk:  # a token: rows (3, heads, d_h)
-                return p.reshape(3, self.heads, self._dh_k)
-            q, k, v = p[..., :dk], p[..., dk:2 * dk], p[..., 2 * dk:]
-        else:
-            if not x_q.dtype == x_k.dtype == x_v.dtype:
-                raise DimensionError(f"rows differ in dtype: {x_q.dtype}/{x_k.dtype}/{x_v.dtype}")
-            q = x_q @ self._w[x_q.dtype][0][:, :dk]
-            k = x_k @ self._w[x_k.dtype][0][:, dk:2 * dk]
-            v = x_v @ self._w[x_v.dtype][0][:, 2 * dk:]
-            if dtype is not None:
-                q, k, v = (a.astype(dtype) for a in (q, k, v))
+        p = x @ self._w[x.dtype][0]
+        if dtype is not None:
+            p = p.astype(dtype)
+        if p.ndim == 1 and self.d_v == dk:  # a token: rows (3, heads, d_h)
+            return p.reshape(3, self.heads, self._dh_k)
+        q, k, v = p[..., :dk], p[..., dk:2 * dk], p[..., 2 * dk:]
         return self._split(q), self._split(k), self._split(v)
 
     def _merge(self, y: np.ndarray) -> np.ndarray:
@@ -497,7 +473,7 @@ class MultiheadAttention(_WindowAttention):
 
     def _window(self, win: np.ndarray) -> np.ndarray:
         """Attention output (..., n, d_o) of complete (..., n, d_model) windows."""
-        return self._merge(_sda(*self._heads(win, win, win), self._head.scale))
+        return self._merge(_sda(*self._heads(win), self._head.scale))
 
     def _newest(self, win: np.ndarray) -> np.ndarray:
         """Attention output (..., 1, d_o) of the newest row of complete (...,
@@ -515,7 +491,11 @@ class MultiheadAttention(_WindowAttention):
 
     def _att(self, state, x_q: np.ndarray, x_k: np.ndarray,
              x_v: np.ndarray) -> Optional[np.ndarray]:
-        q, k, v = self._heads(x_q, x_k, x_v, self._row_dtype)
+        """Self-attention only: ``x_q``, ``x_k`` and ``x_v`` are one array."""
+        if x_q is not x_k or x_k is not x_v:
+            raise DimensionError("multi-head attention is self-attention: "
+                                 "q, k and v must be one array")
+        q, k, v = self._heads(x_q, self._row_dtype)
         y = self._head._kernel(state, q, k, v, x_q.dtype)
         return None if y is None else self._merge(y)
 

@@ -13,7 +13,9 @@ Subcommands
 - ``throughput``: wall-clock steps/s (step mode) or clips/s (offline mode),
   single stream, single thread, median over repeats.  Step mode times
   ``--length`` steps past warm-up: each repeat first advances a fresh state
-  through ``warmup()`` steps untimed, so no timed step is a no-op.
+  through ``warmup()`` steps untimed, so no timed step is a no-op.  Offline
+  mode times ``forward`` over a ``--length``-frame clip, which must span at
+  least the receptive field, or the clip emits nothing.
 
 Conventions (also embedded in every report): FLOPs = 2 * MACs for
 multiply-accumulate work; exponential, division and comparison count as one
@@ -153,6 +155,9 @@ def measure_throughput(cfg: dict, model: Sequential, mode: str, length: int,
     if length == 0:
         report["no_data"] = True
         return report
+    if mode == "offline" and length < model.receptive_field():
+        raise ConfigError("--length", f"{length} frames is shorter than the receptive field "
+                                      f"({model.receptive_field()}); a clip would emit nothing")
     frame = _frame_shape(cfg)
     lead = report["warmup_steps"] = model.warmup() if mode == "step" else 0
     x = random_stream(seed, lead + length, frame, cfg.get("dtype", "f32"))

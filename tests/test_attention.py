@@ -161,9 +161,9 @@ def test_head_rows_are_independent_streams_in_fixed_rings(n):
     rng = np.random.default_rng(40 + n)
     q, k = (rng.uniform(-1, 1, (steps, h, d)) for _ in range(2))
     v = rng.uniform(-1, 1, (steps, h, d_v))
-    retro_rings = {"q_mem": (h, n - 1, d), "k_mem": (h, n, d), "v_mem": (h, n, d_v),
+    retro_rings = {"q_mem": (h, n, d), "k_mem": (h, n, d), "v_mem": (h, n, d_v),
                    "avd_mem": (h, n, d_v + 1)}
-    single_rings = {"k_mem": (h, n - 1, d), "v_mem": (h, n - 1, d_v)}
+    single_rings = {"k_mem": (h, n, d), "v_mem": (h, n, d_v)}
     for att, shapes in ((RetroAttention(n, d), retro_rings),
                         (SingleAttention(n, d), single_rings)):
         state = att.init_state()
@@ -226,14 +226,15 @@ def test_drifted_rows_are_refused_before_the_stream_moves(mode):
 
 
 def test_retro_state_is_the_window_in_order():
-    # every state array holds f64 rows oldest first: the last n - 1 queries,
-    # the last n keys and values, and the n row sums and weighted values the
-    # emission is read off without a gather
+    # every state array holds rows oldest first: the retroactive form keeps
+    # the last n queries, keys and values and the n row sums and weighted
+    # values the emission is read off without a gather, all in f64; the
+    # single-output form keeps the last n keys and values in the stream dtype
     n, d, h, steps = 4, 3, 2, 30
     rng = np.random.default_rng(42)
     retro = RetroAttention(n, d, refresh_interval=5)
     q, k, v = (rng.uniform(-1, 1, (steps, h, d)).astype(np.float32) for _ in range(3))
-    shapes = {"q_mem": (h, n - 1, d), "k_mem": (h, n, d), "v_mem": (h, n, d),
+    shapes = {"q_mem": (h, n, d), "k_mem": (h, n, d), "v_mem": (h, n, d),
               "d_mem": (h, n), "av_mem": (h, n, d)}
     state = retro.init_state()
     for t in range(steps):
@@ -247,13 +248,27 @@ def test_retro_state_is_the_window_in_order():
         if t < n - 1:
             assert y is None
             continue
-        assert np.array_equal(state.q_mem, q[t - n + 2 : t + 1].swapaxes(0, 1))
-        assert np.array_equal(state.k_mem, k[t - n + 1 : t + 1].swapaxes(0, 1))
-        assert np.array_equal(state.v_mem, v[t - n + 1 : t + 1].swapaxes(0, 1))
+        for name, rows in (("q_mem", q), ("k_mem", k), ("v_mem", v)):
+            assert np.array_equal(getattr(state, name), rows[t - n + 1 : t + 1].swapaxes(0, 1))
         want = (state.av_mem / state.d_mem[..., None]).astype(np.float32)
         assert np.array_equal(y.array, want)
     with pytest.raises(DimensionError):
         retro.att_step(state, *(Tensor.wrap(a[0].astype(np.float64)) for a in (q, k, v)))
+    single = SingleAttention(n, d)
+    for dtype in (np.float32, np.float64):
+        rows = [a.astype(dtype) for a in (q, k, v)]
+        state = single.init_state()
+        for t in range(steps):
+            y = single.att_step(state, *(Tensor.wrap(a[t]) for a in rows))
+            assert (y is None) == (t < n - 1)
+            lo = max(t - n + 1, 0)
+            for held, a in ((state.k_mem, rows[1]), (state.v_mem, rows[2])):
+                assert held.shape == (h, n, d) and held.dtype == dtype
+                assert np.array_equal(held[:, n - (t + 1 - lo):], a[lo : t + 1].swapaxes(0, 1))
+            if y is not None:
+                assert y.array.dtype == dtype
+                assert np.array_equal(y.array, _sda(rows[0][t][:, None], state.k_mem,
+                                                    state.v_mem, single.scale)[:, 0])
 
 
 def test_retro_refresh_step_recomputes_the_window():
@@ -406,27 +421,21 @@ def test_mha_vs_offline_oracle(mode, heads):
 
 
 @pytest.mark.parametrize("mode", ["retro", "single"])
-def test_cross_attention_projects_each_row_by_its_own_weight(mode):
-    # distinct q/k/v rows bypass the fused w_q | w_k | w_v projection of
-    # self-attention: each row is projected by its own weight
-    n, d, h, steps = 4, 6, 2, 12
+def test_mha_refuses_distinct_rows_before_the_stream_moves(mode):
+    # multi-head attention projects self-attention only: q, k and v rows
+    # that are not one array are refused by name, and the stream stays put
+    n, d, h = 3, 4, 2
     rng = np.random.default_rng(13)
-    mha = MultiheadAttention(mode, n, *(rand_tensor(rng, (d, d), dtype="f64") for _ in range(4)),
-                             heads=h)
-    xq, xk, xv = (rng.normal(size=(steps, d)) for _ in range(3))
-    dh = d // h
+    mha = MultiheadAttention(mode, n, *(rand_tensor(rng, (d, d)) for _ in range(4)), heads=h)
     state = mha.init_state()
-    for t in range(steps):
-        y = mha.att_step(state, *(Tensor.wrap(a[t]) for a in (xq, xk, xv)))
-        if t < n - 1:
-            assert y is None
-            continue
-        win = slice(t - n + 1, t + 1)
-        q, k, v = (x[win] @ w.array for x, w in ((xq, mha.w_q), (xk, mha.w_k), (xv, mha.w_v)))
-        heads = [softmax_attention_oracle(*(a[:, i * dh : (i + 1) * dh] for a in (q, k, v)))
-                 for i in range(h)]
-        want = np.concatenate(heads, axis=1) @ mha.w_o.array
-        assert max_rel_dev(y.array, want if mode == "retro" else want[-1]) < 1e-6
+    x = rand_tensor(rng, (d,))
+    for _ in range(n + 1):
+        mha.att_step(state, x, x, x)
+    xq, xk, xv = (rand_tensor(rng, (d,)) for _ in range(3))
+    for rows in ((xq, xk, xv), (x, x, xv), (x, Tensor.wrap(x.array.copy()), x)):
+        with pytest.raises(DimensionError, match="self-attention"):
+            mha.att_step(state, *rows)
+        assert state.t == n + 1
 
 
 # -- recycling positional encoding ---------------------------------------------------

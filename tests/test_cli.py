@@ -266,6 +266,23 @@ def test_cli_throughput_runs(tmp_path, capsys):
     assert "steps/s" in capsys.readouterr().out
 
 
+def test_cli_offline_throughput_under_receptive_field_exits_two(tmp_path, capsys):
+    # a clip shorter than the receptive field emits nothing, so its rate is
+    # no prediction rate; one full receptive field is timed
+    cfg = conv_model_cfg()
+    rf = build_model(cfg).receptive_field()
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "report.json"
+    assert main(["throughput", "--model", str(p), "--mode", "offline", "--length", str(rf - 1),
+                 "--repeats", "3", "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --length:" in err and f"receptive field ({rf})" in err
+    assert not out.exists()
+    assert main(["throughput", "--model", str(p), "--mode", "offline", "--length", str(rf),
+                 "--repeats", "3", "--warmup", "0"]) == 0
+    assert "clips/s" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["throughput", "--length", "-3"], "--length"),
     (["throughput", "--mode", "offline", "--length", "-2"], "--length"),
