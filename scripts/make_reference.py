@@ -2,6 +2,7 @@
 """Write the reference outputs that ``tests/test_reference.py`` compares against.
 
     python3 scripts/make_reference.py [--out tests/data/reference.npz]
+    python3 scripts/make_reference.py --compare [--out tests/data/reference.npz]
 
 For each bundled config, in f32 and in f64, the file holds the step-mode
 outputs (``forward_steps`` from a fresh state) and the clip-mode output
@@ -9,8 +10,11 @@ outputs (``forward_steps`` from a fresh state) and the clip-mode output
 ``<config>/<dtype>/step`` and ``<config>/<dtype>/clip``.  ``STREAM`` is long
 enough for ``toy_costgcn``, whose warm-up is 299 steps, to emit.
 
-A change that moves outputs on purpose regenerates the file and states the
-largest move it makes.
+A change that moves outputs on purpose states the largest move it makes,
+and regenerates the file when a move exceeds the test's tolerance.
+``--compare`` prints, per key, ``bit-identical`` or the largest move
+``max|d|/max|ref|`` of the current outputs against the file, and writes
+nothing.
 """
 
 import argparse
@@ -42,13 +46,41 @@ def reference_outputs() -> dict:
     return out
 
 
+def compare(outputs: dict, reference: dict) -> dict:
+    """Per key of either dict: ``"bit-identical"``, the largest move
+    ``max|d|/max|ref|`` as a float, or why the two cannot be compared."""
+    moves = {}
+    for key in sorted(set(outputs) | set(reference)):
+        if key not in reference or key not in outputs:
+            moves[key] = "missing from the " + ("reference" if key in outputs else "outputs")
+            continue
+        y, ref = outputs[key], reference[key]
+        if y.shape != ref.shape or y.dtype != ref.dtype:
+            moves[key] = f"{y.shape} {y.dtype} against reference {ref.shape} {ref.dtype}"
+        elif y.tobytes() == ref.tobytes():
+            moves[key] = "bit-identical"
+        else:
+            diff = np.abs(y.astype(np.float64) - ref).max()
+            scale = np.abs(ref.astype(np.float64)).max()
+            moves[key] = float(diff / scale) if scale > 0 else float(diff)
+    return moves
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--out", type=Path, default=ROOT / "tests" / "data" / "reference.npz")
+    p.add_argument("--compare", action="store_true",
+                   help="print each output's move against --out instead of writing it")
     args = p.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     outputs = reference_outputs()
+    if args.compare:
+        with np.load(args.out) as ref:
+            moves = compare(outputs, dict(ref))
+        for key, move in moves.items():
+            print(f"{key}: {move:.2g}" if isinstance(move, float) else f"{key}: {move}")
+        return 0
     args.out.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(args.out, **outputs)
     for key, a in outputs.items():

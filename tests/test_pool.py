@@ -72,17 +72,63 @@ def test_forward_matches_steps():
         assert max_rel_dev(online.array, offline.array) < 1e-6
 
 
-@pytest.mark.parametrize("window,padding", [(1, 0), (4, 0), (4, 3), (7, 2)])
-def test_avg_forward_equals_cumsum_loop(window, padding):
-    # one f64 cumulative sum, each output a difference of two of its rows
-    x = rand_tensor(np.random.default_rng(13), (40, 3, 5)).array
-    pool = TemporalPool("avg", window, padding=padding)
-    csum = np.concatenate([np.zeros((1, 3, 5)), np.cumsum(x.astype(np.float64), axis=0)])
-    want = []
-    for j in range(pool.out_len(40)):
-        end = pool.delay() + j + 1
-        want.append(((csum[end] - csum[max(0, end - window)]) / window).astype(x.dtype))
-    assert np.array_equal(pool.forward(Tensor.wrap(x)).array, np.stack(want))
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("window,padding", [
+    (1, 0), (4, 0), (4, 3), (7, 2), (2, 1), (3, 0), (8, 7), (9, 4), (268, 100),
+])
+def test_avg_forward_equals_window_sums(window, padding, dtype):
+    # each window summed on its own in f64, then divided
+    x = rand_tensor(np.random.default_rng(13), (40 + window, 3, 5), dtype).array
+    want = window_oracle("avg", x, window, padding)
+    got = TemporalPool("avg", window, padding=padding).forward(Tensor.wrap(x)).array
+    assert got.shape == want.shape and got.dtype == x.dtype
+    if dtype == "f64":
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    else:
+        want32 = want.astype(np.float32)
+        assert (np.abs(got - want32) <= np.spacing(np.abs(want32))).all()
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 268])
+def test_max_clip_bit_identical_to_sliding_max(window, dtype):
+    x = rand_tensor(np.random.default_rng(window), (window + 30, 2, 3), dtype).array
+    want = np.lib.stride_tricks.sliding_window_view(x, window, axis=0).max(axis=-1)
+    got = TemporalPool("max", window).forward(Tensor.wrap(x)).array
+    assert got.dtype == x.dtype
+    assert np.array_equal(got, want)
+
+
+def test_clip_nonfinite_frame_poisons_exactly_its_windows():
+    # a non-finite frame reaches exactly the clip outputs whose window holds
+    # it; max pooling also in step mode (the avg running sum stays poisoned
+    # until its next refresh); -inf is no poison to a maximum
+    rng = np.random.default_rng(29)
+    for _ in range(120):
+        kind = ("avg", "max")[rng.integers(2)]
+        window = int(rng.choice([1, 2, 3, 4, 5, 7, 8, 9, 16]))
+        padding = int(rng.integers(window)) if kind == "avg" else 0
+        length = window + int(rng.integers(3, 30))
+        x = rand_tensor(rng, (length, 2), ("f32", "f64")[rng.integers(2)]).array.copy()
+        bad = rng.choice(length, size=int(rng.integers(1, 4)), replace=False)
+        values = [np.nan, np.inf, -np.inf] if kind == "avg" else [np.nan, np.inf]
+        x[bad] = rng.choice(values, size=len(bad))[:, None]
+        pool = TemporalPool(kind, window, padding)
+        with np.errstate(invalid="ignore"):  # +inf and -inf in one window sum to NaN
+            out = pool.forward(Tensor.wrap(x)).array
+            want = window_oracle(kind, x, window, padding)
+        assert out.shape[0] == length + padding - window + 1
+        for j in range(out.shape[0]):
+            start = j - padding  # first real frame of the window
+            poisoned = any(start <= s < start + window for s in bad)
+            assert np.isfinite(out[j]).all() == (not poisoned)
+            if poisoned:
+                assert np.array_equal(out[j], want[j].astype(x.dtype), equal_nan=True)
+            else:
+                assert np.allclose(out[j], want[j], rtol=1e-6, atol=1e-6)
+        if kind == "max":
+            steps = pool.forward_steps(pool.init_state(), Tensor.wrap(x)).array
+            assert np.array_equal(steps, out, equal_nan=True)
 
 
 def test_constant_input_avg_gives_constant():

@@ -20,11 +20,16 @@ TOL = 1e-6
 
 
 @pytest.fixture(scope="module")
-def outputs():
+def script():
     spec = importlib.util.spec_from_file_location("make_reference",
                                                   ROOT / "scripts" / "make_reference.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def outputs(script):
     return script.reference_outputs()
 
 
@@ -49,3 +54,23 @@ def test_outputs_match_the_reference(outputs, reference, config, dtype, mode):
     assert y.shape == ref.shape and y.dtype == ref.dtype
     assert np.isfinite(y).all()
     assert max_rel_dev(y, ref) <= TOL, name
+
+
+def test_compare_reports_identical_moved_and_missing_keys(script):
+    ref = {"a/f32/step": np.array([1.0, -2.0], np.float32),
+           "b/f64/clip": np.array([[4.0, 0.5]]),
+           "c/f32/clip": np.zeros(2, np.float32),
+           "gone/f32/step": np.ones(1, np.float32)}
+    new = {"a/f32/step": ref["a/f32/step"].copy(),
+           "b/f64/clip": np.array([[4.0, 0.5 + 2e-3]]),
+           "c/f32/clip": np.zeros(3, np.float32),
+           "added/f64/clip": np.ones(1)}
+    assert script.compare(new, ref) == {
+        "a/f32/step": "bit-identical",
+        "added/f64/clip": "missing from the reference",
+        "b/f64/clip": pytest.approx(5e-4, rel=1e-9),
+        "c/f32/clip": "(3,) float32 against reference (2,) float32",
+        "gone/f32/step": "missing from the outputs",
+    }
+    # -0.0 == 0.0 but its bits differ: a move of 0, not bit-identical
+    assert script.compare({"z": np.array([-0.0])}, {"z": np.array([0.0])}) == {"z": 0.0}
