@@ -14,7 +14,8 @@ A change that moves outputs on purpose states the largest move it makes,
 and regenerates the file when a move exceeds the test's tolerance.
 ``--compare`` prints, per key, ``bit-identical`` or the largest move
 ``max|d|/max|ref|`` of the current outputs against the file, and writes
-nothing.
+nothing.  It exits 1 when a key is missing or cannot be compared, or when a
+move exceeds ``TOLERANCE``, the gate of ``tests/test_reference.py``.
 """
 
 import argparse
@@ -28,6 +29,7 @@ CONFIGS = ROOT / "configs"
 STREAM = 400  # frames per stream
 SEED = 11  # seed of every config's input stream
 DTYPES = ("f32", "f64")
+TOLERANCE = 1e-6  # largest move max|d|/max|ref| that keeps the file
 
 
 def reference_outputs() -> dict:
@@ -80,7 +82,9 @@ def main(argv=None) -> int:
             moves = compare(outputs, dict(ref))
         for key, move in moves.items():
             print(f"{key}: {move:.2g}" if isinstance(move, float) else f"{key}: {move}")
-        return 0
+        ok = all(move == "bit-identical" or (isinstance(move, float) and move <= TOLERANCE)
+                 for move in moves.values())
+        return 0 if ok else 1
     args.out.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(args.out, **outputs)
     for key, a in outputs.items():

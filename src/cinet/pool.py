@@ -1,26 +1,27 @@
-"""Continual temporal pooling: running windowed average and sliding maximum.
+"""Continual temporal pooling: windowed average and maximum.
 
-The average keeps a running sum (newest frame added, oldest subtracted) and
-the window's ``window - 1`` older frames in a zero-initialised ring in the
-stream dtype; step ``t`` reads the leaving frame from slot
-``t mod (window - 1)`` and then writes its own frame there.  Zero slots
-stand for the padding frames before the stream, so they leave the sum
-without a special case.  The sum is accumulated in f64 regardless of the
-stream dtype and refreshed from the ring every ``refresh_interval`` steps,
-since add/subtract accumulation is not exactly associative in floating
-point.
-
-The maximum splits the stream into blocks of ``window`` frames and keeps
-two arrays in the stream dtype: the running maximum of the current block so
-far (its prefix) and a ring of ``window`` slots.  At step ``t``, with
-``r = t mod window``, slots ``0..r`` hold the current block's frames and the
-slots after ``r`` the elementwise suffix maxima of the last complete block,
-which the ring recomputes in place when a block completes.  The window
-ending at step ``t`` is the current block's ``r + 1`` frames plus the last
-block's frames from slot ``r + 1`` on, so its maximum is one comparison of
-the prefix with slot ``r + 1``: amortized O(1) comparisons per element per
-step.  Zero padding is rejected for max pooling because padding with zeros
-corrupts maxima of negative signals.
+In step mode both kinds run one kernel, the block prefix/suffix scheme of
+van Herk and Gil--Werman, with ``op`` the sum or the maximum.  The stream
+splits into blocks of ``window`` frames; a leading ``padding`` counts as
+zero frames opening the first block, so step ``t`` sits at block position
+``r = (t + padding) mod window``.  ``prefix`` holds ``op`` over the current
+block so far (f64 for the average, the stream dtype for the maximum).  A
+ring of ``window - 1`` slots in the stream dtype holds block positions
+``1 .. window - 1``, position ``r`` at slot ``window - 1 - r``; the frame
+at position 0 lives only in the prefix.  When a block completes, one
+forward ``op.accumulate`` over the ring turns its frames into suffix
+partials in place: slot ``s`` then reduces the last block's positions
+``window - 1 - s`` on.  The window ending at step ``t`` is the current
+block's ``r + 1`` frames plus the last block's frames from position
+``r + 1`` on, so its output is one ``op`` of the prefix with one slot, or
+the prefix alone when ``r = window - 1``: amortized O(1) operations per
+element per step.  The average accumulates its partials in f64 and rounds
+each once into the ring, then divides by ``window``.  Every partial covers
+frames of one window only, so nothing drifts on an endless stream and a
+non-finite frame reaches exactly the outputs whose window holds it.  Step
+maxima equal clip maxima bit for bit, except that a tie of -0.0 and +0.0
+may take either sign.  Zero padding is rejected for max pooling because
+padding with zeros corrupts maxima of negative signals.
 
 In clip mode both kinds run one kernel, ``_window_reduce``, over doubling
 levels: level ``b`` holds the sum or maximum of every span of ``2**b``
@@ -30,11 +31,8 @@ bit of ``window`` folds one slice of its level into the outputs.  That is
 work over a ``T``-frame clip, with no loop over frames.  The average sums in
 f64 from the first level on, with a leading ``padding`` as zero frames in
 front of the clip, and divides once; the maximum is exact, so it equals a
-per-window maximum bit for bit.  Every partial result covers frames of one
-window only, so in clip mode a non-finite frame reaches exactly the outputs
-whose window holds it.  Step-mode maxima keep that locality too, but the
-average's running sum stays non-finite after such a frame has left the
-window, until its next refresh from the ring.
+per-window maximum bit for bit.  Clip mode has the same non-finite locality
+as step mode.
 
 ``cinet.graph.GlobalAverageHead`` runs an average pool with ``window`` set
 to its temporal receptive field, over per-frame ``(classes,)`` logits rather
@@ -76,17 +74,16 @@ def _window_reduce(op, e: np.ndarray, w: int, n_out: int, dtype) -> np.ndarray:
 
 
 class _PoolState:
-    __slots__ = ("t", "ring", "running_sum", "prefix")
+    __slots__ = ("t", "ring", "prefix")
 
     def __init__(self):
         self.t = 0
-        self.ring = None  # avg: (window-1, ...) older frames; max: (window, ...), see above
-        self.running_sum = None  # avg: f64 sum of the ring's frames
-        self.prefix = None  # max: running max of the current block's frames
+        self.ring = None  # (window-1, ...) block frames, then suffix partials; see above
+        self.prefix = None  # op over the current block's frames so far
 
 
 class TemporalPool(CoModule):
-    def __init__(self, kind: str, window: int, padding: int = 0, refresh_interval: int = 4096):
+    def __init__(self, kind: str, window: int, padding: int = 0):
         if kind not in ("avg", "max"):
             raise ValueError(f"unknown pooling kind {kind!r}")
         if window < 1:
@@ -98,7 +95,11 @@ class TemporalPool(CoModule):
         self.kind = kind
         self.window = window
         self.padding = padding
-        self.refresh_interval = refresh_interval  # 0 disables the refresh
+
+    @property
+    def refresh_interval(self) -> int:
+        # steps between rebuilds of the suffix partials, which perfbench's refresh counter reads
+        return self.window
 
     def delay(self) -> int:
         return self.window - 1 - self.padding
@@ -129,58 +130,50 @@ class TemporalPool(CoModule):
         return _PoolState()
 
     def _step(self, state: _PoolState, xa: np.ndarray) -> Optional[np.ndarray]:
-        if self.kind == "max":
-            return self._max_step(state, xa)
-        n = self.window - 1
-        ring = state.ring = ring_buffer(state.ring, (n,) + xa.shape, xa.dtype)
-        t = state.t
-        state.t += 1
-        if t == 0 or (self.refresh_interval and t % self.refresh_interval == 0):
-            state.running_sum = ring.sum(axis=0, dtype=np.float64)
-        state.running_sum += xa
-        y = None
-        if t >= self.delay():
-            y = (state.running_sum / self.window).astype(xa.dtype, copy=False)
-        # frame t - n leaves the sum: a zero slot (padding, or before the
-        # stream) until the ring has wrapped, x_t itself for a 1-frame window
-        if n:
-            state.running_sum -= ring[t % n]
-            ring[t % n] = xa
-        else:
-            state.running_sum -= xa
-        return y
-
-    def _max_step(self, state: _PoolState, xa: np.ndarray) -> Optional[np.ndarray]:
         w = self.window
-        ring = state.ring = ring_buffer(state.ring, (w,) + xa.shape, xa.dtype)
-        prefix = state.prefix = ring_buffer(state.prefix, xa.shape, xa.dtype)
+        avg = self.kind == "avg"
+        op = np.add if avg else np.maximum
+        ring = state.ring = ring_buffer(state.ring, (w - 1,) + xa.shape, xa.dtype)
+        prefix = state.prefix
+        if prefix is None:  # zeros: the padding frames before the stream
+            prefix = state.prefix = np.zeros(xa.shape, np.float64 if avg else xa.dtype)
         t = state.t
         state.t += 1
-        r = t % w  # slots 0..r: this block's frames; r+1..: the last block's suffix maxima
-        ring[r] = xa
+        r = (t + self.padding) % w
         if r:
-            np.maximum(prefix, xa, out=prefix)
+            op(prefix, xa, out=prefix)
+            ring[w - 1 - r] = xa
         else:
             prefix[...] = xa
         if r < w - 1:
-            return np.maximum(ring[r + 1], prefix) if t >= w - 1 else None
-        for i in range(w - 2, -1, -1):  # the block is complete: its suffix maxima, in place
-            np.maximum(ring[i], ring[i + 1], out=ring[i])
-        return prefix.copy()
+            if t < self.delay():
+                return None
+            y = op(ring[w - 2 - r], prefix)
+        else:
+            y = prefix.copy()
+            # the block is complete: slot s becomes op over its positions w-1-s .. w-1
+            if avg:
+                ring[...] = np.add.accumulate(ring, axis=0, dtype=np.float64)
+            else:
+                np.maximum.accumulate(ring, axis=0, out=ring)
+        if not avg:
+            return y
+        y /= w
+        return y.astype(xa.dtype, copy=False)
 
     # -- analytic cost ----------------------------------------------------------
-    # avg step: add + subtract + divide per element; max step: one prefix
-    # comparison, one output combine, one amortized suffix comparison.
-    # Maintenance refreshes are excluded from the counts.  The clip count is
-    # the paper's naive recomputation of every window, which AC3, AC5 and
-    # `cinbench flops` compare against.  `_clip` runs the doubling levels
-    # instead on purpose: about log2(window) operations per clip element and
-    # popcount(window) + 1 per output element, far fewer than this count on a
-    # clip of many windows, more on a clip of one (w log2 w against w).
+    # step, per element: one prefix op, one output combine, one amortized
+    # suffix op for the rebuild of the partials, and for the average one
+    # divide.  The clip count is the paper's naive recomputation of every
+    # window, which AC3, AC5 and `cinbench flops` compare against.  `_clip`
+    # runs the doubling levels instead on purpose: about log2(window)
+    # operations per clip element and popcount(window) + 1 per output
+    # element, far fewer than this count on a clip of many windows, more on a
+    # clip of one (w log2 w against w).
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         n = int(np.prod(frame_shape))
-        return OpCount(macs=0, other=3 * n)
+        return OpCount(macs=0, other=(4 if self.kind == "avg" else 3) * n)
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
         n = int(np.prod(frame_shape))

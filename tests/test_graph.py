@@ -10,6 +10,7 @@ from cinet.config import build_model, load_config, random_stream
 from cinet.conv import TemporalConv
 from cinet.graph import GlobalAverageHead, SkeletonGraph, StGcnBlock, graph_conv
 from cinet.norm import BatchNorm
+from cinet.pool import TemporalPool
 from cinet.containers import Sequential
 from cinet.tensor import Tensor
 
@@ -248,7 +249,11 @@ def test_head_state_holds_logits_not_frames():
     state = head.init_state()
     head.forward_steps(state, rand_tensor(rng, (20, 3, 9)))
     assert state.ring.shape == (5, 4) and state.ring.dtype == np.float32
-    assert state.running_sum.shape == (4,) and state.running_sum.dtype == np.float64
+    assert state.prefix.shape == (4,) and state.prefix.dtype == np.float64
+    pool = TemporalPool("max", 6)
+    state = pool.init_state()
+    pool.forward_steps(state, rand_tensor(rng, (20, 4)))
+    assert state.ring.shape == (5, 4) and state.prefix.shape == (4,)
 
 
 @pytest.mark.parametrize("length", [5, 6, 30])
@@ -333,8 +338,8 @@ def test_toy_costgcn_step_keeps_one_call_per_kernel(monkeypatch):
 def test_head_cost_counts_each_frame_then_class_sized_pool():
     rng = np.random.default_rng(14)
     head = GlobalAverageHead(6, rand_tensor(rng, (3, 4)), rand_tensor(rng, (4,)))
-    # per frame: 3*4 MACs and 3*9 node sums/divides; pool 3 ops per class; bias
+    # per frame: 3*4 MACs and 3*9 node sums/divides; pool 4 ops per class; bias
     step = head.step_cost((3, 9))
-    assert (step.macs, step.other) == (12, 27 + 3 * 4 + 4)
+    assert (step.macs, step.other) == (12, 27 + 4 * 4 + 4)
     clip = head.clip_cost((3, 9), 20)  # 15 emissions
     assert (clip.macs, clip.other) == (20 * 12, 20 * 27 + 15 * 4 * 6 + 15 * 4)
