@@ -17,11 +17,14 @@ batched kernel serves clip mode, window input and step-mode refreshes.
 Clip mode runs that kernel over a ``(W, n, ...)`` strided view of the clip's
 ``W`` complete windows, ``WINDOW_BATCH`` windows per call.
 
-Stream state is zero-initialised on a stream's first row, whose shape and
-dtype the stream keeps: a later row that drifts is refused.  All of it is
-``(..., n, d)`` rows in window order, oldest first, each array shifted by
-one row per step (``_push``) and attended over in place: O(n*d), the order
-of the update itself, with no gather or copy.  Retroactive attention keeps
+A stream's first row binds it (``cinet.module.Stream``): every state array
+is made then, zero-initialised, and a later row that drifts in shape or
+dtype is refused before it reaches a kernel.  ``att_step`` binds the stream
+on its value row, whose shape ``(..., d_v)`` fixes every array; a
+self-attention step binds it on its token.  All state is ``(..., n, d)``
+rows in window order, oldest first, each array shifted by one row per step
+(``_push``) and attended over in place: O(n*d), the order of the update
+itself, with no gather or copy.  Retroactive attention keeps
 f64 queries, keys, values and ``[av | d]``, reads the departing key/value
 from the oldest row before the push, and reads its emission off ``[av |
 d]``.  The fused ``avd_mem`` holds each row's weighted values ``av`` and
@@ -35,10 +38,10 @@ one matmul with ``w_q | w_k | w_v``, concatenated in both stream dtypes at
 construction, and reads the head rows as views of that product; q, k and v
 rows that are not one array are refused.  In step mode a retroactive
 head's product is cast to f64 once, and one ``reshape(3, heads, d_h)`` of
-it yields every head's q, k and v row.  Rows are checked where they enter:
-``att_step`` and ``forward_step`` of an attention, and an encoder block's
-token check; multi-head attention hands its own projections to its head's
-unchecked kernel.
+it yields every head's q, k and v row.  Rows are checked where they enter: a
+token when its stream binds, and q, k and v rows on every ``att_step``;
+multi-head attention hands its own projections to its head's kernel,
+which checks nothing.
 
 :class:`EncoderBlock` takes its step form and window from its attention; a
 positional encoding is a ``Sequential`` stage ahead of a token-input block.
@@ -69,7 +72,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, PerFrame, StepOutput, per_dtype
+from .module import CoModule, OpCount, PerFrame, StepOutput, Stream, per_dtype
 from .tensor import Tensor
 from .norm import LayerNorm
 
@@ -142,28 +145,6 @@ def _batched(kernel, windows: np.ndarray) -> np.ndarray:
                            for i in range(0, len(windows), WINDOW_BATCH)])
 
 
-def _check_rows(d: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
-    if (q.shape[-1:] != (d,) or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]
-            or not q.dtype == k.dtype == v.dtype):
-        raise DimensionError(
-            f"rows must be (..., {d}) with equal leading axes and one dtype, got "
-            f"Q{q.shape} {q.dtype} K{k.shape} {k.dtype} V{v.shape} {v.dtype}")
-
-
-def _check_stream(ring: np.ndarray, row: np.ndarray, held: np.dtype, dtype: np.dtype) -> None:
-    """Raise unless ``row``, from a stream of ``dtype``, has the leading axes
-    of ``ring``, which holds rows of a stream of ``held``: a stream whose
-    rows drift in shape or dtype is refused, not broadcast or cast."""
-    if row.shape[:-1] != ring.shape[:-2] or (held is not dtype and held != dtype):
-        raise DimensionError(f"stream drifted: rows {row.shape} {dtype} after "
-                             f"{ring.shape[:-2] + ring.shape[-1:]} {held}")
-
-
-def _rows(size: int, row: np.ndarray) -> tuple:
-    """Shape of a ring of ``size`` slots for rows shaped like ``row``."""
-    return row.shape[:-1] + (size, row.shape[-1])
-
-
 def _push(rows: np.ndarray, row: np.ndarray) -> None:
     """Shift window-order ``(..., size, d)`` rows by one, the oldest out, and
     write ``row`` as the newest."""
@@ -176,10 +157,10 @@ class _WindowAttention(CoModule):
     with the newest token, self-attention steps, and ``att_step`` as the
     public shim over the array-level ``_att(state, q, k, v)``.
 
-    ``_att`` checks its rows, then runs ``_kernel(state, q, k, v, dtype)``,
-    which checks only that the stream of ``dtype`` has not drifted:
-    multi-head attention, whose rows are its own projections, calls the
-    kernel directly."""
+    ``att_step`` checks its rows and binds the stream on the value row;
+    ``_att`` then runs ``_kernel(state, q, k, v, dtype)``, which checks
+    nothing: multi-head attention, whose rows are its own projections,
+    calls its head's kernel directly."""
 
     def delay(self) -> int:
         return 0
@@ -193,36 +174,51 @@ class _WindowAttention(CoModule):
     def att_step(self, state, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
         """Consume one row each of ``q``, ``k``, ``v``; the emission, or
         ``None`` during warm-up."""
-        y = self._att(state, q.array, k.array, v.array)
+        qa, ka, va = q.array, k.array, v.array
+        self._check_rows(qa, ka, va)
+        y = self._att(state.bind(self._state, va.shape, va.dtype), qa, ka, va)
         return None if y is None else Tensor.wrap(y)
+
+    def _check_rows(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
+        d = self.d
+        if (q.shape[-1:] != (d,) or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]
+                or not q.dtype == k.dtype == v.dtype):
+            raise DimensionError(
+                f"rows must be (..., {d}) with equal leading axes and one dtype, got "
+                f"Q{q.shape} {q.dtype} K{k.shape} {k.dtype} V{v.shape} {v.dtype}")
+
+    def _lead(self, frame_shape: tuple) -> tuple:
+        """The leading axes of a self-attention token ``(..., d)``."""
+        if tuple(frame_shape[-1:]) != (self.d,):
+            raise DimensionError(f"tokens must be (..., {self.d}), got {tuple(frame_shape)}")
+        return tuple(frame_shape[:-1])
 
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         return self._att(state, a, a, a)
 
 
 class _RetroCache:
-    __slots__ = ("q_mem", "k_mem", "v_mem", "avd_mem", "t", "clamp_events", "dtype")
+    __slots__ = ("q_mem", "k_mem", "v_mem", "avd_mem", "t", "clamp_events")
 
-    def __init__(self):
-        self.dtype = None  # the stream's row dtype, fixed by its first row
+    def __init__(self, q_mem, k_mem, v_mem, avd_mem):
         # f64 rows in window order, oldest first; see the module docstring
-        self.q_mem = None  # (..., n, d)
-        self.k_mem = None  # (..., n, d)
-        self.v_mem = None  # (..., n, d_v)
-        self.avd_mem = None  # (..., n, d_v + 1): [av | d], allocated on the first emission
+        self.q_mem = q_mem  # (..., n, d)
+        self.k_mem = k_mem  # (..., n, d)
+        self.v_mem = v_mem  # (..., n, d_v)
+        self.avd_mem = avd_mem  # (..., n, d_v + 1): [av | d], zeros until the first emission
         self.t = 0
         self.clamp_events = [0]
 
     # views of ``avd_mem``, not slots: a state walk counts each array once
     @property
-    def av_mem(self) -> Optional[np.ndarray]:
+    def av_mem(self) -> np.ndarray:
         """(..., n, d_v): each window row's exp-weighted sum of values."""
-        return None if self.avd_mem is None else self.avd_mem[..., :-1]
+        return self.avd_mem[..., :-1]
 
     @property
-    def d_mem(self) -> Optional[np.ndarray]:
+    def d_mem(self) -> np.ndarray:
         """(..., n): each window row's sum of exponentials."""
-        return None if self.avd_mem is None else self.avd_mem[..., -1]
+        return self.avd_mem[..., -1]
 
 
 class RetroAttention(_WindowAttention):
@@ -245,10 +241,12 @@ class RetroAttention(_WindowAttention):
         self._signs = np.array([-1.0, 1.0])
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        return (self.n, self.d)
+        return self._lead(frame_shape) + (self.n, self.d)
 
-    def init_state(self) -> _RetroCache:
-        return _RetroCache()
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _RetroCache:
+        """f64 rows for a stream of ``(..., d_v)`` value rows of ``dtype``."""
+        lead, d_v = tuple(frame_shape[:-1]), frame_shape[-1]
+        return _RetroCache(*(np.zeros(lead + (self.n, e)) for e in (self.d, self.d, d_v, d_v + 1)))
 
     # -- step ------------------------------------------------------------------
 
@@ -256,7 +254,6 @@ class RetroAttention(_WindowAttention):
              v: np.ndarray) -> Optional[np.ndarray]:
         """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
         ``(..., n, d_v)`` window outputs, oldest row first, in the rows' dtype."""
-        _check_rows(self.d, q, k, v)
         return self._kernel(state, *(a.astype(np.float64, copy=False) for a in (q, k, v)),
                             q.dtype)
 
@@ -264,19 +261,11 @@ class RetroAttention(_WindowAttention):
                 dtype: np.dtype) -> Optional[np.ndarray]:
         """``_att`` on f64 rows of a stream of ``dtype``, the emission's dtype."""
         n, m = self.n, self.n - 1
-        q_mem, k_mem, v_mem = state.q_mem, state.k_mem, state.v_mem
-        if k_mem is None:  # the stream's first row shapes its rings
-            state.dtype = dtype
-            q_mem = state.q_mem = np.zeros(_rows(n, q))
-            k_mem = state.k_mem = np.zeros(_rows(n, k))
-            v_mem = state.v_mem = np.zeros(_rows(n, v))
-        else:
-            _check_stream(k_mem, k, state.dtype, dtype)
+        q_mem, k_mem, v_mem, avd = state.q_mem, state.k_mem, state.v_mem, state.avd_mem
         t = state.t
         state.t += 1
-        avd = state.avd_mem  # None until the first emission
         from_scratch = (
-            avd is None
+            t <= m  # warm-up, and the first emission
             or n == 1
             or (self.refresh_interval and (t - m) % self.refresh_interval == 0)
         )
@@ -302,8 +291,6 @@ class RetroAttention(_WindowAttention):
             return None
         if from_scratch:
             denom, av = _attend(q_mem, k_mem, v_mem, self._scale, state.clamp_events)
-            if avd is None:
-                avd = state.avd_mem = np.empty(av.shape[:-1] + (av.shape[-1] + 1,))
             avd[..., :-1] = av
             avd[..., -1] = denom
         else:
@@ -336,9 +323,9 @@ class RetroAttention(_WindowAttention):
 class _SingleCache:
     __slots__ = ("k_mem", "v_mem", "t", "clamp_events")
 
-    def __init__(self):
-        self.k_mem = None  # (..., n, d) keys in window order, in their dtype
-        self.v_mem = None  # (..., n, d_v)
+    def __init__(self, k_mem, v_mem):
+        self.k_mem = k_mem  # (..., n, d) keys in window order, in their dtype
+        self.v_mem = v_mem  # (..., n, d_v)
         self.t = 0
         self.clamp_events = [0]
 
@@ -355,27 +342,24 @@ class SingleAttention(_WindowAttention):
         self._scale = per_dtype(lambda dt: np.array(self.scale, dt))  # see RetroAttention
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        return (self.d,)
+        return self._lead(frame_shape) + (self.d,)
 
-    def init_state(self) -> _SingleCache:
-        return _SingleCache()
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _SingleCache:
+        """Rows of ``dtype`` for a stream of ``(..., d_v)`` value rows."""
+        lead, d_v = tuple(frame_shape[:-1]), frame_shape[-1]
+        return _SingleCache(np.zeros(lead + (self.n, self.d), dtype),
+                            np.zeros(lead + (self.n, d_v), dtype))
 
     def _att(self, state: _SingleCache, q: np.ndarray, k: np.ndarray,
              v: np.ndarray) -> Optional[np.ndarray]:
         """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
         newest query's ``(..., d_v)`` output."""
-        _check_rows(self.d, q, k, v)
         return self._kernel(state, q, k, v, q.dtype)
 
     def _kernel(self, state: _SingleCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 dtype: np.dtype) -> Optional[np.ndarray]:
         """``_att`` on rows of ``dtype``, which the rings keep."""
         k_mem, v_mem = state.k_mem, state.v_mem
-        if k_mem is None:  # the stream's first row shapes its rings
-            k_mem = state.k_mem = np.zeros(_rows(self.n, k), dtype)
-            v_mem = state.v_mem = np.zeros(_rows(self.n, v), dtype)
-        else:
-            _check_stream(k_mem, k, k_mem.dtype, dtype)
         t = state.t
         state.t += 1
         _push(k_mem, k)
@@ -438,12 +422,21 @@ class MultiheadAttention(_WindowAttention):
         self._row_dtype = np.dtype(np.float64) if mode == "retro" else None
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
+        if tuple(frame_shape) != (self.d_model,):
+            raise DimensionError(f"token must be ({self.d_model},), got {tuple(frame_shape)}")
         if self.mode == "retro":
             return (self.n, self.d_o)
         return (self.d_o,)
 
-    def init_state(self):
-        return self._head.init_state()
+    def _state(self, frame_shape: tuple, dtype: np.dtype):
+        return self._head._state((self.heads, self._dh_v), dtype)
+
+    def _check_rows(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
+        """Self-attention only: ``q``, ``k`` and ``v`` are one token array."""
+        if q is not k or k is not v:
+            raise DimensionError("multi-head attention is self-attention: "
+                                 "q, k and v must be one array")
+        self.out_frame_shape(q.shape)
 
     def _split(self, a: np.ndarray) -> np.ndarray:
         """A (d,) or (..., n, d) projection -> (heads, d_h) or (..., heads, n,
@@ -491,10 +484,7 @@ class MultiheadAttention(_WindowAttention):
 
     def _att(self, state, x_q: np.ndarray, x_k: np.ndarray,
              x_v: np.ndarray) -> Optional[np.ndarray]:
-        """Self-attention only: ``x_q``, ``x_k`` and ``x_v`` are one array."""
-        if x_q is not x_k or x_k is not x_v:
-            raise DimensionError("multi-head attention is self-attention: "
-                                 "q, k and v must be one array")
+        """Self-attention: ``x_q``, ``x_k`` and ``x_v`` are one array."""
         q, k, v = self._heads(x_q, self._row_dtype)
         y = self._head._kernel(state, q, k, v, x_q.dtype)
         return None if y is None else self._merge(y)
@@ -544,12 +534,18 @@ class RecyclingPositionalEncoding(PerFrame):
         self.period = table.shape[0]
         self._w = per_dtype(table.array.astype)
 
-    def init_state(self) -> _RpeState:
+    def out_frame_shape(self, frame_shape: tuple) -> tuple:
+        if tuple(frame_shape) != self.table.shape[1:]:
+            raise DimensionError(f"token must be {self.table.shape[1:]}, got {tuple(frame_shape)}")
+        return tuple(frame_shape)
+
+    def init_state(self) -> Stream:
+        return Stream()
+
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _RpeState:
         return _RpeState()
 
     def _step(self, state: _RpeState, a: np.ndarray) -> np.ndarray:
-        if a.shape != self.table.shape[1:]:  # checked before the counter moves
-            raise DimensionError(f"token must be {self.table.shape[1:]}, got {a.shape}")
         p = self._w[a.dtype][state.tau]
         state.tau = (state.tau + 1) % self.period
         return a + p
@@ -567,9 +563,9 @@ class RecyclingPositionalEncoding(PerFrame):
 class _EncoderState:
     __slots__ = ("mha", "tokens")
 
-    def __init__(self, mha_state):
+    def __init__(self, mha_state, tokens):
         self.mha = mha_state
-        self.tokens = None  # retro: (n, d_model) window of inputs for the residual, oldest first
+        self.tokens = tokens  # retro: (n, d_model) window of inputs for the residual, oldest first
 
 
 class EncoderBlock(CoModule):
@@ -618,14 +614,21 @@ class EncoderBlock(CoModule):
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if tuple(frame_shape) != self._in_shape:
             raise self._shape_error(tuple(frame_shape))
-        return self.mha.out_frame_shape(frame_shape)
+        return self.mha.out_frame_shape((self.d_model,))
 
     def _shape_error(self, shape: tuple) -> DimensionError:
         what = "window input" if self.window_input else "token"
         return DimensionError(f"{what} must be {self._in_shape}, got {shape}")
 
-    def init_state(self) -> Optional[_EncoderState]:
-        return None if self.window_input else _EncoderState(self.mha.init_state())
+    def init_state(self) -> Optional[Stream]:
+        return None if self.window_input else Stream()
+
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> Optional[_EncoderState]:
+        if self.window_input:
+            return None
+        retro = self.mha.mode == "retro"
+        tokens = np.zeros((self.mha.n,) + self._in_shape, dtype) if retro else None
+        return _EncoderState(self.mha._state(frame_shape, dtype), tokens)
 
     # -- shared math -------------------------------------------------------------
 
@@ -656,16 +659,14 @@ class EncoderBlock(CoModule):
     # -- step mode ------------------------------------------------------------------
 
     def _step(self, state: Optional[_EncoderState], a: np.ndarray) -> Optional[np.ndarray]:
-        if a.shape != self._in_shape:
-            raise self._shape_error(a.shape)
         if self.window_input:
+            if a.shape != self._in_shape:  # no stream binds a window-input block's frames
+                raise self._shape_error(a.shape)
             return self._newest(a)
         sel = a
-        att = self.mha._step(state.mha, a)  # refuses a drifted dtype first
+        att = self.mha._step(state.mha, a)
         if self.mha.mode == "retro":
             sel = state.tokens
-            if sel is None:
-                sel = state.tokens = np.zeros((self.mha.n,) + a.shape, a.dtype)
             _push(sel, a)  # the window, oldest first
         return None if att is None else self._block_tail(sel, att)
 

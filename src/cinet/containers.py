@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, PerFrame, per_dtype, ring_buffer
+from .module import CoModule, OpCount, PerFrame, per_dtype
 from .tensor import Tensor
 
 
@@ -117,8 +117,12 @@ class Sequential(CoModule):
             frame_shape = m.out_frame_shape(frame_shape)
         return frame_shape
 
-    def init_state(self) -> list:
-        return [m.init_state() for m in self.modules]
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> list:
+        states = []
+        for m in self.modules:
+            states.append(m._state(frame_shape, dtype))
+            frame_shape = m.out_frame_shape(frame_shape)
+        return states
 
     def _clip(self, a: np.ndarray) -> np.ndarray:
         for m in self.modules:
@@ -155,9 +159,9 @@ class Sequential(CoModule):
 class _ParallelState:
     __slots__ = ("branches", "rings", "counts", "t")
 
-    def __init__(self, branch_states):
+    def __init__(self, branch_states, rings):
         self.branches = branch_states
-        self.rings = [None] * len(branch_states)  # (lag, ...) rings of branch emissions
+        self.rings = rings  # (lag, ...) rings of branch emissions; None where lag is 0
         self.counts = [0] * len(branch_states)  # emissions per branch: the ring cursors
         self.t = 0
 
@@ -209,8 +213,11 @@ class Parallel(CoModule):
             raise DimensionError(f"concat branches disagree beyond channels: {shapes}")
         return (sum(s[0] for s in shapes),) + shapes[0][1:]
 
-    def init_state(self) -> _ParallelState:
-        return _ParallelState([b.init_state() for b in self.branches])
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _ParallelState:
+        return _ParallelState(
+            [b._state(frame_shape, dtype) for b in self.branches],
+            [np.zeros((lag,) + b.out_frame_shape(frame_shape), dtype) if lag else None
+             for b, lag in zip(self.branches, self._lags)])
 
     def _combine(self, vals: List[np.ndarray], channel_axis: int = 0) -> np.ndarray:
         if self.reduce == "sum":
@@ -232,8 +239,7 @@ class Parallel(CoModule):
                                  in zip(ys, self._lags, state.rings, state.counts)])
         for i, (y, lag) in enumerate(zip(ys, self._lags)):
             if lag and y is not None:
-                ring = state.rings[i] = ring_buffer(state.rings[i], (lag,) + y.shape, y.dtype)
-                ring[state.counts[i] % lag] = y
+                state.rings[i][state.counts[i] % lag] = y
                 state.counts[i] += 1
         return out
 

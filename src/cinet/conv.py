@@ -7,13 +7,14 @@ is leading-only (``padding`` virtual zero frames before the stream); trailing
 padding would require peeking into the future and is never applied.
 
 Two step-mode arrangements are provided.  Each keeps its stream state in one
-ring of ``rf - 1`` slots (``rf`` the receptive field), zero-initialised and
-allocated on the first frame, so the state never grows or reallocates.  Both
-read the ring with one geometry: ``d = dilation`` contiguous sub-rings of
-``m = k_t - 1`` slots, step ``t`` owning slot ``(t // d) mod m`` of sub-ring
-``t mod d``.  The frames of one window are ``d`` steps apart, so they and
-the sums they feed share a sub-ring, which then works as an undilated ring
-of ``m`` slots at phase ``p = (t // d) mod m``:
+ring of ``rf - 1`` slots (``rf`` the receptive field), zero-initialised when
+the stream binds (``cinet.module.Stream``), so it never grows or
+reallocates.  Both read the ring with one geometry: ``d = dilation``
+contiguous sub-rings of ``m = k_t - 1`` slots, step ``t`` owning slot
+``(t // d) mod m`` of sub-ring ``t mod d``.  The frames of one window are
+``d`` steps apart, so they and the sums they feed share a sub-ring, which
+then works as an undilated ring of ``m`` slots at phase ``p = (t // d) mod
+m``:
 
 - ``pre``  (direct form): the ring holds the previous raw input frames.  An
   emission is two matrix products: the newest tap on the newest frame, and
@@ -33,10 +34,11 @@ while ``post`` convolves every frame.
 
 The layer arranges its weights tap-major, with the bias, in both stream
 dtypes at construction.  The step path's layout depends on the frame shape
-too, so it is made on the first frame of each dtype and shape and kept on
-the module.  A spatial kernel is unfolded (im2col) through gather indices
-built at the same time; a 1x1 kernel needs no unfolding, so each product
-reads its frames as a ``(frames*c_in, H*W)`` matrix in place.
+too, so it is made when the first stream of each dtype and frame shape
+binds, and kept on the module.  A spatial kernel is unfolded (im2col)
+through gather indices built at the same time; a 1x1 kernel needs no
+unfolding, so each product reads its frames as a ``(frames*c_in, H*W)``
+matrix in place.
 
 Both emit on exactly the same schedule and differ only in summation order.
 
@@ -56,7 +58,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, per_dtype, ring_buffer
+from .module import CoModule, OpCount, per_dtype
 from .tensor import Tensor
 
 
@@ -97,10 +99,10 @@ class _Layout(NamedTuple):
 class _ConvState:
     __slots__ = ("ring", "t")
 
-    def __init__(self):
+    def __init__(self, ring):
         # pre: (rf-1, C, H, W) raw frames; post: (rf-1, O, H', W') partial
         # sums; either read as dilation sub-rings of k_t-1 slots
-        self.ring = None
+        self.ring = ring
         self.t = 0  # steps consumed; it places step t's slot in the ring
 
 
@@ -138,7 +140,7 @@ class TemporalConv(CoModule):
         self._w = per_dtype(lambda dt: (
             weights.array.astype(dt).transpose(2, 0, 1, 3, 4).reshape(self.k_t, self.c_out, -1),
             bias.array.astype(dt)))
-        self._layouts = {}  # (dtype, frame shape) -> _Layout, made on its first frame
+        self._layouts = {}  # (dtype, frame shape) -> _Layout, made by its first stream
 
     def folded(self, bn) -> "TemporalConv":
         """This conv with the inference ``BatchNorm`` ``bn`` applied to its
@@ -166,6 +168,8 @@ class TemporalConv(CoModule):
         return self.temporal_stride
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
+        if len(frame_shape) != 3:
+            raise DimensionError(f"frame must be (C,H,W), got {tuple(frame_shape)}")
         c, h, w = frame_shape
         if c != self.c_in:
             raise DimensionError(f"expected {self.c_in} channels, got {c}")
@@ -224,8 +228,11 @@ class TemporalConv(CoModule):
 
     # -- step mode ----------------------------------------------------------------
 
-    def init_state(self) -> _ConvState:
-        return _ConvState()
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _ConvState:
+        lay = self._layouts.get((dtype, frame_shape))
+        if lay is None:
+            lay = self._layout(dtype, frame_shape)
+        return _ConvState(np.zeros(lay.ring_shape, dtype))
 
     def _layout(self, dtype: np.dtype, frame_shape: tuple) -> _Layout:
         out_shape = self.out_frame_shape(frame_shape)
@@ -255,13 +262,9 @@ class TemporalConv(CoModule):
         return lay
 
     def _step(self, state: _ConvState, xa: np.ndarray) -> Optional[np.ndarray]:
-        if xa.ndim != 3:
-            raise DimensionError(f"frame must be (C,H,W), got {xa.shape}")
-        lay = self._layouts.get((xa.dtype, xa.shape))
-        if lay is None:
-            lay = self._layout(xa.dtype, xa.shape)
+        lay = self._layouts[xa.dtype, xa.shape]
         m, d = self.k_t - 1, self.dilation
-        ring = state.ring = ring_buffer(state.ring, lay.ring_shape, xa.dtype)
+        ring = state.ring
         t = state.t
         state.t += 1
         emits = t >= self._delay and (t - self._delay) % self.temporal_stride == 0

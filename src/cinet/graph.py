@@ -6,6 +6,10 @@ land on the aligned time-step, and ReLU:
 
     out_t = ReLU( Delay(Res(x_t)) + BN(CoTC(GC(x_t))) )
 
+A stream keeps the conv's ring and, under a shortcut, a ring of the inputs
+awaiting their residual, both made when the stream binds
+(``cinet.module.Stream``).
+
 Inference batch normalization is a fixed affine map per channel, so the
 block folds it into the temporal convolution's taps and bias when it is
 built, and ``BN(CoTC(.))`` runs as one folded conv.
@@ -36,7 +40,7 @@ import numpy as np
 from .containers import Identity, Pointwise
 from .conv import TemporalConv
 from .errors import DimensionError
-from .module import CoModule, OpCount, per_dtype, ring_buffer
+from .module import CoModule, OpCount, per_dtype
 from .norm import BatchNorm
 from .pool import TemporalPool
 from .tensor import Tensor
@@ -145,11 +149,11 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
 class _BlockState:
     __slots__ = ("tc", "res")
 
-    def __init__(self, tc_state):
+    def __init__(self, tc_state, res):
         self.tc = tc_state
-        # (res_delay, c_in, v) ring of the inputs awaiting their residual,
-        # allocated on the first frame; the conv's step t owns slot t mod res_delay
-        self.res = None
+        # (res_delay, c_in, v) ring of the inputs awaiting their residual, or
+        # None if none waits; the conv's step t owns slot t mod res_delay
+        self.res = res
 
 
 class StGcnBlock(CoModule):
@@ -197,22 +201,18 @@ class StGcnBlock(CoModule):
         return self.tc.stride()
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        c, v = frame_shape
-        if c != self.c_in or v != self.graph.v:
-            raise DimensionError(f"frame {frame_shape} != ({self.c_in},{self.graph.v})")
-        return (self.c_out, v)
+        if tuple(frame_shape) != self._frame:
+            raise DimensionError(f"frame {tuple(frame_shape)} != {self._frame}")
+        return self._frame_out
 
-    def init_state(self) -> _BlockState:
-        return _BlockState(self.tc.init_state())
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _BlockState:
+        return _BlockState(self.tc._state(self._frame_out + (1,), dtype),
+                           np.zeros(self._res_shape, dtype) if self._res_shape else None)
 
     def _step(self, state: _BlockState, xa: np.ndarray) -> Optional[np.ndarray]:
-        if xa.shape != self._frame:
-            raise DimensionError(f"frame {xa.shape} != {self._frame}")
         t = state.tc.t  # modulo res_delay, the slot of the residual ring
         y = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype])[:, :, None])
-        res = None
-        if self._res_shape:
-            res = state.res = ring_buffer(state.res, self._res_shape, xa.dtype)
+        res = state.res
         if y is not None:
             # the conv's output is a fresh array that no state holds, so the
             # residual add and the ReLU run in place on it
@@ -286,8 +286,8 @@ class GlobalAverageHead(CoModule):
             raise DimensionError(f"expected {self.channels} channels, got {frame_shape[0]}")
         return (self.classes,)
 
-    def init_state(self):
-        return self.pool.init_state()  # the head itself keeps nothing
+    def _state(self, frame_shape: tuple, dtype: np.dtype):
+        return self.pool._state((self.classes,), dtype)  # the head itself keeps nothing
 
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         w, b = self._w[a.dtype]

@@ -29,17 +29,22 @@ Two timing numbers describe each module:
   warm-up equals delay; windowed attention has warm-up ``n - 1`` but delay 0
   because its emission is aligned with the newest token.
 
-The frames and partial results a stream must remember live in rings made
-by ``ring_buffer``: zero-initialised arrays of a fixed number of slots whose
-cursor is a step or emission counter, so a stream's state never grows.
-Attention allocates its rings the same way on a stream's first row, and
-checks drift once per step instead of once per ring.
+A stateful module's ``init_state()`` returns an unbound ``Stream``; a
+stateless one (a ``PerFrame`` layer) returns ``None``.  The stream's first
+frame binds it (``Stream.bind``): the root checks that every stage can take
+the frame (``out_frame_shape``), then every layer builds its whole state,
+``_state(frame_shape, dtype)``, containers along ``out_frame_shape``.  So
+every array a stream keeps is zero-initialised there, in its final shape:
+rings of a fixed number of slots whose cursor is a step or emission count,
+which never grow.  A later frame of another shape or dtype is refused
+before any layer runs, so no kernel allocates state or checks drift, and a
+refused frame changes no state.
 
 A layer arranges its weights at construction, with ``per_dtype``, in the
 form its kernel needs and in both stream dtypes; a kernel looks them up by
 its input's dtype and casts no weight, so a stream changes nothing on the
 layer.  The one table filled later is ``TemporalConv``'s step layouts,
-keyed by the frame shape a stream's first frame brings.
+keyed by the frame shape a stream binds.
 """
 
 from __future__ import annotations
@@ -55,16 +60,33 @@ from .tensor import DTYPES, Tensor
 StepOutput = Optional[Tensor]
 
 
-def ring_buffer(buf: Optional[np.ndarray], shape: tuple, dtype) -> np.ndarray:
-    """``buf``, or on a stream's first frame (``buf`` is ``None``) a
-    zero-initialised ring of ``shape`` in ``dtype``.  A later frame that
-    needs another shape or dtype raises instead of being cast into the ring."""
-    if buf is None:
-        return np.zeros(shape, dtype=dtype)
-    if buf.shape != shape or buf.dtype != dtype:
-        raise DimensionError(f"stream drifted: needs a ring {shape} {np.dtype(dtype)}, "
-                             f"holds {buf.shape} {buf.dtype}")
-    return buf
+class Stream:
+    """One stream's state: unbound until its first frame, then that frame's
+    shape and dtype and the root layer's state.  Attribute reads the stream
+    does not answer go to the root layer's state (``state.t``)."""
+
+    __slots__ = ("shape", "dtype", "layer")
+
+    def __init__(self):
+        self.shape = self.dtype = self.layer = None
+
+    def __getattr__(self, name):
+        if name in Stream.__slots__:  # unset, as in a copy under construction
+            raise AttributeError(name)
+        return getattr(self.layer, name)
+
+    def bind(self, make, shape: tuple, dtype: np.dtype):
+        """The root layer's state for a frame of ``shape`` and ``dtype``.  The
+        first frame binds the stream to ``make(shape, dtype)``, which refuses
+        a frame it cannot take before it builds anything; a later frame of
+        another shape or dtype is refused."""
+        if self.shape is None:
+            self.layer = make(shape, dtype)
+            self.shape, self.dtype = shape, dtype
+        elif shape != self.shape or (dtype is not self.dtype and dtype != self.dtype):
+            raise DimensionError(f"stream drifted: frame {shape} {np.dtype(dtype)} after "
+                                 f"{self.shape} {self.dtype}")
+        return self.layer
 
 
 def per_dtype(make) -> dict:
@@ -117,17 +139,23 @@ class CoModule:
         """Offline clip mode over a (T, ...) sequence."""
         return Tensor.wrap(self._clip(x.array))
 
-    def init_state(self):
-        raise NotImplementedError
+    def init_state(self) -> Optional[Stream]:
+        """A new stream's state, unbound until its first frame."""
+        return Stream()
 
     def forward_step(self, state, x_t: Tensor) -> StepOutput:
         """Consume one step; the ready output, or ``None`` during warm-up."""
-        y = self._step(state, x_t.array)
+        a = x_t.array
+        if state is not None:
+            state = state.bind(self._checked_state, a.shape, a.dtype)
+        y = self._step(state, a)
         return None if y is None else Tensor.wrap(y)
 
     def forward_steps(self, state, x: Tensor) -> Tensor:
         """Feed each step of a (T, ...) sequence; stack the ready outputs."""
         xa = x.array
+        if state is not None:
+            state = state.bind(self._checked_state, xa.shape[1:], xa.dtype)
         outs = [y for y in (self._step(state, xa[t]) for t in range(xa.shape[0]))
                 if y is not None]
         if not outs:
@@ -140,6 +168,16 @@ class CoModule:
 
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         raise NotImplementedError
+
+    def _state(self, frame_shape: tuple, dtype: np.dtype):
+        """This layer's whole state for a stream of ``frame_shape`` frames in
+        ``dtype``, every array allocated; ``None`` if it keeps nothing."""
+        raise NotImplementedError
+
+    def _checked_state(self, frame_shape: tuple, dtype: np.dtype):
+        """``_state`` for a root's first frame, once every stage has accepted it."""
+        self.out_frame_shape(frame_shape)
+        return self._state(frame_shape, dtype)
 
     # -- introspection for composition and counting --------------------------
 
@@ -184,6 +222,9 @@ class PerFrame(CoModule):
         return tuple(frame_shape)
 
     def init_state(self) -> None:
+        return None
+
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> None:
         return None
 
     def _clip(self, a: np.ndarray) -> np.ndarray:

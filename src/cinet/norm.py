@@ -57,6 +57,12 @@ class BatchNorm(PerFrame):
         self.gamma, self.beta = gamma, beta
         self.running_mean, self.running_var = running_mean, running_var
 
+    def out_frame_shape(self, frame_shape: tuple) -> tuple:
+        if tuple(frame_shape[:1]) != (self.channels,):
+            raise DimensionError(f"frame {tuple(frame_shape)} does not lead with "
+                                 f"{self.channels} channels")
+        return tuple(frame_shape)
+
     def _apply(self, xa: np.ndarray, channel_axis: int) -> np.ndarray:
         if xa.shape[channel_axis] != self.channels:
             raise DimensionError(

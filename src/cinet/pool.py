@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .module import CoModule, OpCount, ring_buffer
+from .module import CoModule, OpCount
 
 
 def _window_reduce(op, e: np.ndarray, w: int, n_out: int, dtype) -> np.ndarray:
@@ -76,10 +76,10 @@ def _window_reduce(op, e: np.ndarray, w: int, n_out: int, dtype) -> np.ndarray:
 class _PoolState:
     __slots__ = ("t", "ring", "prefix")
 
-    def __init__(self):
+    def __init__(self, ring, prefix):
         self.t = 0
-        self.ring = None  # (window-1, ...) block frames, then suffix partials; see above
-        self.prefix = None  # op over the current block's frames so far
+        self.ring = ring  # (window-1, ...) block frames, then suffix partials; see above
+        self.prefix = prefix  # op over the current block's frames so far; zeros: the padding
 
 
 class TemporalPool(CoModule):
@@ -126,17 +126,15 @@ class TemporalPool(CoModule):
 
     # -- step mode ----------------------------------------------------------------
 
-    def init_state(self) -> _PoolState:
-        return _PoolState()
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _PoolState:
+        return _PoolState(np.zeros((self.window - 1,) + frame_shape, dtype),
+                          np.zeros(frame_shape, np.float64 if self.kind == "avg" else dtype))
 
     def _step(self, state: _PoolState, xa: np.ndarray) -> Optional[np.ndarray]:
         w = self.window
         avg = self.kind == "avg"
         op = np.add if avg else np.maximum
-        ring = state.ring = ring_buffer(state.ring, (w - 1,) + xa.shape, xa.dtype)
-        prefix = state.prefix
-        if prefix is None:  # zeros: the padding frames before the stream
-            prefix = state.prefix = np.zeros(xa.shape, np.float64 if avg else xa.dtype)
+        ring, prefix = state.ring, state.prefix
         t = state.t
         state.t += 1
         r = (t + self.padding) % w

@@ -323,7 +323,7 @@ def _check_every_sub_ring_phase(form, k_t, dil, pad, stride, spatial, dtype, tol
     m, n = k_t - 1, conv.receptive_field() - 1
     x = rand_tensor(rng, (3 * n * stride + 8,) + frame, dtype=dtype).array
     want = offline_oracle(x, conv.weights.array, conv.bias.array, dil, pad)[::stride]
-    state = conv.init_state()
+    state = conv._state(frame, x.dtype)
     outs, phases = [], set()
     for t in range(len(x)):
         y = conv._step(state, x[t])

@@ -301,7 +301,7 @@ def test_head_node_mean_bit_identical_to_mean_formula(frame, dtype):
     step, clip = head.pool._step, head.pool._clip
     head.pool._step = lambda state, a: seen.append(a) or step(state, a)
     head.pool._clip = lambda a: seen.append(a) or clip(a)
-    state = head.init_state()
+    state = head._state(frame, x.dtype)
     for a in x:
         head._step(state, a)
         assert np.array_equal(seen.pop(), a.reshape(3, -1).mean(1) @ w)
