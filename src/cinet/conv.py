@@ -32,23 +32,25 @@ the taps' bytes.  ``post`` is taken when it caches fewer elements and the
 stride is 1, ``pre`` otherwise: ``pre`` computes on emitting steps only,
 while ``post`` convolves every frame.
 
-The layer arranges its weights tap-major, with the bias, in both stream
-dtypes at construction.  The step path's layout depends on the frame shape
-too, so it is made when the first stream of each dtype and frame shape
-binds, and kept on the module.  A spatial kernel is unfolded (im2col)
-through gather indices built at the same time; a 1x1 kernel needs no
-unfolding, so each product reads its frames as a ``(frames*c_in, H*W)``
-matrix in place.
+The layer arranges its weights once, in both stream dtypes at construction:
+the clip product's oldest-first matrix, with the bias.  The step path's
+layout takes its taps from that matrix and depends on the frame shape too,
+so it is made when the first stream of each dtype and frame shape binds,
+and kept on the module.  A spatial kernel is unfolded (im2col) through
+gather indices built at the same time; a 1x1 kernel needs no unfolding, so
+each product reads its frames as a ``(frames*c_in, H*W)`` matrix in place.
 
 Both emit on exactly the same schedule and differ only in summation order.
 
-Clip mode lays the whole clip out once as channel-major columns
-``(C*KH*KW, padding + T, H'*W')``: leading zero frames fill the padding and a
-spatial kernel is unfolded once per clip.  Each tap is then one
-``(c_out, C*KH*KW)`` matrix product over a strided view of those columns,
-with no per-tap copy, accumulated into one ``(c_out, n_out*H'*W')`` buffer.
-A temporal stride splits the time axis into stride phases, so the frames a
-tap reads stay adjacent.
+Clip mode keeps the clip in its own ``(T, C, ...)`` layout: each frame is
+unfolded once (im2col) into a ``(padding + T, C*KH*KW, H'*W')`` buffer after
+leading zero frames, and an unpadded 1x1 clip is read in place.  Emission
+``j``'s ``k_t`` frames, ``dilation`` apart from ``j * stride`` on, are one
+``(k_t*C*KH*KW, H'*W')`` block of a strided view: no copy when undilated, one
+copy when dilated.  The conv is then one stacked product of the oldest-first
+``(c_out, k_t*C*KH*KW)`` weights with the blocks, plus the bias, straight
+into the ``(n_out, c_out, H', W')`` output.  Each emission is its own
+fixed-shape product, so its bits do not depend on the clip's length or start.
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ class TemporalConv(CoModule):
         self.temporal_stride = temporal_stride
         self._rf = rf
         self._delay = rf - 1 - padding
-        # (k_t, c_out, C*KH*KW) tap-major weights and the (c_out,) bias
+        # (c_out, k_t*C*KH*KW) weights, taps oldest first, and the (c_out,) bias
         self._w = per_dtype(lambda dt: (
-            weights.array.astype(dt).transpose(2, 0, 1, 3, 4).reshape(self.k_t, self.c_out, -1),
+            weights.array.astype(dt)[:, :, ::-1].swapaxes(1, 2).reshape(self.c_out, -1),
             bias.array.astype(dt)))
         self._layouts = {}  # (dtype, frame shape) -> _Layout, made by its first stream
 
@@ -194,37 +196,32 @@ class TemporalConv(CoModule):
         if xa.ndim != 4:
             raise DimensionError(f"clip must be (T,C,H,W), got {xa.shape}")
         t_in = xa.shape[0]
-        oc, oh, ow = out_shape = self.out_frame_shape(xa.shape[1:])
+        _, oh, ow = out_shape = self.out_frame_shape(xa.shape[1:])
         n_out = self.out_len(t_in)
         if n_out == 0:
             return np.zeros((0,) + out_shape, dtype=xa.dtype)
-        # effective frame e is input frame e - padding (leading zeros before
-        # it); emission j reads e = (k_t-1-k)*dilation + j*stride for tap k.
-        # Frames are laid out as (C*KH*KW, stride, frames per phase, H'*W')
-        # columns, e at phase e % stride and row e // stride, so each tap
-        # reads n_out consecutive rows of one phase: a view, not a copy.
-        s, pad = self.temporal_stride, self.padding
-        m = -(-(pad + t_in) // s)
-        buf = np.zeros((self.c_in, m * s) + xa.shape[2:], dtype=xa.dtype)
-        buf[:, pad:pad + t_in] = xa.transpose(1, 0, 2, 3)
-        # (C, KH, KW, stride, m, H', W') windows over buf read as (C, m,
-        # stride, H, W); made contiguous once (a no-op for an unstrided 1x1
-        # kernel), so every tap below is a view
-        sc, sh, sw = buf.strides[0], buf.strides[2], buf.strides[3]
-        win = np.ndarray((self.c_in, self.k_h, self.k_w, s, m, oh, ow), buf.dtype, buf,
-                         strides=(sc, sh, sw, buf.strides[1], s * buf.strides[1], sh, sw))
-        cols = np.ascontiguousarray(win).reshape(-1, s, m, oh * ow)
-        taps, bias = self._w[xa.dtype]
-        acc = None
-        for k, w in enumerate(taps):
-            e = (self.k_t - 1 - k) * self.dilation
-            y = w @ cols[:, e % s, e // s:e // s + n_out].reshape(cols.shape[0], -1)
-            if acc is None:
-                acc = y
-            else:
-                acc += y
-        acc += bias[:, None]
-        return np.ascontiguousarray(acc.reshape(oc, n_out, oh, ow).transpose(1, 0, 2, 3))
+        # cols[e]: effective frame e (input frame e - padding) as its
+        # (C*KH*KW, H'*W') im2col block, written once per frame
+        xa = np.ascontiguousarray(xa)  # the views below index its buffer
+        pad, kh, kw = self.padding, self.k_h, self.k_w
+        if pad == 0 and kh == kw == 1:
+            cols = xa.reshape(t_in, self.c_in, oh * ow)
+        else:
+            cols = np.zeros((pad + t_in, self.c_in * kh * kw, oh * ow), xa.dtype)
+            shape = (t_in, self.c_in, kh, kw, oh, ow)
+            st, sc, sh, sw = xa.strides
+            np.copyto(cols[pad:].reshape(shape),
+                      np.ndarray(shape, xa.dtype, xa, 0, (st, sc, sh, sw, sh, sw)))
+        # emission j reads effective frames j*stride + i*dilation, i = 0 the
+        # oldest: (n_out, k_t, C*KH*KW, H'*W') blocks, whose reshape is a view
+        # when the frames are adjacent (dilation 1) and a copy otherwise
+        f, r, c = cols.strides
+        wins = np.ndarray((n_out, self.k_t) + cols.shape[1:], cols.dtype, cols, 0,
+                          (self.temporal_stride * f, self.dilation * f, r, c))
+        w_cat, bias = self._w[xa.dtype]
+        y = w_cat @ wins.reshape(n_out, w_cat.shape[1], oh * ow)
+        y += bias[:, None]
+        return y.reshape((n_out,) + out_shape)
 
     # -- step mode ----------------------------------------------------------------
 
@@ -238,7 +235,8 @@ class TemporalConv(CoModule):
         out_shape = self.out_frame_shape(frame_shape)
         form = self.cache_elements(frame_shape)["chosen"]
         m = self.k_t - 1
-        taps, bias = self._w[dtype]
+        w_cat, bias = self._w[dtype]
+        taps = w_cat.reshape(self.c_out, self.k_t, -1)[:, ::-1].swapaxes(0, 1)  # newest first
         # the tap each slot of a sub-ring pairs with at phase 0, taken mod m
         # (0 is the oldest tap, m): pre slot s holds the frame tap -s reads,
         # post slot s collects tap s's product.  Laid twice, the table holds
@@ -257,7 +255,8 @@ class TemporalConv(CoModule):
         cols = None
         if self.k_h > 1 or self.k_w > 1:
             cols = _unfold_index(1, frame_shape, self.k_h, self.k_w)
-        lay = _Layout(form, out_shape, ring_shape, taps[0], plan, bias[:, None], cols, ring_cols)
+        lay = _Layout(form, out_shape, ring_shape, taps[0].copy(), plan, bias[:, None], cols,
+                      ring_cols)
         self._layouts[(dtype, frame_shape)] = lay
         return lay
 

@@ -1,6 +1,7 @@
 """Continual convolution: delay arithmetic, offline oracle, step equivalence."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,44 @@ def test_forward_too_short_gives_empty():
     conv = make_conv(np.random.default_rng(1), k=(3, 1, 1))
     out = conv.forward(rand_tensor(np.random.default_rng(2), (2, 2, 3, 3)))
     assert out.shape[0] == 0
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("spatial", [(1, 1), (2, 3), (3, 3)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dil", [1, 2, 3])
+@pytest.mark.parametrize("k_t", [1, 3, 9])
+def test_clip_emission_bits_do_not_depend_on_the_clip(k_t, dil, stride, spatial, dtype):
+    # an emission is its own fixed-shape product, so the same window gives
+    # the same bits in a longer clip that starts q emissions earlier
+    rng = np.random.default_rng(300 + k_t + 10 * dil + 100 * stride)
+    rf = (k_t - 1) * dil + 1
+    x = rand_tensor(rng, (3 * rf + 7, 16, 4, 5), dtype=dtype).array
+    q = 3
+    for pad in (0, rf // 2):
+        conv = make_conv(rng, c_in=16, c_out=8, k=(k_t,) + spatial, dilation=dil,
+                         padding=pad, stride=stride)
+        whole = conv._clip(x)
+        part = conv._clip(x[q * stride:q * stride + 2 * rf + 1])
+        # a padded clip's first emissions read its leading zero frames
+        inside = -(-pad // stride)
+        assert len(part) > inside
+        assert np.array_equal(part[inside:], whole[q + inside:q + len(part)])
+
+
+def test_undilated_clip_reads_its_frames_in_place():
+    # the skeleton block's 1x1 conv: the only array a clip allocates is its
+    # output, so the traced peak is the input and the output
+    conv = make_conv(np.random.default_rng(7), c_in=16, c_out=16, k=(9, 1, 1))
+    tracemalloc.start()
+    try:
+        x = np.ones((4096, 16, 25, 1), np.float32)
+        y = conv._clip(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (4088, 16, 25, 1)
+    assert peak <= 1.25 * (x.nbytes + y.nbytes)
 
 
 # -- warm-up and step mode ----------------------------------------------------------
