@@ -14,8 +14,8 @@ Rows are ``(..., d)``, one independent stream per index of the leading
 axes; multi-head attention passes its heads as a ``(heads,)`` axis, axis -3
 of window rows.  :func:`sda_full` takes the same leading axes, so one
 batched kernel serves clip mode, window input and step-mode refreshes.
-Clip mode runs that kernel over a ``(W, n, ...)`` strided view of the clip's
-``W`` complete windows, ``WINDOW_BATCH`` windows per call.
+Clip mode runs it over a ``(W, n, ...)`` strided view of the clip's ``W``
+windows, ``WINDOW_BATCH`` per call; the single-output form, on newest rows alone.
 
 A stream's first row binds it (``cinet.module.Stream``): every state array
 is made then, zero-initialised, and a later row that drifts in shape or
@@ -45,10 +45,10 @@ which checks nothing.
 
 :class:`EncoderBlock` takes its step form and window from its attention; a
 positional encoding is a ``Sequential`` stage ahead of a token-input block.
-A window-input block (the single-output block after a retroactive one)
-needs only its window's newest row: it projects keys and values for all
-``n`` rows but the query of that row alone, and runs attention, the
-residual, LayerNorms and feed-forward on that one row.
+Single-output clip mode, and a window-input block (the single-output block
+after a retroactive one) in both modes, compute a window's newest row alone:
+keys and values of all ``n`` rows, the query of that row, and attention,
+residual, LayerNorms and feed-forward on it.
 
 Numerical-stability choices: the subtract/add updates rule out the usual
 max-subtraction softmax trick, so (a) ``d_mem``/``av_mem`` accumulate in f64
@@ -490,9 +490,9 @@ class MultiheadAttention(_WindowAttention):
         return None if y is None else self._merge(y)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
-        """Sliding-window offline multi-head self-attention."""
-        last = slice(None) if self.mode == "retro" else -1
-        return _batched(lambda w: self._window(w)[:, last], _windows(xa, self.n))
+        """Sliding-window offline self-attention; single mode: newest rows only."""
+        kernel = self._window if self.mode == "retro" else lambda w: self._newest(w)[:, 0]
+        return _batched(kernel, _windows(xa, self.n))
 
     def _proj_cost(self) -> OpCount:
         return OpCount(macs=self.d_model * (2 * self.d_k + self.d_v))
@@ -504,6 +504,7 @@ class MultiheadAttention(_WindowAttention):
         return total + OpCount(macs=rows * self.d_v * self.d_o)
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
+        # a regular transformer's full-window pass: single-mode _clip runs less
         n_out = self.out_len(t)
         per_win = OpCount(macs=self.n * self.d_model * (2 * self.d_k + self.d_v))
         per_win = per_win + sda_full_cost(self.n, self._dh_k).scaled(self.heads)
@@ -576,11 +577,10 @@ class EncoderBlock(CoModule):
     in single mode ``Sel`` picks the newest token and one row is emitted; in
     retro mode all ``n`` rows are.  A positional encoding is a stage ahead.
 
-    With ``window_input=True`` a single-mode block consumes complete (n, d)
-    windows (as emitted by an upstream retroactive block), computing the
-    newest row's output from the window and keeping no state; that is the
-    two-block wiring where a retroactive block runs first and a single-output
-    block last.
+    Single-mode clip mode runs ``_newest``, the newest row's kernel, on each
+    window; so does a ``window_input=True`` block, in both modes, on the
+    complete (n, d) windows an upstream retroactive block emits, keeping no
+    state: the two-block wiring, retroactive first and single-output last.
     """
 
     def __init__(self, mha: MultiheadAttention,
@@ -673,13 +673,12 @@ class EncoderBlock(CoModule):
     # -- clip mode --------------------------------------------------------------------
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
-        if self.window_input:
-            if xa.ndim != 3 or xa.shape[1:] != (self.mha.n, self.d_model):
-                raise DimensionError(f"window input must be (T, {self.mha.n}, {self.d_model}), "
-                                     f"got {xa.shape}")
-            return _batched(self._newest, xa)
-        last = slice(None) if self.mha.mode == "retro" else -1
-        return _batched(lambda w: self._offline_window(w)[:, last], _windows(xa, self.mha.n))
+        n = self.mha.n
+        if not self.window_input:
+            xa = _windows(xa, n)
+        elif xa.ndim != 3 or xa.shape[1:] != (n, self.d_model):
+            raise DimensionError(f"window input must be (T, {n}, {self.d_model}), got {xa.shape}")
+        return _batched(self._offline_window if self.mha.mode == "retro" else self._newest, xa)
 
     # -- analytic cost --------------------------------------------------------------
 
@@ -703,6 +702,6 @@ class EncoderBlock(CoModule):
             # values of the n - 1 older rows, which a token block has cached
             older = OpCount(macs=(m.n - 1) * m.d_model * (m.d_k + m.d_v))
             per_win = m.step_cost((self.d_model,)) + older + self._tail_cost(1)
-        else:
+        else:  # a regular transformer's full-window pass: single-mode _clip runs less
             per_win = m.clip_cost((self.d_model,), m.n) + self._tail_cost(m.n)
         return per_win.scaled(self.out_len(t))

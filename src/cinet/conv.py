@@ -271,17 +271,17 @@ class TemporalConv(CoModule):
         if lay.form == "pre":
             if emits:
                 y = lay.w_new @ (xa.reshape(self.c_in, -1) if lay.cols is None
-                                 else np.take(xa, lay.cols))
+                                 else xa.take(lay.cols))
             if m:
                 sub = ring if d == 1 else ring[t % d * m:t % d * m + m]
                 p = t // d % m
                 if emits:
                     w = lay.plan[p]
                     y += w @ (sub.reshape(w.shape[1], -1) if lay.ring_cols is None
-                              else np.take(sub, lay.ring_cols))
+                              else sub.take(lay.ring_cols))
                 sub[p] = xa
         else:
-            x = xa.reshape(self.c_in, -1) if lay.cols is None else np.take(xa, lay.cols)
+            x = xa.reshape(self.c_in, -1) if lay.cols is None else xa.take(lay.cols)
             sub = ring if d == 1 else ring[t % d * m:t % d * m + m]
             p = t // d % m
             if emits:

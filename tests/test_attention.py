@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cinet import attention
 from cinet.attention import (
     WINDOW_BATCH,
     EncoderBlock,
@@ -726,25 +727,28 @@ def clip_case(kind, n, d, rng):
         mod = MultiheadAttention(mode, n, *(rand_tensor(rng, (d, d)) for _ in range(4)),
                                  heads=int(heads))
         last = slice(None) if mode == "retro" else -1
-        return mod, lambda w: mod._window(w)[last], \
-            lambda w: offline_mha_oracle(w, mod)[0][last], False
+        # single mode computes only the newest row: its own kernel
+        kernel = mod._window if mode == "retro" else lambda w: mod._newest(w)[0]
+        return mod, kernel, lambda w: offline_mha_oracle(w, mod)[0][last], False
     mode = "single" if kind == "enc-window" else kind[4:]
     window_input = kind == "enc-window"
     mod = make_encoder(rng, mode, n, d, h=2, rpe=not window_input, window_input=window_input)
     blk = mod if window_input else mod.modules[1]  # token blocks follow their encoding
     last = slice(None) if mode == "retro" else -1
-    # a window-input block computes only the newest row: its own kernel
-    kernel = blk._newest if window_input else lambda w: blk._offline_window(w)[last]
+    # a single-mode block, token or window input, computes only the newest row
+    kernel = blk._offline_window if mode == "retro" else blk._newest
     return mod, kernel, lambda w: encoder_oracle(blk, w)[last], window_input
+
+
+CLIP_KINDS = ["retro", "single", "mha-retro-1", "mha-retro-2", "mha-single-1", "mha-single-2",
+              "enc-retro", "enc-single", "enc-window"]
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 @pytest.mark.parametrize("t_of_n", [lambda n: n - 1, lambda n: n, lambda n: 3 * n + 2,
                                     lambda n: 2 * WINDOW_BATCH + n + 1],
                          ids=["n-1", "n", "3n+2", "3-batches"])
-@pytest.mark.parametrize("kind", ["retro", "single", "mha-retro-1", "mha-retro-2",
-                                  "mha-single-1", "mha-single-2", "enc-retro", "enc-single",
-                                  "enc-window"])
+@pytest.mark.parametrize("kind", CLIP_KINDS)
 def test_clip_equals_the_kernel_run_per_window(kind, t_of_n, dtype):
     n, d = 4, 6
     rng = np.random.default_rng(41)
@@ -785,3 +789,64 @@ def test_clip_memory_is_bounded_by_the_window_batch():
         tracemalloc.stop()
     assert y.shape == (1024 - 63, 8)
     assert peak <= 16e6, f"clip peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("kind", CLIP_KINDS)
+def test_clip_emission_bits_do_not_depend_on_the_clip(kind, dtype):
+    # each window is the same fixed-shape kernel call wherever it falls, so
+    # an emission has the same bits in a clip that starts earlier or later,
+    # is longer or shorter, or cuts its window batches elsewhere
+    n, d = 4, 6
+    rng = np.random.default_rng(43)
+    mod, _, _, window_input = clip_case(kind, n, d, rng)
+    # a token block alone: its positional encoding reads the clip's start
+    blk = mod.modules[1] if isinstance(mod, Sequential) else mod
+    t = 2 * WINDOW_BATCH + 3 * n
+    x = rand_tensor(rng, (t, n, d) if window_input else (t, d), dtype=dtype, scale=0.5).array
+    whole = blk._clip(x)
+    for q in (1, n + 1, WINDOW_BATCH - 1):
+        for length in (n, 2 * n + 3, WINDOW_BATCH + n):
+            part = blk._clip(x[q:q + length])
+            assert len(part) > 0 and np.array_equal(part, whole[q:q + len(part)])
+
+
+@pytest.mark.parametrize("kind", ["mha", "enc"])
+def test_single_mode_clip_attends_one_query_row_per_window(kind, monkeypatch):
+    # single-output clip mode computes only the row it emits: every
+    # attention call gets one query row per window, not the window's n
+    n, d = 5, 4
+    rng = np.random.default_rng(44)
+    if kind == "mha":
+        mod = MultiheadAttention("single", n, *(rand_tensor(rng, (d, d)) for _ in range(4)),
+                                 heads=2)
+    else:
+        mod = make_encoder(rng, "single", n, d, h=2, rpe=False)
+    rows = []
+
+    def spy(q, k, v, scale):
+        rows.append(q.shape[-2])
+        return _sda(q, k, v, scale)
+
+    monkeypatch.setattr(attention, "_sda", spy)
+    y = mod.forward(rand_tensor(rng, (3 * n, d)))
+    assert y.shape == (2 * n + 1, d)
+    assert rows and set(rows) == {1}
+
+
+def test_single_block_clip_memory_does_not_grow_with_the_window():
+    """A single-mode block's clip holds one attention row per window, so this
+    1024-frame stream peaks under 2 MB, not near the 11 MB that every
+    window's (heads, n, n) logits and n-row tail take."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "encoder_one_block.json"
+    cfg = load_config(path)
+    model = build_model(cfg, path.parent)
+    x = random_stream(3, 1024, tuple(cfg["input"]["shape"]), cfg["dtype"])
+    tracemalloc.start()
+    try:
+        y = model.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (1024 - 63, 8)
+    assert peak <= 2e6, f"clip peak {peak / 1e6:.1f} MB"

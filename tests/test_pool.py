@@ -99,6 +99,21 @@ def test_max_clip_bit_identical_to_sliding_max(window, dtype):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("kind", ["avg", "max"])
+@pytest.mark.parametrize("window", [1, 2, 3, 5, 8, 9, 268])
+def test_clip_emission_bits_do_not_depend_on_the_clip(window, kind, dtype):
+    # an output folds the same doubling spans of its own frames wherever it
+    # falls, so a clip that starts q frames later or ends sooner gives its bits
+    x = rand_tensor(np.random.default_rng(50 + window), (3 * window + 20, 2, 3), dtype).array
+    pool = TemporalPool(kind, window)
+    whole = pool._clip(x)
+    for q in (1, 7, window + 3):
+        for length in (window, window + 5, 2 * window + 11):
+            part = pool._clip(x[q:q + length])
+            assert len(part) > 0 and np.array_equal(part, whole[q:q + len(part)])
+
+
 def test_clip_nonfinite_frame_poisons_exactly_its_windows():
     # a non-finite frame reaches exactly the outputs whose window holds it,
     # in clip and step mode alike; -inf is no poison to a maximum
