@@ -4,27 +4,31 @@ Temporal taps are indexed newest-first, like FIR coefficients: tap ``k``
 multiplies the frame ``k * dilation`` steps back from the emission step.
 Spatially each tap is an ordinary stride-1 cross-correlation.  Zero padding
 is leading-only (``padding`` virtual zero frames before the stream); trailing
-padding would require peeking into the future and is never applied.
+padding would require peeking into the future and is never applied.  A
+frame is ``(C, H, W)``, or ``(C, N)`` for a 1x1 kernel, which emits ``(c_out,
+N)``: the skeleton block's nodes need no made-up unit axis.
 
 Two step-mode arrangements are provided.  Each keeps its stream state in one
-ring of ``rf - 1`` slots (``rf`` the receptive field), zero-initialised when
-the stream binds (``cinet.module.Stream``), so it never grows or
-reallocates.  Both read the ring with one geometry: ``d = dilation``
-contiguous sub-rings of ``m = k_t - 1`` slots, step ``t`` owning slot
-``(t // d) mod m`` of sub-ring ``t mod d``.  The frames of one window are
-``d`` steps apart, so they and the sums they feed share a sub-ring, which
-then works as an undilated ring of ``m`` slots at phase ``p = (t // d) mod
-m``:
+2-D ring of ``rf - 1`` slots (``rf`` the receptive field), zero-initialised
+when the stream binds (``cinet.module.Stream``), so it never grows or
+reallocates.  Slot ``s`` is the ``R`` rows from ``s*R`` on of a ``((rf-1)*R,
+H*W)`` matrix: a frame read as ``(R, H*W)`` enters by one row-slice write,
+and the products read the ring in place.  Both read the ring with one
+geometry: ``d = dilation`` contiguous sub-rings of ``m = k_t - 1`` slots,
+step ``t`` owning slot ``(t // d) mod m`` of sub-ring ``t mod d``.  The
+frames of one window are ``d`` steps apart, so they and the sums they feed
+share a sub-ring, which then works as an undilated ring of ``m`` slots at
+phase ``p = (t // d) mod m``:
 
-- ``pre``  (direct form): the ring holds the previous raw input frames.  An
-  emission is two matrix products: the newest tap on the newest frame, and
-  the older taps on the sub-ring read in place in slot order.  Unwritten
-  zero slots are the virtual frames before the stream.
-- ``post`` (transposed form): the ring holds partial sums, one slot per
-  pending emission.  An emission adds the newest tap's product to its slot;
-  the slot is cleared, and one matrix product of the older taps on the
-  arriving frame adds to every slot of the sub-ring, the oldest tap starting
-  the emission ``rf - 1`` steps later in the slot just freed.
+- ``pre``  (direct form): the ring holds the previous raw input frames,
+  ``R = C``.  An emission is two matrix products: the newest tap on the
+  newest frame, and the older taps on the sub-ring read in place in slot
+  order.  Unwritten zero slots are the virtual frames before the stream.
+- ``post`` (transposed form): the ring holds partial sums, ``R = c_out``,
+  one slot per pending emission.  An emission adds the newest tap's product
+  to its slot; the slot is cleared, and one matrix product of the older
+  taps on the arriving frame adds to every slot of the sub-ring, the oldest
+  tap starting the emission ``rf - 1`` steps later in the slot just freed.
 
 In both, phase ``p`` takes the older taps rotated by ``p``, a view of one
 table that holds them twice over, so the weights of every phase cost twice
@@ -38,23 +42,25 @@ layout takes its taps from that matrix and depends on the frame shape too,
 so it is made when the first stream of each dtype and frame shape binds,
 and kept on the module.  A spatial kernel is unfolded (im2col) through
 gather indices built at the same time; a 1x1 kernel needs no unfolding, so
-each product reads its frames as a ``(frames*c_in, H*W)`` matrix in place.
+each product reads its frames, and a ``pre`` sub-ring, in place.
 
 Both emit on exactly the same schedule and differ only in summation order.
 
-Clip mode keeps the clip in its own ``(T, C, ...)`` layout: each frame is
-unfolded once (im2col) into a ``(padding + T, C*KH*KW, H'*W')`` buffer after
-leading zero frames, and an unpadded 1x1 clip is read in place.  Emission
-``j``'s ``k_t`` frames, ``dilation`` apart from ``j * stride`` on, are one
-``(k_t*C*KH*KW, H'*W')`` block of a strided view: no copy when undilated, one
-copy when dilated.  The conv is then one stacked product of the oldest-first
-``(c_out, k_t*C*KH*KW)`` weights with the blocks, plus the bias, straight
-into the ``(n_out, c_out, H', W')`` output.  Each emission is its own
+Clip mode keeps the clip in its own ``(T, C, ...)`` layout, a ``(T, C, N)``
+clip read as ``(T, C, N, 1)``: each frame is unfolded once (im2col) into a
+``(padding + T, C*KH*KW, H'*W')`` buffer after leading zero frames, and an
+unpadded 1x1 clip is read in place.  Emission ``j``'s ``k_t`` frames,
+``dilation`` apart from ``j * stride`` on, are one ``(k_t*C*KH*KW, H'*W')``
+block of a strided view: no copy when undilated, one copy when dilated.  The
+conv is then one stacked product of the oldest-first ``(c_out,
+k_t*C*KH*KW)`` weights with the blocks, plus the bias, straight into the
+``(n_out, c_out, H', W')`` output.  Each emission is its own
 fixed-shape product, so its bits do not depend on the clip's length or start.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -102,14 +108,14 @@ class _ConvState:
     __slots__ = ("ring", "t")
 
     def __init__(self, ring):
-        # pre: (rf-1, C, H, W) raw frames; post: (rf-1, O, H', W') partial
-        # sums; either read as dilation sub-rings of k_t-1 slots
+        # pre: ((rf-1)*C, H*W) raw frames, post: ((rf-1)*O, H'*W') partial sums,
+        # slot s from row s*C (s*O); read as dilation sub-rings of k_t-1 slots
         self.ring = ring
         self.t = 0  # steps consumed; it places step t's slot in the ring
 
 
 class TemporalConv(CoModule):
-    """Causal temporal convolution over (C_in, H, W) frames."""
+    """Causal temporal convolution over (C_in, H, W) or, 1x1, (C_in, N) frames."""
 
     def __init__(
         self,
@@ -171,7 +177,10 @@ class TemporalConv(CoModule):
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if len(frame_shape) != 3:
-            raise DimensionError(f"frame must be (C,H,W), got {tuple(frame_shape)}")
+            if len(frame_shape) == 2 and self.k_h == self.k_w == 1:  # (C, N) -> (c_out, N)
+                return self.out_frame_shape((*frame_shape, 1))[:2]
+            raise DimensionError(f"frame must be (C,H,W), or (C,N) for a 1x1 kernel, "
+                                 f"got {tuple(frame_shape)}")
         c, h, w = frame_shape
         if c != self.c_in:
             raise DimensionError(f"expected {self.c_in} channels, got {c}")
@@ -183,10 +192,8 @@ class TemporalConv(CoModule):
         """Cache sizes of both arrangements and the one the step path takes:
         ``post`` if it caches fewer elements and the stride is 1, else ``pre``
         (a strided ``post`` would convolve the frames ``pre`` skips)."""
-        c, h, w = frame_shape
-        oc, oh, ow = self.out_frame_shape(frame_shape)
-        pre = (self._rf - 1) * c * h * w
-        post = (self._rf - 1) * oc * oh * ow
+        pre = (self._rf - 1) * math.prod(frame_shape)
+        post = (self._rf - 1) * math.prod(self.out_frame_shape(frame_shape))
         post_wins = post < pre and self.temporal_stride == 1
         return {"pre": pre, "post": post, "chosen": "post" if post_wins else "pre"}
 
@@ -194,7 +201,11 @@ class TemporalConv(CoModule):
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         if xa.ndim != 4:
-            raise DimensionError(f"clip must be (T,C,H,W), got {xa.shape}")
+            if xa.ndim == 3 and self.k_h == self.k_w == 1:
+                # (T, C, N) as (T, C, N, 1) through this kernel, not an override
+                return TemporalConv._clip(self, xa[..., None])[..., 0]
+            raise DimensionError(f"clip must be (T,C,H,W), or (T,C,N) for a 1x1 kernel, "
+                                 f"got {xa.shape}")
         t_in = xa.shape[0]
         _, oh, ow = out_shape = self.out_frame_shape(xa.shape[1:])
         n_out = self.out_len(t_in)
@@ -242,7 +253,8 @@ class TemporalConv(CoModule):
         # post slot s collects tap s's product.  Laid twice, the table holds
         # phase p's taps from block (m - p) mod m on
         order = [(-s if form == "pre" else s) % m or m for s in range(m)] * 2
-        ring_shape = (self._rf - 1,) + (frame_shape if form == "pre" else out_shape)
+        slot = frame_shape if form == "pre" else out_shape
+        ring_shape = ((self._rf - 1) * slot[0], math.prod(slot[1:]))
         ring_cols = None
         if form == "pre":
             table = np.ascontiguousarray(taps[order].transpose(1, 0, 2))
@@ -267,38 +279,43 @@ class TemporalConv(CoModule):
         t = state.t
         state.t += 1
         emits = t >= self._delay and (t - self._delay) % self.temporal_stride == 0
+        if lay.cols is not None and lay.form == "post":
+            x = xa.take(lay.cols)  # the frame's im2col columns
+        else:
+            x = xa if xa.ndim == 2 else xa.reshape(self.c_in, -1)  # (C, H*W) rows
         y = None
         if lay.form == "pre":
             if emits:
-                y = lay.w_new @ (xa.reshape(self.c_in, -1) if lay.cols is None
-                                 else xa.take(lay.cols))
+                y = lay.w_new @ (x if lay.cols is None else xa.take(lay.cols))
             if m:
-                sub = ring if d == 1 else ring[t % d * m:t % d * m + m]
+                c = self.c_in  # sub-ring slot s: rows s*c .. s*c + c
+                sub = ring if d == 1 else ring[t % d * m * c:(t % d * m + m) * c]
                 p = t // d % m
                 if emits:
-                    w = lay.plan[p]
-                    y += w @ (sub.reshape(w.shape[1], -1) if lay.ring_cols is None
-                              else sub.take(lay.ring_cols))
-                sub[p] = xa
+                    y += lay.plan[p] @ (sub if lay.ring_cols is None
+                                        else sub.take(lay.ring_cols))
+                sub[p * c:p * c + c] = x
         else:
-            x = xa.reshape(self.c_in, -1) if lay.cols is None else xa.take(lay.cols)
-            sub = ring if d == 1 else ring[t % d * m:t % d * m + m]
+            c = self.c_out
+            sub = ring if d == 1 else ring[t % d * m * c:(t % d * m + m) * c]
             p = t // d % m
+            slot = sub[p * c:p * c + c]
             if emits:
-                y = lay.w_new @ x + sub[p].reshape(self.c_out, -1)
-            sub[p] = 0
-            sub += (lay.plan[p] @ x).reshape(sub.shape)
+                y = lay.w_new @ x + slot
+            slot[...] = 0
+            sub += lay.plan[p] @ x
         if y is not None:
             y += lay.bias
-            y = y.reshape(lay.out_shape)
+            if xa.ndim == 3:
+                y = y.reshape(lay.out_shape)
         return y
 
     # -- analytic cost ---------------------------------------------------------------
 
     def _per_emission(self, frame_shape: tuple) -> OpCount:
-        oc, oh, ow = self.out_frame_shape(frame_shape)
-        macs = oc * oh * ow * self.c_in * self.k_t * self.k_h * self.k_w
-        return OpCount(macs=macs, other=oc * oh * ow)  # bias adds
+        out = math.prod(self.out_frame_shape(frame_shape))
+        macs = out * self.c_in * self.k_t * self.k_h * self.k_w
+        return OpCount(macs=macs, other=out)  # bias adds
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
         per = self._per_emission(frame_shape)

@@ -6,9 +6,10 @@ land on the aligned time-step, and ReLU:
 
     out_t = ReLU( Delay(Res(x_t)) + BN(CoTC(GC(x_t))) )
 
-A stream keeps the conv's ring and, under a shortcut, a ring of the inputs
-awaiting their residual, both made when the stream binds
-(``cinet.module.Stream``).
+The block steps on ``(C, V)`` frames: its 1x1 temporal conv takes them as
+they are, with no unit spatial axis.  A stream keeps the conv's ring and,
+under a shortcut, a ring of the inputs awaiting their residual, both made
+when the stream binds (``cinet.module.Stream``).
 
 Inference batch normalization is a fixed affine map per channel, so the
 block folds it into the temporal convolution's taps and bias when it is
@@ -77,14 +78,9 @@ class SkeletonGraph:
             mats = [_sym_normalize(a + np.eye(v))]
         elif partitions == 3:
             dist = _bfs_distance(a, root)
-            toward = np.zeros_like(a)
-            away = np.zeros_like(a)
-            for i in range(v):
-                for j in range(v):
-                    if a[i, j] and dist[j] < dist[i]:
-                        toward[i, j] = 1.0
-                    elif a[i, j] and dist[j] > dist[i]:
-                        away[i, j] = 1.0
+            # edge (i, j) points toward the root when j is nearer to it than i
+            toward = ((a > 0) & (dist[None] < dist[:, None])).astype(a.dtype)
+            away = ((a > 0) & (dist[None] > dist[:, None])).astype(a.dtype)
             mats = [np.eye(v), _sym_normalize(toward), _sym_normalize(away)]
         else:
             raise ValueError(f"unsupported partition count {partitions}")
@@ -127,7 +123,7 @@ def _gc(xa: np.ndarray, a_cat: np.ndarray, w_cat: np.ndarray) -> np.ndarray:
     aggregation in one ``x @ A_cat``, whose rows read as (c_in*P, v) per
     frame, then one channel mix with the stacked weights."""
     v = xa.shape[-1]
-    y = xa.reshape(-1, v) @ a_cat
+    y = (xa if xa.ndim == 2 else xa.reshape(-1, v)) @ a_cat
     return w_cat @ y.reshape(xa.shape[:-2] + (w_cat.shape[1], v))
 
 
@@ -206,17 +202,16 @@ class StGcnBlock(CoModule):
         return self._frame_out
 
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> _BlockState:
-        return _BlockState(self.tc._state(self._frame_out + (1,), dtype),
+        return _BlockState(self.tc._state(self._frame_out, dtype),
                            np.zeros(self._res_shape, dtype) if self._res_shape else None)
 
     def _step(self, state: _BlockState, xa: np.ndarray) -> Optional[np.ndarray]:
         t = state.tc.t  # modulo res_delay, the slot of the residual ring
-        y = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype])[:, :, None])
+        y = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype]))
         res = state.res
         if y is not None:
             # the conv's output is a fresh array that no state holds, so the
             # residual add and the ReLU run in place on it
-            y = y.reshape(self._frame_out)
             if self.shortcut is not None:
                 # the input res_delay steps back, held in this slot since; it is
                 # projected only here, so strides spend no work on skipped frames
@@ -230,7 +225,7 @@ class StGcnBlock(CoModule):
         if xa.ndim != 3:
             raise DimensionError(f"clip must be (T, c_in, v), got {xa.shape}")
         # a fresh array, as in step mode: the epilogue runs in place
-        y = self.tc._clip(_gc(xa, *self._w[xa.dtype])[:, :, :, None])[:, :, :, 0]
+        y = self.tc._clip(_gc(xa, *self._w[xa.dtype]))
         if self.shortcut is not None:
             # emission j lands on input j*stride, as in step mode
             y += self.shortcut._apply(xa[:y.shape[0] * self.stride():self.stride()], 1)
@@ -246,7 +241,7 @@ class StGcnBlock(CoModule):
 
     def _per_emission(self) -> OpCount:
         v = self.graph.v
-        cost = self.tc._per_emission((self.c_out, v, 1))
+        cost = self.tc._per_emission(self._frame_out)
         if self.shortcut is None:
             return cost + OpCount(other=self.c_out * v)  # relu
         cost = cost + self.shortcut.step_cost((self.c_in, v))
@@ -291,7 +286,8 @@ class GlobalAverageHead(CoModule):
 
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         w, b = self._w[a.dtype]
-        pooled = self.pool._step(state, self._node_mean(a.reshape(self.channels, -1)) @ w)
+        nodes = a if a.ndim == 2 else a.reshape(self.channels, -1)
+        pooled = self.pool._step(state, self._node_mean(nodes) @ w)
         return None if pooled is None else pooled + b
 
     def _clip(self, a: np.ndarray) -> np.ndarray:

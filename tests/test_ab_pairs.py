@@ -1,0 +1,77 @@
+"""``scripts/ab_pairs.py``: reading benchmark result lines and summing up pairs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(correct=True, **values):
+    return json.dumps({"correct": correct, "attempted": 4, "failed": 0 if correct else 1,
+                       "metrics": {k: {"value": v, "unit": "u"} for k, v in values.items()}})
+
+
+def test_parse_result_reads_the_last_line(ab):
+    out = "workload skeleton\nsteps_per_s 100 1/s\n" + result_line(steps_per_s=100.0) + "\n\n"
+    assert ab.parse_result(out) == {"steps_per_s": 100.0}
+
+
+@pytest.mark.parametrize("out", ["", "no result here\n", result_line(False, steps_per_s=1.0),
+                                 '["not", "a", "result"]'])
+def test_parse_result_refuses_failed_or_missing_results(ab, out):
+    assert ab.parse_result(out) == {}
+
+
+def canned_pairs(ab, parent, change, name="steps_per_s"):
+    """``(parent, change)`` results read from canned result lines."""
+    return [(ab.parse_result(result_line(**{name: p})), ab.parse_result(result_line(**{name: c})))
+            for p, c in zip(parent, change)]
+
+
+def test_summary_of_a_clear_gain(ab):
+    parent = [100, 98, 103, 101, 99, 102, 100, 97, 104, 100]
+    change = [111, 110, 112, 109, 111, 113, 110, 108, 112, 111]
+    s = ab.summarise(canned_pairs(ab, parent, change), {"steps_per_s": "higher"})["steps_per_s"]
+    assert s["pairs"] == 10 and s["wins"] == 10
+    assert s["parent_median"] == 100.0 and s["change_median"] == 111.0
+    # linear quartiles: 99.25 .. 101.75 and 110 .. 111.75
+    assert s["parent_iqr"] == pytest.approx(2.5)
+    assert s["change_iqr"] == pytest.approx(1.75)
+    assert s["ratio"] == pytest.approx(1.11)
+    assert s["rule"]
+
+
+def test_rule_needs_nine_tenths_of_the_pairs(ab):
+    parent = [100] * 10
+    change = [120] * 8 + [90, 100]  # a tie counts for neither side
+    s = ab.summarise(canned_pairs(ab, parent, change), {"steps_per_s": "higher"})["steps_per_s"]
+    assert s["wins"] == 8 and not s["rule"]
+
+
+def test_rule_needs_the_median_beyond_the_parent_spread(ab):
+    parent = [80, 120, 90, 110, 85, 115, 95, 105, 100, 100]
+    change = [p + 1 for p in parent]  # wins every pair by less than the spread
+    s = ab.summarise(canned_pairs(ab, parent, change), {"steps_per_s": "higher"})["steps_per_s"]
+    assert s["wins"] == 10 and not s["rule"]
+
+
+def test_lower_is_better_metrics_count_drops_as_wins(ab):
+    parent = [10.0] * 10
+    change = [8.0] * 10
+    pairs = canned_pairs(ab, parent, change, "step_latency_p50_us")
+    summary = ab.summarise(pairs, {"step_latency_p50_us": "lower", "steps_per_s": "higher"})
+    assert list(summary) == ["step_latency_p50_us"]  # no pair carries steps_per_s
+    s = summary["step_latency_p50_us"]
+    assert s["wins"] == 10 and s["rule"] and s["ratio"] == pytest.approx(0.8)
+    assert "step_latency_p50_us" in ab.format_table(summary)

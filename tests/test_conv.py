@@ -152,6 +152,50 @@ def test_clip_emission_bits_do_not_depend_on_the_clip(k_t, dil, stride, spatial,
         assert np.array_equal(part[inside:], whole[q + inside:q + len(part)])
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("form", ["pre", "post"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dil", [1, 2])
+@pytest.mark.parametrize("k_t", [1, 3, 9])
+def test_pointwise_conv_takes_node_frames_without_a_unit_axis(k_t, dil, stride, form, dtype):
+    # a 1x1 conv steps and clips (C, N) frames, with no made-up W = 1 axis,
+    # to the same bits as (C, N, 1) frames, on a ring of the same shape
+    rng = np.random.default_rng(200 + k_t + 10 * dil + 100 * stride)
+    rf = (k_t - 1) * dil + 1
+    x = rand_tensor(rng, (4 * rf + 5, 2, 7), dtype=dtype)
+    unit = Tensor.wrap(x.array[..., None])
+    for pad in (0, rf // 2):
+        conv = make_conv(rng, c_out=C_OUT[form], k=(k_t, 1, 1), dilation=dil, padding=pad,
+                         stride=stride)
+        assert conv.out_frame_shape((2, 7)) == (conv.c_out, 7)
+        assert conv.cache_elements((2, 7)) == conv.cache_elements((2, 7, 1))
+        # with no ring to keep, or strided, the conv runs pre
+        assert conv.cache_elements((2, 7))["chosen"] == (form if rf > 1 and stride == 1
+                                                         else "pre")
+        clip = conv.forward(x).array
+        assert clip.shape == (conv.out_len(x.shape[0]), conv.c_out, 7)
+        assert np.array_equal(clip, conv.forward(unit).array[..., 0])
+        flat, deep = conv.init_state(), conv.init_state()
+        steps = conv.forward_steps(flat, x).array
+        assert steps.shape == clip.shape
+        assert np.array_equal(steps, conv.forward_steps(deep, unit).array[..., 0])
+        assert flat.ring.ndim == 2 and flat.ring.shape == deep.ring.shape
+        assert np.array_equal(flat.ring, deep.ring)
+
+
+def test_spatial_kernel_refuses_node_frames():
+    conv = make_conv(np.random.default_rng(8), k=(3, 2, 2))
+    with pytest.raises(DimensionError):
+        conv.out_frame_shape((2, 7))
+    with pytest.raises(DimensionError):
+        conv.forward_step(conv.init_state(), Tensor.zeros((2, 7)))
+    with pytest.raises(DimensionError):
+        conv.forward(Tensor.zeros((5, 2, 7)))
+    pointwise = make_conv(np.random.default_rng(8), k=(3, 1, 1))
+    with pytest.raises(DimensionError):
+        pointwise.forward(Tensor.zeros((5, 2, 7, 1, 1)))
+
+
 def test_undilated_clip_reads_its_frames_in_place():
     # the skeleton block's 1x1 conv: the only array a clip allocates is its
     # output, so the traced peak is the input and the output
@@ -278,8 +322,9 @@ def test_auto_form_resolves_to_smaller_cache():
     conv = make_conv(rng, c_in=16, c_out=4, k=(3, 1, 1))
     state = conv.init_state()
     conv.forward_step(state, rand_tensor(rng, (16, 2, 2)))
-    # post form: the ring's slots hold output-shaped partial sums
-    assert state.ring.shape == (conv.receptive_field() - 1,) + conv.out_frame_shape((16, 2, 2))
+    # post form: the ring's slots hold output-shaped partial sums, slot s
+    # the c_out rows from s * c_out on, of H'*W' columns each
+    assert state.ring.shape == ((conv.receptive_field() - 1) * conv.c_out, 2 * 2)
 
 
 # -- invariants -------------------------------------------------------------------
@@ -298,7 +343,7 @@ def test_alignment_law_and_fifo_bound():
         ready = 0
         for t in range(16):
             out = conv.forward_step(state, Tensor.wrap(x.array[t]))
-            assert len(state.ring) <= conv.receptive_field() - 1
+            assert len(state.ring) <= (conv.receptive_field() - 1) * conv.c_in
             if out is not None:
                 assert max_rel_dev(out.array, offline[ready]) < tol
                 ready += 1
@@ -312,7 +357,7 @@ def test_post_form_cache_bound():
     state = conv.init_state()
     for t in range(20):
         conv.forward_step(state, rand_tensor(rng, (2, 2, 2)))
-        assert len(state.ring) <= conv.receptive_field() - 1
+        assert len(state.ring) <= (conv.receptive_field() - 1) * conv.c_out
 
 
 # -- ring-buffer state ---------------------------------------------------------------
@@ -338,14 +383,19 @@ def test_ring_steps_match_forward_and_never_reallocate(form, k_t, dil, stride, d
             assert conv.cache_elements((2, 3, 4))["chosen"] == want_form
             offline = conv.forward(x).array
             state = conv.init_state()
+            # one 2-D matrix: (rf-1) slots of C input rows (pre) or of c_out
+            # partial-sum rows (post)
+            rows = (rf - 1) * (conv.c_in if want_form == "pre" else conv.c_out)
+            size = conv.cache_elements((2, 3, 4))[want_form]
             ring = None
             outs = []
             for t in range(length):
                 y = conv.forward_step(state, Tensor.wrap(x.array[t]))
                 if ring is None:
                     ring = state.ring
-                    assert ring.shape[0] == rf - 1 and ring.dtype == x.array.dtype
-                assert state.ring is ring and ring.shape[0] == rf - 1
+                    assert ring.shape[0] == rows and ring.size == size and ring.ndim == 2
+                    assert ring.dtype == x.array.dtype
+                assert state.ring is ring and ring.shape[0] == rows
                 if y is not None:
                     assert y.dtype == dtype
                     outs.append(y.array)
@@ -366,7 +416,7 @@ def _check_every_sub_ring_phase(form, k_t, dil, pad, stride, spatial, dtype, tol
     outs, phases = [], set()
     for t in range(len(x)):
         y = conv._step(state, x[t])
-        assert state.ring.shape[0] == n
+        assert state.ring.shape[0] == n * (conv.c_in if form == "pre" else conv.c_out)
         if y is not None:
             phases.add((t % dil, t // dil % m))  # (sub-ring, phase)
             assert max_rel_dev(y, want[len(outs)]) < tol

@@ -88,6 +88,23 @@ def test_graph_normalization_is_symmetric():
     assert a.max() <= 1.0 and a.min() >= 0.0
 
 
+def test_three_way_split_matches_the_edge_rule():
+    # edge (i, j) is centripetal when j is nearer the root than i, centrifugal
+    # when farther; edges between nodes at the same distance join neither
+    v, root = 7, 2
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (1, 6), (6, 0)]
+    g = SkeletonGraph.from_edges(v, edges, partitions=3, root=root)
+    dist = [2, 1, 0, 1, 2, 2, 2]
+    for part, nearer in ((g.partitions[1].array, True), (g.partitions[2].array, False)):
+        want = np.zeros((v, v))
+        for a, b in edges:
+            for i, j in ((a, b), (b, a)):
+                if dist[i] != dist[j] and (dist[j] < dist[i]) == nearer:
+                    want[i, j] = 1.0
+        assert np.array_equal(part, cinet.graph._sym_normalize(want))
+    assert np.array_equal(g.partitions[0].array, np.eye(v))
+
+
 # -- block ---------------------------------------------------------------------------
 
 
@@ -157,6 +174,26 @@ def test_folded_block_matches_unfolded_oracle(residual, c_in, stride, padding, d
     assert max_rel_dev(clip, want) < tol
     assert max_rel_dev(steps, want) < tol
     assert max_rel_dev(steps, clip) < tol
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("residual,c_in", [("identity", 4), ("pointwise", 3)])
+def test_clip_emission_bits_do_not_depend_on_the_clip(residual, c_in, stride, dtype):
+    # the clip-wide graph conv, the conv's per-emission products and the
+    # per-frame shortcut give an emission the same bits in a clip that
+    # starts q emissions later or ends sooner
+    rng = np.random.default_rng(30 + stride)
+    x = rand_tensor(rng, (90, c_in, 25), dtype=dtype).array
+    for pad in (0, 4):
+        blk = make_block(rng, c_in=c_in, stride=stride, padding=pad, residual=residual)
+        whole = blk._clip(x)
+        inside = -(-pad // stride)  # a padded clip's first emissions read zero frames
+        for q in (1, 3, 7):
+            for length in (9, 17, 40):
+                part = blk._clip(x[q * stride:q * stride + length])
+                assert len(part) > inside
+                assert np.array_equal(part[inside:], whole[q + inside:q + len(part)])
 
 
 def test_block_zero_input_zero_output():
@@ -234,6 +271,19 @@ def test_head_clip_equals_steps(length):
     online = head.forward_steps(head.init_state(), x)
     assert offline.shape == online.shape == (max(length - 5, 0), 4)
     assert max_rel_dev(online.array, offline.array) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("frame", [(3, 25), (3, 2, 4)])
+def test_head_clip_emission_bits_do_not_depend_on_the_clip(frame, dtype):
+    rng = np.random.default_rng(12)
+    head = GlobalAverageHead(6, rand_tensor(rng, (3, 4)), rand_tensor(rng, (4,)))
+    x = rand_tensor(rng, (60,) + frame, dtype=dtype).array
+    whole = head._clip(x)
+    for q in (1, 5, 13):
+        for length in (6, 11, 30):
+            part = head._clip(x[q:q + length])
+            assert len(part) > 0 and np.array_equal(part, whole[q:q + len(part)])
 
 
 def test_head_rejects_wrong_channels():

@@ -8,6 +8,7 @@ so a stream of steps must be exactly the clip.
 import numpy as np
 import pytest
 
+from cinet.attention import RecyclingPositionalEncoding
 from cinet.containers import Identity, Pointwise
 from cinet.errors import DimensionError
 from cinet.module import OpCount, PerFrame
@@ -87,3 +88,23 @@ def test_wrong_channel_count_raises_in_both_modes(make, frame):
 def test_identity_step_hands_back_its_input():
     x_t = rand_tensor(np.random.default_rng(21), (3,))
     assert Identity().forward_step(None, x_t) is x_t
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("make,frame", [c[1:] for c in CASES] + [
+    (lambda rng: RecyclingPositionalEncoding(rand_tensor(rng, (5, 6))), (6,))],
+    ids=[c[0] for c in CASES] + ["rpe"])
+def test_clip_emission_bits_do_not_depend_on_the_clip(make, frame, dtype):
+    # every frame is mapped on its own, so its output has the same bits in a
+    # clip that starts q frames later or ends sooner; the positional encoding
+    # indexes its table from the clip's start, so its clips start a whole
+    # number of periods in
+    rng = np.random.default_rng(19)
+    layer = make(rng)
+    align = getattr(layer, "period", 1)
+    x = rand_tensor(rng, (80,) + frame, dtype=dtype).array
+    whole = layer._clip(x)
+    for q in (1, 3, 7):
+        for length in (1, 9, 40):
+            part = layer._clip(x[q * align:q * align + length])
+            assert np.array_equal(part, whole[q * align:q * align + length])
