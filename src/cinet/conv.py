@@ -9,11 +9,11 @@ frame is ``(C, H, W)``, or ``(C, N)`` for a 1x1 kernel, which emits ``(c_out,
 N)``: the skeleton block's nodes need no made-up unit axis.
 
 Two step-mode arrangements are provided.  Each keeps its stream state in one
-2-D ring of ``rf - 1`` slots (``rf`` the receptive field), zero-initialised
-when the stream binds (``cinet.module.Stream``), so it never grows or
-reallocates.  Slot ``s`` is the ``R`` rows from ``s*R`` on of a ``((rf-1)*R,
-H*W)`` matrix: a frame read as ``(R, H*W)`` enters by one row-slice write,
-and the products read the ring in place.  Both read the ring with one
+2-D ring of ``rf - 1`` slots (``rf`` the receptive field), made when the
+stream binds (``cinet.module.Stream``), so it never grows or reallocates.
+Slot ``s`` is the ``R`` rows from ``s*R`` on of a ``((rf-1)*R, H*W)``
+matrix: a frame read as ``(R, H*W)`` enters by one row-slice write, and the
+products read the ring in place.  Both read the ring with one
 geometry: ``d = dilation`` contiguous sub-rings of ``m = k_t - 1`` slots,
 step ``t`` owning slot ``(t // d) mod m`` of sub-ring ``t mod d``.  The
 frames of one window are ``d`` steps apart, so they and the sums they feed
@@ -23,18 +23,27 @@ phase ``p = (t // d) mod m``:
 - ``pre``  (direct form): the ring holds the previous raw input frames,
   ``R = C``.  An emission is two matrix products: the newest tap on the
   newest frame, and the older taps on the sub-ring read in place in slot
-  order.  Unwritten zero slots are the virtual frames before the stream.
+  order.  The ring starts at zero: unwritten slots are the virtual frames
+  before the stream.  The bias is added to each emission.
 - ``post`` (transposed form): the ring holds partial sums, ``R = c_out``,
-  one slot per pending emission.  An emission adds the newest tap's product
-  to its slot; the slot is cleared, and one matrix product of the older
-  taps on the arriving frame adds to every slot of the sub-ring, the oldest
-  tap starting the emission ``rf - 1`` steps later in the slot just freed.
+  one slot per pending emission, and a slot starts at the bias (the ring is
+  filled with it, for the first emissions of a padded conv read slots never
+  freed).  An emission adds the newest tap's product to its slot; the slot
+  starts over at the bias, and one matrix product of the older taps on the
+  arriving frame adds to every slot of the sub-ring, the oldest tap starting
+  the emission ``rf - 1`` steps later in the slot just freed.  A step may
+  hand in a lagged term, which joins the emission ``delay()`` steps later,
+  the one aligned with its frame: it starts the freed slot with the bias
+  when unpadded, joins that emission's pending slot when padded, and goes
+  straight into the emission at delay 0.  A block adds its shortcut so,
+  with no ring of inputs awaiting it (``cinet.graph``).
 
 In both, phase ``p`` takes the older taps rotated by ``p``, a view of one
 table that holds them twice over, so the weights of every phase cost twice
 the taps' bytes.  ``post`` is taken when it caches fewer elements and the
 stride is 1, ``pre`` otherwise: ``pre`` computes on emitting steps only,
-while ``post`` convolves every frame.
+while ``post`` convolves every frame.  A caller may ask ``_state`` for
+``post`` instead, as a block with a lagged shortcut does.
 
 The layer arranges its weights once, in both stream dtypes at construction:
 the clip product's oldest-first matrix, with the bias.  The step path's
@@ -90,8 +99,8 @@ class _Layout(NamedTuple):
     C*KH*KW) matrix whose block ``s`` is the tap that sub-ring slot ``s``
     collects.  ``cols`` unfolds one frame into im2col columns and
     ``ring_cols`` the k_t-1 frames of a ``pre`` sub-ring; both are ``None``
-    for 1x1 kernels.  ``bias`` is (c_out, 1), added to an emission's
-    (c_out, H'*W') columns.
+    for 1x1 kernels.  ``bias`` is (c_out, 1), added to a ``pre`` emission's
+    (c_out, H'*W') columns and the start of every ``post`` slot.
     """
 
     form: str
@@ -236,15 +245,25 @@ class TemporalConv(CoModule):
 
     # -- step mode ----------------------------------------------------------------
 
-    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _ConvState:
+    def _state(self, frame_shape: tuple, dtype: np.dtype,
+               form: Optional[str] = None) -> _ConvState:
+        """A stream's ring, in the arrangement ``cache_elements`` chooses or,
+        when given, in ``form``; the layout it makes is kept for every later
+        stream of this dtype and frame shape, which must take the same form."""
         lay = self._layouts.get((dtype, frame_shape))
         if lay is None:
-            lay = self._layout(dtype, frame_shape)
-        return _ConvState(np.zeros(lay.ring_shape, dtype))
+            lay = self._layout(dtype, frame_shape, form)
+        elif form not in (None, lay.form):
+            raise ValueError(f"conv steps {frame_shape} frames in {lay.form}, not {form}")
+        if lay.form == "pre":
+            return _ConvState(np.zeros(lay.ring_shape, dtype))
+        ring = np.empty(lay.ring_shape, dtype)  # every pending emission starts at the bias
+        ring.reshape(self._rf - 1, self.c_out, -1)[...] = lay.bias
+        return _ConvState(ring)
 
-    def _layout(self, dtype: np.dtype, frame_shape: tuple) -> _Layout:
+    def _layout(self, dtype: np.dtype, frame_shape: tuple, form: Optional[str]) -> _Layout:
         out_shape = self.out_frame_shape(frame_shape)
-        form = self.cache_elements(frame_shape)["chosen"]
+        form = form or self.cache_elements(frame_shape)["chosen"]
         m = self.k_t - 1
         w_cat, bias = self._w[dtype]
         taps = w_cat.reshape(self.c_out, self.k_t, -1)[:, ::-1].swapaxes(0, 1)  # newest first
@@ -272,7 +291,11 @@ class TemporalConv(CoModule):
         self._layouts[(dtype, frame_shape)] = lay
         return lay
 
-    def _step(self, state: _ConvState, xa: np.ndarray) -> Optional[np.ndarray]:
+    def _step(self, state: _ConvState, xa: np.ndarray,
+              lagged: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+        """One frame in, the emission it completes out (``None`` if none).
+        ``lagged``, ``post`` only, is a (c_out, H'*W') term added to the
+        emission ``delay()`` steps later, the one aligned with this frame."""
         lay = self._layouts[xa.dtype, xa.shape]
         m, d = self.k_t - 1, self.dilation
         ring = state.ring
@@ -295,6 +318,8 @@ class TemporalConv(CoModule):
                     y += lay.plan[p] @ (sub if lay.ring_cols is None
                                         else sub.take(lay.ring_cols))
                 sub[p * c:p * c + c] = x
+            if y is not None:
+                y += lay.bias
         else:
             c = self.c_out
             sub = ring if d == 1 else ring[t % d * m * c:(t % d * m + m) * c]
@@ -302,12 +327,24 @@ class TemporalConv(CoModule):
             slot = sub[p * c:p * c + c]
             if emits:
                 y = lay.w_new @ x + slot
-            slot[...] = 0
+            # the freed slot starts the emission rf - 1 steps later at the
+            # bias, and at bias + lagged when that emission is the aligned one
+            lag = self._delay
+            if lagged is None:
+                slot[...] = lay.bias
+            elif lag == m * d:
+                np.add(lagged, lay.bias, out=slot)
+            else:
+                slot[...] = lay.bias
+                if lag:  # padded: into the aligned emission's pending slot
+                    s = t + lag
+                    r = (s % d * m + s // d % m) * c
+                    ring[r:r + c] += lagged
+                else:
+                    y += lagged
             sub += lay.plan[p] @ x
-        if y is not None:
-            y += lay.bias
-            if xa.ndim == 3:
-                y = y.reshape(lay.out_shape)
+        if y is not None and xa.ndim == 3:
+            y = y.reshape(lay.out_shape)
         return y
 
     # -- analytic cost ---------------------------------------------------------------

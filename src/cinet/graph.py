@@ -7,9 +7,15 @@ land on the aligned time-step, and ReLU:
     out_t = ReLU( Delay(Res(x_t)) + BN(CoTC(GC(x_t))) )
 
 The block steps on ``(C, V)`` frames: its 1x1 temporal conv takes them as
-they are, with no unit spatial axis.  A stream keeps the conv's ring and,
-under a shortcut, a ring of the inputs awaiting their residual, both made
-when the stream binds (``cinet.module.Stream``).
+they are, with no unit spatial axis.  A stream keeps the conv's ring, made
+when the stream binds (``cinet.module.Stream``).  The shortcut is linear,
+so ``Delay`` needs no ring of its own at stride 1: the conv runs its
+transposed (``post``) arrangement, whose ring holds one partial sum per
+pending emission, and each input's shortcut is added into the slot of the
+emission aligned with it as the input arrives (``TemporalConv._step``'s
+lagged term).  Only a strided block, whose conv runs ``pre`` and skips the
+frames that emit nothing, keeps the residual ring of ``tc.delay()`` inputs
+awaiting their shortcut.
 
 Inference batch normalization is a fixed affine map per channel, so the
 block folds it into the temporal convolution's taps and bias when it is
@@ -147,8 +153,8 @@ class _BlockState:
 
     def __init__(self, tc_state, res):
         self.tc = tc_state
-        # (res_delay, c_in, v) ring of the inputs awaiting their residual, or
-        # None if none waits; the conv's step t owns slot t mod res_delay
+        # a strided block's (res_delay, c_in, v) ring of the inputs awaiting
+        # their residual, or None; the conv's step t owns slot t mod res_delay
         self.res = res
 
 
@@ -182,9 +188,15 @@ class StGcnBlock(CoModule):
         self.res_delay = tc.delay()  # the residual lands on the aligned step
         self._frame = (self.c_in, graph.v)
         self._frame_out = (self.c_out, graph.v)
+        # at stride 1 the conv's post ring holds a slot per pending emission,
+        # so each input's shortcut starts the aligned one's slot and no input
+        # waits; a strided conv runs pre and the inputs wait in a ring
+        self._lagged = (self.shortcut is not None and tc.stride() == 1
+                        and tc.receptive_field() > 1)
         # the residual ring's shape, or () when no input waits for a shortcut
         self._res_shape = ((self.res_delay,) + self._frame
-                           if self.shortcut is not None and self.res_delay else ())
+                           if self.shortcut is not None and self.res_delay
+                           and not self._lagged else ())
         self._w = per_dtype(lambda dt: _stacked(graph, self.w_gc, dt))  # (A_cat, W)
 
     def delay(self) -> int:
@@ -202,10 +214,16 @@ class StGcnBlock(CoModule):
         return self._frame_out
 
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> _BlockState:
-        return _BlockState(self.tc._state(self._frame_out, dtype),
+        return _BlockState(self.tc._state(self._frame_out, dtype,
+                                          "post" if self._lagged else None),
                            np.zeros(self._res_shape, dtype) if self._res_shape else None)
 
     def _step(self, state: _BlockState, xa: np.ndarray) -> Optional[np.ndarray]:
+        if self._lagged:
+            # the shortcut rides in the conv's ring to the aligned emission
+            y = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype]),
+                              self.shortcut._apply(xa, 0))
+            return y if y is None else np.maximum(y, 0, out=y)
         t = state.tc.t  # modulo res_delay, the slot of the residual ring
         y = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype]))
         res = state.res

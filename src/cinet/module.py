@@ -34,11 +34,12 @@ stateless one (a ``PerFrame`` layer) returns ``None``.  The stream's first
 frame binds it (``Stream.bind``): the root checks that every stage can take
 the frame (``out_frame_shape``), then every layer builds its whole state,
 ``_state(frame_shape, dtype)``, containers along ``out_frame_shape``.  So
-every array a stream keeps is zero-initialised there, in its final shape:
-rings of a fixed number of slots whose cursor is a step or emission count,
-which never grow.  A later frame of another shape or dtype is refused
-before any layer runs, so no kernel allocates state or checks drift, and a
-refused frame changes no state.
+every array a stream keeps is made there, in its final shape, and
+zero-initialised but for a ``post`` conv ring, whose partial sums start at
+the conv's bias: rings of a fixed number of slots whose cursor is a step or
+emission count, which never grow.  A later frame of another shape or dtype
+is refused before any layer runs, so no kernel allocates state or checks
+drift, and a refused frame changes no state.
 
 A layer arranges its weights at construction, with ``per_dtype``, in the
 form its kernel needs and in both stream dtypes; a kernel looks them up by

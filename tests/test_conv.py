@@ -463,6 +463,29 @@ def test_post_form_matches_loop_oracle_at_every_ring_phase(k_t, dil, pad, spatia
     _check_every_sub_ring_phase("post", k_t, dil, pad, 1, spatial, dtype, tol)
 
 
+@pytest.mark.parametrize("dtype,tol", [("f32", 1e-5), ("f64", 1e-12)])
+@pytest.mark.parametrize("k_t,dil", [(2, 1), (3, 2), (4, 3), (9, 1)])
+def test_post_lagged_term_lands_on_its_aligned_emission(k_t, dil, dtype, tol):
+    # a term handed in with frame j joins emission j, delay() steps later: it
+    # starts the freed slot (padding 0), joins a pending one, or goes straight
+    # into the emission (delay 0); the padded emissions that read slots never
+    # freed find the bias there
+    rng = np.random.default_rng(26 + k_t + dil)
+    rf = (k_t - 1) * dil + 1
+    for pad in range(rf):
+        conv = make_conv(rng, c_out=4, k=(k_t, 1, 1), dilation=dil, padding=pad)
+        assert conv.cache_elements((2, 6))["chosen"] == "pre"
+        x = rand_tensor(rng, (4 * rf + 5, 2, 6), dtype=dtype).array
+        z = rand_tensor(rng, (len(x), 4, 6), dtype=dtype).array
+        state = conv._state((2, 6), x.dtype, "post")  # the form a block asks for
+        outs = [y for t in range(len(x)) if (y := conv._step(state, x[t], z[t])) is not None]
+        want = conv._clip(x) + z[:len(outs)]
+        assert len(outs) == len(want) == len(x) - conv.delay()
+        assert max_rel_dev(np.stack(outs), want) < tol
+        with pytest.raises(ValueError):  # one conv steps one frame shape one way
+            conv._state((2, 6), x.dtype, "pre")
+
+
 # the stack of the AC9 throughput gate in test_acceptance.py
 K8_STACK = {"name": "k8_stack", "dtype": "f32", "input": {"shape": [8, 12, 12]},
             "layers": [
@@ -476,7 +499,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 @pytest.mark.parametrize("name,forms", [
     ("conv_stack", ["post", "pre"]),
-    ("toy_costgcn", ["pre"] * 4),
+    ("toy_costgcn", ["post"] * 4),
     ("k8_stack", ["post", "pre"]),
 ])
 def test_bundled_traffic_keeps_its_step_arrangements(name, forms):

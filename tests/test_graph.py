@@ -138,16 +138,30 @@ def test_block_offline_equals_steps():
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("residual,c_in", [("none", 4), ("identity", 5), ("pointwise", 3)])
 def test_block_clip_equals_steps_strided(residual, c_in, stride, dtype, tol):
+    # at stride 1 with a ring and a shortcut, the conv runs post and each
+    # shortcut starts its emission's slot, so the block keeps no residual
+    # ring; a strided block runs pre beside its ring, k_t = 1 keeps no ring
     rng = np.random.default_rng(10 + stride)
-    for padding in (0, 2):
-        blk = make_block(rng, v=7, c_in=c_in, c_out=5, k_t=3, stride=stride,
-                         padding=padding, residual=residual)
-        x = rand_tensor(rng, (23, c_in, 7), dtype=dtype)
-        offline = blk.forward(x)
-        online = blk.forward_steps(blk.init_state(), x)
-        assert offline.shape == online.shape == (blk.out_len(23), 5, 7)
-        assert offline.array.dtype == x.array.dtype
-        assert max_rel_dev(online.array, offline.array) < tol
+    for k_t, dilation in ((1, 1), (3, 1), (3, 2), (9, 1), (9, 2)):
+        rf = (k_t - 1) * dilation + 1
+        for padding in sorted({0, min(1, rf - 1), rf - 1}):  # rf - 1: delay 0
+            blk = make_block(rng, v=7, c_in=c_in, c_out=5, k_t=k_t, stride=stride,
+                             padding=padding, dilation=dilation, residual=residual)
+            length = 2 * rf + 21
+            x = rand_tensor(rng, (length, c_in, 7), dtype=dtype)
+            offline = blk.forward(x)
+            state = blk.init_state()
+            online = blk.forward_steps(state, x)
+            assert offline.shape == online.shape == (blk.out_len(length), 5, 7)
+            assert offline.array.dtype == x.array.dtype
+            assert max_rel_dev(online.array, offline.array) < tol
+            lagged = stride == 1 and rf > 1 and residual != "none"
+            waits = stride > 1 and residual != "none" and blk.delay() > 0
+            assert (state.res is None) == (not waits)
+            assert [lay.form for lay in blk.tc._layouts.values()] == [
+                "post" if lagged else "pre"]
+            if waits:
+                assert state.res.shape == (blk.delay(), c_in, 7)
 
 
 @pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])

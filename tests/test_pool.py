@@ -104,14 +104,19 @@ def test_max_clip_bit_identical_to_sliding_max(window, dtype):
 @pytest.mark.parametrize("window", [1, 2, 3, 5, 8, 9, 268])
 def test_clip_emission_bits_do_not_depend_on_the_clip(window, kind, dtype):
     # an output folds the same doubling spans of its own frames wherever it
-    # falls, so a clip that starts q frames later or ends sooner gives its bits
+    # falls, so a clip that starts q frames later or ends sooner gives its bits;
+    # with padding, the windows compared lie wholly on real frames
     x = rand_tensor(np.random.default_rng(50 + window), (3 * window + 20, 2, 3), dtype).array
-    pool = TemporalPool(kind, window)
-    whole = pool._clip(x)
-    for q in (1, 7, window + 3):
-        for length in (window, window + 5, 2 * window + 11):
-            part = pool._clip(x[q:q + length])
-            assert len(part) > 0 and np.array_equal(part, whole[q:q + len(part)])
+    paddings = sorted({p for p in (0, 1, window // 2, window - 1) if p < window}
+                      if kind == "avg" else {0})
+    for pad in paddings:
+        pool = TemporalPool(kind, window, pad)
+        whole = pool._clip(x)
+        for q in (1, 7, window + 3):
+            for length in (window, window + 5, 2 * window + 11):
+                part = pool._clip(x[q:q + length])
+                assert len(part) > pad
+                assert np.array_equal(part[pad:], whole[q + pad:q + len(part)])
 
 
 def test_clip_nonfinite_frame_poisons_exactly_its_windows():

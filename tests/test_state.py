@@ -113,7 +113,7 @@ def test_state_footprint_fixed_from_first_emission(make):
 
 
 STEADY_BYTES = {"conv_stack": 2304, "encoder_one_block": 4096, "encoder_two_block": 4864,
-                "toy_costgcn": 102760}
+                "toy_costgcn": 61960}
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
