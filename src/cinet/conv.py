@@ -8,52 +8,58 @@ padding would require peeking into the future and is never applied.  A
 frame is ``(C, H, W)``, or ``(C, N)`` for a 1x1 kernel, which emits ``(c_out,
 N)``: the skeleton block's nodes need no made-up unit axis.
 
-Two step-mode arrangements are provided.  Each keeps its stream state in one
-2-D ring of ``rf - 1`` slots (``rf`` the receptive field), made when the
-stream binds (``cinet.module.Stream``), so it never grows or reallocates.
-Slot ``s`` is the ``R`` rows from ``s*R`` on of a ``((rf-1)*R, H*W)``
-matrix: a frame read as ``(R, H*W)`` enters by one row-slice write, and the
-products read the ring in place.  Both read the ring with one
-geometry: ``d = dilation`` contiguous sub-rings of ``m = k_t - 1`` slots,
-step ``t`` owning slot ``(t // d) mod m`` of sub-ring ``t mod d``.  The
-frames of one window are ``d`` steps apart, so they and the sums they feed
-share a sub-ring, which then works as an undilated ring of ``m`` slots at
-phase ``p = (t // d) mod m``:
+Step mode runs the transposed form of the filter, CoX3D's cache of
+intermediary partial sums: each frame's taps go into the emissions they
+feed as it arrives, so the stream keeps partial sums, never frames.  They
+live in one 2-D ring made when the stream binds (``cinet.module.Stream``),
+so it never grows or reallocates: slot ``i``, one pending emission, is the
+``c_out`` rows from ``i*c_out`` on of a ``(slots*c_out, H'*W')`` matrix, and
+every slot starts at the bias (the ring is filled with it, for the first
+emissions of a padded conv read slots that no emission freed).
 
-- ``pre``  (direct form): the ring holds the previous raw input frames,
-  ``R = C``.  An emission is two matrix products: the newest tap on the
-  newest frame, and the older taps on the sub-ring read in place in slot
-  order.  The ring starts at zero: unwritten slots are the virtual frames
-  before the stream.  The bias is added to each emission.
-- ``post`` (transposed form): the ring holds partial sums, ``R = c_out``,
-  one slot per pending emission, and a slot starts at the bias (the ring is
-  filled with it, for the first emissions of a padded conv read slots never
-  freed).  An emission adds the newest tap's product to its slot; the slot
-  starts over at the bias, and one matrix product of the older taps on the
-  arriving frame adds to every slot of the sub-ring, the oldest tap starting
-  the emission ``rf - 1`` steps later in the slot just freed.  A step may
-  hand in a lagged term, which joins the emission ``delay()`` steps later,
-  the one aligned with its frame: it starts the freed slot with the bias
-  when unpadded, joins that emission's pending slot when padded, and goes
-  straight into the emission at delay 0.  A block adds its shortcut so,
-  with no ring of inputs awaiting it (``cinet.graph``).
+The ring's geometry is polyphase.  With ``m = k_t - 1``, ``d`` the dilation
+and ``s`` the stride, emission ``j`` completes at step ``d0 + j*s``, ``d0 =
+delay() mod s`` (those before ``delay()`` would read more zero frames than
+the padding gives, and are dropped).  At most ``ceil(m*d/s)`` are pending at
+once.  They sit in ``dp = d / gcd(d, s)`` sub-rings of ``mp =
+ceil(ceil(m*d/s) / dp)`` slots, emission ``j`` in slot ``(j // dp) mod mp``
+of sub-ring ``j mod dp``.  With ``t - d0 = q*s + r``, ``0 <= r < s``, tap
+``k`` of step ``t``'s frame feeds emission ``q + (r + k*d)/s`` when ``s``
+divides ``r + k*d``: the taps a frame feeds are ``s / gcd(d, s)`` apart, so
+the emissions they feed are consecutive slots of one sub-ring, and a frame
+spends MACs only on emissions that read it.  At ``s = 1`` these are ``d``
+sub-rings of ``m`` slots, each an undilated ring of the frames ``d`` steps
+apart.
 
-In both, phase ``p`` takes the older taps rotated by ``p``, a view of one
-table that holds them twice over, so the weights of every phase cost twice
-the taps' bytes.  ``post`` is taken when it caches fewer elements and the
-stride is 1, ``pre`` otherwise: ``pre`` computes on emitting steps only,
-while ``post`` convolves every frame.  A caller may ask ``_state`` for
-``post`` instead, as a block with a lagged shortcut does.
+The geometry repeats every ``s * dp * mp`` steps, and the layout holds one
+entry of the schedule per step phase:
+
+- the row of the slot the step's emission completes in, if one does: the
+  emission is the newest tap's product plus that slot, and the slot starts
+  over at the bias for the emission ``dp * mp`` later;
+- the products of the frame's older taps, each added to a range of rows.  A
+  phase that feeds the whole sub-ring takes one product with its taps
+  rotated to the sub-ring's slot order, a view of a table that holds them
+  twice over.  A phase that feeds fewer slots takes the table's first half,
+  split once where the sub-ring wraps.  No product pads with zero weights:
+  ``0 * NaN`` would carry a non-finite frame into emissions whose window
+  lacks it;
+- the row of the emission aligned with the frame, ``delay()`` steps later,
+  for a lagged term.  A step with ``t mod s == 0`` may hand one in: it starts
+  the freed slot with the bias when the aligned emission takes that slot,
+  joins the aligned emission's pending slot otherwise, and goes straight
+  into the emission at delay 0.  A block adds its shortcut so, with no ring
+  of inputs awaiting it (``cinet.graph``).
 
 The layer arranges its weights once, in both stream dtypes at construction:
 the clip product's oldest-first matrix, with the bias.  The step path's
 layout takes its taps from that matrix and depends on the frame shape too,
 so it is made when the first stream of each dtype and frame shape binds,
-and kept on the module.  A spatial kernel is unfolded (im2col) through
-gather indices built at the same time; a 1x1 kernel needs no unfolding, so
-each product reads its frames, and a ``pre`` sub-ring, in place.
+and kept on the module.  A spatial kernel unfolds each frame once (im2col)
+through a gather index built at the same time; a 1x1 kernel's products read
+the frame in place.
 
-Both emit on exactly the same schedule and differ only in summation order.
+Step and clip mode emit on one schedule and differ only in summation order.
 
 Clip mode keeps the clip in its own ``(T, C, ...)`` layout, a ``(T, C, N)``
 clip read as ``(T, C, N, 1)``: each frame is unfolded once (im2col) into a
@@ -79,48 +85,45 @@ from .module import CoModule, OpCount, per_dtype
 from .tensor import Tensor
 
 
-def _unfold_index(frames: int, frame_shape: tuple, kh: int, kw: int) -> np.ndarray:
-    """Gather index that unfolds ``frames`` stacked (C, H, W) frames into
-    im2col columns: row (frame, c, a, b), column (i, j) picks element
-    ``[frame, c, i + a, j + b]`` of the flattened stack."""
+def _unfold_index(frame_shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """Gather index that unfolds a (C, H, W) frame into im2col columns: row
+    (c, a, b), column (i, j) picks element ``[c, i + a, j + b]`` of the
+    flattened frame."""
     c, h, w = frame_shape
-    flat = np.arange(frames * c * h * w).reshape(frames * c, h, w)
+    flat = np.arange(c * h * w).reshape(c, h, w)
     win = np.lib.stride_tricks.sliding_window_view(flat, (kh, kw), axis=(1, 2))
-    return win.transpose(0, 3, 4, 1, 2).reshape(frames * c * kh * kw, -1)
+    return win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, -1)
 
 
 class _Layout(NamedTuple):
     """What the step path needs for one frame dtype and shape, made once.
 
-    ``w_new`` is the newest tap's (c_out, C*KH*KW) weights.  ``plan[p]`` is
-    the older taps' weights at sub-ring phase ``p``, one entry per phase
-    (none when k_t = 1): for ``pre`` a (c_out, (k_t-1)*C*KH*KW) matrix over
-    the sub-ring's frames in slot order, for ``post`` a ((k_t-1)*c_out,
-    C*KH*KW) matrix whose block ``s`` is the tap that sub-ring slot ``s``
-    collects.  ``cols`` unfolds one frame into im2col columns and
-    ``ring_cols`` the k_t-1 frames of a ``pre`` sub-ring; both are ``None``
-    for 1x1 kernels.  ``bias`` is (c_out, 1), added to a ``pre`` emission's
-    (c_out, H'*W') columns and the start of every ``post`` slot.
+    ``w_new`` is the newest tap's (c_out, C*KH*KW) weights and ``bias`` the
+    (c_out, 1) bias.  ``plan[t mod len(plan)]`` is step ``t``'s ``(out,
+    adds, lag)``: the row of the slot its emission completes in (``None``
+    when none does), the ``(lo, hi, w)`` products ``ring[lo:hi] += w @ x``
+    of its frame's older taps, and the row of the emission aligned with the
+    frame, for a lagged term (``None`` at delay 0 and when ``t mod stride``
+    is not 0).  ``cols`` unfolds one frame into im2col columns, ``None``
+    for 1x1 kernels.
     """
 
-    form: str
     out_shape: tuple
     ring_shape: tuple
     w_new: np.ndarray
     plan: list
     bias: np.ndarray
     cols: Optional[np.ndarray]
-    ring_cols: Optional[np.ndarray]
 
 
 class _ConvState:
     __slots__ = ("ring", "t")
 
     def __init__(self, ring):
-        # pre: ((rf-1)*C, H*W) raw frames, post: ((rf-1)*O, H'*W') partial sums,
-        # slot s from row s*C (s*O); read as dilation sub-rings of k_t-1 slots
+        # (dp*mp*c_out, H'*W') partial sums, slot i from row i*c_out on:
+        # dp sub-rings of mp slots, one slot per pending emission
         self.ring = ring
-        self.t = 0  # steps consumed; it places step t's slot in the ring
+        self.t = 0  # steps consumed; it places step t in the schedule
 
 
 class TemporalConv(CoModule):
@@ -197,15 +200,6 @@ class TemporalConv(CoModule):
             raise DimensionError(f"kernel ({self.k_h},{self.k_w}) larger than frame ({h},{w})")
         return (self.c_out, h - self.k_h + 1, w - self.k_w + 1)
 
-    def cache_elements(self, frame_shape: tuple) -> dict:
-        """Cache sizes of both arrangements and the one the step path takes:
-        ``post`` if it caches fewer elements and the stride is 1, else ``pre``
-        (a strided ``post`` would convolve the frames ``pre`` skips)."""
-        pre = (self._rf - 1) * math.prod(frame_shape)
-        post = (self._rf - 1) * math.prod(self.out_frame_shape(frame_shape))
-        post_wins = post < pre and self.temporal_stride == 1
-        return {"pre": pre, "post": post, "chosen": "post" if post_wins else "pre"}
-
     # -- clip mode --------------------------------------------------------------
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
@@ -245,104 +239,98 @@ class TemporalConv(CoModule):
 
     # -- step mode ----------------------------------------------------------------
 
-    def _state(self, frame_shape: tuple, dtype: np.dtype,
-               form: Optional[str] = None) -> _ConvState:
-        """A stream's ring, in the arrangement ``cache_elements`` chooses or,
-        when given, in ``form``; the layout it makes is kept for every later
-        stream of this dtype and frame shape, which must take the same form."""
-        lay = self._layouts.get((dtype, frame_shape))
-        if lay is None:
-            lay = self._layout(dtype, frame_shape, form)
-        elif form not in (None, lay.form):
-            raise ValueError(f"conv steps {frame_shape} frames in {lay.form}, not {form}")
-        if lay.form == "pre":
-            return _ConvState(np.zeros(lay.ring_shape, dtype))
+    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _ConvState:
+        """A stream's ring; the layout it makes is kept for every later
+        stream of this dtype and frame shape."""
+        lay = self._layouts.get((dtype, frame_shape)) or self._layout(dtype, frame_shape)
         ring = np.empty(lay.ring_shape, dtype)  # every pending emission starts at the bias
-        ring.reshape(self._rf - 1, self.c_out, -1)[...] = lay.bias
+        ring.reshape(-1, self.c_out, ring.shape[1])[...] = lay.bias
         return _ConvState(ring)
 
-    def _layout(self, dtype: np.dtype, frame_shape: tuple, form: Optional[str]) -> _Layout:
+    def _layout(self, dtype: np.dtype, frame_shape: tuple) -> _Layout:
         out_shape = self.out_frame_shape(frame_shape)
-        form = form or self.cache_elements(frame_shape)["chosen"]
-        m = self.k_t - 1
         w_cat, bias = self._w[dtype]
         taps = w_cat.reshape(self.c_out, self.k_t, -1)[:, ::-1].swapaxes(0, 1)  # newest first
-        # the tap each slot of a sub-ring pairs with at phase 0, taken mod m
-        # (0 is the oldest tap, m): pre slot s holds the frame tap -s reads,
-        # post slot s collects tap s's product.  Laid twice, the table holds
-        # phase p's taps from block (m - p) mod m on
-        order = [(-s if form == "pre" else s) % m or m for s in range(m)] * 2
-        slot = frame_shape if form == "pre" else out_shape
-        ring_shape = ((self._rf - 1) * slot[0], math.prod(slot[1:]))
-        ring_cols = None
-        if form == "pre":
-            table = np.ascontiguousarray(taps[order].transpose(1, 0, 2))
-            plan = [table[:, (m - p) % m:][:, :m].reshape(self.c_out, -1) for p in range(m)]
-            if m and (self.k_h > 1 or self.k_w > 1):
-                ring_cols = _unfold_index(m, frame_shape, self.k_h, self.k_w)
-        else:
-            table = taps[order]
-            plan = [table[(m - p) % m:][:m].reshape(-1, taps.shape[2]) for p in range(m)]
+        slots, plan = self._plan(taps)
         cols = None
         if self.k_h > 1 or self.k_w > 1:
-            cols = _unfold_index(1, frame_shape, self.k_h, self.k_w)
-        lay = _Layout(form, out_shape, ring_shape, taps[0].copy(), plan, bias[:, None], cols,
-                      ring_cols)
+            cols = _unfold_index(frame_shape, self.k_h, self.k_w)
+        lay = _Layout(out_shape, (slots * self.c_out, math.prod(out_shape[1:])),
+                      taps[0].copy(), plan, bias[:, None], cols)
         self._layouts[(dtype, frame_shape)] = lay
         return lay
+
+    def _plan(self, taps: np.ndarray) -> tuple:
+        """The ring's slot count and its schedule (``_Layout.plan``), from the
+        (k_t, c_out, C*KH*KW) taps, newest first."""
+        m, d, s, c = self.k_t - 1, self.dilation, self.temporal_stride, self.c_out
+        d0 = self._delay % s
+        dp = d // math.gcd(d, s)
+        pending = -(-m * d // s)  # ceil(m*d/s), the most emissions pending at once
+        mp = -(-pending // dp)
+
+        def row(j):  # the first row of emission j's slot
+            return (j % dp * mp + j // dp % mp) * c if mp else 0
+
+        tables = {}  # the taps of each phase that feeds any, laid twice
+        plan = []
+        for t in range(s * max(dp * mp, 1)):
+            q, r = divmod(t - d0, s)
+            ks = [k for k in range(1, m + 1) if (r + k * d) % s == 0]
+            adds = []
+            if ks:
+                n, j = len(ks), q + (r + ks[0] * d) // s  # tap ks[i] feeds j + i*dp
+                table = tables.get(tuple(ks))
+                if table is None:
+                    table = tables[tuple(ks)] = taps[ks * 2]
+                lo, p = j % dp * mp * c, j // dp % mp
+                if n == mp:  # the whole sub-ring: its slot p' takes tap ks[(p' - p) mod mp]
+                    adds.append((lo, lo + mp * c, table[(mp - p) % mp:][:mp].reshape(mp * c, -1)))
+                else:  # n slots from p on, split where the sub-ring wraps
+                    w = table[:n].reshape(n * c, -1)
+                    head = min(n, mp - p)
+                    adds.append((lo + p * c, lo + (p + head) * c, w[:head * c]))
+                    if head < n:
+                        adds.append((lo, lo + (n - head) * c, w[head * c:]))
+            lag = row((t + self._delay - d0) // s) if self._delay and t % s == 0 else None
+            plan.append((row(q) if r == 0 else None, adds, lag))
+        return dp * mp, plan
 
     def _step(self, state: _ConvState, xa: np.ndarray,
               lagged: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
         """One frame in, the emission it completes out (``None`` if none).
-        ``lagged``, ``post`` only, is a (c_out, H'*W') term added to the
-        emission ``delay()`` steps later, the one aligned with this frame."""
+        ``lagged``, handed in only on steps with ``t mod stride == 0``, is a
+        (c_out, H'*W') term added to the emission ``delay()`` steps later,
+        the one aligned with this frame."""
         lay = self._layouts[xa.dtype, xa.shape]
-        m, d = self.k_t - 1, self.dilation
-        ring = state.ring
         t = state.t
         state.t += 1
-        emits = t >= self._delay and (t - self._delay) % self.temporal_stride == 0
-        if lay.cols is not None and lay.form == "post":
+        out, adds, lag = lay.plan[t % len(lay.plan)]
+        if lay.cols is not None:
             x = xa.take(lay.cols)  # the frame's im2col columns
         else:
             x = xa if xa.ndim == 2 else xa.reshape(self.c_in, -1)  # (C, H*W) rows
+        ring, c = state.ring, self.c_out
         y = None
-        if lay.form == "pre":
-            if emits:
-                y = lay.w_new @ (x if lay.cols is None else xa.take(lay.cols))
-            if m:
-                c = self.c_in  # sub-ring slot s: rows s*c .. s*c + c
-                sub = ring if d == 1 else ring[t % d * m * c:(t % d * m + m) * c]
-                p = t // d % m
-                if emits:
-                    y += lay.plan[p] @ (sub if lay.ring_cols is None
-                                        else sub.take(lay.ring_cols))
-                sub[p * c:p * c + c] = x
-            if y is not None:
-                y += lay.bias
-        else:
-            c = self.c_out
-            sub = ring if d == 1 else ring[t % d * m * c:(t % d * m + m) * c]
-            p = t // d % m
-            slot = sub[p * c:p * c + c]
-            if emits:
+        if out is not None:
+            slot = ring[out:out + c] if self.k_t > 1 else lay.bias  # k_t = 1 keeps no ring
+            if t >= self._delay:
                 y = lay.w_new @ x + slot
-            # the freed slot starts the emission rf - 1 steps later at the
-            # bias, and at bias + lagged when that emission is the aligned one
-            lag = self._delay
-            if lagged is None:
-                slot[...] = lay.bias
-            elif lag == m * d:
+            # the freed slot starts its next emission at the bias, and at
+            # bias + lagged when that emission is the aligned one
+            if lag == out and lagged is not None:
                 np.add(lagged, lay.bias, out=slot)
-            else:
+            elif self.k_t > 1:
                 slot[...] = lay.bias
-                if lag:  # padded: into the aligned emission's pending slot
-                    s = t + lag
-                    r = (s % d * m + s // d % m) * c
-                    ring[r:r + c] += lagged
-                else:
-                    y += lagged
-            sub += lay.plan[p] @ x
+        if lagged is not None and lag != out:
+            if self._delay:  # into the aligned emission's pending slot
+                sub = ring[lag:lag + c]
+                sub += lagged
+            else:
+                y += lagged
+        for lo, hi, w in adds:
+            sub = ring[lo:hi]  # bound first: ring[lo:hi] += would also copy it back
+            sub += w @ x
         if y is not None and xa.ndim == 3:
             y = y.reshape(lay.out_shape)
         return y

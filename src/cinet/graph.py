@@ -7,15 +7,15 @@ land on the aligned time-step, and ReLU:
     out_t = ReLU( Delay(Res(x_t)) + BN(CoTC(GC(x_t))) )
 
 The block steps on ``(C, V)`` frames: its 1x1 temporal conv takes them as
-they are, with no unit spatial axis.  A stream keeps the conv's ring, made
-when the stream binds (``cinet.module.Stream``).  The shortcut is linear,
-so ``Delay`` needs no ring of its own at stride 1: the conv runs its
-transposed (``post``) arrangement, whose ring holds one partial sum per
-pending emission, and each input's shortcut is added into the slot of the
-emission aligned with it as the input arrives (``TemporalConv._step``'s
-lagged term).  Only a strided block, whose conv runs ``pre`` and skips the
-frames that emit nothing, keeps the residual ring of ``tc.delay()`` inputs
-awaiting their shortcut.
+they are, with no unit spatial axis.  A stream keeps the conv's ring alone,
+made when the stream binds (``cinet.module.Stream``).  The shortcut is
+linear, so ``Delay`` needs no ring of its own: the conv's ring holds one
+partial sum per pending emission, and an input's shortcut is added into
+the slot of the emission aligned with it as the input arrives
+(``TemporalConv._step``'s lagged term).  A strided block hands in only the
+inputs an emission aligns with, every ``stride``-th, so its shortcut
+projects no frame that no emission uses.  Every block's step is graph
+conv, temporal conv, ReLU.
 
 Inference batch normalization is a fixed affine map per channel, so the
 block folds it into the temporal convolution's taps and bias when it is
@@ -148,16 +148,6 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
     return Tensor.wrap(_gc(x_t.array, *_stacked(graph, w_gc, x_t.array.dtype)))
 
 
-class _BlockState:
-    __slots__ = ("tc", "res")
-
-    def __init__(self, tc_state, res):
-        self.tc = tc_state
-        # a strided block's (res_delay, c_in, v) ring of the inputs awaiting
-        # their residual, or None; the conv's step t owns slot t mod res_delay
-        self.res = res
-
-
 class StGcnBlock(CoModule):
     def __init__(self, graph: SkeletonGraph, w_gc: Sequence[Tensor],
                  tc: TemporalConv, bn: BatchNorm,
@@ -185,18 +175,8 @@ class StGcnBlock(CoModule):
         self.tc = tc.folded(bn)  # BN(TC(.)) as one conv
         self.shortcut = (Pointwise(res_weight) if residual == "pointwise"
                          else Identity() if residual == "identity" else None)
-        self.res_delay = tc.delay()  # the residual lands on the aligned step
         self._frame = (self.c_in, graph.v)
         self._frame_out = (self.c_out, graph.v)
-        # at stride 1 the conv's post ring holds a slot per pending emission,
-        # so each input's shortcut starts the aligned one's slot and no input
-        # waits; a strided conv runs pre and the inputs wait in a ring
-        self._lagged = (self.shortcut is not None and tc.stride() == 1
-                        and tc.receptive_field() > 1)
-        # the residual ring's shape, or () when no input waits for a shortcut
-        self._res_shape = ((self.res_delay,) + self._frame
-                           if self.shortcut is not None and self.res_delay
-                           and not self._lagged else ())
         self._w = per_dtype(lambda dt: _stacked(graph, self.w_gc, dt))  # (A_cat, W)
 
     def delay(self) -> int:
@@ -213,31 +193,18 @@ class StGcnBlock(CoModule):
             raise DimensionError(f"frame {tuple(frame_shape)} != {self._frame}")
         return self._frame_out
 
-    def _state(self, frame_shape: tuple, dtype: np.dtype) -> _BlockState:
-        return _BlockState(self.tc._state(self._frame_out, dtype,
-                                          "post" if self._lagged else None),
-                           np.zeros(self._res_shape, dtype) if self._res_shape else None)
+    def _state(self, frame_shape: tuple, dtype: np.dtype):
+        return self.tc._state(self._frame_out, dtype)  # the block itself keeps nothing
 
-    def _step(self, state: _BlockState, xa: np.ndarray) -> Optional[np.ndarray]:
-        if self._lagged:
-            # the shortcut rides in the conv's ring to the aligned emission
-            y = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype]),
-                              self.shortcut._apply(xa, 0))
-            return y if y is None else np.maximum(y, 0, out=y)
-        t = state.tc.t  # modulo res_delay, the slot of the residual ring
-        y = self.tc._step(state.tc, _gc(xa, *self._w[xa.dtype]))
-        res = state.res
-        if y is not None:
-            # the conv's output is a fresh array that no state holds, so the
-            # residual add and the ReLU run in place on it
-            if self.shortcut is not None:
-                # the input res_delay steps back, held in this slot since; it is
-                # projected only here, so strides spend no work on skipped frames
-                y += self.shortcut._apply(xa if res is None else res[t % self.res_delay], 0)
-            np.maximum(y, 0, out=y)
-        if res is not None:
-            res[t % self.res_delay] = xa
-        return y
+    def _step(self, state, xa: np.ndarray) -> Optional[np.ndarray]:
+        # the shortcut of an input an emission aligns with rides in the
+        # conv's ring to that emission; the conv's output is a fresh array
+        # that no state holds, so the ReLU runs in place on it
+        lagged = None
+        if self.shortcut is not None and state.t % self.tc.temporal_stride == 0:
+            lagged = self.shortcut._apply(xa, 0)
+        y = self.tc._step(state, _gc(xa, *self._w[xa.dtype]), lagged)
+        return y if y is None else np.maximum(y, 0, out=y)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         if xa.ndim != 3:

@@ -35,7 +35,7 @@ frame binds it (``Stream.bind``): the root checks that every stage can take
 the frame (``out_frame_shape``), then every layer builds its whole state,
 ``_state(frame_shape, dtype)``, containers along ``out_frame_shape``.  So
 every array a stream keeps is made there, in its final shape, and
-zero-initialised but for a ``post`` conv ring, whose partial sums start at
+zero-initialised but for a conv's ring, whose partial sums all start at
 the conv's bias: rings of a fixed number of slots whose cursor is a step or
 emission count, which never grow.  A later frame of another shape or dtype
 is refused before any layer runs, so no kernel allocates state or checks

@@ -1,5 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# When a property test fails, hypothesis's pytest plugin imports
+# hypothesis.extra._patching to suggest a patch; that module imports libcst,
+# whose import of mypy_extensions.TypedDict raises a DeprecationWarning.
+# Under filterwarnings = ["error"] the warning aborts the whole session with
+# an INTERNALERROR.  Importing the module once here, with only that warning
+# ignored, lets a failing property report as one failed test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from cinet.conv import TemporalConv
 from cinet.tensor import Tensor

@@ -300,19 +300,22 @@ def test_cli_out_of_range_argument_exits_two(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+# two ST-GCN blocks, the second strided with a pointwise shortcut, and a head
+MINI_STGCN = {"name": "mini_stgcn", "dtype": "f32", "input": {"shape": [3, 25]},
+              "layers": [
+                  {"type": "stgcn_block", "v": 25, "partitions": 3, "c_in": 3,
+                   "c_out": 8, "tc_kernel": 9,
+                   "init": {"scheme": "uniform", "seed": 61, "lo": -0.3, "hi": 0.3}},
+                  {"type": "stgcn_block", "v": 25, "partitions": 3, "c_in": 8,
+                   "c_out": 8, "tc_kernel": 9, "tc_stride": 2,
+                   "init": {"scheme": "uniform", "seed": 62, "lo": -0.3, "hi": 0.3}},
+                  {"type": "head", "pool_window": 8, "classes": 6,
+                   "init": {"scheme": "uniform", "seed": 63}},
+              ]}
+
+
 def test_cli_check_on_graph_network(tmp_path):
-    cfg = {"name": "mini_stgcn", "dtype": "f32", "input": {"shape": [3, 25]},
-           "layers": [
-               {"type": "stgcn_block", "v": 25, "partitions": 3, "c_in": 3,
-                "c_out": 8, "tc_kernel": 9,
-                "init": {"scheme": "uniform", "seed": 61, "lo": -0.3, "hi": 0.3}},
-               {"type": "stgcn_block", "v": 25, "partitions": 3, "c_in": 8,
-                "c_out": 8, "tc_kernel": 9, "tc_stride": 2,
-                "init": {"scheme": "uniform", "seed": 62, "lo": -0.3, "hi": 0.3}},
-               {"type": "head", "pool_window": 8, "classes": 6,
-                "init": {"scheme": "uniform", "seed": 63}},
-           ]}
-    p = write_cfg(tmp_path, cfg)
+    p = write_cfg(tmp_path, MINI_STGCN)
     assert main(["check", "--model", str(p), "--length", "64", "--tol", "1e-4"]) == 0
 
 

@@ -1,13 +1,11 @@
 """Continual convolution: delay arithmetic, offline oracle, step equivalence."""
 
-import json
+import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cinet.config import build_model, random_stream
 from cinet.conv import TemporalConv
 from cinet.errors import DimensionError
 from cinet.tensor import Tensor
@@ -15,9 +13,11 @@ from cinet.tensor import Tensor
 from conftest import max_rel_dev, rand_tensor
 
 
-# c_out that makes a c_in = 2 conv pick each step arrangement on every frame
-# and kernel below: pre caches C*H*W elements per slot, post c_out*H'*W'
-C_OUT = {"pre": 6, "post": 1}
+# the two output widths of a c_in = 2 conv that the step tests run: c_out = 6,
+# whose partial sums take more room than the frames they sum would, and
+# c_out = 1, less.  The ids name the step arrangement each width took while
+# the conv had two, so the cases keep their names
+WIDTHS = pytest.mark.parametrize("c_out", [6, 1], ids=["pre", "post"])
 
 
 def make_conv(rng, c_in=2, c_out=3, k=(3, 2, 2), dilation=1, padding=0,
@@ -153,11 +153,11 @@ def test_clip_emission_bits_do_not_depend_on_the_clip(k_t, dil, stride, spatial,
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
-@pytest.mark.parametrize("form", ["pre", "post"])
+@WIDTHS
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("dil", [1, 2])
 @pytest.mark.parametrize("k_t", [1, 3, 9])
-def test_pointwise_conv_takes_node_frames_without_a_unit_axis(k_t, dil, stride, form, dtype):
+def test_pointwise_conv_takes_node_frames_without_a_unit_axis(k_t, dil, stride, c_out, dtype):
     # a 1x1 conv steps and clips (C, N) frames, with no made-up W = 1 axis,
     # to the same bits as (C, N, 1) frames, on a ring of the same shape
     rng = np.random.default_rng(200 + k_t + 10 * dil + 100 * stride)
@@ -165,13 +165,9 @@ def test_pointwise_conv_takes_node_frames_without_a_unit_axis(k_t, dil, stride, 
     x = rand_tensor(rng, (4 * rf + 5, 2, 7), dtype=dtype)
     unit = Tensor.wrap(x.array[..., None])
     for pad in (0, rf // 2):
-        conv = make_conv(rng, c_out=C_OUT[form], k=(k_t, 1, 1), dilation=dil, padding=pad,
+        conv = make_conv(rng, c_out=c_out, k=(k_t, 1, 1), dilation=dil, padding=pad,
                          stride=stride)
         assert conv.out_frame_shape((2, 7)) == (conv.c_out, 7)
-        assert conv.cache_elements((2, 7)) == conv.cache_elements((2, 7, 1))
-        # with no ring to keep, or strided, the conv runs pre
-        assert conv.cache_elements((2, 7))["chosen"] == (form if rf > 1 and stride == 1
-                                                         else "pre")
         clip = conv.forward(x).array
         assert clip.shape == (conv.out_len(x.shape[0]), conv.c_out, 7)
         assert np.array_equal(clip, conv.forward(unit).array[..., 0])
@@ -246,12 +242,11 @@ def test_delta_kernel_is_delayed_identity():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("form", ["pre", "post"])
-def test_steps_match_forward(seed, form):
+@WIDTHS
+def test_steps_match_forward(seed, c_out):
     rng = np.random.default_rng(seed)
-    conv = make_conv(rng, c_out=C_OUT[form], dilation=2, padding=1)
+    conv = make_conv(rng, c_out=c_out, dilation=2, padding=1)
     x = rand_tensor(rng, (14, 2, 4, 4))
-    assert conv.cache_elements((2, 4, 4))["chosen"] == form
     offline = conv.forward(x)
     online = conv.forward_steps(conv.init_state(), x)
     assert offline.shape == online.shape
@@ -299,34 +294,6 @@ def test_frame_shape_mismatch_raises():
         conv.forward_step(conv.init_state(), Tensor.zeros((3, 4, 4)))
 
 
-# -- cache accounting -----------------------------------------------------------
-
-
-def test_cache_elements_examples():
-    rng = np.random.default_rng(14)
-    up = make_conv(rng, c_in=4, c_out=16, k=(3, 1, 1))
-    got = up.cache_elements((4, 8, 8))
-    assert got == {"pre": 512, "post": 2048, "chosen": "pre"}
-    down = make_conv(rng, c_in=16, c_out=4, k=(3, 1, 1))
-    assert down.cache_elements((16, 8, 8))["chosen"] == "post"
-    tie = make_conv(rng, c_in=8, c_out=8, k=(3, 1, 1))
-    assert tie.cache_elements((8, 8, 8))["chosen"] == "pre"
-    # post would cache less, but it convolves every frame and pre only the
-    # frames that emit
-    strided = make_conv(rng, c_in=16, c_out=4, k=(3, 1, 1), stride=2)
-    assert strided.cache_elements((16, 8, 8)) == {"pre": 2048, "post": 512, "chosen": "pre"}
-
-
-def test_auto_form_resolves_to_smaller_cache():
-    rng = np.random.default_rng(15)
-    conv = make_conv(rng, c_in=16, c_out=4, k=(3, 1, 1))
-    state = conv.init_state()
-    conv.forward_step(state, rand_tensor(rng, (16, 2, 2)))
-    # post form: the ring's slots hold output-shaped partial sums, slot s
-    # the c_out rows from s * c_out on, of H'*W' columns each
-    assert state.ring.shape == ((conv.receptive_field() - 1) * conv.c_out, 2 * 2)
-
-
 # -- invariants -------------------------------------------------------------------
 
 
@@ -335,15 +302,14 @@ def test_alignment_law_and_fifo_bound():
     for k_t, dil, pad, dtype, tol in [
         (3, 1, 0, "f32", 1e-5), (4, 2, 3, "f32", 1e-5), (3, 2, 0, "f64", 1e-10),
     ]:
-        conv = make_conv(rng, c_out=C_OUT["pre"], k=(k_t, 2, 2), dilation=dil, padding=pad)
+        conv = make_conv(rng, c_out=6, k=(k_t, 2, 2), dilation=dil, padding=pad)
         x = rand_tensor(rng, (16, 2, 4, 4), dtype=dtype)
-        assert conv.cache_elements((2, 4, 4))["chosen"] == "pre"
         offline = conv.forward(x).array
         state = conv.init_state()
         ready = 0
         for t in range(16):
             out = conv.forward_step(state, Tensor.wrap(x.array[t]))
-            assert len(state.ring) <= (conv.receptive_field() - 1) * conv.c_in
+            assert len(state.ring) <= (conv.receptive_field() - 1) * conv.c_out
             if out is not None:
                 assert max_rel_dev(out.array, offline[ready]) < tol
                 ready += 1
@@ -352,8 +318,7 @@ def test_alignment_law_and_fifo_bound():
 
 def test_post_form_cache_bound():
     rng = np.random.default_rng(17)
-    conv = make_conv(rng, c_out=C_OUT["post"], k=(4, 1, 1), dilation=2)
-    assert conv.cache_elements((2, 2, 2))["chosen"] == "post"
+    conv = make_conv(rng, c_out=1, k=(4, 1, 1), dilation=2)
     state = conv.init_state()
     for t in range(20):
         conv.forward_step(state, rand_tensor(rng, (2, 2, 2)))
@@ -363,38 +328,42 @@ def test_post_form_cache_bound():
 # -- ring-buffer state ---------------------------------------------------------------
 
 
+def ring_slots(k_t, dil, stride):
+    """Slots of the polyphase ring: ``dp = dil / gcd(dil, stride)`` sub-rings
+    of ``ceil(ceil((k_t-1)*dil/stride) / dp)`` slots."""
+    pending = -(-(k_t - 1) * dil // stride)
+    dp = dil // math.gcd(dil, stride)
+    return dp * -(-pending // dp)
+
+
 @pytest.mark.parametrize("dtype,tol", [("f32", 1e-5), ("f64", 1e-12)])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("dil", [1, 2])
 @pytest.mark.parametrize("k_t", [1, 3, 9])
-@pytest.mark.parametrize("form", ["pre", "post"])
-def test_ring_steps_match_forward_and_never_reallocate(form, k_t, dil, stride, dtype, tol):
+@WIDTHS
+def test_ring_steps_match_forward_and_never_reallocate(c_out, k_t, dil, stride, dtype, tol):
     rng = np.random.default_rng(100 + k_t + 10 * dil + 100 * stride)
     rf = (k_t - 1) * dil + 1
     length = 5 * rf + 3  # the cursor wraps at least five times
     for pad in range(rf):
         for spatial in [(1, 1), (2, 3)]:
-            conv = make_conv(rng, c_out=C_OUT[form], k=(k_t,) + spatial, dilation=dil,
+            conv = make_conv(rng, c_out=c_out, k=(k_t,) + spatial, dilation=dil,
                              padding=pad, stride=stride, scale=0.3)
             x = rand_tensor(rng, (length, 2, 3, 4), dtype=dtype)
-            # with no ring to keep (rf = 1) the tie goes to pre, and a
-            # strided conv runs pre whatever it caches
-            want_form = form if rf > 1 and stride == 1 else "pre"
-            assert conv.cache_elements((2, 3, 4))["chosen"] == want_form
             offline = conv.forward(x).array
             state = conv.init_state()
-            # one 2-D matrix: (rf-1) slots of C input rows (pre) or of c_out
-            # partial-sum rows (post)
-            rows = (rf - 1) * (conv.c_in if want_form == "pre" else conv.c_out)
-            size = conv.cache_elements((2, 3, 4))[want_form]
+            # one 2-D matrix of c_out partial-sum rows per slot, (rf-1) slots
+            # at stride 1 (none at rf = 1)
+            rows = ring_slots(k_t, dil, stride) * c_out
+            assert stride > 1 or rows == (rf - 1) * c_out
+            cols = math.prod(conv.out_frame_shape((2, 3, 4))[1:])
             ring = None
             outs = []
             for t in range(length):
                 y = conv.forward_step(state, Tensor.wrap(x.array[t]))
                 if ring is None:
                     ring = state.ring
-                    assert ring.shape[0] == rows and ring.size == size and ring.ndim == 2
-                    assert ring.dtype == x.array.dtype
+                    assert ring.shape == (rows, cols) and ring.dtype == x.array.dtype
                 assert state.ring is ring and ring.shape[0] == rows
                 if y is not None:
                     assert y.dtype == dtype
@@ -403,51 +372,123 @@ def test_ring_steps_match_forward_and_never_reallocate(form, k_t, dil, stride, d
             assert max_rel_dev(np.stack(outs), offline) < tol
 
 
-def _check_every_sub_ring_phase(form, k_t, dil, pad, stride, spatial, dtype, tol):
+@pytest.mark.parametrize("k_t,dil,stride,slots", [
+    (9, 1, 1, 8), (3, 2, 1, 4),  # stride 1: rf - 1 slots, dil sub-rings of k_t - 1
+    (9, 1, 2, 4), (3, 2, 2, 2), (5, 1, 3, 2), (4, 2, 3, 2),
+    (4, 3, 2, 6),  # 3 sub-rings of 2 slots: ceil(9/2) = 5 pending, rounded up per sub-ring
+    (9, 3, 5, 6), (1, 2, 2, 0),
+])
+def test_ring_rows_are_the_polyphase_slots(k_t, dil, stride, slots):
+    assert ring_slots(k_t, dil, stride) == slots
+    for pad in (0, (k_t - 1) * dil):  # padding moves no slot
+        conv = make_conv(np.random.default_rng(18), c_out=3, k=(k_t, 1, 1), dilation=dil,
+                         padding=pad, stride=stride)
+        assert conv._state((2, 5), np.dtype(np.float32)).ring.shape == (slots * 3, 5)
+
+
+def _taps(conv, dtype):
+    """The conv's (k_t, c_out, C*KH*KW) step taps, newest first."""
+    return conv._w[dtype][0].reshape(conv.c_out, conv.k_t, -1)[:, ::-1].swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+def test_schedule_feeds_every_emission_exactly_its_older_taps(stride):
+    # walk the schedule over three periods as the ring sees it: a completing
+    # slot is read, then freed, then the frame's products land.  Every
+    # emission, real or dropped before delay(), must have collected tap k of
+    # the frame k*dil steps back, for each k >= 1 the stream reaches, once,
+    # and nothing else: no zero block and no tap of an emission that skips it
+    rng = np.random.default_rng(19 + stride)
+    dt = np.dtype(np.float64)
+    for k_t in range(1, 10):
+        for dil in (1, 2, 3):
+            rf = (k_t - 1) * dil + 1
+            for pad in sorted({0, rf // 2, rf - 1}):
+                conv = make_conv(rng, c_out=3, k=(k_t, 1, 1), dilation=dil, padding=pad,
+                                 stride=stride)
+                conv._state((2, 4), dt)
+                lay = conv._layouts[(dt, (2, 4))]
+                taps, c = _taps(conv, dt), conv.c_out
+                assert len(lay.plan) == stride * max(ring_slots(k_t, dil, stride), 1)
+                got = {r: [] for r in range(0, lay.ring_shape[0], c)}
+                completed = 0
+                for t in range(3 * len(lay.plan) + rf):
+                    out, adds, lag = lay.plan[t % len(lay.plan)]
+                    assert (out is not None) == ((t - conv.delay()) % stride == 0)
+                    if out is not None and k_t > 1:
+                        want = [(k, t - k * dil) for k in range(1, k_t) if t - k * dil >= 0]
+                        assert sorted(got[out]) == want, (k_t, dil, pad, t)
+                        got[out] = []
+                        completed += 1
+                    for lo, hi, w in adds:
+                        assert w.shape == (hi - lo, taps.shape[2])
+                        for i, r in enumerate(range(lo, hi, c)):
+                            (k,) = [k for k in range(1, k_t)
+                                    if np.array_equal(w[i * c:i * c + c], taps[k])]
+                            got[r].append((k, t))
+                    # the aligned emission's slot, for a step's lagged term
+                    if t % stride or not conv.delay():
+                        assert lag is None
+                    else:
+                        j = (t + conv.delay() - conv.delay() % stride) // stride
+                        assert lag == ring_row(j, k_t, dil, stride, c)
+                assert k_t == 1 or completed >= ring_slots(k_t, dil, stride)
+
+
+def ring_row(j, k_t, dil, stride, c):
+    """The first row of emission ``j``'s slot: slot ``(j // dp) mod mp`` of
+    sub-ring ``j mod dp``."""
+    dp = dil // math.gcd(dil, stride)
+    mp = ring_slots(k_t, dil, stride) // dp
+    return (j % dp * mp + j // dp % mp) * c
+
+
+def _check_every_sub_ring_phase(c_out, k_t, dil, pad, stride, spatial, dtype, tol):
     rng = np.random.default_rng(25)
-    conv = make_conv(rng, c_out=C_OUT[form], k=(k_t,) + spatial, dilation=dil,
+    conv = make_conv(rng, c_out=c_out, k=(k_t,) + spatial, dilation=dil,
                      padding=pad, stride=stride, scale=0.3)
     frame = (2, 5, 5)
-    assert conv.cache_elements(frame)["chosen"] == form
-    m, n = k_t - 1, conv.receptive_field() - 1
+    n = ring_slots(k_t, dil, stride)
     x = rand_tensor(rng, (3 * n * stride + 8,) + frame, dtype=dtype).array
     want = offline_oracle(x, conv.weights.array, conv.bias.array, dil, pad)[::stride]
     state = conv._state(frame, x.dtype)
-    outs, phases = [], set()
+    outs, slots = [], set()
     for t in range(len(x)):
         y = conv._step(state, x[t])
-        assert state.ring.shape[0] == n * (conv.c_in if form == "pre" else conv.c_out)
+        assert state.ring.shape[0] == n * conv.c_out
         if y is not None:
-            phases.add((t % dil, t // dil % m))  # (sub-ring, phase)
+            slots.add(ring_row(len(outs) + conv.delay() // stride, k_t, dil, stride, c_out))
             assert max_rel_dev(y, want[len(outs)]) < tol
             outs.append(y)
-    # the stride is prime to the ring size, so every sub-ring emitted at
-    # every phase
+    # the stride is prime to the slot count, so every slot of every sub-ring
+    # emitted
     assert len(outs) == len(want)
-    assert phases == {(r, p) for r in range(dil) for p in range(m)}
-    # one weight matrix per phase, each a view of one table of at most
-    # twice the taps' bytes, not a copy per phase nor a slot index
-    taps = m * conv.c_out * conv.c_in * spatial[0] * spatial[1] * x.itemsize
+    assert slots == {i * c_out for i in range(n)}
+    # each product's weights are a view of one table per set of taps a
+    # phase feeds, together at most twice the taps' bytes, not a copy per
+    # phase nor a zero-padded block
+    taps = (k_t - 1) * conv.c_out * conv.c_in * spatial[0] * spatial[1] * x.itemsize
     plan = conv._layouts[(x.dtype, frame)].plan
-    assert len(plan) == m
-    assert all(w.ndim == 2 and w.dtype == x.dtype for w in plan)
-    table = plan[0] if plan[0].base is None else plan[0].base
-    assert table.nbytes <= 2 * taps
-    assert all(np.shares_memory(w, table) for w in plan)
+    ws = [w for _, adds, _ in plan for _, _, w in adds]
+    assert all(w.ndim == 2 and w.dtype == x.dtype and w.base is not None for w in ws)
+    assert sum({id(w.base): w.base.nbytes for w in ws}.values()) <= 2 * taps
 
 
 @pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])
 @pytest.mark.parametrize("k_t,dil,pad,stride,spatial", [
-    (9, 1, 0, 1, (1, 1)),  # the skeleton block's conv: the ring read in place
-    (4, 1, 2, 2, (3, 3)),  # the ring unfolded through its own im2col index
-    (3, 2, 0, 1, (1, 1)),  # dilated: each sub-ring read in place
+    (9, 1, 0, 1, (1, 1)),  # the skeleton block's conv: frames read in place
+    (4, 1, 2, 2, (3, 3)),  # strided: two taps at one phase, one at the other
+    (3, 2, 0, 1, (1, 1)),  # dilated: two sub-rings
     (3, 2, 3, 3, (3, 3)),
     (3, 3, 1, 1, (1, 1)),
     (4, 3, 2, 5, (2, 2)),
 ])
 def test_pre_form_matches_loop_oracle_at_every_ring_phase(k_t, dil, pad, stride, spatial,
                                                            dtype, tol):
-    _check_every_sub_ring_phase("pre", k_t, dil, pad, stride, spatial, dtype, tol)
+    # "pre" names the wide-output cases (c_out 6 > c_in 2) that once stepped
+    # a ring of input frames, as the ``pre`` ids of ``WIDTHS`` do; they now
+    # step the polyphase post form, strided ones included
+    _check_every_sub_ring_phase(6, k_t, dil, pad, stride, spatial, dtype, tol)
 
 
 @pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])
@@ -460,70 +501,42 @@ def test_pre_form_matches_loop_oracle_at_every_ring_phase(k_t, dil, pad, stride,
     (4, 3, 2, (2, 2)),
 ])
 def test_post_form_matches_loop_oracle_at_every_ring_phase(k_t, dil, pad, spatial, dtype, tol):
-    _check_every_sub_ring_phase("post", k_t, dil, pad, 1, spatial, dtype, tol)
+    _check_every_sub_ring_phase(1, k_t, dil, pad, 1, spatial, dtype, tol)
 
 
 @pytest.mark.parametrize("dtype,tol", [("f32", 1e-5), ("f64", 1e-12)])
 @pytest.mark.parametrize("k_t,dil", [(2, 1), (3, 2), (4, 3), (9, 1)])
 def test_post_lagged_term_lands_on_its_aligned_emission(k_t, dil, dtype, tol):
-    # a term handed in with frame j joins emission j, delay() steps later: it
-    # starts the freed slot (padding 0), joins a pending one, or goes straight
-    # into the emission (delay 0); the padded emissions that read slots never
-    # freed find the bias there
+    # a term handed in with frame j*stride joins emission j, delay() steps
+    # later: it starts the freed slot (when that slot is the aligned
+    # emission's), joins a pending one, or goes straight into the emission
+    # (delay 0); the padded emissions that read slots never freed find the
+    # bias there
     rng = np.random.default_rng(26 + k_t + dil)
     rf = (k_t - 1) * dil + 1
-    for pad in range(rf):
-        conv = make_conv(rng, c_out=4, k=(k_t, 1, 1), dilation=dil, padding=pad)
-        assert conv.cache_elements((2, 6))["chosen"] == "pre"
-        x = rand_tensor(rng, (4 * rf + 5, 2, 6), dtype=dtype).array
-        z = rand_tensor(rng, (len(x), 4, 6), dtype=dtype).array
-        state = conv._state((2, 6), x.dtype, "post")  # the form a block asks for
-        outs = [y for t in range(len(x)) if (y := conv._step(state, x[t], z[t])) is not None]
-        want = conv._clip(x) + z[:len(outs)]
-        assert len(outs) == len(want) == len(x) - conv.delay()
-        assert max_rel_dev(np.stack(outs), want) < tol
-        with pytest.raises(ValueError):  # one conv steps one frame shape one way
-            conv._state((2, 6), x.dtype, "pre")
+    for stride in (1, 2, 3):
+        for pad in range(rf):
+            conv = make_conv(rng, c_out=4, k=(k_t, 1, 1), dilation=dil, padding=pad,
+                             stride=stride)
+            x = rand_tensor(rng, (4 * rf + 5, 2, 6), dtype=dtype).array
+            z = rand_tensor(rng, (len(x), 4, 6), dtype=dtype).array
+            state = conv._state((2, 6), x.dtype)
+            outs = [y for t in range(len(x))
+                    if (y := conv._step(state, x[t], None if t % stride else z[t])) is not None]
+            want = conv._clip(x) + z[::stride][:len(outs)]
+            assert len(outs) == len(want) == conv.out_len(len(x))
+            assert max_rel_dev(np.stack(outs), want) < tol
 
 
-# the stack of the AC9 throughput gate in test_acceptance.py
-K8_STACK = {"name": "k8_stack", "dtype": "f32", "input": {"shape": [8, 12, 12]},
-            "layers": [
-                {"type": "conv3d", "c_in": 8, "c_out": 8, "kernel": [8, 3, 3],
-                 "init": {"scheme": "uniform", "seed": 91}},
-                {"type": "conv3d", "c_in": 8, "c_out": 8, "kernel": [8, 1, 1],
-                 "init": {"scheme": "uniform", "seed": 92}},
-            ]}
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-
-@pytest.mark.parametrize("name,forms", [
-    ("conv_stack", ["post", "pre"]),
-    ("toy_costgcn", ["post"] * 4),
-    ("k8_stack", ["post", "pre"]),
-])
-def test_bundled_traffic_keeps_its_step_arrangements(name, forms):
-    # the arrangement each conv of the benchmarked and gated models takes on
-    # its stream, so a change of the choosing rule shows here
-    cfg = K8_STACK if name == "k8_stack" else json.loads((CONFIG_DIR / f"{name}.json").read_text())
-    model = build_model(cfg)
-    x = random_stream(0, 40, tuple(cfg["input"]["shape"]), cfg["dtype"])
-    model.forward_steps(model.init_state(), x)
-    convs = [c for m in model.modules for c in (m, getattr(m, "tc", None))
-             if isinstance(c, TemporalConv)]
-    assert [lay.form for c in convs for lay in c._layouts.values()] == forms
-
-
-@pytest.mark.parametrize("form", ["pre", "post"])
-def test_interleaved_dtypes_share_one_module(form):
+@WIDTHS
+def test_interleaved_dtypes_share_one_module(c_out):
     # the per-dtype weight layouts live on the module; two streams of
     # different dtypes stepped alternately must each match their own clip.
     # f64 weights, so an f64 stream served f32-rounded weights would drift
     rng = np.random.default_rng(21)
-    w = rand_tensor(rng, (C_OUT[form], 2, 3, 2, 2), dtype="f64")
-    b = rand_tensor(rng, (C_OUT[form],), dtype="f64")
+    w = rand_tensor(rng, (c_out, 2, 3, 2, 2), dtype="f64")
+    b = rand_tensor(rng, (c_out,), dtype="f64")
     conv = TemporalConv(w, b, dilation=2, padding=1)
-    assert conv.cache_elements((2, 4, 4))["chosen"] == form
     x32 = rand_tensor(rng, (30, 2, 4, 4), dtype="f32")
     x64 = rand_tensor(rng, (30, 2, 4, 4), dtype="f64")
     s32, s64 = conv.init_state(), conv.init_state()
@@ -548,21 +561,18 @@ def test_stream_rejects_frame_of_other_dtype():
     assert state.t == 1
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("k_t,dil,pad", [(3, 1, 0), (3, 2, 2), (4, 1, 3), (2, 3, 1)])
-@pytest.mark.parametrize("form", ["pre", "post"])
-def test_nan_frame_poisons_exactly_its_windows(form, k_t, dil, pad, stride):
+def _check_nan_locality(conv, frame, nan_steps):
+    """A NaN frame at each of ``nan_steps`` poisons exactly the step
+    emissions whose window holds it; the others match the loop oracle."""
     rng = np.random.default_rng(23)
-    conv = make_conv(rng, c_in=2, c_out=C_OUT[form], k=(k_t, 1, 1), dilation=dil,
-                     padding=pad, stride=stride)
-    assert conv.cache_elements((2, 2, 2))["chosen"] == (form if stride == 1 else "pre")
-    rf = conv.receptive_field()
-    length = 6 * rf
-    for s in (0, rf // 2, 2 * rf + 1):
-        x = rand_tensor(rng, (length, 2, 2, 2)).array.copy()
+    k_t, dil, stride = conv.k_t, conv.dilation, conv.temporal_stride
+    length = 6 * conv.receptive_field() + 2 * stride
+    for s in nan_steps:
+        x = rand_tensor(rng, (length,) + frame).array.copy()
         x[s] = np.nan
         out = conv.forward_steps(conv.init_state(), Tensor.wrap(x)).array
-        want = offline_oracle(x, conv.weights.array, conv.bias.array, dil, pad)[::stride]
+        want = offline_oracle(x, conv.weights.array, conv.bias.array, dil,
+                              conv.padding)[::stride]
         assert out.shape == want.shape
         for j in range(out.shape[0]):
             t_emit = conv.delay() + j * stride
@@ -572,6 +582,35 @@ def test_nan_frame_poisons_exactly_its_windows(form, k_t, dil, pad, stride):
             if not poisoned:
                 assert np.isfinite(out[j]).all()
                 assert np.allclose(out[j], want[j], rtol=1e-4, atol=1e-5)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k_t,dil,pad", [(3, 1, 0), (3, 2, 2), (4, 1, 3), (2, 3, 1)])
+@WIDTHS
+def test_nan_frame_poisons_exactly_its_windows(c_out, k_t, dil, pad, stride):
+    conv = make_conv(np.random.default_rng(23), c_in=2, c_out=c_out, k=(k_t, 1, 1),
+                     dilation=dil, padding=pad, stride=stride)
+    rf = conv.receptive_field()
+    _check_nan_locality(conv, (2, 2, 2), (0, rf // 2, 2 * rf + 1))
+
+
+@pytest.mark.parametrize("spatial", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("k_t,dil,pad,stride", [
+    (4, 1, 0, 2), (4, 1, 3, 2),  # phases feed 2 taps, then 1
+    (4, 2, 1, 2),  # one phase feeds all 3 older taps, the other none
+    (5, 1, 0, 3), (5, 1, 2, 3), (5, 2, 3, 3),  # 1, 1 and 2 taps
+    (8, 1, 2, 3),  # 2 taps into 3 slots: split where the sub-ring wraps
+])
+def test_nan_frame_poisons_exactly_its_windows_at_uneven_phases(k_t, dil, pad, stride,
+                                                                 spatial):
+    # the stride does not divide the taps evenly, so phases feed different
+    # numbers of slots, some split where the sub-ring wraps: a NaN frame at
+    # any phase must still reach only the emissions whose window holds it
+    conv = make_conv(np.random.default_rng(27), c_in=2, c_out=3, k=(k_t,) + spatial,
+                     dilation=dil, padding=pad, stride=stride)
+    # a NaN at every step of one schedule period, past the first window
+    period = stride * ring_slots(k_t, dil, stride)
+    _check_nan_locality(conv, (2, 3, 4), range(conv.receptive_field() + period))
 
 
 @pytest.mark.parametrize("spatial", [(1, 1), (2, 3)])

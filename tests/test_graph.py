@@ -7,7 +7,7 @@ import pytest
 
 import cinet.graph
 from cinet.config import build_model, load_config, random_stream
-from cinet.conv import TemporalConv
+from cinet.conv import TemporalConv, _ConvState
 from cinet.graph import GlobalAverageHead, SkeletonGraph, StGcnBlock, graph_conv
 from cinet.norm import BatchNorm
 from cinet.pool import TemporalPool
@@ -15,6 +15,7 @@ from cinet.containers import Sequential
 from cinet.tensor import Tensor
 
 from conftest import ConvThenBn, max_rel_dev, rand_tensor, unfolded
+from test_conv import ring_slots
 
 
 def identity_bn(c):
@@ -138,9 +139,9 @@ def test_block_offline_equals_steps():
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("residual,c_in", [("none", 4), ("identity", 5), ("pointwise", 3)])
 def test_block_clip_equals_steps_strided(residual, c_in, stride, dtype, tol):
-    # at stride 1 with a ring and a shortcut, the conv runs post and each
-    # shortcut starts its emission's slot, so the block keeps no residual
-    # ring; a strided block runs pre beside its ring, k_t = 1 keeps no ring
+    # at every stride each aligned input's shortcut starts or joins its
+    # emission's slot in the conv's ring, so the block's stream state is that
+    # ring alone: no ring of inputs awaiting their shortcut
     rng = np.random.default_rng(10 + stride)
     for k_t, dilation in ((1, 1), (3, 1), (3, 2), (9, 1), (9, 2)):
         rf = (k_t - 1) * dilation + 1
@@ -155,13 +156,41 @@ def test_block_clip_equals_steps_strided(residual, c_in, stride, dtype, tol):
             assert offline.shape == online.shape == (blk.out_len(length), 5, 7)
             assert offline.array.dtype == x.array.dtype
             assert max_rel_dev(online.array, offline.array) < tol
-            lagged = stride == 1 and rf > 1 and residual != "none"
-            waits = stride > 1 and residual != "none" and blk.delay() > 0
-            assert (state.res is None) == (not waits)
-            assert [lay.form for lay in blk.tc._layouts.values()] == [
-                "post" if lagged else "pre"]
-            if waits:
-                assert state.res.shape == (blk.delay(), c_in, 7)
+            assert type(state.layer) is _ConvState
+            assert state.ring.shape == (ring_slots(k_t, dilation, stride) * 5, 7)
+
+
+@pytest.mark.parametrize("k_t,padding", [(9, 0), (9, 4), (4, 1), (1, 0)])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_strided_pointwise_shortcut_projects_each_aligned_input_once(k_t, padding, stride):
+    # the shortcut runs only on the inputs an emission aligns with, every
+    # stride-th, so over a stream it projects one input per emission, plus
+    # the inputs whose emission is still pending
+    rng = np.random.default_rng(40 + stride)
+    blk = make_block(rng, v=7, c_in=3, c_out=5, k_t=k_t, stride=stride, padding=padding,
+                     residual="pointwise")
+    calls = []
+    apply = blk.shortcut._apply
+
+    def counted(xa, lead):
+        calls.append(xa)
+        return apply(xa, lead)
+
+    blk.shortcut._apply = counted
+    state = blk.init_state()
+    x = rand_tensor(rng, (5 * blk.receptive_field() + 7, 3, 7)).array
+    steps = []
+    for t in range(len(x)):
+        n = len(calls)
+        if blk.forward_step(state, Tensor.wrap(x[t])) is not None:
+            steps.append(t)
+        assert len(calls) - n == (t % stride == 0)
+    assert steps == [blk.delay() + j * stride for j in range(blk.out_len(len(x)))]
+    # every emission took one projection; the rest are of aligned inputs
+    # whose emission the stream has not reached
+    aligned = range(0, len(x), stride)
+    assert len(calls) == len(aligned)
+    assert sum(t + blk.delay() < len(x) for t in aligned) == len(steps)
 
 
 @pytest.mark.parametrize("dtype,tol", [("f32", 1e-6), ("f64", 1e-12)])

@@ -19,6 +19,7 @@ from cinet.tensor import Tensor
 
 from conftest import max_rel_dev, rand_tensor
 from test_attention import make_encoder
+from test_cli import MINI_STGCN
 from test_graph import make_block
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -127,6 +128,20 @@ def test_bundled_config_steady_state_bytes_are_pinned(path):
     assert reachable(state) == (STEADY_BYTES[path.stem], 0)
     model.forward_steps(state, Tensor.wrap(x.array[1:]))
     assert reachable(state) == (STEADY_BYTES[path.stem], 0)
+
+
+def test_strided_graph_stack_steady_state_bytes_are_pinned():
+    # its stride-1 block keeps 8 slots of (8, 25) f32 partial sums (6400
+    # bytes); the stride-2 block, with a pointwise shortcut, keeps only its
+    # conv's ring, ceil(8 / 2) = 4 such slots (3200); the head's pool keeps
+    # 7 f32 logit rows and an f64 sum (216)
+    model = build_model(MINI_STGCN)
+    x = random_stream(7, steps(model), (3, 25), "f32")
+    state = model.init_state()
+    model.forward_step(state, Tensor.wrap(x.array[0]))
+    assert reachable(state) == (6400 + 3200 + 216, 0)
+    model.forward_steps(state, Tensor.wrap(x.array[1:]))
+    assert reachable(state) == (6400 + 3200 + 216, 0)
 
 
 def test_a_first_frame_a_later_stage_cannot_take_is_refused_at_once():
