@@ -15,11 +15,18 @@ holds: the change won at least nine tenths of the pairs, and its
 median differs from the parent's, for the better, by more than the parent's
 quartile distance.  A run that fails or reports a failed output is shown
 and left out of the pairs.
+
+``--out PATH`` also writes the run as JSON: the workload, pair count,
+seconds and ``seed0``; per metric the summary above; the commit of each
+checkout (``null`` outside git, ``dirty`` when tracked files differ from
+it) and the environment of the machine.
 """
 
 import argparse
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -61,7 +68,7 @@ def summarise(pairs: list, better: dict) -> dict:
             "change_median": float(med_c), "change_iqr": float(c3 - c1),
             "ratio": med_c / med_p if med_p else math.nan,
             "wins": wins,
-            "rule": wins >= math.ceil(0.9 * len(both)) and gain > q3 - q1,
+            "rule": bool(wins >= math.ceil(0.9 * len(both)) and gain > q3 - q1),
         }
     return out
 
@@ -74,6 +81,38 @@ def format_table(summary: dict) -> str:
                     f"{s['change_median']:>12.6g} {s['change_iqr']:>10.4g} {s['ratio']:>7.4f} "
                     f"{s['wins']:>3}/{s['pairs']:<2}  {'holds' if s['rule'] else 'no'}")
     return "\n".join(rows)
+
+
+def record(workload: str, pairs: int, seconds: int, seed0: int, summary: dict,
+           checkouts: dict, environment: dict) -> dict:
+    """The JSON record of one ``ab_pairs`` run; ``pairs`` counts the pairs
+    that both sides completed."""
+    return {"workload": workload, "pairs": pairs, "seconds": seconds, "seed0": seed0,
+            "metrics": summary, "checkouts": checkouts, "environment": environment}
+
+
+def checkout_commit(checkout: Path) -> dict:
+    """``{"commit", "dirty"}`` of a checkout; ``None`` for both outside git."""
+    def git(*cmd):
+        proc = subprocess.run(["git", "-C", str(checkout), *cmd], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    return {"commit": commit,
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no")) if commit else None}
+
+
+def environment() -> dict:
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "platform": platform.platform(),
+            "numpy": np.__version__, "nproc": os.cpu_count(), "cpu": cpu,
+            "blas_threads": 1}  # perfbench/run.py fixes one BLAS thread
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -92,6 +131,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=int, default=30, help="measured time of each run")
     p.add_argument("--seed0", type=int, default=301, help="seed of the first pair")
+    p.add_argument("--out", type=Path, help="also write the run's JSON record here")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -108,7 +148,13 @@ def main(argv=None) -> int:
             pairs.append((got["parent"], got["change"]))
     print(f"workload {args.workload}, {len(pairs)} of {args.pairs} pairs, "
           f"{args.seconds} s runs")
-    print(format_table(summarise(pairs, better)))
+    summary = summarise(pairs, better)
+    print(format_table(summary))
+    if args.out:
+        checkouts = {side: checkout_commit(path) for side, path in sides.items()}
+        rec = record(args.workload, len(pairs), args.seconds, args.seed0, summary, checkouts,
+                     environment())
+        args.out.write_text(json.dumps(rec, indent=2) + "\n")
     return 0 if len(pairs) == args.pairs else 1
 
 

@@ -169,6 +169,15 @@ def _validate_entry(entry, path: str) -> None:
         _check_fields(entry["init"], _SCHEMES, "scheme", f"{path}.init")
 
 
+class _Positive(tuple):
+    """A shape whose tensor is drawn strictly positive (running variances)."""
+
+
+def _batchnorm_shapes(c: int) -> list:
+    """gamma, beta, running mean and running variance of ``c`` channels."""
+    return [(c,), (c,), (c,), _Positive((c,))]
+
+
 class _Init:
     """Draws a layer's tensors in declaration order from one source."""
 
@@ -189,24 +198,27 @@ class _Init:
                 raise ConfigError(f"{path}.init.path", f"no such file {str(self.blob_path)!r}")
             self.offset = int(spec.get("offset", 0))
 
-    def draw(self, shape: tuple) -> Tensor:
-        n = int(np.prod(shape)) if shape else 1
+    def draw(self, *shapes) -> list:
+        """One tensor per shape, in order.  A ``_Positive`` shape draws from
+        [0.5, 1.5) (uniform) or 1.0 (constant).  A uniform layer takes all its
+        values from one generator call, each tensor's range applied to its
+        slice: the values are the same as one call per tensor, and a large
+        call runs on the generator's lanes."""
+        sizes = [int(np.prod(shape)) for shape in shapes]
         if self.scheme == "uniform":
-            return Tensor(self.rng.uniform(n, self.lo, self.hi), shape, self.dtype)
+            lo = np.repeat([0.5 if isinstance(s, _Positive) else self.lo for s in shapes], sizes)
+            hi = np.repeat([1.5 if isinstance(s, _Positive) else self.hi for s in shapes], sizes)
+            flat = self.rng.uniform(sum(sizes), lo, hi)
+            return [Tensor(part, shape, self.dtype)
+                    for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
         if self.scheme == "constant":
-            return Tensor.full(shape, self.value, self.dtype)
-        t = load_blob(self.blob_path, shape, self.offset, self.dtype)
-        self.offset += n
-        return t
-
-    def positive(self, shape: tuple, lo: float = 0.5, hi: float = 1.5) -> Tensor:
-        """Strictly positive draw (running variances)."""
-        if self.scheme == "uniform":
-            n = int(np.prod(shape))
-            return Tensor(self.rng.uniform(n, lo, hi), shape, self.dtype)
-        if self.scheme == "constant":
-            return Tensor.full(shape, 1.0, self.dtype)
-        return self.draw(shape)
+            return [Tensor.full(shape, 1.0 if isinstance(shape, _Positive) else self.value,
+                                self.dtype) for shape in shapes]
+        tensors = []
+        for shape, n in zip(shapes, sizes):
+            tensors.append(load_blob(self.blob_path, shape, self.offset, self.dtype))
+            self.offset += n
+        return tensors
 
 
 def build_model(cfg: dict, base_dir=".") -> Sequential:
@@ -268,8 +280,7 @@ def _build_entry(entry: dict, path: str, dtype: str, base: Path, frame) -> CoMod
     try:
         if kind == "conv3d":
             kt, kh, kw = entry["kernel"]
-            w = init.draw((entry["c_out"], entry["c_in"], kt, kh, kw))
-            b = init.draw((entry["c_out"],))
+            w, b = init.draw((entry["c_out"], entry["c_in"], kt, kh, kw), (entry["c_out"],))
             return TemporalConv(w, b, dilation=entry.get("dilation", 1),
                                 padding=entry.get("padding", 0),
                                 temporal_stride=entry.get("stride", 1))
@@ -278,17 +289,11 @@ def _build_entry(entry: dict, path: str, dtype: str, base: Path, frame) -> CoMod
         if kind == "maxpool_t":
             return TemporalPool("max", entry["window"])
         if kind == "batchnorm":
-            c = entry["channels"]
-            return BatchNorm(
-                gamma=init.draw((c,)),
-                beta=init.draw((c,)),
-                running_mean=init.draw((c,)),
-                running_var=init.positive((c,)),
-                eps=entry.get("eps", 1e-5),
-            )
+            gamma, beta, mean, var = init.draw(*_batchnorm_shapes(entry["channels"]))
+            return BatchNorm(gamma, beta, mean, var, eps=entry.get("eps", 1e-5))
         if kind == "layernorm":
             d = entry["d"]
-            return LayerNorm(init.draw((d,)), init.draw((d,)), entry.get("eps", 1e-5))
+            return LayerNorm(*init.draw((d,), (d,)), entry.get("eps", 1e-5))
         if kind == "co_encoder_block":
             return _build_encoder(entry, init, frame)
         if kind == "stgcn_block":
@@ -296,9 +301,7 @@ def _build_entry(entry: dict, path: str, dtype: str, base: Path, frame) -> CoMod
         if kind == "head":
             if not frame:
                 raise ValueError("head needs an input shape to infer channels")
-            channels = frame[0]
-            w = init.draw((channels, entry["classes"]))
-            b = init.draw((entry["classes"],))
+            w, b = init.draw((frame[0], entry["classes"]), (entry["classes"],))
             return GlobalAverageHead(entry["pool_window"], w, b)
         if kind == "sequential":
             mods, _ = _build_layers(entry["layers"], f"{path}.layers", dtype, base, frame)
@@ -313,7 +316,7 @@ def _build_entry(entry: dict, path: str, dtype: str, base: Path, frame) -> CoMod
                     raise ValueError("pointwise shortcut needs an input shape")
                 c_in = frame[0]
                 c_out = inner.out_frame_shape(frame)[0]
-                shortcut = Pointwise(init.draw((c_in, c_out)))
+                shortcut = Pointwise(*init.draw((c_in, c_out)))
             else:
                 raise ValueError(f"unknown shortcut {shortcut_kind!r}")
             return Residual(inner, shortcut)
@@ -335,18 +338,13 @@ def _build_encoder(entry: dict, init: _Init, frame) -> CoModule:
     d = entry["d_model"]
     heads = entry.get("heads", 1)
     ff = entry["ff_dim"]
-    w_q = init.draw((d, d))
-    w_k = init.draw((d, d))
-    w_v = init.draw((d, d))
-    w_o = init.draw((d, d))
-    ff_w1 = init.draw((d, ff))
-    ff_b1 = init.draw((ff,))
-    ff_w2 = init.draw((ff, d))
-    ff_b2 = init.draw((d,))
-    ln1 = LayerNorm(init.draw((d,)), init.draw((d,)))
-    ln2 = LayerNorm(init.draw((d,)), init.draw((d,)))
     period = entry.get("rpe_period", n)
-    table = init.draw((period, d)) if period else None
+    w_q, w_k, w_v, w_o, ff_w1, ff_b1, ff_w2, ff_b2, g1, b1, g2, b2, *table = init.draw(
+        (d, d), (d, d), (d, d), (d, d), (d, ff), (ff,), (ff, d), (d,),
+        (d,), (d,), (d,), (d,), *([(period, d)] if period else []))
+    ln1 = LayerNorm(g1, b1)
+    ln2 = LayerNorm(g2, b2)
+    table = table[0] if table else None
     mha = MultiheadAttention(entry["mode"], n, w_q, w_k, w_v, w_o, heads=heads)
     # a single-output block directly after a retroactive one consumes that
     # block's (n, d) window emissions and recomputes per window
@@ -362,25 +360,19 @@ def _build_stgcn(entry: dict, init: _Init, dtype: str) -> StGcnBlock:
     parts = entry.get("partitions", 1)
     graph = SkeletonGraph.chain(v, partitions=parts, dtype=dtype)
     c_in, c_out = entry["c_in"], entry["c_out"]
-    w_gc = [init.draw((c_in, c_out)) for _ in range(parts)]
     kt = entry["tc_kernel"]
-    tc = TemporalConv(
-        init.draw((c_out, c_out, kt, 1, 1)),
-        init.draw((c_out,)),
-        padding=entry.get("tc_padding", 0),
-        temporal_stride=entry.get("tc_stride", 1),
-    )
-    bn = BatchNorm(
-        gamma=init.draw((c_out,)),
-        beta=init.draw((c_out,)),
-        running_mean=init.draw((c_out,)),
-        running_var=init.positive((c_out,)),
-    )
     residual = entry.get("residual", "auto")
     if residual == "auto":
         residual = "identity" if (c_in == c_out and entry.get("tc_stride", 1) == 1) else "pointwise"
-    res_w = init.draw((c_in, c_out)) if residual == "pointwise" else None
-    return StGcnBlock(graph, w_gc, tc, bn, residual=residual, res_weight=res_w)
+    pointwise = residual == "pointwise"
+    drawn = init.draw(*[(c_in, c_out)] * parts, (c_out, c_out, kt, 1, 1), (c_out,),
+                      *_batchnorm_shapes(c_out), *([(c_in, c_out)] if pointwise else []))
+    tc_w, tc_b, gamma, beta, mean, var = drawn[parts: parts + 6]
+    tc = TemporalConv(tc_w, tc_b, padding=entry.get("tc_padding", 0),
+                      temporal_stride=entry.get("tc_stride", 1))
+    bn = BatchNorm(gamma, beta, mean, var)
+    res_w = drawn[parts + 6] if pointwise else None
+    return StGcnBlock(graph, drawn[:parts], tc, bn, residual=residual, res_weight=res_w)
 
 
 def random_stream(seed: int, length: int, frame_shape: tuple, dtype: str) -> Tensor:

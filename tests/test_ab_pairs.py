@@ -75,3 +75,22 @@ def test_lower_is_better_metrics_count_drops_as_wins(ab):
     s = summary["step_latency_p50_us"]
     assert s["wins"] == 10 and s["rule"] and s["ratio"] == pytest.approx(0.8)
     assert "step_latency_p50_us" in ab.format_table(summary)
+
+
+def test_record_holds_the_run_and_reads_back_as_json(ab, tmp_path):
+    parent = [100, 98, 103, 101, 99, 102, 100, 97, 104, 100]
+    change = [111, 110, 112, 109, 111, 113, 110, 108, 112, 111]
+    summary = ab.summarise(canned_pairs(ab, parent, change), {"steps_per_s": "higher"})
+    checkouts = {"parent": {"commit": "a" * 40, "dirty": False},
+                 "change": {"commit": None, "dirty": None}}
+    env = {"python": "3.11.7", "nproc": 2}
+    rec = ab.record("skeleton", 10, 30, 301, summary, checkouts, env)
+    path = tmp_path / "BENCH.json"
+    path.write_text(json.dumps(rec))
+    got = json.loads(path.read_text())
+    assert [got[k] for k in ("workload", "pairs", "seconds", "seed0")] == ["skeleton", 10, 30, 301]
+    assert got["checkouts"] == checkouts and got["environment"] == env
+    s = got["metrics"]["steps_per_s"]
+    assert [s[k] for k in ("parent_median", "change_median", "wins", "rule")] == [100, 111, 10, True]
+    assert s["parent_iqr"] == pytest.approx(2.5) and s["change_iqr"] == pytest.approx(1.75)
+    assert s["ratio"] == pytest.approx(1.11)
