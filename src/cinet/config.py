@@ -44,6 +44,8 @@ build.
 from __future__ import annotations
 
 import json
+import math
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -204,13 +206,13 @@ class _Init:
         values from one generator call, each tensor's range applied to its
         slice: the values are the same as one call per tensor, and a large
         call runs on the generator's lanes."""
-        sizes = [int(np.prod(shape)) for shape in shapes]
+        sizes = [int(math.prod(shape)) for shape in shapes]
         if self.scheme == "uniform":
-            lo = np.repeat([0.5 if isinstance(s, _Positive) else self.lo for s in shapes], sizes)
-            hi = np.repeat([1.5 if isinstance(s, _Positive) else self.hi for s in shapes], sizes)
+            bounds = [(0.5, 1.5) if isinstance(s, _Positive) else (self.lo, self.hi) for s in shapes]
+            lo, hi = np.repeat(bounds, sizes, axis=0).T if len(set(bounds)) > 1 else bounds[0]
             flat = self.rng.uniform(sum(sizes), lo, hi)
-            return [Tensor(part, shape, self.dtype)
-                    for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+            return [Tensor(flat[end - n: end], shape, self.dtype)
+                    for shape, n, end in zip(shapes, sizes, accumulate(sizes))]
         if self.scheme == "constant":
             return [Tensor.full(shape, 1.0 if isinstance(shape, _Positive) else self.value,
                                 self.dtype) for shape in shapes]

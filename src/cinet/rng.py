@@ -54,7 +54,7 @@ _UNIT_BITS = 1 << np.arange(8)  # the table rows that hold single columns
 def _lane_bits(n: int) -> int:
     """log2 of the lane length for a request of n draws: near the cube root of
     n, where the steps' per-call cost and the jumps' per-lane cost balance."""
-    return n.bit_length() // 3
+    return int(n).bit_length() // 3
 
 
 _LANE_BITS_MIN = _lane_bits(LANE_THRESHOLD)
