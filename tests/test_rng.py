@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cinet.config import build_model, load_config, random_stream
 from cinet import rng
+from cinet.config import build_model, load_config, random_stream
 from cinet.rng import LANE_THRESHOLD, Xoshiro256pp, _lane_bits, _splitmix64
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
