@@ -39,9 +39,9 @@ construction, and reads the head rows as views of that product; q, k and v
 rows that are not one array are refused.  In step mode a retroactive
 head's product is cast to f64 once, and one ``reshape(3, heads, d_h)`` of
 it yields every head's q, k and v row.  Rows are checked where they enter: a
-token when its stream binds, and q, k and v rows on every ``att_step``;
-multi-head attention hands its own projections to its head's kernel,
-which checks nothing.
+token when its stream binds, a clip when ``forward`` starts, and q, k and v
+rows on every ``att_step``; multi-head attention hands its own projections
+to its head's kernel, which checks nothing.
 
 :class:`EncoderBlock` takes its step form and window from its attention; a
 positional encoding is a ``Sequential`` stage ahead of a token-input block.
@@ -72,7 +72,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, PerFrame, StepOutput, Stream, per_dtype
+from .module import CoModule, OpCount, PerFrame, StepOutput, per_dtype
 from .tensor import Tensor
 from .norm import LayerNorm
 
@@ -540,9 +540,6 @@ class RecyclingPositionalEncoding(PerFrame):
             raise DimensionError(f"token must be {self.table.shape[1:]}, got {tuple(frame_shape)}")
         return tuple(frame_shape)
 
-    def init_state(self) -> Stream:
-        return Stream()
-
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> _RpeState:
         return _RpeState()
 
@@ -552,8 +549,6 @@ class RecyclingPositionalEncoding(PerFrame):
         return a + p
 
     def _clip(self, a: np.ndarray) -> np.ndarray:
-        if a.shape[1:] != self.table.shape[1:]:
-            raise DimensionError(f"tokens must be (T, {self.table.shape[1]}), got {a.shape}")
         idx = np.arange(a.shape[0]) % self.period
         return a + self._w[a.dtype][idx]
 
@@ -595,6 +590,8 @@ class EncoderBlock(CoModule):
         if (mha.d_o != self.d_model or ff_w1.shape[0] != self.d_model
                 or ff_w2.shape != (self.ff_dim, self.d_model)):
             raise DimensionError("attention output or feed-forward shapes disagree with d_model")
+        if ln1.d != self.d_model or ln2.d != self.d_model:
+            raise DimensionError(f"LayerNorms over {ln1.d} and {ln2.d}, not d_model {self.d_model}")
         self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2 = ff_w1, ff_b1, ff_w2, ff_b2
         self.ln1, self.ln2 = ln1, ln2
         self.window_input = window_input
@@ -613,15 +610,9 @@ class EncoderBlock(CoModule):
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if tuple(frame_shape) != self._in_shape:
-            raise self._shape_error(tuple(frame_shape))
+            what = "window input" if self.window_input else "token"
+            raise DimensionError(f"{what} must be {self._in_shape}, got {tuple(frame_shape)}")
         return self.mha.out_frame_shape((self.d_model,))
-
-    def _shape_error(self, shape: tuple) -> DimensionError:
-        what = "window input" if self.window_input else "token"
-        return DimensionError(f"{what} must be {self._in_shape}, got {shape}")
-
-    def init_state(self) -> Optional[Stream]:
-        return None if self.window_input else Stream()
 
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> Optional[_EncoderState]:
         if self.window_input:
@@ -660,8 +651,6 @@ class EncoderBlock(CoModule):
 
     def _step(self, state: Optional[_EncoderState], a: np.ndarray) -> Optional[np.ndarray]:
         if self.window_input:
-            if a.shape != self._in_shape:  # no stream binds a window-input block's frames
-                raise self._shape_error(a.shape)
             return self._newest(a)
         sel = a
         att = self.mha._step(state.mha, a)
@@ -673,11 +662,8 @@ class EncoderBlock(CoModule):
     # -- clip mode --------------------------------------------------------------------
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
-        n = self.mha.n
         if not self.window_input:
-            xa = _windows(xa, n)
-        elif xa.ndim != 3 or xa.shape[1:] != (n, self.d_model):
-            raise DimensionError(f"window input must be (T, {n}, {self.d_model}), got {xa.shape}")
+            xa = _windows(xa, self.mha.n)
         return _batched(self._offline_window if self.mha.mode == "retro" else self._newest, xa)
 
     # -- analytic cost --------------------------------------------------------------

@@ -39,12 +39,6 @@ from .tensor import Tensor
 
 
 class Identity(PerFrame):
-    def forward(self, x: Tensor) -> Tensor:
-        return x  # the tensor itself: there is nothing to wrap
-
-    def forward_step(self, state, x_t: Tensor) -> Tensor:
-        return x_t
-
     def _apply(self, a: np.ndarray, channel_axis: int) -> np.ndarray:
         return a
 
@@ -63,15 +57,13 @@ class Pointwise(PerFrame):
         self._w = per_dtype(lambda dt: weight.array.astype(dt).T)  # W^T
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        if frame_shape[0] != self.c_in:
-            raise DimensionError(f"expected {self.c_in} channels, got {frame_shape[0]}")
+        if tuple(frame_shape[:1]) != (self.c_in,):
+            raise DimensionError(f"frame {tuple(frame_shape)} does not lead with "
+                                 f"{self.c_in} channels")
         return (self.c_out,) + tuple(frame_shape[1:])
 
     def _apply(self, xa: np.ndarray, channel_axis: int) -> np.ndarray:
         """``W^T`` on the channel axis; the axes after it are the GEMM's columns."""
-        if xa.shape[channel_axis] != self.c_in:
-            raise DimensionError(f"axis {channel_axis} extent {xa.shape[channel_axis]} != "
-                                 f"{self.c_in} channels")
         w_t = self._w[xa.dtype]
         if channel_axis == 0 and xa.ndim == 2:  # a (c_in, V) frame is the GEMM's operand
             return w_t @ xa

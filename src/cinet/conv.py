@@ -203,12 +203,8 @@ class TemporalConv(CoModule):
     # -- clip mode --------------------------------------------------------------
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
-        if xa.ndim != 4:
-            if xa.ndim == 3 and self.k_h == self.k_w == 1:
-                # (T, C, N) as (T, C, N, 1) through this kernel, not an override
-                return TemporalConv._clip(self, xa[..., None])[..., 0]
-            raise DimensionError(f"clip must be (T,C,H,W), or (T,C,N) for a 1x1 kernel, "
-                                 f"got {xa.shape}")
+        if xa.ndim == 3:  # (T, C, N) as (T, C, N, 1) through this kernel, not an override
+            return TemporalConv._clip(self, xa[..., None])[..., 0]
         t_in = xa.shape[0]
         _, oh, ow = out_shape = self.out_frame_shape(xa.shape[1:])
         n_out = self.out_len(t_in)

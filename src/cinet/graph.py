@@ -207,8 +207,6 @@ class StGcnBlock(CoModule):
         return y if y is None else np.maximum(y, 0, out=y)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
-        if xa.ndim != 3:
-            raise DimensionError(f"clip must be (T, c_in, v), got {xa.shape}")
         # a fresh array, as in step mode: the epilogue runs in place
         y = self.tc._clip(_gc(xa, *self._w[xa.dtype]))
         if self.shortcut is not None:
@@ -262,8 +260,9 @@ class GlobalAverageHead(CoModule):
         return self.pool.window
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
-        if frame_shape[0] != self.channels:
-            raise DimensionError(f"expected {self.channels} channels, got {frame_shape[0]}")
+        if tuple(frame_shape[:1]) != (self.channels,):
+            raise DimensionError(f"frame {tuple(frame_shape)} does not lead with "
+                                 f"{self.channels} channels")
         return (self.classes,)
 
     def _state(self, frame_shape: tuple, dtype: np.dtype):

@@ -29,17 +29,20 @@ Two timing numbers describe each module:
   warm-up equals delay; windowed attention has warm-up ``n - 1`` but delay 0
   because its emission is aligned with the newest token.
 
-A stateful module's ``init_state()`` returns an unbound ``Stream``; a
-stateless one (a ``PerFrame`` layer) returns ``None``.  The stream's first
-frame binds it (``Stream.bind``): the root checks that every stage can take
-the frame (``out_frame_shape``), then every layer builds its whole state,
+Every module's ``init_state()`` returns an unbound ``Stream``, a stateless
+one's too (its layer state is ``None``).  The stream's first frame binds it
+(``Stream.bind``): the root checks that every stage can take the frame
+(``out_frame_shape``), then every layer builds its whole state,
 ``_state(frame_shape, dtype)``, containers along ``out_frame_shape``.  So
 every array a stream keeps is made there, in its final shape, and
 zero-initialised but for a conv's ring, whose partial sums all start at
 the conv's bias: rings of a fixed number of slots whose cursor is a step or
 emission count, which never grow.  A later frame of another shape or dtype
 is refused before any layer runs, so no kernel allocates state or checks
-drift, and a refused frame changes no state.
+drift, and a refused frame changes no state.  Clip mode checks its frames
+once at the root too: ``forward`` refuses an input without a time axis and
+passes its frame shape through ``out_frame_shape`` before any layer runs.
+So no ``_clip``, ``_step`` or ``_apply`` checks a shape.
 
 A layer arranges its weights at construction, with ``per_dtype``, in the
 form its kernel needs and in both stream dtypes; a kernel looks them up by
@@ -90,6 +93,13 @@ class Stream:
         return self.layer
 
 
+def _frame_shape(a: np.ndarray) -> tuple:
+    """The frame shape of a ``(T, ...)`` clip; a rank-0 array has no time axis."""
+    if a.ndim == 0:
+        raise DimensionError("a clip needs a leading time axis, got a rank-0 tensor")
+    return a.shape[1:]
+
+
 def per_dtype(make) -> dict:
     """``{dtype: make(dtype)}`` for the two stream dtypes of ``DTYPES``."""
     return {np.dtype(t): make(np.dtype(t)) for t in DTYPES.values()}
@@ -138,25 +148,24 @@ class CoModule:
 
     def forward(self, x: Tensor) -> Tensor:
         """Offline clip mode over a (T, ...) sequence."""
-        return Tensor.wrap(self._clip(x.array))
+        a = x.array
+        self.out_frame_shape(_frame_shape(a))
+        return Tensor.wrap(self._clip(a))
 
-    def init_state(self) -> Optional[Stream]:
+    def init_state(self) -> Stream:
         """A new stream's state, unbound until its first frame."""
         return Stream()
 
-    def forward_step(self, state, x_t: Tensor) -> StepOutput:
+    def forward_step(self, state: Stream, x_t: Tensor) -> StepOutput:
         """Consume one step; the ready output, or ``None`` during warm-up."""
         a = x_t.array
-        if state is not None:
-            state = state.bind(self._checked_state, a.shape, a.dtype)
-        y = self._step(state, a)
+        y = self._step(state.bind(self._checked_state, a.shape, a.dtype), a)
         return None if y is None else Tensor.wrap(y)
 
-    def forward_steps(self, state, x: Tensor) -> Tensor:
+    def forward_steps(self, state: Stream, x: Tensor) -> Tensor:
         """Feed each step of a (T, ...) sequence; stack the ready outputs."""
         xa = x.array
-        if state is not None:
-            state = state.bind(self._checked_state, xa.shape[1:], xa.dtype)
+        state = state.bind(self._checked_state, _frame_shape(xa), xa.dtype)
         outs = [y for y in (self._step(state, xa[t]) for t in range(xa.shape[0]))
                 if y is not None]
         if not outs:
@@ -221,9 +230,6 @@ class PerFrame(CoModule):
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         return tuple(frame_shape)
-
-    def init_state(self) -> None:
-        return None
 
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> None:
         return None

@@ -64,11 +64,6 @@ class BatchNorm(PerFrame):
         return tuple(frame_shape)
 
     def _apply(self, xa: np.ndarray, channel_axis: int) -> np.ndarray:
-        if xa.shape[channel_axis] != self.channels:
-            raise DimensionError(
-                f"axis {channel_axis} extent {xa.shape[channel_axis]} != "
-                f"{self.channels} channels"
-            )
         scale, shift = self._w[xa.dtype]
         if xa.ndim > channel_axis + 1:  # broadcast over the axes after the channels
             tail = (-1,) + (1,) * (xa.ndim - channel_axis - 1)
@@ -102,8 +97,6 @@ class LayerNorm(PerFrame):
 
     def _apply(self, xa: np.ndarray, channel_axis: int = -1) -> np.ndarray:
         """Normalize the last axis; ``channel_axis`` is not read."""
-        if xa.shape[-1] != self.d:
-            raise DimensionError(f"last extent {xa.shape[-1]} != {self.d}")
         gamma, beta, eps, d = self._w[xa.dtype]
         # the arithmetic of xa.mean and xa.var, with the mean and the
         # centred array computed once instead of once each; the divide,

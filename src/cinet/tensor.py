@@ -47,7 +47,8 @@ class Tensor:
                     f"{arr.size} elements cannot fill shape {tuple(shape)}"
                 )
             arr = arr.reshape(tuple(int(e) for e in shape))
-        arr = np.ascontiguousarray(arr)
+        # np.ascontiguousarray alone would make a rank-0 array rank 1
+        arr = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
@@ -65,7 +66,7 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             raise ValueError(f"unsupported ndarray dtype {arr.dtype}")
         t = object.__new__(Tensor)
-        a = np.ascontiguousarray(arr)
+        a = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         if a is arr and arr.flags.writeable:
             a = arr.copy()
         a.flags.writeable = False

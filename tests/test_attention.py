@@ -602,6 +602,18 @@ def test_encoder_rejects_attention_output_of_another_width():
         EncoderBlock(mha, ok.ff_w1, ok.ff_b1, ok.ff_w2, ok.ff_b2, ok.ln1, ok.ln2)
 
 
+@pytest.mark.parametrize("which", ["ln1", "ln2"])
+def test_encoder_rejects_a_layernorm_of_another_width(which):
+    # the tail runs its LayerNorms' kernel on d_model rows, which checks no
+    # shape: the block refuses a norm over another width when it is built
+    rng = np.random.default_rng(26)
+    ok = make_encoder(rng, "single", n=4, d=6, rpe=False)
+    norms = {"ln1": ok.ln1, "ln2": ok.ln2}
+    norms[which] = LayerNorm(rand_tensor(rng, (5,)), rand_tensor(rng, (5,)))
+    with pytest.raises(DimensionError, match="LayerNorm"):
+        EncoderBlock(ok.mha, ok.ff_w1, ok.ff_b1, ok.ff_w2, ok.ff_b2, norms["ln1"], norms["ln2"])
+
+
 @pytest.mark.parametrize("call", ["step", "clip"])
 def test_window_input_rejects_windows_of_another_length(call):
     rng = np.random.default_rng(22)

@@ -251,9 +251,11 @@ def test_encoder_entries_compose_the_positional_encoding_as_a_stage():
     rpe, block = first.modules
     assert isinstance(rpe, RecyclingPositionalEncoding) and rpe.period == 4
     assert isinstance(block, EncoderBlock) and not block.window_input
-    # the window-input block is bare and keeps no stream state
+    # the window-input block is bare and its stream keeps no layer state
     assert isinstance(second, EncoderBlock) and second.window_input
-    assert second.init_state() is None
+    state = second.init_state()
+    second.forward_step(state, Tensor.zeros((4, 3)))
+    assert state.layer is None
     bare = build_model(base_cfg([dict(enc, mode="single", rpe_period=0)], shape=(3,)))
     assert isinstance(bare.modules[0], EncoderBlock) and not bare.modules[0].window_input
     with pytest.raises(ConfigError) as err:

@@ -55,7 +55,9 @@ def test_timing_state_and_clip_cost(make, frame):
     assert isinstance(layer, PerFrame)
     assert layer.delay() == 0 and layer.warmup() == 0
     assert layer.receptive_field() == 1 and layer.stride() == 1
-    assert layer.init_state() is None
+    state = layer.init_state()  # a stream, bound by its first frame to no layer state
+    layer.forward_step(state, Tensor.zeros(frame))
+    assert state.shape == frame and state.layer is None
     for t in (0, 1, 13):
         assert layer.out_len(t) == t
         assert layer.clip_cost(frame, t) == layer.step_cost(frame).scaled(t)
@@ -87,7 +89,8 @@ def test_wrong_channel_count_raises_in_both_modes(make, frame):
 
 def test_identity_step_hands_back_its_input():
     x_t = rand_tensor(np.random.default_rng(21), (3,))
-    assert Identity().forward_step(None, x_t) is x_t
+    ident = Identity()
+    assert ident.forward_step(ident.init_state(), x_t).array is x_t.array
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])

@@ -11,9 +11,11 @@ import pytest
 from cinet.config import build_model, load_config, random_stream
 from cinet.attention import (MultiheadAttention, RecyclingPositionalEncoding, RetroAttention,
                              SingleAttention)
-from cinet.containers import Parallel, Residual, Sequential
+from cinet.containers import Identity, Parallel, Pointwise, Residual, Sequential
 from cinet.conv import TemporalConv
 from cinet.errors import DimensionError
+from cinet.graph import GlobalAverageHead
+from cinet.norm import LayerNorm
 from cinet.pool import TemporalPool
 from cinet.tensor import Tensor
 
@@ -21,6 +23,7 @@ from conftest import max_rel_dev, rand_tensor
 from test_attention import make_encoder
 from test_cli import MINI_STGCN
 from test_graph import make_block
+from test_perframe import make_bn
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -229,6 +232,77 @@ def test_a_refused_input_changes_no_counter_or_byte(make):
                 step(state, bad)
             assert pickle.dumps(state) == before, f"step {t}"
         want, got = step(ref_state, good), step(state, good)
+        assert (want is None) == (got is None)
+        if got is not None:
+            assert np.array_equal(got.array, want.array)
+    assert pickle.dumps(state) == pickle.dumps(ref_state)
+
+
+def _conv(rng, k):
+    return TemporalConv(rand_tensor(rng, (3, 2, 3, k, k)), rand_tensor(rng, (3,)), padding=1)
+
+
+# every module kind as a root: (model, frame shape, frames of another extent
+# or rank that it cannot take); Identity and the pool take any frame
+MODULES = {
+    "conv-3d": lambda rng: (_conv(rng, 2), (2, 4, 4), [(3, 4, 4), (2, 1, 4), (2, 4), ()]),
+    "conv-1x1": lambda rng: (_conv(rng, 1), (2, 5), [(3, 5), (2,), (2, 5, 1, 1)]),
+    "pool": lambda rng: (TemporalPool("avg", 3), (2, 3), []),
+    "batchnorm": lambda rng: (make_bn(rng, 3), (3, 4), [(4, 4), ()]),
+    "layernorm": lambda rng: (LayerNorm(rand_tensor(rng, (6,)), rand_tensor(rng, (6,))), (6,),
+                              [(5,), ()]),
+    "pointwise": lambda rng: (Pointwise(rand_tensor(rng, (4, 3))), (4, 2), [(3, 2), ()]),
+    "identity": lambda rng: (Identity(), (3,), []),
+    "positional-encoding": lambda rng: (RecyclingPositionalEncoding(rand_tensor(rng, (5, 6))),
+                                        (6,), [(5,), (1, 6), ()]),
+    "retro-attention": lambda rng: (RetroAttention(3, 4), (4,), [(5,), ()]),
+    "single-attention": lambda rng: (SingleAttention(3, 4), (4,), [(5,), ()]),
+    "mha": lambda rng: (_mha(rng, "retro"), (4,), [(5,), (1, 4), ()]),
+    "token-encoder-block": lambda rng: (make_encoder(rng, "retro", 3, 4, rpe=False), (4,),
+                                        [(5,), (3, 4), ()]),
+    "window-encoder-block": lambda rng: (
+        make_encoder(rng, "single", 3, 4, rpe=False, window_input=True), (3, 4),
+        [(4,), (2, 4), (3, 5), ()]),
+    "stgcn-block": lambda rng: (make_block(rng, v=5, c_in=2, k_t=3), (2, 5),
+                                [(2, 4), (3, 5), (2, 5, 1), ()]),
+    "head": lambda rng: (GlobalAverageHead(3, rand_tensor(rng, (4, 2)), rand_tensor(rng, (2,))),
+                         (4, 5), [(3, 5), ()]),
+    "sequential": lambda rng: (Sequential([TemporalPool("avg", 2), _conv(rng, 1)]), (2, 5),
+                               [(3, 5), (2,)]),
+    "parallel": lambda rng: (strided_parallel_case()[0], (3, 2, 2),
+                             [(2, 2, 2), (3, 2, 2, 1), ()]),
+    "residual": lambda rng: (residual_case()[0], (6,), [(5,), ()]),
+}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_refuses_a_frame_it_cannot_take_in_both_modes(name):
+    # one rule at the root, clip and step alike: a frame of another extent
+    # or rank raises DimensionError; on a bound stream, so does a frame of
+    # another shape or dtype, stateless roots included; a refused frame
+    # changes no state, and the stream goes on as if it never came
+    rng = np.random.default_rng(37)
+    model, frame, bad = MODULES[name](rng)
+    x = rand_tensor(rng, (steps(model),) + frame).array
+    for shape in bad:
+        with pytest.raises(DimensionError):
+            model.forward(Tensor.zeros((len(x),) + shape))
+        state = model.init_state()
+        before = pickle.dumps(state)
+        with pytest.raises(DimensionError):
+            model.forward_step(state, Tensor.zeros(shape))
+        assert pickle.dumps(state) == before
+    drifts = [np.zeros(shape, np.float32) for shape in bad] + [
+        np.zeros((frame[0] + 1,) + frame[1:], np.float32), x[:1], x[0].astype(np.float64)]
+    ref_state, state = model.init_state(), model.init_state()
+    for t, a in enumerate(x):
+        if t:
+            for drift in drifts:
+                before = pickle.dumps(state)
+                with pytest.raises(DimensionError):
+                    model.forward_step(state, Tensor.wrap(drift))
+                assert pickle.dumps(state) == before, f"step {t}"
+        want, got = (model.forward_step(s, Tensor.wrap(a)) for s in (ref_state, state))
         assert (want is None) == (got is None)
         if got is not None:
             assert np.array_equal(got.array, want.array)

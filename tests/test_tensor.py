@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cinet.errors import DimensionError
+from cinet.pool import TemporalPool
 from cinet.tensor import Tensor, load_blob, save_blob
 
 from conftest import rand_tensor
@@ -18,6 +19,25 @@ def test_tensor_invariants_and_immutability():
         x.array[0, 0] = 5.0
     with pytest.raises(DimensionError):
         Tensor([1.0, 2.0], shape=(3,))
+
+
+def test_rank_zero_tensors_keep_rank_zero():
+    assert Tensor(2.0, ()).shape == () and Tensor(2.0, ()).item() == 2.0
+    assert Tensor.wrap(np.array(3.0)).shape == ()
+    assert Tensor.wrap(np.array(3.0, np.float32)).rank == 0
+    strided = np.arange(6.0).reshape(2, 3)[:, ::2]  # not contiguous: copied
+    assert Tensor.wrap(strided).array.flags.c_contiguous
+
+
+@pytest.mark.parametrize("mode", ["forward", "forward_steps"])
+def test_a_rank_zero_clip_is_refused_for_its_missing_time_axis(mode):
+    layer = TemporalPool("avg", 2)  # any frame shape, a () frame too
+    x = Tensor(1.0, ())
+    with pytest.raises(DimensionError, match="time axis"):
+        if mode == "forward":
+            layer.forward(x)
+        else:
+            layer.forward_steps(layer.init_state(), x)
 
 
 @settings(max_examples=30)
