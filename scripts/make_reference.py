@@ -16,6 +16,19 @@ and regenerates the file when a move exceeds the test's tolerance.
 ``max|d|/max|ref|`` of the current outputs against the file, and writes
 nothing.  It exits 1 when a key is missing or cannot be compared, or when a
 move exceeds ``TOLERANCE``, the gate of ``tests/test_reference.py``.
+
+The committed file holds the bits of the machine that wrote it; another
+machine's BLAS may round differently, inside the tolerance.  To show that a
+change keeps every output bit, compare against the parent commit's outputs
+on one machine instead: in a checkout of the parent,
+
+    python3 scripts/make_reference.py --out /tmp/parent.npz
+
+then, in the changed tree,
+
+    python3 scripts/make_reference.py --compare --out /tmp/parent.npz
+
+prints ``bit-identical`` for every key when no bit moved.
 """
 
 import argparse

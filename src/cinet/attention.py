@@ -33,15 +33,16 @@ the departing ``[v | 1]`` row negated and the arriving one updates both;
 ``d_mem`` and ``av_mem`` are views of it.  Single-output attention keeps
 keys and values in the stream dtype.
 
-Multi-head attention is self-attention: it projects a token or window by
-one matmul with ``w_q | w_k | w_v``, concatenated in both stream dtypes at
-construction, and reads the head rows as views of that product; q, k and v
-rows that are not one array are refused.  In step mode a retroactive
-head's product is cast to f64 once, and one ``reshape(3, heads, d_h)`` of
-it yields every head's q, k and v row.  Rows are checked where they enter: a
-token when its stream binds, a clip when ``forward`` starts, and q, k and v
-rows on every ``att_step``; multi-head attention hands its own projections
-to its head's kernel, which checks nothing.
+Multi-head attention is self-attention, stepped by token and with no
+``att_step``: it projects a token or window by one matmul with
+``w_q | w_k | w_v``, concatenated in both stream dtypes at construction,
+and reads the head rows as views of that product.  In step mode a
+retroactive head's product is cast to f64 once, and one ``reshape(3,
+heads, d_h)`` of it yields every head's q, k and v row.  Rows are checked
+where they enter: a token when its stream binds, a clip when ``forward``
+starts, and a head's q, k and v rows on every ``att_step``; multi-head
+attention hands its own projections to its head's kernel, which checks
+nothing.
 
 :class:`EncoderBlock` takes its step form and window from its attention; a
 positional encoding is a ``Sequential`` stage ahead of a token-input block.
@@ -153,14 +154,8 @@ def _push(rows: np.ndarray, row: np.ndarray) -> None:
 
 
 class _WindowAttention(CoModule):
-    """The attention forms over a window of ``n`` tokens: emissions aligned
-    with the newest token, self-attention steps, and ``att_step`` as the
-    public shim over the array-level ``_att(state, q, k, v)``.
-
-    ``att_step`` checks its rows and binds the stream on the value row;
-    ``_att`` then runs ``_kernel(state, q, k, v, dtype)``, which checks
-    nothing: multi-head attention, whose rows are its own projections,
-    calls its head's kernel directly."""
+    """Attention over a window of ``n`` tokens, its emissions aligned with
+    the newest token."""
 
     def delay(self) -> int:
         return 0
@@ -170,6 +165,13 @@ class _WindowAttention(CoModule):
 
     def receptive_field(self) -> int:
         return self.n
+
+
+class _RowAttention(_WindowAttention):
+    """The attention forms on ``(..., d)`` rows.  ``att_step`` checks its
+    rows and binds the stream on the value row; ``_att`` then runs
+    ``_kernel(state, q, k, v, dtype)``, which checks nothing: multi-head
+    attention, whose rows are its own projections, calls it directly."""
 
     def att_step(self, state, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
         """Consume one row each of ``q``, ``k``, ``v``; the emission, or
@@ -221,7 +223,7 @@ class _RetroCache:
         return self.avd_mem[..., -1]
 
 
-class RetroAttention(_WindowAttention):
+class RetroAttention(_RowAttention):
     """Sliding-window self-attention emitting all ``n`` rows each step."""
 
     def __init__(self, n: int, d: int, refresh_interval: int = 64,
@@ -330,7 +332,7 @@ class _SingleCache:
         self.clamp_events = [0]
 
 
-class SingleAttention(_WindowAttention):
+class SingleAttention(_RowAttention):
     """Sliding-window attention emitting only the newest query's row."""
 
     def __init__(self, n: int, d: int):
@@ -431,13 +433,6 @@ class MultiheadAttention(_WindowAttention):
     def _state(self, frame_shape: tuple, dtype: np.dtype):
         return self._head._state((self.heads, self._dh_v), dtype)
 
-    def _check_rows(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
-        """Self-attention only: ``q``, ``k`` and ``v`` are one token array."""
-        if q is not k or k is not v:
-            raise DimensionError("multi-head attention is self-attention: "
-                                 "q, k and v must be one array")
-        self.out_frame_shape(q.shape)
-
     def _split(self, a: np.ndarray) -> np.ndarray:
         """A (d,) or (..., n, d) projection -> (heads, d_h) or (..., heads, n,
         d_h) head rows: a view, which the matmuls read in place."""
@@ -482,11 +477,11 @@ class MultiheadAttention(_WindowAttention):
         v = self._split(kv[..., self.d_k:])
         return self._merge(_sda(q, k_t.swapaxes(-1, -2), v, self._head.scale))
 
-    def _att(self, state, x_q: np.ndarray, x_k: np.ndarray,
-             x_v: np.ndarray) -> Optional[np.ndarray]:
-        """Self-attention: ``x_q``, ``x_k`` and ``x_v`` are one array."""
-        q, k, v = self._heads(x_q, self._row_dtype)
-        y = self._head._kernel(state, q, k, v, x_q.dtype)
+    def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
+        """One token's self-attention: projected once, its heads through
+        the head's kernel, merged."""
+        q, k, v = self._heads(a, self._row_dtype)
+        y = self._head._kernel(state, q, k, v, a.dtype)
         return None if y is None else self._merge(y)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:

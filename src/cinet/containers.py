@@ -134,7 +134,7 @@ class Sequential(CoModule):
         costs = []
         for m, s in self._cumulative():
             if t is None:
-                costs.append(m.step_cost(frame_shape).scaled(1 / s if s > 1 else 1))
+                costs.append(m.step_cost(frame_shape).per_input(s))
             else:
                 costs.append(m.clip_cost(frame_shape, t))
                 t = m.out_len(t)
@@ -253,9 +253,7 @@ class Parallel(CoModule):
         if self.reduce == "sum":
             out = int(np.prod(self.out_frame_shape(frame_shape)))
             adds = (len(self.branches) - 1) * out
-            total = total + OpCount(other=adds).scaled(
-                1 / self.stride() if self.stride() > 1 else 1
-            )
+            total = total + OpCount(other=adds).per_input(self.stride())
         return total
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:

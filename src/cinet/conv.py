@@ -31,8 +31,8 @@ spends MACs only on emissions that read it.  At ``s = 1`` these are ``d``
 sub-rings of ``m`` slots, each an undilated ring of the frames ``d`` steps
 apart.
 
-The geometry repeats every ``s * dp * mp`` steps, and the layout holds one
-entry of the schedule per step phase:
+The geometry repeats every ``s * dp * mp`` steps, and the schedule holds
+one entry per step phase:
 
 - the row of the slot the step's emission completes in, if one does: the
   emission is the newest tap's product plus that slot, and the slot starts
@@ -53,11 +53,13 @@ entry of the schedule per step phase:
 
 The layer arranges its weights once, in both stream dtypes at construction:
 the clip product's oldest-first matrix, with the bias.  The step path's
-layout takes its taps from that matrix and depends on the frame shape too,
-so it is made when the first stream of each dtype and frame shape binds,
-and kept on the module.  A spatial kernel unfolds each frame once (im2col)
-through a gather index built at the same time; a 1x1 kernel's products read
-the frame in place.
+newest tap, bias column and schedule depend on the dtype alone, so they are
+made when the first stream of each dtype binds and kept on the module, one
+entry per dtype; the ring's slot count is fixed at construction, and a
+stream sizes its ring from its frame.  A spatial kernel unfolds each frame
+once (im2col) through a read-only gather index memoised per frame shape; a
+1x1 kernel's products read the frame in place.  So one instance steps
+streams of every frame shape it accepts, side by side.
 
 Step and clip mode emit on one schedule and differ only in summation order.
 
@@ -75,8 +77,9 @@ fixed-shape product, so its bits do not depend on the clip's length or start.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,35 +88,17 @@ from .module import CoModule, OpCount, per_dtype
 from .tensor import Tensor
 
 
+@functools.lru_cache
 def _unfold_index(frame_shape: tuple, kh: int, kw: int) -> np.ndarray:
-    """Gather index that unfolds a (C, H, W) frame into im2col columns: row
-    (c, a, b), column (i, j) picks element ``[c, i + a, j + b]`` of the
-    flattened frame."""
+    """Read-only gather index that unfolds a (C, H, W) frame into im2col
+    columns: row (c, a, b), column (i, j) picks element ``[c, i + a, j + b]``
+    of the flattened frame.  Memoised: every step of a spatial kernel reads it."""
     c, h, w = frame_shape
     flat = np.arange(c * h * w).reshape(c, h, w)
     win = np.lib.stride_tricks.sliding_window_view(flat, (kh, kw), axis=(1, 2))
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, -1)
-
-
-class _Layout(NamedTuple):
-    """What the step path needs for one frame dtype and shape, made once.
-
-    ``w_new`` is the newest tap's (c_out, C*KH*KW) weights and ``bias`` the
-    (c_out, 1) bias.  ``plan[t mod len(plan)]`` is step ``t``'s ``(out,
-    adds, lag)``: the row of the slot its emission completes in (``None``
-    when none does), the ``(lo, hi, w)`` products ``ring[lo:hi] += w @ x``
-    of its frame's older taps, and the row of the emission aligned with the
-    frame, for a lagged term (``None`` at delay 0 and when ``t mod stride``
-    is not 0).  ``cols`` unfolds one frame into im2col columns, ``None``
-    for 1x1 kernels.
-    """
-
-    out_shape: tuple
-    ring_shape: tuple
-    w_new: np.ndarray
-    plan: list
-    bias: np.ndarray
-    cols: Optional[np.ndarray]
+    idx = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, -1)
+    idx.flags.writeable = False
+    return idx
 
 
 class _ConvState:
@@ -156,11 +141,18 @@ class TemporalConv(CoModule):
         self.temporal_stride = temporal_stride
         self._rf = rf
         self._delay = rf - 1 - padding
+        # the ring's dp sub-rings of mp slots (see the module docstring)
+        pending = -(-(self.k_t - 1) * dilation // temporal_stride)  # ceil(m*d/s)
+        self._dp = dilation // math.gcd(dilation, temporal_stride)
+        self._mp = -(-pending // self._dp)
+        self._spatial = self.k_h > 1 or self.k_w > 1  # a step unfolds its frame
         # (c_out, k_t*C*KH*KW) weights, taps oldest first, and the (c_out,) bias
         self._w = per_dtype(lambda dt: (
             weights.array.astype(dt)[:, :, ::-1].swapaxes(1, 2).reshape(self.c_out, -1),
             bias.array.astype(dt)))
-        self._layouts = {}  # (dtype, frame shape) -> _Layout, made by its first stream
+        # dtype -> the step path's newest tap (c_out, C*KH*KW), (c_out, 1) bias
+        # and schedule (``_plan``), made by the first stream of the dtype
+        self._step_table = {}
 
     def folded(self, bn) -> "TemporalConv":
         """This conv with the inference ``BatchNorm`` ``bn`` applied to its
@@ -236,34 +228,29 @@ class TemporalConv(CoModule):
     # -- step mode ----------------------------------------------------------------
 
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> _ConvState:
-        """A stream's ring; the layout it makes is kept for every later
-        stream of this dtype and frame shape."""
-        lay = self._layouts.get((dtype, frame_shape)) or self._layout(dtype, frame_shape)
-        ring = np.empty(lay.ring_shape, dtype)  # every pending emission starts at the bias
-        ring.reshape(-1, self.c_out, ring.shape[1])[...] = lay.bias
+        """A stream's ring; the first stream of a dtype arranges the step
+        path for every later one."""
+        if dtype not in self._step_table:
+            w_cat, bias = self._w[dtype]
+            taps = w_cat.reshape(self.c_out, self.k_t, -1)[:, ::-1].swapaxes(0, 1)  # newest first
+            self._step_table[dtype] = (taps[0].copy(), bias[:, None], self._plan(taps))
+        bias = self._step_table[dtype][1]
+        cols = math.prod(self.out_frame_shape(frame_shape)[1:])
+        ring = np.empty((self._dp * self._mp * self.c_out, cols), dtype)
+        ring.reshape(-1, self.c_out, cols)[...] = bias  # every pending emission starts at the bias
         return _ConvState(ring)
 
-    def _layout(self, dtype: np.dtype, frame_shape: tuple) -> _Layout:
-        out_shape = self.out_frame_shape(frame_shape)
-        w_cat, bias = self._w[dtype]
-        taps = w_cat.reshape(self.c_out, self.k_t, -1)[:, ::-1].swapaxes(0, 1)  # newest first
-        slots, plan = self._plan(taps)
-        cols = None
-        if self.k_h > 1 or self.k_w > 1:
-            cols = _unfold_index(frame_shape, self.k_h, self.k_w)
-        lay = _Layout(out_shape, (slots * self.c_out, math.prod(out_shape[1:])),
-                      taps[0].copy(), plan, bias[:, None], cols)
-        self._layouts[(dtype, frame_shape)] = lay
-        return lay
-
-    def _plan(self, taps: np.ndarray) -> tuple:
-        """The ring's slot count and its schedule (``_Layout.plan``), from the
-        (k_t, c_out, C*KH*KW) taps, newest first."""
+    def _plan(self, taps: np.ndarray) -> list:
+        """The ring's schedule from the (k_t, c_out, C*KH*KW) taps, newest
+        first: ``plan[t mod len(plan)]`` is step ``t``'s ``(out, adds,
+        lag)``, the row of the slot its emission completes in (``None`` when
+        none does), the ``(lo, hi, w)`` products ``ring[lo:hi] += w @ x`` of
+        its frame's older taps, and the row of the emission aligned with the
+        frame, for a lagged term (``None`` at delay 0 and when ``t mod
+        stride`` is not 0)."""
         m, d, s, c = self.k_t - 1, self.dilation, self.temporal_stride, self.c_out
         d0 = self._delay % s
-        dp = d // math.gcd(d, s)
-        pending = -(-m * d // s)  # ceil(m*d/s), the most emissions pending at once
-        mp = -(-pending // dp)
+        dp, mp = self._dp, self._mp
 
         def row(j):  # the first row of emission j's slot
             return (j % dp * mp + j // dp % mp) * c if mp else 0
@@ -290,7 +277,7 @@ class TemporalConv(CoModule):
                         adds.append((lo, lo + (n - head) * c, w[head * c:]))
             lag = row((t + self._delay - d0) // s) if self._delay and t % s == 0 else None
             plan.append((row(q) if r == 0 else None, adds, lag))
-        return dp * mp, plan
+        return plan
 
     def _step(self, state: _ConvState, xa: np.ndarray,
               lagged: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
@@ -298,26 +285,26 @@ class TemporalConv(CoModule):
         ``lagged``, handed in only on steps with ``t mod stride == 0``, is a
         (c_out, H'*W') term added to the emission ``delay()`` steps later,
         the one aligned with this frame."""
-        lay = self._layouts[xa.dtype, xa.shape]
+        w_new, bias, plan = self._step_table[xa.dtype]
         t = state.t
         state.t += 1
-        out, adds, lag = lay.plan[t % len(lay.plan)]
-        if lay.cols is not None:
-            x = xa.take(lay.cols)  # the frame's im2col columns
+        out, adds, lag = plan[t % len(plan)]
+        if self._spatial:
+            x = xa.take(_unfold_index(xa.shape, self.k_h, self.k_w))  # im2col columns
         else:
             x = xa if xa.ndim == 2 else xa.reshape(self.c_in, -1)  # (C, H*W) rows
         ring, c = state.ring, self.c_out
         y = None
         if out is not None:
-            slot = ring[out:out + c] if self.k_t > 1 else lay.bias  # k_t = 1 keeps no ring
+            slot = ring[out:out + c] if self.k_t > 1 else bias  # k_t = 1 keeps no ring
             if t >= self._delay:
-                y = lay.w_new @ x + slot
+                y = w_new @ x + slot
             # the freed slot starts its next emission at the bias, and at
             # bias + lagged when that emission is the aligned one
             if lag == out and lagged is not None:
-                np.add(lagged, lay.bias, out=slot)
+                np.add(lagged, bias, out=slot)
             elif self.k_t > 1:
-                slot[...] = lay.bias
+                slot[...] = bias
         if lagged is not None and lag != out:
             if self._delay:  # into the aligned emission's pending slot
                 sub = ring[lag:lag + c]
@@ -328,7 +315,7 @@ class TemporalConv(CoModule):
             sub = ring[lo:hi]  # bound first: ring[lo:hi] += would also copy it back
             sub += w @ x
         if y is not None and xa.ndim == 3:
-            y = y.reshape(lay.out_shape)
+            y = y.reshape(c, xa.shape[1] - self.k_h + 1, -1)  # (c_out, H', W')
         return y
 
     # -- analytic cost ---------------------------------------------------------------
@@ -339,10 +326,7 @@ class TemporalConv(CoModule):
         return OpCount(macs=macs, other=out)  # bias adds
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
-        per = self._per_emission(frame_shape)
-        if self.temporal_stride == 1:
-            return per
-        return per.scaled(1 / self.temporal_stride)
+        return self._per_emission(frame_shape).per_input(self.temporal_stride)
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
         return self._per_emission(frame_shape).scaled(self.out_len(t))

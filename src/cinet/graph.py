@@ -231,10 +231,7 @@ class StGcnBlock(CoModule):
         return cost + OpCount(other=2 * self.c_out * v)  # add + relu
 
     def step_cost(self, frame_shape: tuple) -> OpCount:
-        per = self._per_emission()
-        if self.stride() > 1:
-            per = per.scaled(1 / self.stride())
-        return self._gc_cost() + per
+        return self._gc_cost() + self._per_emission().per_input(self.stride())
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
         return self._gc_cost().scaled(t) + self._per_emission().scaled(self.out_len(t))

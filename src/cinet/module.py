@@ -47,8 +47,9 @@ So no ``_clip``, ``_step`` or ``_apply`` checks a shape.
 A layer arranges its weights at construction, with ``per_dtype``, in the
 form its kernel needs and in both stream dtypes; a kernel looks them up by
 its input's dtype and casts no weight, so a stream changes nothing on the
-layer.  The one table filled later is ``TemporalConv``'s step layouts,
-keyed by the frame shape a stream binds.
+layer.  The one table filled later is ``TemporalConv``'s step table, one
+entry per dtype, made by the first stream of that dtype; no layer keeps
+anything keyed by a frame shape.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ class OpCount:
 
     def scaled(self, factor) -> "OpCount":
         return OpCount(self.macs * factor, self.other * factor)
+
+    def per_input(self, stride: int) -> "OpCount":
+        """This count, spent once every ``stride`` input steps, per input
+        step: integral at stride 1."""
+        return self if stride == 1 else self.scaled(1 / stride)
 
 
 class CoModule:

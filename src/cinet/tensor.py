@@ -29,7 +29,9 @@ class Tensor:
     """Immutable dense n-dimensional array with dtype ``f32`` or ``f64``.
 
     ``data`` is the row-major flat element sequence; ``len(data)`` always
-    equals the product of ``shape``.  Rank 0 (scalars) is allowed.
+    equals the product of ``shape``.  Rank 0 (scalars) is allowed.  A
+    writeable array of the caller's is copied, not frozen; an input that
+    needs converting is not copied again.
     """
 
     __slots__ = ("array",)
@@ -38,6 +40,8 @@ class Tensor:
         if dtype not in DTYPES:
             raise ValueError(f"unsupported dtype {dtype!r}")
         arr = np.asarray(data, dtype=DTYPES[dtype])
+        if arr.flags.writeable and (arr is data or arr.base is not None):
+            arr = arr.copy()  # the caller's memory, which it may still write
         if shape is not None:
             if any(int(e) < 0 for e in shape):
                 raise DimensionError(f"negative extent in shape {tuple(shape)}")

@@ -415,24 +415,6 @@ def test_mha_vs_offline_oracle(mode, heads):
     assert max_rel_dev(got, want) < 1e-4
 
 
-@pytest.mark.parametrize("mode", ["retro", "single"])
-def test_mha_refuses_distinct_rows_before_the_stream_moves(mode):
-    # multi-head attention projects self-attention only: q, k and v rows
-    # that are not one array are refused by name, and the stream stays put
-    n, d, h = 3, 4, 2
-    rng = np.random.default_rng(13)
-    mha = MultiheadAttention(mode, n, *(rand_tensor(rng, (d, d)) for _ in range(4)), heads=h)
-    state = mha.init_state()
-    x = rand_tensor(rng, (d,))
-    for _ in range(n + 1):
-        mha.att_step(state, x, x, x)
-    xq, xk, xv = (rand_tensor(rng, (d,)) for _ in range(3))
-    for rows in ((xq, xk, xv), (x, x, xv), (x, Tensor.wrap(x.array.copy()), x)):
-        with pytest.raises(DimensionError, match="self-attention"):
-            mha.att_step(state, *rows)
-        assert state.t == n + 1
-
-
 # -- recycling positional encoding ---------------------------------------------------
 
 

@@ -294,6 +294,38 @@ def test_frame_shape_mismatch_raises():
         conv.forward_step(conv.init_state(), Tensor.zeros((3, 4, 4)))
 
 
+@pytest.mark.parametrize("k,frames", [
+    ((3, 2, 2), [(2, 4, 4), (2, 6, 6)]),  # a spatial kernel on two frame sizes
+    ((3, 1, 1), [(2, 5), (2, 3, 4)]),  # a 1x1 kernel on node and (C, H, W) frames
+], ids=["spatial", "pointwise"])
+def test_one_conv_steps_streams_of_several_frame_shapes(k, frames):
+    # the step path is arranged per dtype alone: streams of two frame shapes
+    # in both dtypes, interleaved on one instance, each give the bits of the
+    # same frames run alone on a fresh instance, and match their clip
+    rng = np.random.default_rng(31)
+    w, b = rand_tensor(rng, (3, 2) + k), rand_tensor(rng, (3,))
+
+    def conv():
+        return TemporalConv(w, b, dilation=2, padding=1, temporal_stride=2)
+
+    xs = [(rand_tensor(rng, (13,) + f, dtype=dt), tol)
+          for f in frames for dt, tol in (("f32", 1e-6), ("f64", 1e-12))]
+    shared = conv()
+    states = [shared.init_state() for _ in xs]
+    outs = [[] for _ in xs]
+    for t in range(13):
+        for (x, _), state, ys in zip(xs, states, outs):
+            y = shared.forward_step(state, Tensor.wrap(x.array[t]))
+            if y is not None:
+                ys.append(y.array)
+    for (x, tol), ys in zip(xs, outs):
+        alone = conv()
+        want = alone.forward_steps(alone.init_state(), x).array
+        assert len(ys) == len(want) == 5
+        assert np.array_equal(np.stack(ys), want)
+        assert max_rel_dev(want, shared.forward(x).array) < tol
+
+
 # -- invariants -------------------------------------------------------------------
 
 
@@ -406,14 +438,14 @@ def test_schedule_feeds_every_emission_exactly_its_older_taps(stride):
             for pad in sorted({0, rf // 2, rf - 1}):
                 conv = make_conv(rng, c_out=3, k=(k_t, 1, 1), dilation=dil, padding=pad,
                                  stride=stride)
-                conv._state((2, 4), dt)
-                lay = conv._layouts[(dt, (2, 4))]
+                ring = conv._state((2, 4), dt).ring
+                plan = conv._step_table[dt][2]
                 taps, c = _taps(conv, dt), conv.c_out
-                assert len(lay.plan) == stride * max(ring_slots(k_t, dil, stride), 1)
-                got = {r: [] for r in range(0, lay.ring_shape[0], c)}
+                assert len(plan) == stride * max(ring_slots(k_t, dil, stride), 1)
+                got = {r: [] for r in range(0, ring.shape[0], c)}
                 completed = 0
-                for t in range(3 * len(lay.plan) + rf):
-                    out, adds, lag = lay.plan[t % len(lay.plan)]
+                for t in range(3 * len(plan) + rf):
+                    out, adds, lag = plan[t % len(plan)]
                     assert (out is not None) == ((t - conv.delay()) % stride == 0)
                     if out is not None and k_t > 1:
                         want = [(k, t - k * dil) for k in range(1, k_t) if t - k * dil >= 0]
@@ -468,7 +500,7 @@ def _check_every_sub_ring_phase(c_out, k_t, dil, pad, stride, spatial, dtype, to
     # phase feeds, together at most twice the taps' bytes, not a copy per
     # phase nor a zero-padded block
     taps = (k_t - 1) * conv.c_out * conv.c_in * spatial[0] * spatial[1] * x.itemsize
-    plan = conv._layouts[(x.dtype, frame)].plan
+    plan = conv._step_table[x.dtype][2]
     ws = [w for _, adds, _ in plan for _, _, w in adds]
     assert all(w.ndim == 2 and w.dtype == x.dtype and w.base is not None for w in ws)
     assert sum({id(w.base): w.base.nbytes for w in ws}.values()) <= 2 * taps

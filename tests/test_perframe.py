@@ -77,7 +77,8 @@ def test_pointwise_step_cost_is_one_mac_per_weight_and_position():
 ], ids=["pw-wide", "pw-narrow", "pw-foldable", "bn"])
 def test_wrong_channel_count_raises_in_both_modes(make, frame):
     """A reshape could fold a wrong channel count into the columns; the
-    kernel names the mismatch instead."""
+    root's frame check (``out_frame_shape``) names the mismatch first, in
+    clip mode as in step mode, before any kernel runs."""
     rng = np.random.default_rng(20)
     layer = make(rng)
     x = rand_tensor(rng, (3,) + frame)

@@ -21,6 +21,19 @@ def test_tensor_invariants_and_immutability():
         Tensor([1.0, 2.0], shape=(3,))
 
 
+def test_tensor_copies_a_writeable_caller_array_and_leaves_it_writeable():
+    # the caller may go on writing its array: the tensor neither freezes it
+    # nor aliases it, reshaped or not; a converted input is the tensor's own
+    for shape in (None, (2, 3)):
+        x = np.zeros(6, np.float32)
+        t = Tensor(x, shape)
+        x[0] = 1.0
+        assert t.array.reshape(-1)[0] == 0.0 and not t.array.flags.writeable
+    x64 = np.zeros(6)
+    t = Tensor(x64)
+    assert t.array.dtype == np.float32 and t.array.base is None and x64.flags.writeable
+
+
 def test_rank_zero_tensors_keep_rank_zero():
     assert Tensor(2.0, ()).shape == () and Tensor(2.0, ()).item() == 2.0
     assert Tensor.wrap(np.array(3.0)).shape == ()

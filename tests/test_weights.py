@@ -3,8 +3,9 @@
 Every weight-holding layer arranges its weights in both stream dtypes at
 construction, so one instance serves f32 and f64 streams side by side, each
 bit for bit as a run of that dtype alone, and running a stream writes
-nothing to the layer.  ``TemporalConv._layouts``, keyed by the frame shape
-a stream brings, is the one table a stream may fill.
+nothing to the layer.  ``TemporalConv._step_table``, one entry per stream
+dtype, is the one table a stream may fill: its first stream of a dtype
+arranges the step path for every later one, whatever their frame shapes.
 """
 
 from pathlib import Path
@@ -123,7 +124,7 @@ def _attributes(m: CoModule) -> dict:
     """Each attribute of ``m`` with the objects a dict or list of it holds."""
     return {k: (v, [*v.keys(), *v.values()] if isinstance(v, dict) else
                 list(v) if isinstance(v, list) else None)
-            for k, v in vars(m).items() if not (isinstance(m, TemporalConv) and k == "_layouts")}
+            for k, v in vars(m).items() if not (isinstance(m, TemporalConv) and k == "_step_table")}
 
 
 def _assert_untouched(root: CoModule, run) -> None:
