@@ -13,11 +13,14 @@ the pairs the change won (the direction is the metric's ``better`` in
 ``BENCHMARK.json``; ties count for neither side) and whether the gain rule
 holds: the change won at least nine tenths of the pairs, and its
 median differs from the parent's, for the better, by more than the parent's
-quartile distance.  A run that fails or reports a failed output is shown
-and left out of the pairs.
+quartile distance.  A metric is flagged as a regression when the change's
+median is worse than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json``, a share of the parent's median.  A run that fails or
+reports a failed output is shown and left out of the pairs.
 
 ``--out PATH`` also writes the run as JSON: the workload, pair count,
-seconds and ``seed0``; per metric the summary above; the commit of each
+seconds and ``seed0``; per metric the summary above, with its ``bound``
+and ``regression`` flag; the commit of each
 checkout (``null`` outside git, ``dirty`` when tracked files differ from
 it) and the environment of the machine.
 """
@@ -49,9 +52,19 @@ def parse_result(stdout: str) -> dict:
     return {name: m["value"] for name, m in result.get("metrics", {}).items()}
 
 
-def summarise(pairs: list, better: dict) -> dict:
+def rules(bench: dict) -> tuple:
+    """``({name: better}, {name: bound})`` of the end-to-end metrics of a
+    parsed ``BENCHMARK.json``."""
+    metrics = bench["end_to_end"]
+    return {m["name"]: m["better"] for m in metrics}, {m["name"]: m["bound"] for m in metrics}
+
+
+def summarise(pairs: list, better: dict, bounds: dict | None = None) -> dict:
     """Per metric of ``better`` (``{name: "higher" | "lower"}``), the summary
-    of ``pairs``, a list of ``(parent, change)`` result dicts."""
+    of ``pairs``, a list of ``(parent, change)`` result dicts.  A metric with
+    a bound in ``bounds`` (``{name: share}``) gets a regression flag; one
+    without gets ``None``."""
+    bounds = bounds or {}
     out = {}
     for name, direction in better.items():
         both = [(p[name], c[name]) for p, c in pairs if name in p and name in c]
@@ -63,23 +76,28 @@ def summarise(pairs: list, better: dict) -> dict:
         c1, med_c, c3 = np.percentile(chg, [25, 50, 75])
         wins = int(np.sum(sign * (chg - par) > 0))
         gain = sign * (med_c - med_p)
+        bound = bounds.get(name)
         out[name] = {
             "pairs": len(both), "parent_median": float(med_p), "parent_iqr": float(q3 - q1),
             "change_median": float(med_c), "change_iqr": float(c3 - c1),
             "ratio": med_c / med_p if med_p else math.nan,
             "wins": wins,
             "rule": bool(wins >= math.ceil(0.9 * len(both)) and gain > q3 - q1),
+            "bound": bound,
+            "regression": None if bound is None else bool(-gain > bound * abs(med_p)),
         }
     return out
 
 
 def format_table(summary: dict) -> str:
     rows = [f"{'metric':<22} {'parent':>12} {'p.IQR':>10} {'change':>12} {'c.IQR':>10} "
-            f"{'ratio':>7} {'wins':>6}  rule"]
+            f"{'ratio':>7} {'wins':>6}  {'rule':<5}  regression"]
+    flags = {None: "-", True: "YES", False: "no"}
     for name, s in summary.items():
         rows.append(f"{name:<22} {s['parent_median']:>12.6g} {s['parent_iqr']:>10.4g} "
                     f"{s['change_median']:>12.6g} {s['change_iqr']:>10.4g} {s['ratio']:>7.4f} "
-                    f"{s['wins']:>3}/{s['pairs']:<2}  {'holds' if s['rule'] else 'no'}")
+                    f"{s['wins']:>3}/{s['pairs']:<2}  {'holds' if s['rule'] else 'no':<5}  "
+                    f"{flags[s['regression']]}")
     return "\n".join(rows)
 
 
@@ -133,8 +151,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed0", type=int, default=301, help="seed of the first pair")
     p.add_argument("--out", type=Path, help="also write the run's JSON record here")
     args = p.parse_args(argv)
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better, bounds = rules(json.loads((ROOT / "BENCHMARK.json").read_text()))
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
     for i in range(args.pairs):
@@ -148,7 +165,7 @@ def main(argv=None) -> int:
             pairs.append((got["parent"], got["change"]))
     print(f"workload {args.workload}, {len(pairs)} of {args.pairs} pairs, "
           f"{args.seconds} s runs")
-    summary = summarise(pairs, better)
+    summary = summarise(pairs, better, bounds)
     print(format_table(summary))
     if args.out:
         checkouts = {side: checkout_commit(path) for side, path in sides.items()}

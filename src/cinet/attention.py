@@ -94,9 +94,13 @@ def _clamped_exp(logits: np.ndarray, counter: list) -> np.ndarray:
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale, counter=None):
     """``A 1`` and ``A V`` of ``A = exp(Q K^T * scale)`` over leading batch
     axes; logits are clamped and counted when a ``counter`` is given."""
-    logits = q @ k.swapaxes(-1, -2) * scale
+    if q.ndim == 2:  # one stream's rows
+        logits = np.dot(q, k.T) * scale
+    else:
+        logits = q @ k.swapaxes(-1, -2) * scale
     a = np.exp(logits) if counter is None else _clamped_exp(logits, counter)
-    return np.add.reduce(a, -1), a @ v  # a.sum(-1) without its Python wrapper
+    # a.sum(-1) without its Python wrapper
+    return np.add.reduce(a, -1), np.dot(a, v) if a.ndim == 2 else a @ v
 
 
 def sda_full(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
@@ -278,12 +282,14 @@ class RetroAttention(_RowAttention):
             k_pair = np.empty(k.shape + (2,))  # (..., d, 2): departing, arriving
             k_pair[..., 0] = k_mem[..., 0, :]
             k_pair[..., 1] = k
-            e = _clamped_exp(q_mem[..., 1:, :] @ k_pair * self._upd_scale, state.clamp_events)
+            q_old = q_mem[..., 1:, :]
+            qk = np.dot(q_old, k_pair) if q_old.ndim == 2 else q_old @ k_pair
+            e = _clamped_exp(qk * self._upd_scale, state.clamp_events)
             v_pair = np.empty(v.shape[:-1] + (2, v.shape[-1] + 1))  # (..., 2, d_v + 1)
             np.negative(v_mem[..., 0, :], out=v_pair[..., 0, :-1])
             v_pair[..., 1, :-1] = v
             v_pair[..., -1] = self._signs
-            upd = e @ v_pair
+            upd = np.dot(e, v_pair) if e.ndim == 2 else e @ v_pair
             upd += avd[..., 1:, :]
             avd[..., :-1, :] = upd
         _push(q_mem, q)
@@ -443,8 +449,8 @@ class MultiheadAttention(_WindowAttention):
         """q, k, v head rows of a (d_model,) token or (..., n, d_model)
         windows, cast to ``dtype`` if one is given: one matmul by ``w_q |
         w_k | w_v``, one cast and three views of it."""
-        dk = self.d_k
-        p = x @ self._w[x.dtype][0]
+        dk, w = self.d_k, self._w[x.dtype][0]
+        p = np.dot(x, w) if x.ndim <= 2 else x @ w  # a token, or stacked windows
         if dtype is not None:
             p = p.astype(dtype)
         if p.ndim == 1 and self.d_v == dk:  # a token: rows (3, heads, d_h)
@@ -457,7 +463,8 @@ class MultiheadAttention(_WindowAttention):
         concatenated, then ``w_o``."""
         cat = y.swapaxes(-3, -2) if y.ndim > 2 else y
         cat = cat.reshape(cat.shape[:-2] + (self.d_v,))
-        return cat @ self._w[y.dtype][1]
+        w_o = self._w[y.dtype][1]
+        return np.dot(cat, w_o) if cat.ndim <= 2 else cat @ w_o
 
     def _window(self, win: np.ndarray) -> np.ndarray:
         """Attention output (..., n, d_o) of complete (..., n, d_model) windows."""
@@ -467,8 +474,11 @@ class MultiheadAttention(_WindowAttention):
         """Attention output (..., 1, d_o) of the newest row of complete (...,
         n, d_model) windows: keys and values of every row, one query."""
         w = self._w[win.dtype][0]
-        q = self._split(win[..., -1:, :] @ w[:, :self.d_k])
-        kv = win @ w[:, self.d_k:]
+        w_q, w_kv = w[:, :self.d_k], w[:, self.d_k:]
+        if win.ndim == 2:  # one window, as a window-input block steps
+            q, kv = self._split(np.dot(win[-1:], w_q)), np.dot(win, w_kv)
+        else:
+            q, kv = self._split(win[..., -1:, :] @ w_q), win @ w_kv
         # K^T as contiguous rows: a one-row q K^T is a matrix-vector product,
         # and over a strided K^T BLAS runs it as a transposed gemv whose sums
         # round unlike the window's gemm; laid out this way, the newest row
@@ -620,10 +630,10 @@ class EncoderBlock(CoModule):
 
     def _ff(self, ya: np.ndarray) -> np.ndarray:
         w1, b1, w2, b2, zero = self._w[ya.dtype]
-        h = ya @ w1
+        h = np.dot(ya, w1) if ya.ndim <= 2 else ya @ w1  # step rows, or stacked windows
         h += b1
         np.maximum(h, zero, out=h)
-        y = h @ w2
+        y = np.dot(h, w2) if h.ndim <= 2 else h @ w2
         y += b2
         return y
 

@@ -66,9 +66,10 @@ class Pointwise(PerFrame):
         """``W^T`` on the channel axis; the axes after it are the GEMM's columns."""
         w_t = self._w[xa.dtype]
         if channel_axis == 0 and xa.ndim == 2:  # a (c_in, V) frame is the GEMM's operand
-            return w_t @ xa
+            return np.dot(w_t, xa)
         lead, tail = xa.shape[:channel_axis], xa.shape[channel_axis + 1:]
-        y = w_t @ xa.reshape(lead + (self.c_in, math.prod(tail)))
+        x = xa.reshape(lead + (self.c_in, math.prod(tail)))
+        y = np.dot(w_t, x) if x.ndim == 2 else w_t @ x  # a frame, or stacked clip frames
         return y.reshape(lead + (self.c_out,) + tail)
 
     def step_cost(self, frame_shape: tuple) -> OpCount:

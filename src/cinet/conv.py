@@ -298,7 +298,7 @@ class TemporalConv(CoModule):
         if out is not None:
             slot = ring[out:out + c] if self.k_t > 1 else bias  # k_t = 1 keeps no ring
             if t >= self._delay:
-                y = w_new @ x + slot
+                y = np.dot(w_new, x) + slot
             # the freed slot starts its next emission at the bias, and at
             # bias + lagged when that emission is the aligned one
             if lag == out and lagged is not None:
@@ -313,7 +313,7 @@ class TemporalConv(CoModule):
                 y += lagged
         for lo, hi, w in adds:
             sub = ring[lo:hi]  # bound first: ring[lo:hi] += would also copy it back
-            sub += w @ x
+            sub += np.dot(w, x)
         if y is not None and xa.ndim == 3:
             y = y.reshape(c, xa.shape[1] - self.k_h + 1, -1)  # (c_out, H', W')
         return y

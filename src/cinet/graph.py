@@ -129,8 +129,9 @@ def _gc(xa: np.ndarray, a_cat: np.ndarray, w_cat: np.ndarray) -> np.ndarray:
     aggregation in one ``x @ A_cat``, whose rows read as (c_in*P, v) per
     frame, then one channel mix with the stacked weights."""
     v = xa.shape[-1]
-    y = (xa if xa.ndim == 2 else xa.reshape(-1, v)) @ a_cat
-    return w_cat @ y.reshape(xa.shape[:-2] + (w_cat.shape[1], v))
+    y = np.dot(xa if xa.ndim == 2 else xa.reshape(-1, v), a_cat)
+    y = y.reshape(xa.shape[:-2] + (w_cat.shape[1], v))
+    return np.dot(w_cat, y) if y.ndim == 2 else w_cat @ y  # a frame's mix, or stacked frames
 
 
 def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Tensor:
@@ -177,7 +178,8 @@ class StGcnBlock(CoModule):
                          else Identity() if residual == "identity" else None)
         self._frame = (self.c_in, graph.v)
         self._frame_out = (self.c_out, graph.v)
-        self._w = per_dtype(lambda dt: _stacked(graph, self.w_gc, dt))  # (A_cat, W)
+        # (A_cat, W), and ReLU's 0 as a 0-d array
+        self._w = per_dtype(lambda dt: _stacked(graph, self.w_gc, dt) + (np.zeros((), dt),))
 
     def delay(self) -> int:
         return self.tc.delay()
@@ -200,19 +202,21 @@ class StGcnBlock(CoModule):
         # the shortcut of an input an emission aligns with rides in the
         # conv's ring to that emission; the conv's output is a fresh array
         # that no state holds, so the ReLU runs in place on it
+        a_cat, w_cat, zero = self._w[xa.dtype]
         lagged = None
         if self.shortcut is not None and state.t % self.tc.temporal_stride == 0:
             lagged = self.shortcut._apply(xa, 0)
-        y = self.tc._step(state, _gc(xa, *self._w[xa.dtype]), lagged)
-        return y if y is None else np.maximum(y, 0, out=y)
+        y = self.tc._step(state, _gc(xa, a_cat, w_cat), lagged)
+        return y if y is None else np.maximum(y, zero, out=y)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         # a fresh array, as in step mode: the epilogue runs in place
-        y = self.tc._clip(_gc(xa, *self._w[xa.dtype]))
+        a_cat, w_cat, zero = self._w[xa.dtype]
+        y = self.tc._clip(_gc(xa, a_cat, w_cat))
         if self.shortcut is not None:
             # emission j lands on input j*stride, as in step mode
             y += self.shortcut._apply(xa[:y.shape[0] * self.stride():self.stride()], 1)
-        return np.maximum(y, 0, out=y)
+        return np.maximum(y, zero, out=y)
 
     # -- analytic cost -------------------------------------------------------------
 
@@ -268,13 +272,13 @@ class GlobalAverageHead(CoModule):
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         w, b = self._w[a.dtype]
         nodes = a if a.ndim == 2 else a.reshape(self.channels, -1)
-        pooled = self.pool._step(state, self._node_mean(nodes) @ w)
+        pooled = self.pool._step(state, np.dot(self._node_mean(nodes), w))
         return None if pooled is None else pooled + b
 
     def _clip(self, a: np.ndarray) -> np.ndarray:
         w, b = self._w[a.dtype]
         nodes = a.reshape(a.shape[0], self.channels, math.prod(a.shape[2:]))
-        return self.pool._clip(self._node_mean(nodes) @ w) + b
+        return self.pool._clip(np.dot(self._node_mean(nodes), w)) + b
 
     @staticmethod
     def _node_mean(a: np.ndarray) -> np.ndarray:

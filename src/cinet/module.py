@@ -50,6 +50,16 @@ its input's dtype and casts no weight, so a stream changes nothing on the
 layer.  The one table filled later is ``TemporalConv``'s step table, one
 entry per dtype, made by the first stream of that dtype; no layer keeps
 anything keyed by a frame shape.
+
+A step spends more on numpy's per-call dispatch than on arithmetic, so
+every kernel makes its calls by one rule.  A product whose operands are
+both at most 2-D calls ``np.dot``: it reaches the same BLAS routine as
+``@`` for less dispatch, so it moves no bit.  A product stacked over
+leading axes keeps ``@``, since ``np.dot`` contracts N-D operands another
+way; a kernel that serves both modes picks the call by its operands'
+``ndim``.  A ufunc's scalar operand is a 0-d array of the operand's dtype,
+made at construction (``per_dtype`` for the stream dtype), not a Python
+scalar, which a ufunc converts on every call.
 """
 
 from __future__ import annotations

@@ -95,6 +95,11 @@ class TemporalPool(CoModule):
         self.kind = kind
         self.window = window
         self.padding = padding
+        # what a step reads, fixed here: its op, its delay, and for the
+        # average the window as a 0-d f64 array, the accumulator's divisor
+        self._op = np.add if kind == "avg" else np.maximum
+        self._delay = window - 1 - padding
+        self._count = np.array(window, np.float64) if kind == "avg" else None
 
     @property
     def refresh_interval(self) -> int:
@@ -102,7 +107,7 @@ class TemporalPool(CoModule):
         return self.window
 
     def delay(self) -> int:
-        return self.window - 1 - self.padding
+        return self._delay
 
     def receptive_field(self) -> int:
         return self.window
@@ -121,7 +126,7 @@ class TemporalPool(CoModule):
         if self.padding:
             xa = np.concatenate([np.zeros((self.padding,) + xa.shape[1:], xa.dtype), xa])
         total = _window_reduce(np.add, xa, self.window, n_out, np.float64)
-        total /= self.window
+        total /= self._count
         return total.astype(xa.dtype, copy=False)
 
     # -- step mode ----------------------------------------------------------------
@@ -131,9 +136,7 @@ class TemporalPool(CoModule):
                           np.zeros(frame_shape, np.float64 if self.kind == "avg" else dtype))
 
     def _step(self, state: _PoolState, xa: np.ndarray) -> Optional[np.ndarray]:
-        w = self.window
-        avg = self.kind == "avg"
-        op = np.add if avg else np.maximum
+        w, op, count = self.window, self._op, self._count
         ring, prefix = state.ring, state.prefix
         t = state.t
         state.t += 1
@@ -144,19 +147,19 @@ class TemporalPool(CoModule):
         else:
             prefix[...] = xa
         if r < w - 1:
-            if t < self.delay():
+            if t < self._delay:
                 return None
             y = op(ring[w - 2 - r], prefix)
         else:
             y = prefix.copy()
             # the block is complete: slot s becomes op over its positions w-1-s .. w-1
-            if avg:
-                ring[...] = np.add.accumulate(ring, axis=0, dtype=np.float64)
-            else:
+            if count is None:
                 np.maximum.accumulate(ring, axis=0, out=ring)
-        if not avg:
+            else:
+                ring[...] = np.add.accumulate(ring, axis=0, dtype=np.float64)
+        if count is None:
             return y
-        y /= w
+        y /= count
         return y.astype(xa.dtype, copy=False)
 
     # -- analytic cost ----------------------------------------------------------

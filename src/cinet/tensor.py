@@ -21,6 +21,9 @@ from .errors import DimensionError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _NP_TO_NAME = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+# dtype objects: ``in`` matches them by identity, where comparing a dtype
+# with the scalar types converts each type first
+_WRAP_DTYPES = tuple(_NP_TO_NAME)
 
 Scalar = Union[int, float]
 
@@ -67,14 +70,14 @@ class Tensor:
         from arrays to ``Tensor``: the public call modes and shims
         (``forward*``, ``att_step``, ``graph_conv``, ``sda_full``) call it
         once on their result, and layers never call it on each other's."""
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _WRAP_DTYPES:
             raise ValueError(f"unsupported ndarray dtype {arr.dtype}")
         t = object.__new__(Tensor)
-        a = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
-        if a is arr and arr.flags.writeable:
-            a = arr.copy()
-        a.flags.writeable = False
-        object.__setattr__(t, "array", a)
+        flags = arr.flags
+        if flags.writeable or not flags.c_contiguous:
+            arr = arr.copy()  # C order
+            arr.flags.writeable = False
+        object.__setattr__(t, "array", arr)
         return t
 
     @staticmethod

@@ -94,3 +94,32 @@ def test_record_holds_the_run_and_reads_back_as_json(ab, tmp_path):
     assert [s[k] for k in ("parent_median", "change_median", "wins", "rule")] == [100, 111, 10, True]
     assert s["parent_iqr"] == pytest.approx(2.5) and s["change_iqr"] == pytest.approx(1.75)
     assert s["ratio"] == pytest.approx(1.11)
+
+
+@pytest.fixture(scope="module")
+def bench_rules(ab):
+    return ab.rules(json.loads((ROOT / "BENCHMARK.json").read_text()))
+
+
+@pytest.mark.parametrize("name, parent, inside, outside", [
+    ("steps_per_s", 100.0, 80.1, 79.9),  # higher is better, bound 0.2
+    ("step_latency_p50_us", 100.0, 119.9, 120.1),  # lower is better, bound 0.2
+])
+def test_regression_flag_is_the_metric_bound_from_the_benchmark(ab, bench_rules, name, parent,
+                                                                inside, outside):
+    better, bounds = bench_rules
+    assert bounds[name] == 0.2
+    for change, flagged in ((inside, False), (outside, True)):
+        pairs = canned_pairs(ab, [parent] * 10, [change] * 10, name)
+        s = ab.summarise(pairs, better, bounds)[name]
+        assert s["bound"] == 0.2 and s["regression"] is flagged and s["wins"] == 0
+        row = next(r for r in ab.format_table({name: s}).splitlines() if r.startswith(name))
+        assert row.endswith("YES" if flagged else "no")
+        rec = json.loads(json.dumps(ab.record("skeleton", 10, 30, 301, {name: s}, {}, {})))
+        assert rec["metrics"][name]["regression"] is flagged
+
+
+def test_no_bound_no_regression_flag(ab):
+    s = ab.summarise(canned_pairs(ab, [100] * 10, [10] * 10), {"steps_per_s": "higher"})
+    assert s["steps_per_s"]["bound"] is None and s["steps_per_s"]["regression"] is None
+    assert ab.format_table(s).splitlines()[1].endswith("-")

@@ -42,6 +42,30 @@ def test_rank_zero_tensors_keep_rank_zero():
     assert Tensor.wrap(strided).array.flags.c_contiguous
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.float16, ">f4", ">f8"])
+def test_wrap_refuses_an_array_of_another_dtype(dtype):
+    with pytest.raises(ValueError, match="unsupported ndarray dtype"):
+        Tensor.wrap(np.zeros((2, 3), dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wrap_copies_a_writeable_array_and_leaves_it_writeable(dtype):
+    x = np.arange(6, dtype=dtype).reshape(2, 3)
+    t = Tensor.wrap(x)
+    assert t.array is not x and not np.shares_memory(t.array, x)
+    assert x.flags.writeable and not t.array.flags.writeable
+    x[0, 0] = 9.0
+    assert t.array[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wrap_shares_a_read_only_contiguous_array(dtype):
+    x = np.arange(6, dtype=dtype).reshape(2, 3)
+    x.flags.writeable = False
+    t = Tensor.wrap(x)
+    assert t.array is x and t.dtype == {np.float32: "f32", np.float64: "f64"}[dtype]
+
+
 @pytest.mark.parametrize("mode", ["forward", "forward_steps"])
 def test_a_rank_zero_clip_is_refused_for_its_missing_time_axis(mode):
     layer = TemporalPool("avg", 2)  # any frame shape, a () frame too
