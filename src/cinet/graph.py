@@ -129,9 +129,10 @@ def _gc(xa: np.ndarray, a_cat: np.ndarray, w_cat: np.ndarray) -> np.ndarray:
     aggregation in one ``x @ A_cat``, whose rows read as (c_in*P, v) per
     frame, then one channel mix with the stacked weights."""
     v = xa.shape[-1]
-    y = np.dot(xa if xa.ndim == 2 else xa.reshape(-1, v), a_cat)
-    y = y.reshape(xa.shape[:-2] + (w_cat.shape[1], v))
-    return np.dot(w_cat, y) if y.ndim == 2 else w_cat @ y  # a frame's mix, or stacked frames
+    if xa.ndim == 2:  # a step's frame
+        return np.dot(w_cat, np.dot(xa, a_cat).reshape(w_cat.shape[1], v))
+    y = xa.reshape(-1, v) @ a_cat
+    return w_cat @ y.reshape(xa.shape[:-2] + (w_cat.shape[1], v))
 
 
 def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Tensor:
@@ -278,7 +279,7 @@ class GlobalAverageHead(CoModule):
     def _clip(self, a: np.ndarray) -> np.ndarray:
         w, b = self._w[a.dtype]
         nodes = a.reshape(a.shape[0], self.channels, math.prod(a.shape[2:]))
-        return self.pool._clip(np.dot(self._node_mean(nodes), w)) + b
+        return self.pool._clip(self._node_mean(nodes) @ w) + b
 
     @staticmethod
     def _node_mean(a: np.ndarray) -> np.ndarray:

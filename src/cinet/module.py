@@ -52,11 +52,12 @@ entry per dtype, made by the first stream of that dtype; no layer keeps
 anything keyed by a frame shape.
 
 A step spends more on numpy's per-call dispatch than on arithmetic, so
-every kernel makes its calls by one rule.  A product whose operands are
-both at most 2-D calls ``np.dot``: it reaches the same BLAS routine as
-``@`` for less dispatch, so it moves no bit.  A product stacked over
-leading axes keeps ``@``, since ``np.dot`` contracts N-D operands another
-way; a kernel that serves both modes picks the call by its operands'
+step kernels make their calls by one rule.  A step's product whose
+operands are both at most 2-D calls ``np.dot``: it reaches the same BLAS
+routine as ``@`` for less dispatch, so it moves no bit.  Clip mode's
+products keep ``@``: a stacked product needs it, as ``np.dot`` contracts
+N-D operands another way, and on clip-sized 2-D operands ``np.dot`` runs
+slower.  A kernel that serves both modes picks the call by its operands'
 ``ndim``.  A ufunc's scalar operand is a 0-d array of the operand's dtype,
 made at construction (``per_dtype`` for the stream dtype), not a Python
 scalar, which a ufunc converts on every call.
