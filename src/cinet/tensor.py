@@ -21,9 +21,6 @@ from .errors import DimensionError
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _NP_TO_NAME = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-# dtype objects: ``in`` matches them by identity, where comparing a dtype
-# with the scalar types converts each type first
-_WRAP_DTYPES = tuple(_NP_TO_NAME)
 
 Scalar = Union[int, float]
 
@@ -70,7 +67,8 @@ class Tensor:
         from arrays to ``Tensor``: the public call modes and shims
         (``forward*``, ``att_step``, ``graph_conv``, ``sda_full``) call it
         once on their result, and layers never call it on each other's."""
-        if arr.dtype not in _WRAP_DTYPES:
+        # keyed by dtype objects: comparing with np.float32 would convert the type first
+        if arr.dtype not in _NP_TO_NAME:
             raise ValueError(f"unsupported ndarray dtype {arr.dtype}")
         t = object.__new__(Tensor)
         flags = arr.flags
