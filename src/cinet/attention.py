@@ -173,9 +173,12 @@ class _WindowAttention(CoModule):
 
 class _RowAttention(_WindowAttention):
     """The attention forms on ``(..., d)`` rows.  ``att_step`` checks its
-    rows and binds the stream on the value row; ``_att`` then runs
-    ``_kernel(state, q, k, v, dtype)``, which checks nothing: multi-head
-    attention, whose rows are its own projections, calls it directly."""
+    rows and binds the stream on the value row; ``_att`` then casts them to
+    ``row_dtype``, if set, and runs ``_kernel(state, q, k, v, dtype)``, which
+    checks nothing: multi-head attention, whose rows are its own
+    projections, casts and calls it directly."""
+
+    row_dtype: Optional[np.dtype] = None  # None: the rows' own dtype
 
     def att_step(self, state, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
         """Consume one row each of ``q``, ``k``, ``v``; the emission, or
@@ -198,6 +201,14 @@ class _RowAttention(_WindowAttention):
         if tuple(frame_shape[-1:]) != (self.d,):
             raise DimensionError(f"tokens must be (..., {self.d}), got {tuple(frame_shape)}")
         return tuple(frame_shape[:-1])
+
+    def _att(self, state, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> Optional[np.ndarray]:
+        """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; the
+        emission in the rows' dtype, or ``None`` during warm-up."""
+        dtype = q.dtype
+        if self.row_dtype is not None:
+            q, k, v = (a.astype(self.row_dtype, copy=False) for a in (q, k, v))
+        return self._kernel(state, q, k, v, dtype)
 
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         return self._att(state, a, a, a)
@@ -230,6 +241,8 @@ class _RetroCache:
 class RetroAttention(_RowAttention):
     """Sliding-window self-attention emitting all ``n`` rows each step."""
 
+    row_dtype = np.dtype(np.float64)  # the rings keep f64, whatever the stream's dtype
+
     def __init__(self, n: int, d: int, refresh_interval: int = 64,
                  scale_updates: bool = True):
         if n < 1:
@@ -256,16 +269,10 @@ class RetroAttention(_RowAttention):
 
     # -- step ------------------------------------------------------------------
 
-    def _att(self, state: _RetroCache, q: np.ndarray, k: np.ndarray,
-             v: np.ndarray) -> Optional[np.ndarray]:
-        """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
-        ``(..., n, d_v)`` window outputs, oldest row first, in the rows' dtype."""
-        return self._kernel(state, *(a.astype(np.float64, copy=False) for a in (q, k, v)),
-                            q.dtype)
-
     def _kernel(self, state: _RetroCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 dtype: np.dtype) -> Optional[np.ndarray]:
-        """``_att`` on f64 rows of a stream of ``dtype``, the emission's dtype."""
+        """One f64 row each of a stream of ``dtype``: the ``(..., n, d_v)``
+        window outputs, oldest row first, in ``dtype``."""
         n, m = self.n, self.n - 1
         q_mem, k_mem, v_mem, avd = state.q_mem, state.k_mem, state.v_mem, state.avd_mem
         t = state.t
@@ -358,15 +365,10 @@ class SingleAttention(_RowAttention):
         return _SingleCache(np.zeros(lead + (self.n, self.d), dtype),
                             np.zeros(lead + (self.n, d_v), dtype))
 
-    def _att(self, state: _SingleCache, q: np.ndarray, k: np.ndarray,
-             v: np.ndarray) -> Optional[np.ndarray]:
-        """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; emit the
-        newest query's ``(..., d_v)`` output."""
-        return self._kernel(state, q, k, v, q.dtype)
-
     def _kernel(self, state: _SingleCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 dtype: np.dtype) -> Optional[np.ndarray]:
-        """``_att`` on rows of ``dtype``, which the rings keep."""
+        """One row each of ``dtype``, which the rings keep: the newest
+        query's ``(..., d_v)`` output."""
         k_mem, v_mem = state.k_mem, state.v_mem
         t = state.t
         state.t += 1
@@ -426,8 +428,6 @@ class MultiheadAttention(_WindowAttention):
         self._dh_k, self._dh_v = dh_k, dh_v
         w_qkv = np.concatenate([w_q.array, w_k.array, w_v.array], axis=1)
         self._w = per_dtype(lambda dt: (w_qkv.astype(dt), w_o.array.astype(dt)))
-        # the retroactive head takes f64 rows, whatever the stream's dtype
-        self._row_dtype = np.dtype(np.float64) if mode == "retro" else None
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         if tuple(frame_shape) != (self.d_model,):
@@ -490,7 +490,7 @@ class MultiheadAttention(_WindowAttention):
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         """One token's self-attention: projected once, its heads through
         the head's kernel, merged."""
-        q, k, v = self._heads(a, self._row_dtype)
+        q, k, v = self._heads(a, self._head.row_dtype)
         y = self._head._kernel(state, q, k, v, a.dtype)
         return None if y is None else self._merge(y)
 

@@ -222,10 +222,10 @@ class StGcnBlock(CoModule):
     # -- analytic cost -------------------------------------------------------------
 
     def _gc_cost(self) -> OpCount:
-        p = len(self.graph.partitions)
-        v = self.graph.v
-        macs = p * (self.c_in * self.c_out * v + self.c_out * v * v)
-        return OpCount(macs=macs, other=(p - 1) * self.c_out * v)
+        # in ``_gc``'s order: ``x @ A_cat``, then the mix, whose contraction
+        # over ``c_in*P`` sums the partitions
+        p, v = len(self.graph.partitions), self.graph.v
+        return OpCount(macs=p * v * self.c_in * (v + self.c_out))
 
     def _per_emission(self) -> OpCount:
         v = self.graph.v

@@ -78,18 +78,12 @@ StepOutput = Optional[Tensor]
 
 class Stream:
     """One stream's state: unbound until its first frame, then that frame's
-    shape and dtype and the root layer's state.  Attribute reads the stream
-    does not answer go to the root layer's state (``state.t``)."""
+    shape and dtype and the root layer's state, ``layer`` (``state.layer.t``)."""
 
     __slots__ = ("shape", "dtype", "layer")
 
     def __init__(self):
         self.shape = self.dtype = self.layer = None
-
-    def __getattr__(self, name):
-        if name in Stream.__slots__:  # unset, as in a copy under construction
-            raise AttributeError(name)
-        return getattr(self.layer, name)
 
     def bind(self, make, shape: tuple, dtype: np.dtype):
         """The root layer's state for a frame of ``shape`` and ``dtype``.  The

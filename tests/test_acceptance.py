@@ -365,7 +365,7 @@ def test_ac8_retro_attention_soak():
                            Tensor.wrap(v[win].astype(np.float64)))
             worst = max(worst, float(np.abs(out.array - ref.array).max()))
     elapsed = time.perf_counter() - started
-    assert np.all(state.d_mem > 0)
+    assert np.all(state.layer.d_mem > 0)
     assert worst < 1e-3, f"soak deviation {worst:.2e}"
     assert elapsed < 60, f"soak took {elapsed:.0f}s"
     print(f"\n[AC8] retro attention 1e5-step soak (refresh 64): max deviation "

@@ -179,7 +179,7 @@ def test_head_rows_are_independent_streams_in_fixed_rings(n):
             else:
                 assert max_rel_dev(y.array, np.stack([z.array for z in ys])) < 1e-12
             for name, shape in shapes.items():
-                ring = getattr(state, name)
+                ring = getattr(state.layer, name)
                 assert rings.setdefault(name, ring) is ring
                 assert ring.shape == shape
         assert set(rings) == set(shapes)
@@ -218,7 +218,7 @@ def test_drifted_rows_are_refused_before_the_stream_moves(mode):
         for bad in drifted:
             with pytest.raises(DimensionError, match="drifted"):
                 step(state, bad)
-        assert state.t == n + 1
+        assert state.layer.t == n + 1
     with pytest.raises(DimensionError, match="one dtype"):
         head.att_step(head.init_state(), f32, f64, f32)
 
@@ -238,14 +238,15 @@ def test_retro_state_is_the_window_in_order():
     for t in range(steps):
         y = retro.att_step(state, *(Tensor.wrap(a[t]) for a in (q, k, v)))
         for name, shape in shapes.items():
-            held = getattr(state, name)
+            held = getattr(state.layer, name)
             assert held.shape == shape and held.dtype == np.float64
         if t < n - 1:
             assert y is None
             continue
         for name, rows in (("q_mem", q), ("k_mem", k), ("v_mem", v)):
-            assert np.array_equal(getattr(state, name), rows[t - n + 1 : t + 1].swapaxes(0, 1))
-        want = (state.av_mem / state.d_mem[..., None]).astype(np.float32)
+            assert np.array_equal(getattr(state.layer, name),
+                                  rows[t - n + 1 : t + 1].swapaxes(0, 1))
+        want = (state.layer.av_mem / state.layer.d_mem[..., None]).astype(np.float32)
         assert np.array_equal(y.array, want)
     with pytest.raises(DimensionError):
         retro.att_step(state, *(Tensor.wrap(a[0].astype(np.float64)) for a in (q, k, v)))
@@ -257,13 +258,13 @@ def test_retro_state_is_the_window_in_order():
             y = single.att_step(state, *(Tensor.wrap(a[t]) for a in rows))
             assert (y is None) == (t < n - 1)
             lo = max(t - n + 1, 0)
-            for held, a in ((state.k_mem, rows[1]), (state.v_mem, rows[2])):
+            for held, a in ((state.layer.k_mem, rows[1]), (state.layer.v_mem, rows[2])):
                 assert held.shape == (h, n, d) and held.dtype == dtype
                 assert np.array_equal(held[:, n - (t + 1 - lo):], a[lo : t + 1].swapaxes(0, 1))
             if y is not None:
                 assert y.array.dtype == dtype
-                assert np.array_equal(y.array, _sda(rows[0][t][:, None], state.k_mem,
-                                                    state.v_mem, single.scale)[:, 0])
+                assert np.array_equal(y.array, _sda(rows[0][t][:, None], state.layer.k_mem,
+                                                    state.layer.v_mem, single.scale)[:, 0])
 
 
 def test_retro_refresh_step_recomputes_the_window():
@@ -302,7 +303,7 @@ def test_clamp_events_count_on_the_update_and_the_scratch_row():
     counts = [0]
     for _ in range(6):
         retro.att_step(state, big, big, big)
-        counts.append(state.clamp_events[0])
+        counts.append(state.layer.clamp_events[0])
     per_step = [b - a for a, b in zip(counts, counts[1:])]
     assert per_step == [0, 0, n * n] + [2 * (n - 1) + n] * 3
     # a random stream of large logits, some clamped and most not: the
@@ -313,7 +314,7 @@ def test_clamp_events_count_on_the_update_and_the_scratch_row():
         state = att.init_state()
         for t in range(200):
             att.att_step(state, *(Tensor.wrap(a[t]) for a in (q, k, v)))
-        assert state.clamp_events[0] == want, type(att).__name__
+        assert state.layer.clamp_events[0] == want, type(att).__name__
 
 
 # -- single-output -----------------------------------------------------------------
@@ -444,7 +445,7 @@ def test_rpe_streams_do_not_interfere():
     rpe.forward_step(s2, x)
     rpe.forward_step(s2, x)
     b1 = rpe.forward_step(s1, x)
-    assert s1.tau == 2 and s2.tau == 2
+    assert s1.layer.tau == 2 and s2.layer.tau == 2
     assert not np.allclose(a1.array, b1.array)
 
 
@@ -633,8 +634,8 @@ def test_dmem_stays_positive_over_long_stream():
         out = retro.att_step(state, Tensor.wrap(q.array[t]), Tensor.wrap(k.array[t]),
                              Tensor.wrap(v.array[t]))
         if out is not None:  # d_mem is zeros until the first emission
-            assert np.all(state.d_mem > 0)
-    assert state.clamp_events[0] == 0
+            assert np.all(state.layer.d_mem > 0)
+    assert state.layer.clamp_events[0] == 0
 
 
 def test_clamp_counter_fires_on_extreme_logits():
@@ -643,7 +644,7 @@ def test_clamp_counter_fires_on_extreme_logits():
     big = Tensor.wrap(np.full(2, 40.0, dtype=np.float32))
     for _ in range(4):
         retro.att_step(state, big, big, big)
-    assert state.clamp_events[0] > 0
+    assert state.layer.clamp_events[0] > 0
 
 
 def test_refresh_interval_zero_disables_refresh():
@@ -668,6 +669,19 @@ def test_step_cost_grows_linearly_in_window():
         small = cls(64, 8).step_cost((8,)).flops
         large = cls(128, 8).step_cost((8,)).flops
         assert 1.8 <= large / small <= 2.2
+
+
+def test_row_attention_clip_cost_counts_each_window():
+    # a clip of t tokens has t - n + 1 windows: the retroactive form runs the
+    # full n x n attention on each, the single-output form its newest row
+    n, d, t = 5, 3, 12
+    windows = t - n + 1
+    retro = RetroAttention(n, d).clip_cost((d,), t)
+    assert retro == OpCount(macs=windows * 2 * n * n * d,
+                            other=windows * (2 * n * n + n * (n - 1) + n * d))
+    single = SingleAttention(n, d).clip_cost((d,), t)
+    assert single == OpCount(macs=windows * 2 * n * d, other=windows * (2 * n + n - 1 + d))
+    assert RetroAttention(n, d).clip_cost((d,), n - 1) == OpCount()
 
 
 def test_window_input_step_cost_is_one_window():

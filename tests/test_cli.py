@@ -131,17 +131,75 @@ def test_flop_totals_are_sums_and_deterministic():
 
 @pytest.mark.parametrize("name,rows,macs", [
     ("conv_stack", ["conv3d+batchnorm", "conv3d", "avgpool_t"], 4224),
-    ("toy_costgcn", ["stgcn_block"] * 4 + ["head"], 412960),
+    ("toy_costgcn", ["stgcn_block"] * 4 + ["head"], 388585),
 ])
 def test_flops_rows_follow_the_model_stages(name, rows, macs):
     # a batchnorm folded into its conv3d costs nothing of its own: the
-    # totals are the unfolded ones (4288 and 414560 MACs) less its MACs
+    # totals are the unfolded ones (4288 and 390185 MACs) less its MACs
     path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
     cfg = load_config(path)
     report = count_flops(cfg, build_model(cfg, path.parent), "step", 64)
     assert [r["type"] for r in report["layers"]] == rows
     assert sum(r["macs"] for r in report["layers"]) == report["total"]["macs"] == macs
     assert sum(r["flops"] for r in report["layers"]) == report["total"]["flops"]
+
+
+def _uniform(seed):
+    return {"scheme": "uniform", "seed": seed, "lo": -0.5, "hi": 0.5}
+
+
+def _conv(c_in, c_out, k_t, seed):
+    return {"type": "conv3d", "c_in": c_in, "c_out": c_out, "kernel": [k_t, 1, 1],
+            "init": _uniform(seed)}
+
+
+# a pointwise-shortcut residual, a summing and a concatenating parallel and an
+# ST-GCN block with no shortcut, on (C, V) = (2, 5) node frames
+BRANCHES = {"name": "branches", "dtype": "f64", "input": {"shape": [2, 5]}, "layers": [
+    {"type": "residual", "shortcut": "pointwise", "init": _uniform(81),
+     "inner": _conv(2, 4, 3, 82)},
+    {"type": "parallel", "reduce": "sum", "branches": [_conv(4, 4, 2, 83), _conv(4, 4, 1, 84)]},
+    {"type": "parallel", "reduce": "concat",
+     "branches": [_conv(4, 2, 1, 85), _conv(4, 3, 3, 86)]},
+    {"type": "stgcn_block", "v": 5, "partitions": 3, "c_in": 5, "c_out": 4, "tc_kernel": 3,
+     "residual": "none", "init": _uniform(87)},
+]}
+
+
+def _flops_rows(tmp_path, mode, length):
+    report = tmp_path / f"{mode}.json"
+    assert main(["flops", "--model", str(write_cfg(tmp_path, BRANCHES)), "--mode", mode,
+                 "--length", str(length), "--report", str(report)]) == 0
+    rows = json.loads(report.read_text())["layers"]
+    return [(r["type"], r["macs"], r["flops"] - 2 * r["macs"]) for r in rows]
+
+
+def test_flops_of_branches_and_shortcuts_match_hand_counts(tmp_path):
+    # (type, MACs, other ops) per stage.  A conv emission of (c, 5) costs
+    # 5*c*c_in*k_t MACs and 5*c bias adds; a summed branch 5*c adds; the
+    # graph conv P*V*c_in*(V + c_out) MACs, then the no-shortcut block's
+    # ReLU 5*c_out ops
+    gc = 3 * 5 * 5 * (5 + 4)
+    assert _flops_rows(tmp_path, "step", 16) == [
+        ("residual", 20 * 2 * 3 + 2 * 4 * 5, 20 + 20),  # conv, shortcut; bias, sum
+        ("parallel", 20 * 4 * 2 + 20 * 4, 20 + 20 + 20),
+        ("parallel", 10 * 4 + 15 * 4 * 3, 10 + 15),  # concat adds nothing
+        ("stgcn_block", gc + 20 * 4 * 3, 20 + 20),
+    ]
+    # over 16 frames the stages emit 14, 13, 11 and 9 frames; the shortcut
+    # projects every input frame, the graph conv every frame it is handed
+    assert _flops_rows(tmp_path, "offline", 16) == [
+        ("residual", 14 * 20 * 2 * 3 + 16 * 2 * 4 * 5, 14 * (20 + 20)),
+        ("parallel", 13 * 20 * 4 * 2 + 14 * 20 * 4, 13 * 20 + 14 * 20 + 13 * 20),
+        ("parallel", 13 * 10 * 4 + 11 * 15 * 4 * 3, 13 * 10 + 11 * 15),
+        ("stgcn_block", 11 * gc + 9 * 20 * 4 * 3, 9 * (20 + 20)),
+    ]
+
+
+def test_check_passes_on_branches_and_shortcuts():
+    model = build_model(BRANCHES)
+    report = check_equivalence(BRANCHES, model, length=24, seed=9, tol=1e-12)
+    assert report["pass"] and report["outputs"] == 24 - model.warmup() == 17
 
 
 # -- throughput ----------------------------------------------------------------------

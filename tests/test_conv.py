@@ -175,8 +175,8 @@ def test_pointwise_conv_takes_node_frames_without_a_unit_axis(k_t, dil, stride, 
         steps = conv.forward_steps(flat, x).array
         assert steps.shape == clip.shape
         assert np.array_equal(steps, conv.forward_steps(deep, unit).array[..., 0])
-        assert flat.ring.ndim == 2 and flat.ring.shape == deep.ring.shape
-        assert np.array_equal(flat.ring, deep.ring)
+        assert flat.layer.ring.ndim == 2 and flat.layer.ring.shape == deep.layer.ring.shape
+        assert np.array_equal(flat.layer.ring, deep.layer.ring)
 
 
 def test_spatial_kernel_refuses_node_frames():
@@ -270,7 +270,7 @@ def test_forward_steps_empty_input():
     state = conv.init_state()
     out = conv.forward_steps(state, Tensor.zeros((0, 2, 4, 4)))
     assert out.shape == (0, 3, 3, 3)
-    assert state.t == 0
+    assert state.layer.t == 0
 
 
 def test_chunked_steps_equal_single_pass():
@@ -341,7 +341,7 @@ def test_alignment_law_and_fifo_bound():
         ready = 0
         for t in range(16):
             out = conv.forward_step(state, Tensor.wrap(x.array[t]))
-            assert len(state.ring) <= (conv.receptive_field() - 1) * conv.c_out
+            assert len(state.layer.ring) <= (conv.receptive_field() - 1) * conv.c_out
             if out is not None:
                 assert max_rel_dev(out.array, offline[ready]) < tol
                 ready += 1
@@ -354,7 +354,7 @@ def test_post_form_cache_bound():
     state = conv.init_state()
     for t in range(20):
         conv.forward_step(state, rand_tensor(rng, (2, 2, 2)))
-        assert len(state.ring) <= (conv.receptive_field() - 1) * conv.c_out
+        assert len(state.layer.ring) <= (conv.receptive_field() - 1) * conv.c_out
 
 
 # -- ring-buffer state ---------------------------------------------------------------
@@ -394,9 +394,9 @@ def test_ring_steps_match_forward_and_never_reallocate(c_out, k_t, dil, stride, 
             for t in range(length):
                 y = conv.forward_step(state, Tensor.wrap(x.array[t]))
                 if ring is None:
-                    ring = state.ring
+                    ring = state.layer.ring
                     assert ring.shape == (rows, cols) and ring.dtype == x.array.dtype
-                assert state.ring is ring and ring.shape[0] == rows
+                assert state.layer.ring is ring and ring.shape[0] == rows
                 if y is not None:
                     assert y.dtype == dtype
                     outs.append(y.array)
@@ -590,7 +590,7 @@ def test_stream_rejects_frame_of_other_dtype():
     conv.forward_step(state, rand_tensor(rng, (2, 4, 4), dtype="f32"))
     with pytest.raises(DimensionError):
         conv.forward_step(state, rand_tensor(rng, (2, 4, 4), dtype="f64"))
-    assert state.t == 1
+    assert state.layer.t == 1
 
 
 def _check_nan_locality(conv, frame, nan_steps):

@@ -157,7 +157,7 @@ def test_block_clip_equals_steps_strided(residual, c_in, stride, dtype, tol):
             assert offline.array.dtype == x.array.dtype
             assert max_rel_dev(online.array, offline.array) < tol
             assert type(state.layer) is _ConvState
-            assert state.ring.shape == (ring_slots(k_t, dilation, stride) * 5, 7)
+            assert state.layer.ring.shape == (ring_slots(k_t, dilation, stride) * 5, 7)
 
 
 @pytest.mark.parametrize("k_t,padding", [(9, 0), (9, 4), (4, 1), (1, 0)])
@@ -341,12 +341,12 @@ def test_head_state_holds_logits_not_frames():
     head = GlobalAverageHead(6, rand_tensor(rng, (3, 4)), rand_tensor(rng, (4,)))
     state = head.init_state()
     head.forward_steps(state, rand_tensor(rng, (20, 3, 9)))
-    assert state.ring.shape == (5, 4) and state.ring.dtype == np.float32
-    assert state.prefix.shape == (4,) and state.prefix.dtype == np.float64
+    assert state.layer.ring.shape == (5, 4) and state.layer.ring.dtype == np.float32
+    assert state.layer.prefix.shape == (4,) and state.layer.prefix.dtype == np.float64
     pool = TemporalPool("max", 6)
     state = pool.init_state()
     pool.forward_steps(state, rand_tensor(rng, (20, 4)))
-    assert state.ring.shape == (5, 4) and state.prefix.shape == (4,)
+    assert state.layer.ring.shape == (5, 4) and state.layer.prefix.shape == (4,)
 
 
 @pytest.mark.parametrize("length", [5, 6, 30])
@@ -426,6 +426,37 @@ def test_toy_costgcn_step_keeps_one_call_per_kernel(monkeypatch):
     monkeypatch.setattr(head.pool, "_step", counted("pool", head.pool._step))
     assert model.forward_step(state, Tensor.wrap(x.array[-1])) is not None
     assert calls == {"_gc": 4, "tc": 4, "shortcut": 4, "pool": 1}
+
+
+class _MacCounter:
+    """numpy, but whose ``dot`` of two matrices also adds up its m*k*n MACs."""
+
+    def __init__(self):
+        self.macs = 0
+
+    def dot(self, a, b):
+        (m, k), (_, n) = a.shape, b.shape
+        self.macs += m * k * n
+        return np.dot(a, b)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("c_in", [3, 16])
+def test_graph_conv_cost_counts_the_products_a_step_runs(monkeypatch, c_in):
+    # a frame's graph conv runs x @ A_cat, then the channel mix, whose
+    # contraction over c_in*P sums the partitions: P*V*c_in*(V + c_out) MACs
+    rng = np.random.default_rng(30 + c_in)
+    blk = make_block(rng, c_in=c_in, c_out=16)  # on chain(25, 3)
+    x = rand_tensor(rng, (2, c_in, 25)).array
+    state = blk.init_state()
+    blk.forward_step(state, Tensor.wrap(x[0]))
+    counter = _MacCounter()
+    monkeypatch.setattr(cinet.graph, "np", counter)
+    blk.forward_step(state, Tensor.wrap(x[1]))
+    assert counter.macs == blk._gc_cost().macs == 3 * 25 * c_in * (25 + 16)
+    assert blk._gc_cost().other == 0
 
 
 def test_head_cost_counts_each_frame_then_class_sized_pool():

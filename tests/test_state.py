@@ -307,3 +307,18 @@ def test_every_module_refuses_a_frame_it_cannot_take_in_both_modes(name):
         if got is not None:
             assert np.array_equal(got.array, want.array)
     assert pickle.dumps(state) == pickle.dumps(ref_state)
+
+
+def test_a_stream_holds_its_layer_state_and_answers_for_itself_only():
+    # a stream's root state is its ``layer``; the stream reads nothing through
+    # to it, so a walk over the stream finds one clamp counter, not two
+    retro = RetroAttention(3, 4)
+    state = retro.init_state()
+    big = Tensor.wrap(np.full(4, 40.0, dtype=np.float32))
+    for _ in range(4):
+        retro.forward_step(state, big)
+    assert state.layer.clamp_events[0] == 16  # 3 * 3 from scratch, then 2 * 2 + 3
+    assert not hasattr(state, "clamp_events")
+    with pytest.raises(AttributeError):
+        state.t
+    assert [o for o in walk(state) if hasattr(o, "clamp_events")] == [state.layer]
