@@ -116,7 +116,9 @@ def sda_full(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Ten
         raise DimensionError(f"window mismatch: Q{q.shape} K{k.shape} V{v.shape}")
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))  # python float: no f32 upcast
-    return Tensor.wrap(_sda(q.array, k.array, v.array, scale))
+    y = _sda(q.array, k.array, v.array, scale)
+    y.setflags(write=False)  # fresh: Tensor.wrap shares it (see cinet.module)
+    return Tensor.wrap(y)
 
 
 def _sda(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
@@ -186,7 +188,10 @@ class _RowAttention(_WindowAttention):
         qa, ka, va = q.array, k.array, v.array
         self._check_rows(qa, ka, va)
         y = self._att(state.bind(self._state, va.shape, va.dtype), qa, ka, va)
-        return None if y is None else Tensor.wrap(y)
+        if y is None:
+            return None
+        y.setflags(write=False)
+        return Tensor.wrap(y)
 
     def _check_rows(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
         d = self.d

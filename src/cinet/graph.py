@@ -147,7 +147,9 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
         raise DimensionError(
             f"{len(w_gc)} weight sets for {len(graph.partitions)} partitions"
         )
-    return Tensor.wrap(_gc(x_t.array, *_stacked(graph, w_gc, x_t.array.dtype)))
+    y = _gc(x_t.array, *_stacked(graph, w_gc, x_t.array.dtype))
+    y.setflags(write=False)  # fresh: Tensor.wrap shares it (see cinet.module)
+    return Tensor.wrap(y)
 
 
 class StGcnBlock(CoModule):

@@ -16,8 +16,16 @@ result in a ``Tensor``, once per call.  The ``_step``/``_clip`` contract:
 
 - never write to the input array, and never keep a reference to it (a ring
   copies the frame in);
-- return a C-contiguous array that no state holds a writeable reference to:
-  a fresh result, or the input itself.
+- return a fresh array, which no state, weight table or later call holds
+  or writes, or the input itself (or a view of it).
+
+``Tensor``'s immutability rests on that contract.  The public call modes,
+and the shims ``att_step``, ``sda_full`` and ``graph_conv``, mark their
+result read-only and hand it to ``Tensor.wrap``, which shares a read-only
+C-contiguous array instead of copying it: a fresh result is frozen, not
+copied, and the input was a tensor's read-only array to begin with.  A
+result that was a view of a ring or of a weight would reach the caller as
+a tensor that a later step rewrites.
 
 Two timing numbers describe each module:
 
@@ -161,7 +169,9 @@ class CoModule:
         """Offline clip mode over a (T, ...) sequence."""
         a = x.array
         self.out_frame_shape(_frame_shape(a))
-        return Tensor.wrap(self._clip(a))
+        y = self._clip(a)
+        y.setflags(write=False)  # fresh or the input: Tensor.wrap shares it
+        return Tensor.wrap(y)
 
     def init_state(self) -> Stream:
         """A new stream's state, unbound until its first frame."""
@@ -171,7 +181,10 @@ class CoModule:
         """Consume one step; the ready output, or ``None`` during warm-up."""
         a = x_t.array
         y = self._step(state.bind(self._checked_state, a.shape, a.dtype), a)
-        return None if y is None else Tensor.wrap(y)
+        if y is None:
+            return None
+        y.setflags(write=False)
+        return Tensor.wrap(y)
 
     def forward_steps(self, state: Stream, x: Tensor) -> Tensor:
         """Feed each step of a (T, ...) sequence; stack the ready outputs."""
@@ -179,10 +192,12 @@ class CoModule:
         state = state.bind(self._checked_state, _frame_shape(xa), xa.dtype)
         outs = [y for y in (self._step(state, xa[t]) for t in range(xa.shape[0]))
                 if y is not None]
-        if not outs:
-            return Tensor.wrap(
-                np.zeros((0,) + self.out_frame_shape(xa.shape[1:]), dtype=xa.dtype))
-        return Tensor.wrap(np.stack(outs, axis=0))
+        if outs:
+            y = np.stack(outs, axis=0)
+        else:
+            y = np.zeros((0,) + self.out_frame_shape(xa.shape[1:]), dtype=xa.dtype)
+        y.setflags(write=False)
+        return Tensor.wrap(y)
 
     def _clip(self, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -16,12 +16,14 @@ block's ``r + 1`` frames plus the last block's frames from position
 ``r + 1`` on, so its output is one ``op`` of the prefix with one slot, or
 the prefix alone when ``r = window - 1``: amortized O(1) operations per
 element per step.  The average accumulates its partials in f64 and rounds
-each once into the ring, then divides by ``window``.  Every partial covers
-frames of one window only, so nothing drifts on an endless stream and a
-non-finite frame reaches exactly the outputs whose window holds it.  Step
-maxima equal clip maxima bit for bit, except that a tie of -0.0 and +0.0
-may take either sign.  Zero padding is rejected for max pooling because
-padding with zeros corrupts maxima of negative signals.
+each once into the ring, then divides by ``window``; a frame or a ring slot
+joins an f64 sum cast to f64 first, which is exact, so that each add runs
+one same-dtype loop.  Every partial covers frames of one window only, so
+nothing drifts on an endless stream and a non-finite frame reaches exactly
+the outputs whose window holds it.  Step maxima equal clip maxima bit for
+bit, except that a tie of -0.0 and +0.0 may take either sign.  Zero padding
+is rejected for max pooling because padding with zeros corrupts maxima of
+negative signals.
 
 In clip mode both kinds run one kernel, ``_window_reduce``, over doubling
 levels: level ``b`` holds the sum or maximum of every span of ``2**b``
@@ -141,24 +143,28 @@ class TemporalPool(CoModule):
         t = state.t
         state.t += 1
         r = (t + self.padding) % w
+        # the average's f64 sums take f64 operands: casting a frame or a slot
+        # first and adding same-dtype arrays costs less than one mixed f32/f64
+        # add; the block's first frame is assigned, which casts as it copies
         if r:
-            op(prefix, xa, out=prefix)
+            op(prefix, xa if count is None else xa.astype(np.float64, copy=False), out=prefix)
             ring[w - 1 - r] = xa
         else:
             prefix[...] = xa
         if r < w - 1:
             if t < self._delay:
                 return None
-            y = op(ring[w - 2 - r], prefix)
+            if count is None:
+                return op(ring[w - 2 - r], prefix)
+            y = ring[w - 2 - r].astype(np.float64)
+            y += prefix
         else:
             y = prefix.copy()
             # the block is complete: slot s becomes op over its positions w-1-s .. w-1
             if count is None:
                 np.maximum.accumulate(ring, axis=0, out=ring)
-            else:
-                ring[...] = np.add.accumulate(ring, axis=0, dtype=np.float64)
-        if count is None:
-            return y
+                return y
+            ring[...] = np.add.accumulate(ring, axis=0, dtype=np.float64)
         y /= count
         return y.astype(xa.dtype, copy=False)
 

@@ -8,6 +8,13 @@ internal accumulators.
 ``Tensor`` is the type at the package's public edge: weights, inputs and
 the outputs of the public call modes.  Layers compute on plain ndarrays and
 wrap a result once, where it leaves a public method.
+
+Who freezes and who copies: ``Tensor.wrap`` shares a read-only C-contiguous
+array and copies any other.  The public call modes and shims freeze their
+result before they wrap it, because ``cinet.module``'s ``_step``/``_clip``
+contract makes it fresh (nothing in the package keeps or writes it) or the
+input tensor's own read-only array; so no output is copied at the edge.
+A caller's writeable array is copied, since the caller may still write it.
 """
 
 from __future__ import annotations
@@ -61,12 +68,13 @@ class Tensor:
     @staticmethod
     def wrap(arr: np.ndarray) -> "Tensor":
         """Adopt an f32/f64 ndarray as an immutable tensor.  A read-only
-        contiguous array is shared; any other array is copied, so a freshly
-        computed (writeable) result is copied too and the tensor never
-        aliases memory someone can still write.  This is the one hand-off
-        from arrays to ``Tensor``: the public call modes and shims
-        (``forward*``, ``att_step``, ``graph_conv``, ``sda_full``) call it
-        once on their result, and layers never call it on each other's."""
+        C-contiguous array is shared: whoever set it read-only vouches that
+        nothing writes it through another reference.  Any other array is
+        copied, so a writeable array never becomes a tensor's memory.  This
+        is the one hand-off from arrays to ``Tensor``: the public call modes
+        and shims (``forward*``, ``att_step``, ``graph_conv``, ``sda_full``)
+        freeze their fresh result and call it once, so it shares rather than
+        copies, and layers never call it on each other's results."""
         # keyed by dtype objects: comparing with np.float32 would convert the type first
         if arr.dtype not in _NP_TO_NAME:
             raise ValueError(f"unsupported ndarray dtype {arr.dtype}")

@@ -2,19 +2,26 @@
 
 Layers hand ndarrays to each other and only the public call modes wrap a
 result.  These tests pin that from outside: how often ``Tensor.wrap`` runs
-per ``forward_step``, and that an emission never shares memory with the
-stream state or changes afterwards; and the package exports exactly the
-names listed here, so a change to the public surface is a deliberate diff.
+per ``forward_step``; that every public call mode hands it a read-only
+array, which it shares instead of copying; that an output never shares
+memory with the stream state or the model's weight tables, nor changes
+afterwards; and the package exports exactly the names listed here, so a
+change to the public surface is a deliberate diff.
 """
 
 import numpy as np
 import pytest
 
 import cinet
+from cinet.attention import RetroAttention, SingleAttention, sda_full
 from cinet.config import build_model, random_stream
+from cinet.graph import SkeletonGraph, graph_conv
 from cinet.tensor import Tensor
 
-from test_state import CONFIGS, config_case, steps, strided_parallel_case, walk
+from conftest import rand_tensor
+from test_acceptance import _random_tree
+from test_state import (CONFIGS, config_case, max_pool_case, steps, strided_parallel_case,
+                        walk)
 
 MAXPOOL_CONFIG = {
     "name": "maxpool_demo",
@@ -40,18 +47,27 @@ CASES = [pytest.param(lambda p=p: config_case(p), id=p.stem) for p in CONFIGS] +
 ]
 
 
+def _recorded_wraps(monkeypatch) -> list:
+    """Patch ``Tensor.wrap`` to record, per call, whether the array it was
+    handed was writeable and whether the tensor shares it."""
+    original = Tensor.wrap
+    calls = []
+
+    def recorder(arr):
+        writeable = arr.flags.writeable
+        t = original(arr)
+        calls.append((writeable, t.array is arr))
+        return t
+
+    monkeypatch.setattr(Tensor, "wrap", staticmethod(recorder))
+    return calls
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_forward_step_wraps_once_per_emission(path, monkeypatch):
     model, x = config_case(path)
     frames = [Tensor.wrap(x.array[t]) for t in range(x.shape[0])]
-    original = Tensor.wrap
-    calls = []
-
-    def counted(arr):
-        calls.append(1)
-        return original(arr)
-
-    monkeypatch.setattr(Tensor, "wrap", staticmethod(counted))
+    calls = _recorded_wraps(monkeypatch)
     state = model.init_state()
     emitted = 0
     for t, frame in enumerate(frames):
@@ -85,6 +101,87 @@ def test_emissions_do_not_alias_the_stream(make):
         assert not any(np.shares_memory(y.array, a) for a in held), f"emission {i} aliases state"
     assert np.array_equal(x.array, inputs)
     assert all(np.array_equal(f.array, inputs[t]) for t, f in enumerate(frames))
+
+
+# -- a fresh result is frozen and shared, never copied -------------------------------
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_every_call_mode_hands_wrap_a_read_only_array(path, monkeypatch):
+    model, x = config_case(path)
+    frames = [Tensor.wrap(f) for f in x.array]
+    short = Tensor.wrap(x.array[:1])  # no emission in either mode
+    calls = _recorded_wraps(monkeypatch)
+    state = model.init_state()
+    for frame in frames:
+        model.forward_step(state, frame)
+    model.forward_steps(model.init_state(), x)
+    model.forward_steps(model.init_state(), short)
+    model.forward(x)
+    model.forward(short)
+    assert len(calls) == model.out_len(x.shape[0]) + 4
+    assert calls == [(False, True)] * len(calls)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_every_shim_hands_wrap_a_read_only_array(dtype, monkeypatch):
+    rng = np.random.default_rng(40)
+    rows = [[rand_tensor(rng, (2, 4), dtype) for _ in range(3)] for _ in range(6)]
+    window = rand_tensor(rng, (3, 5, 4), dtype)
+    graph = SkeletonGraph.chain(5, 3)
+    w_gc = [rand_tensor(rng, (2, 3)) for _ in range(3)]
+    frame = rand_tensor(rng, (2, 5), dtype)
+    calls = _recorded_wraps(monkeypatch)
+    emitted = 0
+    for att in (RetroAttention(3, 4), SingleAttention(3, 4)):
+        state = att.init_state()
+        emitted += sum(att.att_step(state, *r) is not None for r in rows)
+    sda_full(window, window, window)
+    graph_conv(frame, graph, w_gc)
+    assert emitted == 8
+    assert calls == [(False, True)] * (emitted + 2)
+
+
+def _check_outputs_stay_put(model, x: np.ndarray, more: int = 50) -> None:
+    """Keep every tensor that ``forward_step``, ``forward_steps`` and
+    ``forward`` return over ``x[:-more]`` together with a copy; then run
+    ``more`` further steps through both step modes, and a clip.  No output
+    may have changed, nor share memory with an array that the streams or the
+    model hold: weights, per-dtype weight tables, step tables."""
+    head, tail = x[:-more], x[-more:]
+    by_step, by_steps = model.init_state(), model.init_state()
+    kept = [y for y in (model.forward_step(by_step, Tensor.wrap(f)) for f in head)
+            if y is not None]
+    assert len(kept) == model.out_len(len(head)) > 0
+    kept += [model.forward_steps(by_steps, Tensor.wrap(head)), model.forward(Tensor.wrap(head))]
+    copies = [y.array.copy() for y in kept]
+    model.forward_steps(by_step, Tensor.wrap(tail))
+    for f in tail:
+        model.forward_step(by_steps, Tensor.wrap(f))
+    model.forward(Tensor.wrap(x))
+    held = [a for a in walk((model, by_step, by_steps)) if isinstance(a, np.ndarray)]
+    assert held
+    for i, (y, copy) in enumerate(zip(kept, copies)):
+        assert np.array_equal(y.array, copy), f"output {i} changed"
+        assert not any(np.shares_memory(y.array, a) for a in held), f"output {i} aliases"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("make", CASES + [pytest.param(max_pool_case, id="max-pool")])
+def test_outputs_never_change_nor_alias_state_or_weights(make, dtype):
+    model, x = make()
+    more = np.random.default_rng(41).uniform(-1, 1, (50,) + x.shape[1:])
+    _check_outputs_stay_put(model, np.concatenate([x.array, more]).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_container_tree_outputs_never_change_nor_alias(dtype):
+    # AC6's generated trees: containers, lagged branches, strided convs, pools
+    for case in range(25):
+        rng = np.random.default_rng(5000 + case)
+        tree = _random_tree(rng)
+        x = rng.normal(size=(steps(tree) + 50, 3, 2, 2)).astype(dtype)
+        _check_outputs_stay_put(tree, x)
 
 
 PUBLIC_NAMES = [

@@ -5,7 +5,7 @@ import pytest
 
 from cinet.errors import DimensionError
 from cinet.pool import TemporalPool
-from cinet.tensor import Tensor
+from cinet.tensor import DTYPES, Tensor
 
 from conftest import max_rel_dev, rand_tensor
 
@@ -210,3 +210,50 @@ def test_long_stream_steps_match_window_oracle(kind, window, padding, dtype):
         assert np.array_equal(got, want.astype(x.dtype))
     else:
         assert np.abs(got - want).max() <= 1e-6
+
+
+def mixed_dtype_avg_steps(x: np.ndarray, window: int, padding: int) -> np.ndarray:
+    """The average's step emissions by the kernel's block scheme, with its
+    f64 sums fed stream-dtype operands directly: ``prefix + frame`` and
+    ``slot + prefix`` as mixed-dtype ufunc calls.  A cast to f64 is exact, so
+    a kernel that casts first must give these bits."""
+    w = window
+    ring = np.zeros((w - 1,) + x.shape[1:], x.dtype)
+    prefix = np.zeros(x.shape[1:], np.float64)
+    outs = []
+    for t, frame in enumerate(x):
+        r = (t + padding) % w
+        if r:
+            np.add(prefix, frame, out=prefix)
+            ring[w - 1 - r] = frame
+        else:
+            prefix[...] = frame
+        if r < w - 1:
+            if t < w - 1 - padding:
+                continue
+            y = np.add(ring[w - 2 - r], prefix)
+        else:
+            y = prefix.copy()
+            ring[...] = np.add.accumulate(ring, axis=0, dtype=np.float64)
+        y /= w
+        outs.append(y.astype(x.dtype))
+    return np.stack(outs)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("window,padding,frame", [
+    (1, 0, (4, 4, 4)), (4, 0, (4, 4, 4)), (4, 3, (4, 4, 4)), (4, 1, (10,)),
+    (268, 0, (10,)), (268, 131, (10,)),
+])
+def test_avg_steps_equal_the_mixed_dtype_sums(window, padding, frame, dtype):
+    # five blocks and a part: the stream crosses four rebuilds of the partials;
+    # magnitudes spread over six decades, so a sum rounded in f32 would show
+    rng = np.random.default_rng(60 + window + padding)
+    length = 5 * window + 3
+    scale = 10.0 ** rng.uniform(-3, 3, (length,) + frame)
+    x = (rng.normal(size=(length,) + frame) * scale).astype(DTYPES[dtype])
+    pool = TemporalPool("avg", window, padding)
+    got = pool.forward_steps(pool.init_state(), Tensor.wrap(x)).array
+    want = mixed_dtype_avg_steps(x, window, padding)
+    assert got.shape == want.shape == (length - window + 1 + padding,) + frame
+    assert np.array_equal(got, want)
