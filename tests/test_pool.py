@@ -246,8 +246,9 @@ def mixed_dtype_avg_steps(x: np.ndarray, window: int, padding: int) -> np.ndarra
     (268, 0, (10,)), (268, 131, (10,)),
 ])
 def test_avg_steps_equal_the_mixed_dtype_sums(window, padding, frame, dtype):
-    # five blocks and a part: the stream crosses four rebuilds of the partials;
-    # magnitudes spread over six decades, so a sum rounded in f32 would show
+    # five blocks and a part, so the stream crosses at least four rebuilds of
+    # the partials; magnitudes spread over six decades, so that a sum rounded
+    # in f32 shows on the long windows
     rng = np.random.default_rng(60 + window + padding)
     length = 5 * window + 3
     scale = 10.0 ** rng.uniform(-3, 3, (length,) + frame)
