@@ -403,10 +403,11 @@ class SingleAttention(_RowAttention):
 class MultiheadAttention(_WindowAttention):
     """Continual attention over heads on a leading axis, with stacked projections.
 
-    ``w_q``/``w_k`` are (d_model, d_k), ``w_v`` is (d_model, d_v) and
-    ``w_o`` is (d_v, d_o); head ``i`` uses the ``i``-th column slice of
-    each.  ``mode`` picks the retroactive or single-output step form; one
-    such module steps all heads at once, as ``(heads, d_h)`` rows.
+    ``w_q``, ``w_k``, ``w_v`` and ``w_o`` are all (d_model, d_model), and
+    ``heads`` divides ``d_model``; head ``i`` uses the ``i``-th ``d_model /
+    heads`` column slice of the first three and the matching rows of
+    ``w_o``.  ``mode`` picks the retroactive or single-output step form;
+    one such module steps all heads at once, as ``(heads, d_h)`` rows.
     """
 
     def __init__(self, mode: str, n: int, w_q: Tensor, w_k: Tensor, w_v: Tensor,
@@ -416,21 +417,14 @@ class MultiheadAttention(_WindowAttention):
         self.mode = mode
         self.n = n
         self.heads = heads
-        self.d_model = w_q.shape[0]
-        self.d_k = w_q.shape[1]
-        self.d_v = w_v.shape[1]
-        self.d_o = w_o.shape[1]
-        if self.d_k % heads or self.d_v % heads:
-            raise DimensionError(f"d_k={self.d_k}, d_v={self.d_v} not divisible by {heads} heads")
-        if w_k.shape != (self.d_model, self.d_k) or w_v.shape[0] != self.d_model:
-            raise DimensionError("projection shapes disagree")
-        if w_o.shape[0] != self.d_v:
-            raise DimensionError(f"w_o expects {self.d_v} rows, got {w_o.shape[0]}")
+        d = self.d_model = w_q.shape[0]
+        if any(w.shape != (d, d) for w in (w_q, w_k, w_v, w_o)):
+            raise DimensionError(f"w_q, w_k, w_v and w_o must all be ({d}, {d})")
+        if d % heads:
+            raise DimensionError(f"d_model={d} not divisible by {heads} heads")
         self.w_q, self.w_k, self.w_v, self.w_o = w_q, w_k, w_v, w_o
-        dh_k = self.d_k // heads
-        dh_v = self.d_v // heads
-        self._head = RetroAttention(n, dh_k) if mode == "retro" else SingleAttention(n, dh_k)
-        self._dh_k, self._dh_v = dh_k, dh_v
+        self._dh = d // heads
+        self._head = (RetroAttention if mode == "retro" else SingleAttention)(n, self._dh)
         w_qkv = np.concatenate([w_q.array, w_k.array, w_v.array], axis=1)
         self._w = per_dtype(lambda dt: (w_qkv.astype(dt), w_o.array.astype(dt)))
 
@@ -438,11 +432,11 @@ class MultiheadAttention(_WindowAttention):
         if tuple(frame_shape) != (self.d_model,):
             raise DimensionError(f"token must be ({self.d_model},), got {tuple(frame_shape)}")
         if self.mode == "retro":
-            return (self.n, self.d_o)
-        return (self.d_o,)
+            return (self.n, self.d_model)
+        return (self.d_model,)
 
     def _state(self, frame_shape: tuple, dtype: np.dtype):
-        return self._head._state((self.heads, self._dh_v), dtype)
+        return self._head._state((self.heads, self._dh), dtype)
 
     def _split(self, a: np.ndarray) -> np.ndarray:
         """A (d,) or (..., n, d) projection -> (heads, d_h) or (..., heads, n,
@@ -454,32 +448,32 @@ class MultiheadAttention(_WindowAttention):
         """q, k, v head rows of a (d_model,) token or (..., n, d_model)
         windows, cast to ``dtype`` if one is given: one matmul by ``w_q |
         w_k | w_v``, one cast and three views of it."""
-        dk, w = self.d_k, self._w[x.dtype][0]
+        d, w = self.d_model, self._w[x.dtype][0]
         p = np.dot(x, w) if x.ndim <= 2 else x @ w  # a token, or stacked windows
         if dtype is not None:
             p = p.astype(dtype)
-        if p.ndim == 1 and self.d_v == dk:  # a token: rows (3, heads, d_h)
-            return p.reshape(3, self.heads, self._dh_k)
-        q, k, v = p[..., :dk], p[..., dk:2 * dk], p[..., 2 * dk:]
+        if p.ndim == 1:  # a token: rows (3, heads, d_h)
+            return p.reshape(3, self.heads, self._dh)
+        q, k, v = p[..., :d], p[..., d:2 * d], p[..., 2 * d:]
         return self._split(q), self._split(k), self._split(v)
 
     def _merge(self, y: np.ndarray) -> np.ndarray:
         """Head outputs (heads, d_h) or (..., heads, n, d_h) -> heads
         concatenated, then ``w_o``."""
         cat = y.swapaxes(-3, -2) if y.ndim > 2 else y
-        cat = cat.reshape(cat.shape[:-2] + (self.d_v,))
+        cat = cat.reshape(cat.shape[:-2] + (self.d_model,))
         w_o = self._w[y.dtype][1]
         return np.dot(cat, w_o) if cat.ndim <= 2 else cat @ w_o
 
     def _window(self, win: np.ndarray) -> np.ndarray:
-        """Attention output (..., n, d_o) of complete (..., n, d_model) windows."""
+        """Attention output (..., n, d_model) of complete (..., n, d_model) windows."""
         return self._merge(_sda(*self._heads(win), self._head.scale))
 
     def _newest(self, win: np.ndarray) -> np.ndarray:
-        """Attention output (..., 1, d_o) of the newest row of complete (...,
+        """Attention output (..., 1, d_model) of the newest row of complete (...,
         n, d_model) windows: keys and values of every row, one query."""
         w = self._w[win.dtype][0]
-        w_q, w_kv = w[:, :self.d_k], w[:, self.d_k:]
+        w_q, w_kv = w[:, :self.d_model], w[:, self.d_model:]
         if win.ndim == 2:  # one window, as a window-input block steps
             q, kv = self._split(np.dot(win[-1:], w_q)), np.dot(win, w_kv)
         else:
@@ -488,8 +482,8 @@ class MultiheadAttention(_WindowAttention):
         # and over a strided K^T BLAS runs it as a transposed gemv whose sums
         # round unlike the window's gemm; laid out this way, the newest row
         # gets the bits that row of ``_window`` gets
-        k_t = np.ascontiguousarray(self._split(kv[..., :self.d_k]).swapaxes(-1, -2))
-        v = self._split(kv[..., self.d_k:])
+        k_t = np.ascontiguousarray(self._split(kv[..., :self.d_model]).swapaxes(-1, -2))
+        v = self._split(kv[..., self.d_model:])
         return self._merge(_sda(q, k_t.swapaxes(-1, -2), v, self._head.scale))
 
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
@@ -504,22 +498,17 @@ class MultiheadAttention(_WindowAttention):
         kernel = self._window if self.mode == "retro" else lambda w: self._newest(w)[:, 0]
         return _batched(kernel, _windows(xa, self.n))
 
-    def _proj_cost(self) -> OpCount:
-        return OpCount(macs=self.d_model * (2 * self.d_k + self.d_v))
-
     def step_cost(self, frame_shape: tuple) -> OpCount:
-        per_head = self._head.step_cost((self._dh_k,))
-        total = self._proj_cost() + per_head.scaled(self.heads)
-        rows = self.n if self.mode == "retro" else 1
-        return total + OpCount(macs=rows * self.d_v * self.d_o)
+        d = self.d_model
+        per_head = self._head.step_cost((self._dh,))
+        rows = self.n if self.mode == "retro" else 1  # through w_o
+        return OpCount(macs=3 * d * d + rows * d * d) + per_head.scaled(self.heads)
 
     def clip_cost(self, frame_shape: tuple, t: int) -> OpCount:
         # a regular transformer's full-window pass: single-mode _clip runs less
-        n_out = self.out_len(t)
-        per_win = OpCount(macs=self.n * self.d_model * (2 * self.d_k + self.d_v))
-        per_win = per_win + sda_full_cost(self.n, self._dh_k).scaled(self.heads)
-        per_win = per_win + OpCount(macs=self.n * self.d_v * self.d_o)
-        return per_win.scaled(n_out)
+        per_win = OpCount(macs=4 * self.n * self.d_model ** 2)  # q, k, v and w_o
+        per_win = per_win + sda_full_cost(self.n, self._dh).scaled(self.heads)
+        return per_win.scaled(self.out_len(t))
 
 
 class _RpeState:
@@ -581,6 +570,8 @@ class EncoderBlock(CoModule):
     affine-ReLU-affine token map.  Mode and window ``n`` are the attention's:
     in single mode ``Sel`` picks the newest token and one row is emitted; in
     retro mode all ``n`` rows are.  A positional encoding is a stage ahead.
+    Its width ``d_model`` is the attention's, which maps tokens to tokens as
+    wide; the feed-forward weights and both LayerNorms must match it.
 
     Single-mode clip mode runs ``_newest``, the newest row's kernel, on each
     window; so does a ``window_input=True`` block, in both modes, on the
@@ -597,9 +588,8 @@ class EncoderBlock(CoModule):
         self.d_model = mha.d_model
         self._in_shape = (mha.n, self.d_model) if window_input else (self.d_model,)
         self.ff_dim = ff_w1.shape[1]
-        if (mha.d_o != self.d_model or ff_w1.shape[0] != self.d_model
-                or ff_w2.shape != (self.ff_dim, self.d_model)):
-            raise DimensionError("attention output or feed-forward shapes disagree with d_model")
+        if ff_w1.shape[0] != self.d_model or ff_w2.shape != (self.ff_dim, self.d_model):
+            raise DimensionError("feed-forward shapes disagree with d_model")
         if ln1.d != self.d_model or ln2.d != self.d_model:
             raise DimensionError(f"LayerNorms over {ln1.d} and {ln2.d}, not d_model {self.d_model}")
         self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2 = ff_w1, ff_b1, ff_w2, ff_b2
@@ -696,7 +686,7 @@ class EncoderBlock(CoModule):
         if self.window_input:
             # the newest row of a window costs a token step, plus the keys and
             # values of the n - 1 older rows, which a token block has cached
-            older = OpCount(macs=(m.n - 1) * m.d_model * (m.d_k + m.d_v))
+            older = OpCount(macs=(m.n - 1) * 2 * m.d_model ** 2)
             per_win = m.step_cost((self.d_model,)) + older + self._tail_cost(1)
         else:  # a regular transformer's full-window pass: single-mode _clip runs less
             per_win = m.clip_cost((self.d_model,), m.n) + self._tail_cost(m.n)

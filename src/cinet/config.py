@@ -366,15 +366,17 @@ def _build_stgcn(entry: dict, init: _Init, dtype: str) -> StGcnBlock:
     residual = entry.get("residual", "auto")
     if residual == "auto":
         residual = "identity" if (c_in == c_out and entry.get("tc_stride", 1) == 1) else "pointwise"
+    if residual not in ("none", "identity", "pointwise"):
+        raise ValueError(f"unknown residual kind {residual!r}")
     pointwise = residual == "pointwise"
     drawn = init.draw(*[(c_in, c_out)] * parts, (c_out, c_out, kt, 1, 1), (c_out,),
                       *_batchnorm_shapes(c_out), *([(c_in, c_out)] if pointwise else []))
-    tc_w, tc_b, gamma, beta, mean, var = drawn[parts: parts + 6]
+    tc_w, tc_b, *bn = drawn[parts: parts + 6]
     tc = TemporalConv(tc_w, tc_b, padding=entry.get("tc_padding", 0),
-                      temporal_stride=entry.get("tc_stride", 1))
-    bn = BatchNorm(gamma, beta, mean, var)
-    res_w = drawn[parts + 6] if pointwise else None
-    return StGcnBlock(graph, drawn[:parts], tc, bn, residual=residual, res_weight=res_w)
+                      temporal_stride=entry.get("tc_stride", 1)).folded(BatchNorm(*bn))
+    shortcut = (Pointwise(drawn[-1]) if pointwise
+                else Identity() if residual == "identity" else None)
+    return StGcnBlock(graph, drawn[:parts], tc, shortcut)
 
 
 def random_stream(seed: int, length: int, frame_shape: tuple, dtype: str) -> Tensor:

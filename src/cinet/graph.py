@@ -18,8 +18,9 @@ projects no frame that no emission uses.  Every block's step is graph
 conv, temporal conv, ReLU.
 
 Inference batch normalization is a fixed affine map per channel, so the
-block folds it into the temporal convolution's taps and bias when it is
-built, and ``BN(CoTC(.))`` runs as one folded conv.
+config builder folds it into the temporal convolution's taps and bias
+(``TemporalConv.folded``) and picks the shortcut before it builds the
+block: the block gets ``BN(CoTC(.))`` as one conv, and runs what it gets.
 
 The skeleton is a set of normalized adjacency partitions; each partition is
 normalized symmetrically as ``D^-1/2 (A) D^-1/2`` at construction (with the
@@ -44,11 +45,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .containers import Identity, Pointwise
 from .conv import TemporalConv
 from .errors import DimensionError
-from .module import CoModule, OpCount, per_dtype
-from .norm import BatchNorm
+from .module import CoModule, OpCount, PerFrame, per_dtype
 from .pool import TemporalPool
 from .tensor import Tensor
 
@@ -153,9 +152,13 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
 
 
 class StGcnBlock(CoModule):
-    def __init__(self, graph: SkeletonGraph, w_gc: Sequence[Tensor],
-                 tc: TemporalConv, bn: BatchNorm,
-                 residual: str = "identity", res_weight: Optional[Tensor] = None):
+    """The graph conv ``w_gc``, one (c_in, c_out) weight per partition of
+    ``graph``; ``tc``, a 1x1 c_out -> c_out temporal conv with its BatchNorm
+    folded in; and ``shortcut``, ``None`` or a per-frame map of (c_in, V)
+    frames to (c_out, V), ``Identity`` or ``Pointwise``; then the ReLU."""
+
+    def __init__(self, graph: SkeletonGraph, w_gc: Sequence[Tensor], tc: TemporalConv,
+                 shortcut: Optional[PerFrame] = None):
         if tc.k_h != 1 or tc.k_w != 1:
             raise DimensionError("block temporal conv must be pointwise spatially")
         self.graph = graph
@@ -169,18 +172,13 @@ class StGcnBlock(CoModule):
             raise DimensionError(
                 f"temporal conv is {tc.c_in}->{tc.c_out}, expected {self.c_out}->{self.c_out}"
             )
-        if residual not in ("none", "identity", "pointwise"):
-            raise ValueError(f"unknown residual kind {residual!r}")
-        if residual == "identity" and self.c_in != self.c_out:
-            raise DimensionError("identity residual needs c_in == c_out")
-        if residual == "pointwise":
-            if res_weight is None or res_weight.shape != (self.c_in, self.c_out):
-                raise DimensionError(f"pointwise residual needs ({self.c_in},{self.c_out}) weight")
-        self.tc = tc.folded(bn)  # BN(TC(.)) as one conv
-        self.shortcut = (Pointwise(res_weight) if residual == "pointwise"
-                         else Identity() if residual == "identity" else None)
         self._frame = (self.c_in, graph.v)
         self._frame_out = (self.c_out, graph.v)
+        if shortcut is not None and (not isinstance(shortcut, PerFrame)
+                                     or shortcut.out_frame_shape(self._frame) != self._frame_out):
+            raise DimensionError(f"shortcut must map {self._frame} frames to {self._frame_out}")
+        self.tc = tc
+        self.shortcut = shortcut
         # (A_cat, W), and ReLU's 0 as a 0-d array
         self._w = per_dtype(lambda dt: _stacked(graph, self.w_gc, dt) + (np.zeros((), dt),))
 

@@ -10,11 +10,12 @@ the outputs of the public call modes.  Layers compute on plain ndarrays and
 wrap a result once, where it leaves a public method.
 
 Who freezes and who copies: ``Tensor.wrap`` shares a read-only C-contiguous
-array and copies any other.  The public call modes and shims freeze their
-result before they wrap it, because ``cinet.module``'s ``_step``/``_clip``
-contract makes it fresh (nothing in the package keeps or writes it) or the
-input tensor's own read-only array; so no output is copied at the edge.
-A caller's writeable array is copied, since the caller may still write it.
+array and copies any other.  ``Tensor.zeros``/``full``/``astype``,
+``load_blob`` and the public call modes and shims freeze their result
+before they wrap it, because it is fresh (by ``cinet.module``'s
+``_step``/``_clip`` contract, nothing in the package keeps or writes it)
+or the input tensor's own read-only array; so no output is copied at the
+edge.  A caller's writeable array is copied.
 """
 
 from __future__ import annotations
@@ -88,11 +89,11 @@ class Tensor:
 
     @staticmethod
     def zeros(shape: Sequence[int], dtype: str = "f32") -> "Tensor":
-        return Tensor.wrap(np.zeros(tuple(shape), dtype=DTYPES[dtype]))
+        return _shared(np.zeros(tuple(shape), dtype=DTYPES[dtype]))
 
     @staticmethod
     def full(shape: Sequence[int], value: Scalar, dtype: str = "f32") -> "Tensor":
-        return Tensor.wrap(np.full(tuple(shape), value, dtype=DTYPES[dtype]))
+        return _shared(np.full(tuple(shape), value, dtype=DTYPES[dtype]))
 
     # -- basic fields --------------------------------------------------------
 
@@ -123,7 +124,7 @@ class Tensor:
     def astype(self, dtype: str) -> "Tensor":
         if dtype == self.dtype:
             return self
-        return Tensor.wrap(self.array.astype(DTYPES[dtype]))
+        return _shared(self.array.astype(DTYPES[dtype]))
 
     def tolist(self):
         return self.array.tolist()
@@ -141,6 +142,11 @@ class Tensor:
 
     def __hash__(self):
         return hash((self.shape, self.dtype, self.array.tobytes()))
+
+
+def _shared(arr: np.ndarray) -> Tensor:
+    arr.setflags(write=False)  # fresh: Tensor.wrap shares it
+    return Tensor.wrap(arr)
 
 
 # -- weight blob I/O ---------------------------------------------------------
@@ -174,4 +180,4 @@ def load_blob(path, shape: Sequence[int], offset: int = 0, dtype: str = "f32") -
         raise DimensionError(
             f"blob {path} too short: wanted {count} f32 at offset {offset}"
         )
-    return Tensor.wrap(raw.astype(DTYPES[dtype]).reshape(tuple(shape)))
+    return _shared(raw.astype(DTYPES[dtype]).reshape(tuple(shape)))

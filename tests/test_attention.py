@@ -382,6 +382,22 @@ def test_mha_duplicated_heads_duplicate_outputs():
             assert np.allclose(out.array[: d // 2], out.array[d // 2 :], rtol=1e-5)
 
 
+@pytest.mark.parametrize("which", range(4))
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+def test_mha_refuses_a_projection_that_is_not_square(shape, which):
+    rng = np.random.default_rng(13)
+    ws = [rand_tensor(rng, (4, 4)) for _ in range(4)]
+    ws[which] = rand_tensor(rng, shape)  # w_q, w_k, w_v or w_o
+    with pytest.raises(DimensionError):
+        MultiheadAttention("single", 3, *ws)
+
+
+def test_mha_refuses_heads_that_do_not_divide_d_model():
+    rng = np.random.default_rng(14)
+    with pytest.raises(DimensionError):
+        MultiheadAttention("retro", 3, *(rand_tensor(rng, (6, 6)) for _ in range(4)), heads=4)
+
+
 def offline_mha_oracle(xs, mha):
     """Sliding-window multi-head attention recomputed per window."""
     n = mha.n
@@ -391,11 +407,10 @@ def offline_mha_oracle(xs, mha):
         q, k, v = (win @ w.array.astype(win.dtype)
                    for w in (mha.w_q, mha.w_k, mha.w_v))
         heads = []
-        dh_k, dh_v = mha._dh_k, mha._dh_v
+        dh = mha.d_model // mha.heads
         for i in range(mha.heads):
-            qs, vs = q[:, i * dh_k : (i + 1) * dh_k], v[:, i * dh_v : (i + 1) * dh_v]
-            ks = k[:, i * dh_k : (i + 1) * dh_k]
-            heads.append(softmax_attention_oracle(qs, ks, vs))
+            cols = slice(i * dh, (i + 1) * dh)
+            heads.append(softmax_attention_oracle(q[:, cols], k[:, cols], v[:, cols]))
         outs.append(np.concatenate(heads, axis=1) @ mha.w_o.array.astype(np.float64))
     return np.stack(outs)
 
@@ -577,12 +592,12 @@ def test_encoder_rejects_attention_of_another_mode_or_window(mode, window_input,
 
 
 def test_encoder_rejects_attention_output_of_another_width():
+    # the attention refuses an output projection of another width when it
+    # is built, so no encoder block gets one
     rng = np.random.default_rng(24)
-    ok = make_encoder(rng, "single", n=4, d=6, rpe=False)
-    m = ok.mha
-    mha = MultiheadAttention("single", 4, m.w_q, m.w_k, m.w_v, rand_tensor(rng, (6, 5)))
+    m = make_encoder(rng, "single", n=4, d=6, rpe=False).mha
     with pytest.raises(DimensionError):
-        EncoderBlock(mha, ok.ff_w1, ok.ff_b1, ok.ff_w2, ok.ff_b2, ok.ln1, ok.ln2)
+        MultiheadAttention("single", 4, m.w_q, m.w_k, m.w_v, rand_tensor(rng, (6, 5)))
 
 
 @pytest.mark.parametrize("which", ["ln1", "ln2"])

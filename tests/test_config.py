@@ -207,6 +207,20 @@ def test_stgcn_and_head_infer_channels():
     assert model.out_frame_shape((2, 9)) == (7,)
 
 
+@pytest.mark.parametrize("entry", [
+    {"type": "stgcn_block", "v": 9, "c_in": 2, "c_out": 2, "tc_kernel": 3,
+     "residual": "dense"},
+    {"type": "residual", "inner": conv_cfg(c_in=2, c_out=2, kernel=[1, 1, 1]),
+     "shortcut": "dense"},
+], ids=["stgcn_block-residual", "residual-shortcut"])
+def test_unknown_shortcut_kind_names_its_entry(entry):
+    # the builder, not the block, picks a shortcut from its kind
+    ok = {"type": "avgpool_t", "window": 1}
+    with pytest.raises(ConfigError) as err:
+        build_model(base_cfg([ok, entry], shape=(2, 9)))
+    assert err.value.path == "layers[1]" and "'dense'" in str(err.value)
+
+
 def test_retro_then_single_encoder_stack_uses_window_input():
     cfg = base_cfg([
         {"type": "co_encoder_block", "mode": "retro", "n": 4, "d_model": 3,

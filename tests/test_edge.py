@@ -2,12 +2,15 @@
 
 Layers hand ndarrays to each other and only the public call modes wrap a
 result.  These tests pin that from outside: how often ``Tensor.wrap`` runs
-per ``forward_step``; that every public call mode hands it a read-only
-array, which it shares instead of copying; that an output never shares
-memory with the stream state or the model's weight tables, nor changes
-afterwards; and the package exports exactly the names listed here, so a
-change to the public surface is a deliberate diff.
+per ``forward_step``; that every public call mode and constructor hands
+it a read-only array, which it shares instead of copying; that an output
+never shares memory with the stream state or the model's weight tables,
+nor changes afterwards, nor does its input; and the package exports exactly
+the names listed here, whose constructors take exactly the parameters
+listed here, so a change to the public surface is a deliberate diff.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ import cinet
 from cinet.attention import RetroAttention, SingleAttention, sda_full
 from cinet.config import build_model, random_stream
 from cinet.graph import SkeletonGraph, graph_conv
-from cinet.tensor import Tensor
+from cinet.tensor import Tensor, load_blob, save_blob
 
 from conftest import rand_tensor
 from test_acceptance import _random_tree
@@ -81,28 +84,6 @@ def test_forward_step_wraps_once_per_emission(path, monkeypatch):
     assert emitted == model.out_len(x.shape[0])
 
 
-@pytest.mark.parametrize("make", CASES)
-def test_emissions_do_not_alias_the_stream(make):
-    model, x = make()
-    frames = [Tensor.wrap(x.array[t]) for t in range(x.shape[0])]
-    inputs = x.array.copy()
-    state = model.init_state()
-    kept = []
-    for frame in frames:
-        y = model.forward_step(state, frame)
-        if y is not None:
-            kept.append((y, y.array.copy()))
-    assert len(kept) == model.out_len(x.shape[0])
-    # the stream ran 3 receptive fields past the first emission
-    held = [a for a in walk(state) if isinstance(a, np.ndarray)]
-    assert held
-    for i, (y, copy) in enumerate(kept):
-        assert np.array_equal(y.array, copy), f"emission {i} changed"
-        assert not any(np.shares_memory(y.array, a) for a in held), f"emission {i} aliases state"
-    assert np.array_equal(x.array, inputs)
-    assert all(np.array_equal(f.array, inputs[t]) for t, f in enumerate(frames))
-
-
 # -- a fresh result is frozen and shared, never copied -------------------------------
 
 
@@ -142,12 +123,27 @@ def test_every_shim_hands_wrap_a_read_only_array(dtype, monkeypatch):
     assert calls == [(False, True)] * (emitted + 2)
 
 
+def test_constructors_hand_wrap_a_read_only_array(tmp_path, monkeypatch):
+    f32 = Tensor(np.arange(6.0), (2, 3))
+    blob = tmp_path / "w.bin"
+    save_blob(blob, [f32])
+    calls = _recorded_wraps(monkeypatch)
+    Tensor.zeros((2, 3))
+    Tensor.full((2, 3), 0.5, "f64")
+    f32.astype("f64")
+    load_blob(blob, (3, 2), dtype="f64")
+    assert calls == [(False, True)] * 4
+
+
 def _check_outputs_stay_put(model, x: np.ndarray, more: int = 50) -> None:
     """Keep every tensor that ``forward_step``, ``forward_steps`` and
     ``forward`` return over ``x[:-more]`` together with a copy; then run
     ``more`` further steps through both step modes, and a clip.  No output
     may have changed, nor share memory with an array that the streams or the
-    model hold: weights, per-dtype weight tables, step tables."""
+    model hold: weights, per-dtype weight tables, step tables.  Nor may the
+    input: every frame and clip tensor shares the frozen ``x``."""
+    inputs = x.copy()
+    x = Tensor.wrap(x).array
     head, tail = x[:-more], x[-more:]
     by_step, by_steps = model.init_state(), model.init_state()
     kept = [y for y in (model.forward_step(by_step, Tensor.wrap(f)) for f in head)
@@ -164,6 +160,7 @@ def _check_outputs_stay_put(model, x: np.ndarray, more: int = 50) -> None:
     for i, (y, copy) in enumerate(zip(kept, copies)):
         assert np.array_equal(y.array, copy), f"output {i} changed"
         assert not any(np.shares_memory(y.array, a) for a in held), f"output {i} aliases"
+    assert np.array_equal(x, inputs)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -193,9 +190,39 @@ PUBLIC_NAMES = [
 ]
 
 
+# every public class but the two errors, which take a message, not options
+CONSTRUCTOR_PARAMETERS = {
+    "BatchNorm": ["gamma", "beta", "running_mean", "running_var", "eps"],
+    "CoModule": [],
+    "EncoderBlock": ["mha", "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln1", "ln2", "window_input"],
+    "GlobalAverageHead": ["pool_window", "weight", "bias"],
+    "LayerNorm": ["gamma", "beta", "eps"],
+    "MultiheadAttention": ["mode", "n", "w_q", "w_k", "w_v", "w_o", "heads"],
+    "Parallel": ["branches", "reduce"],
+    "RecyclingPositionalEncoding": ["table"],
+    "Residual": ["inner", "shortcut"],
+    "RetroAttention": ["n", "d", "refresh_interval", "scale_updates"],
+    "Sequential": ["modules"],
+    "SingleAttention": ["n", "d"],
+    "SkeletonGraph": ["partitions"],
+    "StGcnBlock": ["graph", "w_gc", "tc", "shortcut"],
+    "TemporalConv": ["weights", "bias", "dilation", "padding", "temporal_stride"],
+    "TemporalPool": ["kind", "window", "padding"],
+    "Tensor": ["data", "shape", "dtype"],
+}
+
+
 def test_public_surface_is_pinned():
     assert sorted(cinet.__all__) == PUBLIC_NAMES
     assert all(hasattr(cinet, name) for name in cinet.__all__)
     namespace = {}
     exec("from cinet import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+def test_constructor_parameters_are_pinned():
+    # a new or renamed option is a deliberate diff of this table
+    classes = {name: getattr(cinet, name) for name in cinet.__all__}
+    got = {name: list(inspect.signature(cls).parameters) for name, cls in classes.items()
+           if inspect.isclass(cls) and not issubclass(cls, Exception)}
+    assert got == CONSTRUCTOR_PARAMETERS

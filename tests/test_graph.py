@@ -8,10 +8,11 @@ import pytest
 import cinet.graph
 from cinet.config import build_model, load_config, random_stream
 from cinet.conv import TemporalConv, _ConvState
+from cinet.errors import DimensionError
 from cinet.graph import GlobalAverageHead, SkeletonGraph, StGcnBlock, graph_conv
 from cinet.norm import BatchNorm
 from cinet.pool import TemporalPool
-from cinet.containers import Sequential
+from cinet.containers import Identity, Pointwise, Sequential
 from cinet.tensor import Tensor
 
 from conftest import ConvThenBn, max_rel_dev, rand_tensor, unfolded
@@ -38,9 +39,10 @@ def make_block(rng, v=25, c_in=4, c_out=4, k_t=9, stride=1, padding=0,
                       padding=padding, temporal_stride=stride)
     if residual is None:
         residual = "identity" if c_in == c_out else "pointwise"
-    res_w = rand_tensor(rng, (c_in, c_out), scale=scale) if residual == "pointwise" else None
-    return StGcnBlock(graph, w_gc, tc, bn or identity_bn(c_out),
-                      residual=residual, res_weight=res_w)
+    shortcut = {"none": None, "identity": Identity()}.get(residual)
+    if residual == "pointwise":
+        shortcut = Pointwise(rand_tensor(rng, (c_in, c_out), scale=scale))
+    return StGcnBlock(graph, w_gc, tc.folded(bn or identity_bn(c_out)), shortcut)
 
 
 # -- graph convolution ------------------------------------------------------------
@@ -244,13 +246,28 @@ def test_block_zero_input_zero_output():
     w_gc = [rand_tensor(rng, (3, 3), scale=0.3) for _ in range(3)]
     # beta = 0 and bias = 0 so zero input stays zero through BN and ReLU
     tc = TemporalConv(rand_tensor(rng, (3, 3, 3, 1, 1), scale=0.3), Tensor.zeros((3,)))
-    blk = StGcnBlock(SkeletonGraph.chain(6, partitions=3), w_gc, tc, identity_bn(3),
-                     residual="identity")
+    blk = StGcnBlock(SkeletonGraph.chain(6, partitions=3), w_gc, tc.folded(identity_bn(3)),
+                     Identity())
     state = blk.init_state()
     for t in range(8):
         out = blk.forward_step(state, Tensor.zeros((3, 6)))
         if out is not None:
             assert np.allclose(out.array, 0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("c_in,shortcut", [
+    (3, lambda rng: Identity()),  # c_in != c_out
+    (4, lambda rng: Pointwise(rand_tensor(rng, (4, 4)))),  # maps to 4 channels, not 5
+    (4, lambda rng: Pointwise(rand_tensor(rng, (3, 5)))),  # reads 3 channels, not 4
+    (5, lambda rng: TemporalConv(rand_tensor(rng, (5, 5, 1, 1, 1)), rand_tensor(rng, (5,)))),
+], ids=["identity", "pointwise-c_out", "pointwise-c_in", "not-per-frame"])
+def test_block_refuses_a_shortcut_of_other_frames(c_in, shortcut):
+    # the block applies its shortcut per frame, from (c_in, V) to (c_out, V)
+    rng = np.random.default_rng(5)
+    w_gc = [rand_tensor(rng, (c_in, 5)) for _ in range(3)]
+    tc = TemporalConv(rand_tensor(rng, (5, 5, 3, 1, 1)), rand_tensor(rng, (5,)))
+    with pytest.raises(DimensionError):
+        StGcnBlock(SkeletonGraph.chain(6, partitions=3), w_gc, tc, shortcut(rng))
 
 
 def test_three_block_network_equivalence():

@@ -55,7 +55,7 @@ def _encoder(rng, mode, window_input=False, d=4, ff=6):
 def _stgcn(rng):
     tc = TemporalConv(w64(rng, 4, 4, 3, 1, 1), w64(rng, 4), padding=1)
     return StGcnBlock(SkeletonGraph.chain(6, partitions=3), [w64(rng, 3, 4) for _ in range(3)],
-                      tc, _bn(rng, 4), residual="pointwise", res_weight=w64(rng, 3, 4))
+                      tc.folded(_bn(rng, 4)), Pointwise(w64(rng, 3, 4)))
 
 
 # name -> (layer from a seeded rng, its frame shape); the two convs are a
