@@ -64,6 +64,8 @@ def reference_outputs() -> dict:
 def compare(outputs: dict, reference: dict) -> dict:
     """Per key of either dict: ``"bit-identical"``, the largest move
     ``max|d|/max|ref|`` as a float, or why the two cannot be compared."""
+    from cinet.cli import max_deviation
+
     moves = {}
     for key in sorted(set(outputs) | set(reference)):
         if key not in reference or key not in outputs:
@@ -75,9 +77,7 @@ def compare(outputs: dict, reference: dict) -> dict:
         elif y.tobytes() == ref.tobytes():
             moves[key] = "bit-identical"
         else:
-            diff = np.abs(y.astype(np.float64) - ref).max()
-            scale = np.abs(ref.astype(np.float64)).max()
-            moves[key] = float(diff / scale) if scale > 0 else float(diff)
+            moves[key] = max_deviation(y, ref)[1]
     return moves
 
 

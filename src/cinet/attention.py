@@ -19,16 +19,17 @@ windows, ``WINDOW_BATCH`` per call; the single-output form, on newest rows alone
 
 A stream's first row binds it (``cinet.module.Stream``): every state array
 is made then, zero-initialised, and a later row that drifts in shape or
-dtype is refused before it reaches a kernel.  ``att_step`` binds the stream
-on its value row, whose shape ``(..., d_v)`` fixes every array; a
-self-attention step binds it on its token.  All state is ``(..., n, d)``
+dtype is refused before it reaches a kernel.  Rows are one width: q, k and
+v rows share one shape ``(..., d)`` and one dtype, so ``att_step`` binds
+the stream on its query row, as a self-attention step binds it on its
+token, and the root check covers the width ``d``.  All state is ``(..., n, d)``
 rows in window order, oldest first, each array shifted by one row per step
 (``_push``) and attended over in place: O(n*d), the order of the update
 itself, with no gather or copy.  Retroactive attention keeps
 f64 queries, keys, values and ``[av | d]``, reads the departing key/value
 from the oldest row before the push, and reads its emission off ``[av |
 d]``.  The fused ``avd_mem`` holds each row's weighted values ``av`` and
-row sum ``d`` side by side, so one ``(n-1, 2) @ (2, d_v+1)`` product by
+row sum ``d`` side by side, so one ``(n-1, 2) @ (2, d+1)`` product by
 the departing ``[v | 1]`` row negated and the arriving one updates both;
 ``d_mem`` and ``av_mem`` are views of it.  Single-output attention keeps
 keys and values in the stream dtype.
@@ -39,10 +40,10 @@ Multi-head attention is self-attention, stepped by token and with no
 and reads the head rows as views of that product.  In step mode a
 retroactive head's product is cast to f64 once, and one ``reshape(3,
 heads, d_h)`` of it yields every head's q, k and v row.  Rows are checked
-where they enter: a token when its stream binds, a clip when ``forward``
-starts, and a head's q, k and v rows on every ``att_step``; multi-head
-attention hands its own projections to its head's kernel, which checks
-nothing.
+where they enter: a token or a query row when its stream binds, a clip
+when ``forward`` starts, and on every ``att_step`` that q, k and v rows
+share one shape and dtype; multi-head attention hands its own projections
+to its head's kernel, which checks nothing.
 
 :class:`EncoderBlock` takes its step form and window from its attention; a
 positional encoding is a ``Sequential`` stage ahead of a token-input block.
@@ -74,7 +75,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .module import CoModule, OpCount, PerFrame, StepOutput, per_dtype
-from .tensor import Tensor
+from .tensor import Tensor, _shared
 from .norm import LayerNorm
 
 LOGIT_CLAMP = 30.0
@@ -116,9 +117,7 @@ def sda_full(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Ten
         raise DimensionError(f"window mismatch: Q{q.shape} K{k.shape} V{v.shape}")
     if scale is None:
         scale = 1.0 / float(np.sqrt(q.shape[-1]))  # python float: no f32 upcast
-    y = _sda(q.array, k.array, v.array, scale)
-    y.setflags(write=False)  # fresh: Tensor.wrap shares it (see cinet.module)
-    return Tensor.wrap(y)
+    return _shared(_sda(q.array, k.array, v.array, scale))
 
 
 def _sda(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale) -> np.ndarray:
@@ -174,35 +173,35 @@ class _WindowAttention(CoModule):
 
 
 class _RowAttention(_WindowAttention):
-    """The attention forms on ``(..., d)`` rows.  ``att_step`` checks its
-    rows and binds the stream on the value row; ``_att`` then casts them to
-    ``row_dtype``, if set, and runs ``_kernel(state, q, k, v, dtype)``, which
-    checks nothing: multi-head attention, whose rows are its own
-    projections, casts and calls it directly."""
+    """The attention forms on ``(..., d)`` rows over a window of ``n``.
+    ``att_step`` checks that its rows share one shape and dtype and binds
+    the stream on the query row; ``_att`` then casts them to ``row_dtype``,
+    if set, and runs ``_kernel(state, q, k, v, dtype)``, which checks
+    nothing: multi-head attention, whose rows are its own projections,
+    casts and calls it directly."""
 
     row_dtype: Optional[np.dtype] = None  # None: the rows' own dtype
 
-    def att_step(self, state, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
-        """Consume one row each of ``q``, ``k``, ``v``; the emission, or
-        ``None`` during warm-up."""
-        qa, ka, va = q.array, k.array, v.array
-        self._check_rows(qa, ka, va)
-        y = self._att(state.bind(self._state, va.shape, va.dtype), qa, ka, va)
-        if y is None:
-            return None
-        y.setflags(write=False)
-        return Tensor.wrap(y)
+    def __init__(self, n: int, d: int):
+        if n < 1 or d < 1:
+            raise ValueError(f"window length and width must be >= 1, got n={n}, d={d}")
+        self.n = n
+        self.d = d
+        self.scale = 1.0 / float(np.sqrt(d))
 
-    def _check_rows(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
-        d = self.d
-        if (q.shape[-1:] != (d,) or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]
-                or not q.dtype == k.dtype == v.dtype):
+    def att_step(self, state, q: Tensor, k: Tensor, v: Tensor) -> StepOutput:
+        """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; the
+        emission, or ``None`` during warm-up."""
+        qa, ka, va = q.array, k.array, v.array
+        if not qa.shape == ka.shape == va.shape or not qa.dtype == ka.dtype == va.dtype:
             raise DimensionError(
-                f"rows must be (..., {d}) with equal leading axes and one dtype, got "
-                f"Q{q.shape} {q.dtype} K{k.shape} {k.dtype} V{v.shape} {v.dtype}")
+                f"q, k and v rows must share one shape and one dtype, got "
+                f"Q{qa.shape} {qa.dtype} K{ka.shape} {ka.dtype} V{va.shape} {va.dtype}")
+        y = self._att(state.bind(self, qa.shape, qa.dtype), qa, ka, va)
+        return None if y is None else _shared(y)
 
     def _lead(self, frame_shape: tuple) -> tuple:
-        """The leading axes of a self-attention token ``(..., d)``."""
+        """The leading axes of a token or query row ``(..., d)``."""
         if tuple(frame_shape[-1:]) != (self.d,):
             raise DimensionError(f"tokens must be (..., {self.d}), got {tuple(frame_shape)}")
         return tuple(frame_shape[:-1])
@@ -226,15 +225,15 @@ class _RetroCache:
         # f64 rows in window order, oldest first; see the module docstring
         self.q_mem = q_mem  # (..., n, d)
         self.k_mem = k_mem  # (..., n, d)
-        self.v_mem = v_mem  # (..., n, d_v)
-        self.avd_mem = avd_mem  # (..., n, d_v + 1): [av | d], zeros until the first emission
+        self.v_mem = v_mem  # (..., n, d)
+        self.avd_mem = avd_mem  # (..., n, d + 1): [av | d], zeros until the first emission
         self.t = 0
         self.clamp_events = [0]
 
     # views of ``avd_mem``, not slots: a state walk counts each array once
     @property
     def av_mem(self) -> np.ndarray:
-        """(..., n, d_v): each window row's exp-weighted sum of values."""
+        """(..., n, d): each window row's exp-weighted sum of values."""
         return self.avd_mem[..., :-1]
 
     @property
@@ -250,11 +249,7 @@ class RetroAttention(_RowAttention):
 
     def __init__(self, n: int, d: int, refresh_interval: int = 64,
                  scale_updates: bool = True):
-        if n < 1:
-            raise ValueError("window length must be >= 1")
-        self.n = n
-        self.d = d
-        self.scale = 1.0 / float(np.sqrt(d))
+        super().__init__(n, d)
         self.refresh_interval = refresh_interval  # 0 disables refreshes
         self.scale_updates = scale_updates
         # the f64 exponent scales as 0-d arrays, which a ufunc takes faster
@@ -268,15 +263,15 @@ class RetroAttention(_RowAttention):
         return self._lead(frame_shape) + (self.n, self.d)
 
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> _RetroCache:
-        """f64 rows for a stream of ``(..., d_v)`` value rows of ``dtype``."""
-        lead, d_v = tuple(frame_shape[:-1]), frame_shape[-1]
-        return _RetroCache(*(np.zeros(lead + (self.n, e)) for e in (self.d, self.d, d_v, d_v + 1)))
+        """f64 rows for a stream of ``(..., d)`` rows of ``dtype``."""
+        lead, d = tuple(frame_shape[:-1]), self.d
+        return _RetroCache(*(np.zeros(lead + (self.n, e)) for e in (d, d, d, d + 1)))
 
     # -- step ------------------------------------------------------------------
 
     def _kernel(self, state: _RetroCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 dtype: np.dtype) -> Optional[np.ndarray]:
-        """One f64 row each of a stream of ``dtype``: the ``(..., n, d_v)``
+        """One f64 row each of a stream of ``dtype``: the ``(..., n, d)``
         window outputs, oldest row first, in ``dtype``."""
         n, m = self.n, self.n - 1
         q_mem, k_mem, v_mem, avd = state.q_mem, state.k_mem, state.v_mem, state.avd_mem
@@ -297,7 +292,7 @@ class RetroAttention(_RowAttention):
             q_old = q_mem[..., 1:, :]
             qk = np.dot(q_old, k_pair) if q_old.ndim == 2 else q_old @ k_pair
             e = _clamped_exp(qk * self._upd_scale, state.clamp_events)
-            v_pair = np.empty(v.shape[:-1] + (2, v.shape[-1] + 1))  # (..., 2, d_v + 1)
+            v_pair = np.empty(v.shape[:-1] + (2, v.shape[-1] + 1))  # (..., 2, d + 1)
             np.negative(v_mem[..., 0, :], out=v_pair[..., 0, :-1])
             v_pair[..., 1, :-1] = v
             v_pair[..., -1] = self._signs
@@ -345,7 +340,7 @@ class _SingleCache:
 
     def __init__(self, k_mem, v_mem):
         self.k_mem = k_mem  # (..., n, d) keys in window order, in their dtype
-        self.v_mem = v_mem  # (..., n, d_v)
+        self.v_mem = v_mem  # (..., n, d)
         self.t = 0
         self.clamp_events = [0]
 
@@ -354,26 +349,21 @@ class SingleAttention(_RowAttention):
     """Sliding-window attention emitting only the newest query's row."""
 
     def __init__(self, n: int, d: int):
-        if n < 1:
-            raise ValueError("window length must be >= 1")
-        self.n = n
-        self.d = d
-        self.scale = 1.0 / float(np.sqrt(d))
+        super().__init__(n, d)
         self._scale = per_dtype(lambda dt: np.array(self.scale, dt))  # see RetroAttention
 
     def out_frame_shape(self, frame_shape: tuple) -> tuple:
         return self._lead(frame_shape) + (self.d,)
 
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> _SingleCache:
-        """Rows of ``dtype`` for a stream of ``(..., d_v)`` value rows."""
-        lead, d_v = tuple(frame_shape[:-1]), frame_shape[-1]
-        return _SingleCache(np.zeros(lead + (self.n, self.d), dtype),
-                            np.zeros(lead + (self.n, d_v), dtype))
+        """Rows of ``dtype`` for a stream of ``(..., d)`` rows."""
+        shape = tuple(frame_shape[:-1]) + (self.n, self.d)
+        return _SingleCache(np.zeros(shape, dtype), np.zeros(shape, dtype))
 
     def _kernel(self, state: _SingleCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                 dtype: np.dtype) -> Optional[np.ndarray]:
         """One row each of ``dtype``, which the rings keep: the newest
-        query's ``(..., d_v)`` output."""
+        query's ``(..., d)`` output."""
         k_mem, v_mem = state.k_mem, state.v_mem
         t = state.t
         state.t += 1
@@ -420,6 +410,8 @@ class MultiheadAttention(_WindowAttention):
         d = self.d_model = w_q.shape[0]
         if any(w.shape != (d, d) for w in (w_q, w_k, w_v, w_o)):
             raise DimensionError(f"w_q, w_k, w_v and w_o must all be ({d}, {d})")
+        if heads < 1:
+            raise ValueError(f"heads must be >= 1, got {heads}")
         if d % heads:
             raise DimensionError(f"d_model={d} not divisible by {heads} heads")
         self.w_q, self.w_k, self.w_v, self.w_o = w_q, w_k, w_v, w_o
@@ -528,8 +520,9 @@ class RecyclingPositionalEncoding(PerFrame):
     """
 
     def __init__(self, table: Tensor):
-        if table.rank != 2:
-            raise DimensionError(f"encoding table must be (period, d), got {table.shape}")
+        if table.rank != 2 or table.shape[0] < 1:
+            raise DimensionError(f"encoding table must be (period, d) with period >= 1, "
+                                 f"got {table.shape}")
         self.table = table
         self.period = table.shape[0]
         self._w = per_dtype(table.array.astype)

@@ -112,6 +112,17 @@ def count_flops(cfg: dict, model: Sequential, mode: str, length: int) -> dict:
     return report
 
 
+def max_deviation(y: np.ndarray, ref: np.ndarray) -> tuple:
+    """``(max|y - ref|, max|y - ref| / max|ref|)`` of two arrays of one
+    shape, in f64; the relative move is the absolute one when ``ref`` is all
+    zeros, and both are 0 when the arrays are empty."""
+    if ref.size == 0:
+        return 0.0, 0.0
+    max_abs = float(np.abs(y.astype(np.float64) - ref.astype(np.float64)).max())
+    scale = float(np.abs(ref).max())
+    return max_abs, max_abs / scale if scale > 0 else max_abs
+
+
 def check_equivalence(cfg: dict, model: Sequential, length: int, seed: int,
                       tol: float) -> dict:
     _nonnegative("--tol", tol)
@@ -129,13 +140,7 @@ def check_equivalence(cfg: dict, model: Sequential, length: int, seed: int,
         report["pass"] = False
         report["error"] = f"shape mismatch: {offline.shape} vs {online.shape}"
         return report
-    if offline.size == 0:
-        max_abs = max_rel = 0.0
-    else:
-        diff = np.abs(offline.array.astype(np.float64) - online.array.astype(np.float64))
-        max_abs = float(diff.max())
-        scale = float(np.abs(offline.array).max())
-        max_rel = max_abs / scale if scale > 0 else max_abs
+    max_abs, max_rel = max_deviation(online.array, offline.array)
     report["outputs"] = int(offline.shape[0])
     report["max_abs"] = max_abs
     report["max_rel"] = max_rel

@@ -49,7 +49,7 @@ from .conv import TemporalConv
 from .errors import DimensionError
 from .module import CoModule, OpCount, PerFrame, per_dtype
 from .pool import TemporalPool
-from .tensor import Tensor
+from .tensor import Tensor, _shared
 
 
 def _sym_normalize(a: np.ndarray) -> np.ndarray:
@@ -146,9 +146,7 @@ def graph_conv(x_t: Tensor, graph: SkeletonGraph, w_gc: Sequence[Tensor]) -> Ten
         raise DimensionError(
             f"{len(w_gc)} weight sets for {len(graph.partitions)} partitions"
         )
-    y = _gc(x_t.array, *_stacked(graph, w_gc, x_t.array.dtype))
-    y.setflags(write=False)  # fresh: Tensor.wrap shares it (see cinet.module)
-    return Tensor.wrap(y)
+    return _shared(_gc(x_t.array, *_stacked(graph, w_gc, x_t.array.dtype)))
 
 
 class StGcnBlock(CoModule):

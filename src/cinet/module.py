@@ -20,12 +20,12 @@ result in a ``Tensor``, once per call.  The ``_step``/``_clip`` contract:
   or writes, or the input itself (or a view of it).
 
 ``Tensor``'s immutability rests on that contract.  The public call modes,
-and the shims ``att_step``, ``sda_full`` and ``graph_conv``, mark their
-result read-only and hand it to ``Tensor.wrap``, which shares a read-only
-C-contiguous array instead of copying it: a fresh result is frozen, not
-copied, and the input was a tensor's read-only array to begin with.  A
-result that was a view of a ring or of a weight would reach the caller as
-a tensor that a later step rewrites.
+and the shims ``att_step``, ``sda_full`` and ``graph_conv``, hand their
+result to ``cinet.tensor._shared``, which freezes it and has
+``Tensor.wrap`` share it instead of copying it: a fresh result is frozen,
+not copied, and the input was a tensor's read-only array to begin with.
+A result that was a view of a ring or of a weight would reach the caller
+as a tensor that a later step rewrites.
 
 Two timing numbers describe each module:
 
@@ -39,7 +39,9 @@ Two timing numbers describe each module:
 
 Every module's ``init_state()`` returns an unbound ``Stream``, a stateless
 one's too (its layer state is ``None``).  The stream's first frame binds it
-(``Stream.bind``): the root checks that every stage can take the frame
+in one place, ``Stream.bind(root, shape, dtype)``, which every step call
+mode (``forward_step``, ``forward_steps``, ``att_step``) calls with its
+root layer: the root checks that every stage can take the frame
 (``out_frame_shape``), then every layer builds its whole state,
 ``_state(frame_shape, dtype)``, containers along ``out_frame_shape``.  So
 every array a stream keeps is made there, in its final shape, and
@@ -79,27 +81,30 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import DTYPES, Tensor
+from .tensor import DTYPES, Tensor, _shared
 
 StepOutput = Optional[Tensor]
 
 
 class Stream:
     """One stream's state: unbound until its first frame, then that frame's
-    shape and dtype and the root layer's state, ``layer`` (``state.layer.t``)."""
+    shape and dtype and the root layer's state, ``layer`` (``state.layer.t``).
+    ``bind`` is the one way in for every step call mode."""
 
     __slots__ = ("shape", "dtype", "layer")
 
     def __init__(self):
         self.shape = self.dtype = self.layer = None
 
-    def bind(self, make, shape: tuple, dtype: np.dtype):
-        """The root layer's state for a frame of ``shape`` and ``dtype``.  The
-        first frame binds the stream to ``make(shape, dtype)``, which refuses
-        a frame it cannot take before it builds anything; a later frame of
-        another shape or dtype is refused."""
+    def bind(self, root: "CoModule", shape: tuple, dtype: np.dtype):
+        """``root``'s state for a frame of ``shape`` and ``dtype``.  The first
+        frame binds the stream: ``root.out_frame_shape`` refuses a frame that
+        a stage cannot take before anything is built, then ``root._state``
+        builds the whole state.  A later frame of another shape or dtype is
+        refused."""
         if self.shape is None:
-            self.layer = make(shape, dtype)
+            root.out_frame_shape(shape)
+            self.layer = root._state(shape, dtype)
             self.shape, self.dtype = shape, dtype
         elif shape != self.shape or (dtype is not self.dtype and dtype != self.dtype):
             raise DimensionError(f"stream drifted: frame {shape} {np.dtype(dtype)} after "
@@ -169,9 +174,7 @@ class CoModule:
         """Offline clip mode over a (T, ...) sequence."""
         a = x.array
         self.out_frame_shape(_frame_shape(a))
-        y = self._clip(a)
-        y.setflags(write=False)  # fresh or the input: Tensor.wrap shares it
-        return Tensor.wrap(y)
+        return _shared(self._clip(a))
 
     def init_state(self) -> Stream:
         """A new stream's state, unbound until its first frame."""
@@ -180,24 +183,20 @@ class CoModule:
     def forward_step(self, state: Stream, x_t: Tensor) -> StepOutput:
         """Consume one step; the ready output, or ``None`` during warm-up."""
         a = x_t.array
-        y = self._step(state.bind(self._checked_state, a.shape, a.dtype), a)
-        if y is None:
-            return None
-        y.setflags(write=False)
-        return Tensor.wrap(y)
+        y = self._step(state.bind(self, a.shape, a.dtype), a)
+        return None if y is None else _shared(y)
 
     def forward_steps(self, state: Stream, x: Tensor) -> Tensor:
         """Feed each step of a (T, ...) sequence; stack the ready outputs."""
         xa = x.array
-        state = state.bind(self._checked_state, _frame_shape(xa), xa.dtype)
+        state = state.bind(self, _frame_shape(xa), xa.dtype)
         outs = [y for y in (self._step(state, xa[t]) for t in range(xa.shape[0]))
                 if y is not None]
         if outs:
             y = np.stack(outs, axis=0)
         else:
             y = np.zeros((0,) + self.out_frame_shape(xa.shape[1:]), dtype=xa.dtype)
-        y.setflags(write=False)
-        return Tensor.wrap(y)
+        return _shared(y)
 
     def _clip(self, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -209,11 +208,6 @@ class CoModule:
         """This layer's whole state for a stream of ``frame_shape`` frames in
         ``dtype``, every array allocated; ``None`` if it keeps nothing."""
         raise NotImplementedError
-
-    def _checked_state(self, frame_shape: tuple, dtype: np.dtype):
-        """``_state`` for a root's first frame, once every stage has accepted it."""
-        self.out_frame_shape(frame_shape)
-        return self._state(frame_shape, dtype)
 
     # -- introspection for composition and counting --------------------------
 

@@ -10,9 +10,9 @@ the outputs of the public call modes.  Layers compute on plain ndarrays and
 wrap a result once, where it leaves a public method.
 
 Who freezes and who copies: ``Tensor.wrap`` shares a read-only C-contiguous
-array and copies any other.  ``Tensor.zeros``/``full``/``astype``,
-``load_blob`` and the public call modes and shims freeze their result
-before they wrap it, because it is fresh (by ``cinet.module``'s
+array and copies any other.  ``_shared`` is the one place that freezes a
+result: ``Tensor.zeros``/``full``/``astype``, ``load_blob`` and the public
+call modes and shims hand it theirs, which is fresh (by ``cinet.module``'s
 ``_step``/``_clip`` contract, nothing in the package keeps or writes it)
 or the input tensor's own read-only array; so no output is copied at the
 edge.  A caller's writeable array is copied.
@@ -74,8 +74,8 @@ class Tensor:
         copied, so a writeable array never becomes a tensor's memory.  This
         is the one hand-off from arrays to ``Tensor``: the public call modes
         and shims (``forward*``, ``att_step``, ``graph_conv``, ``sda_full``)
-        freeze their fresh result and call it once, so it shares rather than
-        copies, and layers never call it on each other's results."""
+        reach it once, through ``_shared``, so it shares rather than copies,
+        and layers never call it on each other's results."""
         # keyed by dtype objects: comparing with np.float32 would convert the type first
         if arr.dtype not in _NP_TO_NAME:
             raise ValueError(f"unsupported ndarray dtype {arr.dtype}")
@@ -145,7 +145,11 @@ class Tensor:
 
 
 def _shared(arr: np.ndarray) -> Tensor:
-    arr.setflags(write=False)  # fresh: Tensor.wrap shares it
+    """``arr`` as a tensor that shares it: the one way out of the package for
+    a fresh array, or a tensor's own read-only one, which nothing else keeps
+    or writes.  It is frozen here and handed to ``Tensor.wrap``, looked up
+    at call time, so a patched ``Tensor.wrap`` sees every result leave."""
+    arr.setflags(write=False)
     return Tensor.wrap(arr)
 
 

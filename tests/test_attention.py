@@ -157,14 +157,13 @@ def test_head_rows_are_independent_streams_in_fixed_rings(n):
     # stream of its own, across a refresh, and every ring keeps one object
     # and shape from the first row on; the row sums and weighted values are
     # one fused [av | d] ring
-    h, d, d_v = 3, 4, 2
+    h, d = 3, 4
     steps = n - 1 + 64 + 10
     rng = np.random.default_rng(40 + n)
-    q, k = (rng.uniform(-1, 1, (steps, h, d)) for _ in range(2))
-    v = rng.uniform(-1, 1, (steps, h, d_v))
-    retro_rings = {"q_mem": (h, n, d), "k_mem": (h, n, d), "v_mem": (h, n, d_v),
-                   "avd_mem": (h, n, d_v + 1)}
-    single_rings = {"k_mem": (h, n, d), "v_mem": (h, n, d_v)}
+    q, k, v = (rng.uniform(-1, 1, (steps, h, d)) for _ in range(3))
+    retro_rings = {"q_mem": (h, n, d), "k_mem": (h, n, d), "v_mem": (h, n, d),
+                   "avd_mem": (h, n, d + 1)}
+    single_rings = {"k_mem": (h, n, d), "v_mem": (h, n, d)}
     for att, shapes in ((RetroAttention(n, d), retro_rings),
                         (SingleAttention(n, d), single_rings)):
         state = att.init_state()
@@ -221,6 +220,14 @@ def test_drifted_rows_are_refused_before_the_stream_moves(mode):
         assert state.layer.t == n + 1
     with pytest.raises(DimensionError, match="one dtype"):
         head.att_step(head.init_state(), f32, f64, f32)
+
+
+@pytest.mark.parametrize("make", [lambda: RetroAttention(3, 0), lambda: SingleAttention(3, 0),
+                                  lambda: RetroAttention(2, -1), lambda: SingleAttention(2, -1)],
+                         ids=["retro-0", "single-0", "retro-negative", "single-negative"])
+def test_row_attention_refuses_a_width_below_one(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_retro_state_is_the_window_in_order():
@@ -398,6 +405,13 @@ def test_mha_refuses_heads_that_do_not_divide_d_model():
         MultiheadAttention("retro", 3, *(rand_tensor(rng, (6, 6)) for _ in range(4)), heads=4)
 
 
+@pytest.mark.parametrize("heads", [0, -2])
+def test_mha_refuses_heads_below_one(heads):
+    rng = np.random.default_rng(15)
+    with pytest.raises(ValueError):
+        MultiheadAttention("retro", 3, *(rand_tensor(rng, (4, 4)) for _ in range(4)), heads=heads)
+
+
 def offline_mha_oracle(xs, mha):
     """Sliding-window multi-head attention recomputed per window."""
     n = mha.n
@@ -449,6 +463,11 @@ def test_rpe_zero_table_is_identity():
     rpe = RecyclingPositionalEncoding(Tensor.zeros((4, 3)))
     x = rand_tensor(np.random.default_rng(13), (6, 3))
     assert np.array_equal(rpe.forward(x).array, x.array)
+
+
+def test_rpe_refuses_a_table_with_no_rows():
+    with pytest.raises(DimensionError):
+        RecyclingPositionalEncoding(Tensor.zeros((0, 3)))
 
 
 def test_rpe_streams_do_not_interfere():

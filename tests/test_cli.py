@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cinet import cli
-from cinet.cli import check_equivalence, count_flops, main, measure_throughput
+from cinet.cli import check_equivalence, count_flops, main, max_deviation, measure_throughput
 from cinet.config import build_model, load_config
 from cinet.errors import ConfigError
 
@@ -51,6 +51,13 @@ def test_check_stateless_model_deviation_exactly_zero():
                        "init": {"scheme": "uniform", "seed": 7}}]}
     report = check_equivalence(cfg, build_model(cfg), length=10, seed=0, tol=1e-12)
     assert report["max_abs"] == 0.0 and report["pass"]
+
+
+def test_max_deviation_is_relative_to_the_largest_reference_magnitude():
+    ref = np.array([2.0, -4.0], np.float32)
+    assert max_deviation(ref + np.float32(1), ref) == (1.0, 0.25)
+    assert max_deviation(np.array([0.5, 0.0]), np.zeros(2)) == (0.5, 0.5)  # all-zero reference
+    assert max_deviation(np.zeros((0, 3)), np.zeros((0, 3))) == (0.0, 0.0)
 
 
 def test_check_rejects_length_within_warmup():

@@ -10,7 +10,9 @@ the names listed here, whose constructors take exactly the parameters
 listed here, so a change to the public surface is a deliberate diff.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +135,30 @@ def test_constructors_hand_wrap_a_read_only_array(tmp_path, monkeypatch):
     f32.astype("f64")
     load_blob(blob, (3, 2), dtype="f64")
     assert calls == [(False, True)] * 4
+
+
+def _setflags_and_wraps() -> tuple:
+    """``({file: lines}, {file: lines})`` of the ``.setflags(...)`` calls and
+    of the ``Tensor.wrap(...)`` calls in every module of the package."""
+    setflags, wraps = {}, {}
+    for path in sorted(Path(cinet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            f = node.func
+            if f.attr == "setflags":
+                setflags.setdefault(path.name, []).append(node.lineno)
+            elif f.attr == "wrap" and isinstance(f.value, ast.Name) and f.value.id == "Tensor":
+                wraps.setdefault(path.name, []).append(node.lineno)
+    return setflags, wraps
+
+
+def test_results_are_frozen_and_wrapped_in_one_place():
+    # a fresh result leaves through cinet.tensor._shared, so only cinet.tensor
+    # freezes a result; cinbench wraps its read-only input frames as a caller does
+    setflags, wraps = _setflags_and_wraps()
+    assert set(setflags) == {"tensor.py"}, setflags
+    assert "tensor.py" in wraps and set(wraps) <= {"tensor.py", "cli.py"}, wraps
 
 
 def _check_outputs_stay_put(model, x: np.ndarray, more: int = 50) -> None:

@@ -174,15 +174,20 @@ def _frames(model, x):
             [wide], [wide, other])
 
 
-def _rows(att, d_v=3, lead=()):
-    """The ``att_step`` counterpart of ``_frames``: q and k rows of width
-    ``d``, value rows of width ``d_v``."""
+def _rows(att, lead=()):
+    """The ``att_step`` counterpart of ``_frames``: q, k and v rows of width
+    ``d``; first refused are rows whose width is not ``d``, rows that do not
+    share one shape (a value row of another width, other leading axes) and
+    rows of two dtypes."""
     d, rng = att.d, np.random.default_rng(34)
-    rows = [tuple(rng.normal(size=lead + (e,)).astype(np.float32) for e in (d, d, d_v))
+    rows = [tuple(rng.normal(size=lead + (d,)).astype(np.float32) for _ in range(3))
             for _ in range(3 * att.n)]
     q, k, v = rows[0]
     f64 = tuple(a.astype(np.float64) for a in rows[0])
-    first = [(q[..., :-1], k[..., :-1], v), (q, k.astype(np.float64), v)]
+    narrow = tuple(a[..., :-1] for a in rows[0])
+    wide_v = np.zeros(lead + (d + 1,), np.float32)
+    first = [narrow, (q[..., :-1], k[..., :-1], v), (q, k, wide_v), (q, k[None], v[None]),
+             (q, k.astype(np.float64), v)]
     later = first + [f64, (q, k, v[..., :-1]), (q[None], k[None], v[None])]
     return att, lambda s, r: att.att_step(s, *map(Tensor.wrap, r)), rows, first, later
 
