@@ -25,21 +25,22 @@ the stream on its query row, as a self-attention step binds it on its
 token, and the root check covers the width ``d``.  All state is ``(..., n, d)``
 rows in window order, oldest first, each array shifted by one row per step
 (``_push``) and attended over in place: O(n*d), the order of the update
-itself, with no gather or copy.  Retroactive attention keeps
-f64 queries, keys, values and ``[av | d]``, reads the departing key/value
-from the oldest row before the push, and reads its emission off ``[av |
-d]``.  The fused ``avd_mem`` holds each row's weighted values ``av`` and
-row sum ``d`` side by side, so one ``(n-1, 2) @ (2, d+1)`` product by
-the departing ``[v | 1]`` row negated and the arriving one updates both;
-``d_mem`` and ``av_mem`` are views of it.  Single-output attention keeps
-keys and values in the stream dtype.
+itself, with no gather or copy.  Both forms keep queries, keys and
+values in the stream dtype.  Retroactive attention sums in f64: its
+products read f64 casts of the rows, so an f32 stream's products see the
+values and layouts an f64 stream's do, and it keeps ``[av | d]`` in f64.
+It reads the departing key/value from the oldest row before the push, and
+reads its emission off ``[av | d]``.  The fused ``avd_mem`` holds each
+row's weighted values ``av`` and row sum ``d`` side by side, so one
+``(n-1, 2) @ (2, d+1)`` product by the departing ``[v | 1]`` row negated
+and the arriving one updates both; ``d_mem`` and ``av_mem`` are views of it.
 
 Multi-head attention is self-attention, stepped by token and with no
 ``att_step``: it projects a token or window by one matmul with
 ``w_q | w_k | w_v``, concatenated in both stream dtypes at construction,
-and reads the head rows as views of that product.  In step mode a
-retroactive head's product is cast to f64 once, and one ``reshape(3,
-heads, d_h)`` of it yields every head's q, k and v row.  Rows are checked
+and reads the head rows as views of that product.  In step mode one
+``reshape(3, heads, d_h)`` of it yields every head's q, k and v row, in the
+stream dtype.  Rows are checked
 where they enter: a token or a query row when its stream binds, a clip
 when ``forward`` starts, and on every ``att_step`` that q, k and v rows
 share one shape and dtype; multi-head attention hands its own projections
@@ -175,12 +176,9 @@ class _WindowAttention(CoModule):
 class _RowAttention(_WindowAttention):
     """The attention forms on ``(..., d)`` rows over a window of ``n``.
     ``att_step`` checks that its rows share one shape and dtype and binds
-    the stream on the query row; ``_att`` then casts them to ``row_dtype``,
-    if set, and runs ``_kernel(state, q, k, v, dtype)``, which checks
-    nothing: multi-head attention, whose rows are its own projections,
-    casts and calls it directly."""
-
-    row_dtype: Optional[np.dtype] = None  # None: the rows' own dtype
+    the stream on the query row; ``_kernel(state, q, k, v)`` then runs on
+    them and checks nothing: multi-head attention, whose rows are its own
+    projections, calls it directly."""
 
     def __init__(self, n: int, d: int):
         if n < 1 or d < 1:
@@ -197,7 +195,7 @@ class _RowAttention(_WindowAttention):
             raise DimensionError(
                 f"q, k and v rows must share one shape and one dtype, got "
                 f"Q{qa.shape} {qa.dtype} K{ka.shape} {ka.dtype} V{va.shape} {va.dtype}")
-        y = self._att(state.bind(self, qa.shape, qa.dtype), qa, ka, va)
+        y = self._kernel(state.bind(self, qa.shape, qa.dtype), qa, ka, va)
         return None if y is None else _shared(y)
 
     def _lead(self, frame_shape: tuple) -> tuple:
@@ -206,27 +204,19 @@ class _RowAttention(_WindowAttention):
             raise DimensionError(f"tokens must be (..., {self.d}), got {tuple(frame_shape)}")
         return tuple(frame_shape[:-1])
 
-    def _att(self, state, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> Optional[np.ndarray]:
-        """Consume one ``(..., d)`` row each of ``q``, ``k``, ``v``; the
-        emission in the rows' dtype, or ``None`` during warm-up."""
-        dtype = q.dtype
-        if self.row_dtype is not None:
-            q, k, v = (a.astype(self.row_dtype, copy=False) for a in (q, k, v))
-        return self._kernel(state, q, k, v, dtype)
-
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
-        return self._att(state, a, a, a)
+        return self._kernel(state, a, a, a)
 
 
 class _RetroCache:
     __slots__ = ("q_mem", "k_mem", "v_mem", "avd_mem", "t", "clamp_events")
 
     def __init__(self, q_mem, k_mem, v_mem, avd_mem):
-        # f64 rows in window order, oldest first; see the module docstring
-        self.q_mem = q_mem  # (..., n, d)
+        # rows in window order, oldest first; see the module docstring
+        self.q_mem = q_mem  # (..., n, d) in the stream dtype
         self.k_mem = k_mem  # (..., n, d)
         self.v_mem = v_mem  # (..., n, d)
-        self.avd_mem = avd_mem  # (..., n, d + 1): [av | d], zeros until the first emission
+        self.avd_mem = avd_mem  # (..., n, d + 1) f64: [av | d], zeros until the first emission
         self.t = 0
         self.clamp_events = [0]
 
@@ -245,11 +235,11 @@ class _RetroCache:
 class RetroAttention(_RowAttention):
     """Sliding-window self-attention emitting all ``n`` rows each step."""
 
-    row_dtype = np.dtype(np.float64)  # the rings keep f64, whatever the stream's dtype
-
     def __init__(self, n: int, d: int, refresh_interval: int = 64,
                  scale_updates: bool = True):
         super().__init__(n, d)
+        if refresh_interval < 0:
+            raise ValueError(f"refresh_interval must be >= 0, got {refresh_interval}")
         self.refresh_interval = refresh_interval  # 0 disables refreshes
         self.scale_updates = scale_updates
         # the f64 exponent scales as 0-d arrays, which a ufunc takes faster
@@ -263,16 +253,21 @@ class RetroAttention(_RowAttention):
         return self._lead(frame_shape) + (self.n, self.d)
 
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> _RetroCache:
-        """f64 rows for a stream of ``(..., d)`` rows of ``dtype``."""
-        lead, d = tuple(frame_shape[:-1]), self.d
-        return _RetroCache(*(np.zeros(lead + (self.n, e)) for e in (d, d, d, d + 1)))
+        """Rows of ``dtype``, and an f64 ``[av | d]``, for a stream of ``(...,
+        d)`` rows of ``dtype``."""
+        rows = tuple(frame_shape[:-1]) + (self.n, self.d)
+        return _RetroCache(*(np.zeros(rows, dtype) for _ in range(3)),
+                           np.zeros(rows[:-1] + (self.d + 1,)))
 
     # -- step ------------------------------------------------------------------
 
-    def _kernel(self, state: _RetroCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                dtype: np.dtype) -> Optional[np.ndarray]:
-        """One f64 row each of a stream of ``dtype``: the ``(..., n, d)``
-        window outputs, oldest row first, in ``dtype``."""
+    def _kernel(self, state: _RetroCache, q: np.ndarray, k: np.ndarray,
+                v: np.ndarray) -> Optional[np.ndarray]:
+        """One row each of the stream's dtype: the ``(..., n, d)`` window
+        outputs, oldest row first, in that dtype.  Every product reads f64
+        casts of the rows, laid out as the rings are, and sums into the f64
+        ``[av | d]``."""
+        f64 = np.float64
         n, m = self.n, self.n - 1
         q_mem, k_mem, v_mem, avd = state.q_mem, state.k_mem, state.v_mem, state.avd_mem
         t = state.t
@@ -289,7 +284,7 @@ class RetroAttention(_RowAttention):
             k_pair = np.empty(k.shape + (2,))  # (..., d, 2): departing, arriving
             k_pair[..., 0] = k_mem[..., 0, :]
             k_pair[..., 1] = k
-            q_old = q_mem[..., 1:, :]
+            q_old = q_mem[..., 1:, :].astype(f64, copy=False)
             qk = np.dot(q_old, k_pair) if q_old.ndim == 2 else q_old @ k_pair
             e = _clamped_exp(qk * self._upd_scale, state.clamp_events)
             v_pair = np.empty(v.shape[:-1] + (2, v.shape[-1] + 1))  # (..., 2, d + 1)
@@ -304,16 +299,18 @@ class RetroAttention(_RowAttention):
         _push(v_mem, v)
         if t < m:
             return None
+        k64, v64 = k_mem.astype(f64, copy=False), v_mem.astype(f64, copy=False)
         if from_scratch:
-            denom, av = _attend(q_mem, k_mem, v_mem, self._scale, state.clamp_events)
+            denom, av = _attend(q_mem.astype(f64, copy=False), k64, v64, self._scale,
+                                state.clamp_events)
             avd[..., :-1] = av
             avd[..., -1] = denom
         else:
-            denom, av = _attend(q[..., None, :], k_mem, v_mem, self._scale,
-                                state.clamp_events)
+            denom, av = _attend(q.astype(f64, copy=False)[..., None, :], k64, v64,
+                                self._scale, state.clamp_events)
             avd[..., -1, :-1] = av[..., 0, :]
             avd[..., -1, -1] = denom[..., 0]
-        return (avd[..., :-1] / avd[..., -1:]).astype(dtype, copy=False)
+        return (avd[..., :-1] / avd[..., -1:]).astype(q.dtype, copy=False)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:
         """Offline self-attention: one full window result per position."""
@@ -360,10 +357,10 @@ class SingleAttention(_RowAttention):
         shape = tuple(frame_shape[:-1]) + (self.n, self.d)
         return _SingleCache(np.zeros(shape, dtype), np.zeros(shape, dtype))
 
-    def _kernel(self, state: _SingleCache, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                dtype: np.dtype) -> Optional[np.ndarray]:
-        """One row each of ``dtype``, which the rings keep: the newest
-        query's ``(..., d)`` output."""
+    def _kernel(self, state: _SingleCache, q: np.ndarray, k: np.ndarray,
+                v: np.ndarray) -> Optional[np.ndarray]:
+        """One row each of the stream's dtype, which the rings keep: the
+        newest query's ``(..., d)`` output."""
         k_mem, v_mem = state.k_mem, state.v_mem
         t = state.t
         state.t += 1
@@ -371,7 +368,7 @@ class SingleAttention(_RowAttention):
         _push(v_mem, v)
         if t < self.n - 1:
             return None
-        denom, av = _attend(q[..., None, :], k_mem, v_mem, self._scale[dtype],
+        denom, av = _attend(q[..., None, :], k_mem, v_mem, self._scale[q.dtype],
                             state.clamp_events)
         return av[..., 0, :] / denom
 
@@ -436,14 +433,11 @@ class MultiheadAttention(_WindowAttention):
         h = a.reshape(a.shape[:-1] + (self.heads, a.shape[-1] // self.heads))
         return h.swapaxes(-3, -2) if h.ndim > 2 else h
 
-    def _heads(self, x: np.ndarray, dtype: Optional[np.dtype] = None) -> tuple:
+    def _heads(self, x: np.ndarray) -> tuple:
         """q, k, v head rows of a (d_model,) token or (..., n, d_model)
-        windows, cast to ``dtype`` if one is given: one matmul by ``w_q |
-        w_k | w_v``, one cast and three views of it."""
+        windows: one matmul by ``w_q | w_k | w_v`` and three views of it."""
         d, w = self.d_model, self._w[x.dtype][0]
         p = np.dot(x, w) if x.ndim <= 2 else x @ w  # a token, or stacked windows
-        if dtype is not None:
-            p = p.astype(dtype)
         if p.ndim == 1:  # a token: rows (3, heads, d_h)
             return p.reshape(3, self.heads, self._dh)
         q, k, v = p[..., :d], p[..., d:2 * d], p[..., 2 * d:]
@@ -481,8 +475,7 @@ class MultiheadAttention(_WindowAttention):
     def _step(self, state, a: np.ndarray) -> Optional[np.ndarray]:
         """One token's self-attention: projected once, its heads through
         the head's kernel, merged."""
-        q, k, v = self._heads(a, self._head.row_dtype)
-        y = self._head._kernel(state, q, k, v, a.dtype)
+        y = self._head._kernel(state, *self._heads(a))
         return None if y is None else self._merge(y)
 
     def _clip(self, xa: np.ndarray) -> np.ndarray:

@@ -185,9 +185,8 @@ def test_head_rows_are_independent_streams_in_fixed_rings(n):
 
 
 def test_retro_rejects_row_dtype_drift():
-    # the rings hold f64 whatever the rows are, so the stream's row dtype is
-    # remembered from its first row: an f64 row after f32 ones is refused,
-    # as every other ring-backed layer refuses it
+    # the rings hold the dtype of the stream's first row: an f64 row after
+    # f32 ones is refused, as every other ring-backed layer refuses it
     rng = np.random.default_rng(41)
     retro = RetroAttention(3, 4)
     state = retro.init_state()
@@ -232,31 +231,35 @@ def test_row_attention_refuses_a_width_below_one(make):
 
 def test_retro_state_is_the_window_in_order():
     # every state array holds rows oldest first: the retroactive form keeps
-    # the last n queries, keys and values and the n row sums and weighted
-    # values the emission is read off without a gather, all in f64; the
-    # single-output form keeps the last n keys and values in the stream dtype
+    # the last n queries, keys and values in the stream dtype, and in f64 the
+    # n row sums and weighted values the emission is read off without a
+    # gather; the single-output form keeps the last n keys and values in the
+    # stream dtype
     n, d, h, steps = 4, 3, 2, 30
     rng = np.random.default_rng(42)
     retro = RetroAttention(n, d, refresh_interval=5)
     q, k, v = (rng.uniform(-1, 1, (steps, h, d)).astype(np.float32) for _ in range(3))
     shapes = {"q_mem": (h, n, d), "k_mem": (h, n, d), "v_mem": (h, n, d),
-              "d_mem": (h, n), "av_mem": (h, n, d)}
-    state = retro.init_state()
-    for t in range(steps):
-        y = retro.att_step(state, *(Tensor.wrap(a[t]) for a in (q, k, v)))
-        for name, shape in shapes.items():
-            held = getattr(state.layer, name)
-            assert held.shape == shape and held.dtype == np.float64
-        if t < n - 1:
-            assert y is None
-            continue
-        for name, rows in (("q_mem", q), ("k_mem", k), ("v_mem", v)):
-            assert np.array_equal(getattr(state.layer, name),
-                                  rows[t - n + 1 : t + 1].swapaxes(0, 1))
-        want = (state.layer.av_mem / state.layer.d_mem[..., None]).astype(np.float32)
-        assert np.array_equal(y.array, want)
-    with pytest.raises(DimensionError):
-        retro.att_step(state, *(Tensor.wrap(a[0].astype(np.float64)) for a in (q, k, v)))
+              "avd_mem": (h, n, d + 1), "d_mem": (h, n), "av_mem": (h, n, d)}
+    for dtype, other in ((np.float32, np.float64), (np.float64, np.float32)):
+        rows = [a.astype(dtype) for a in (q, k, v)]
+        kinds = dict.fromkeys(("q_mem", "k_mem", "v_mem"), dtype)
+        state = retro.init_state()
+        for t in range(steps):
+            y = retro.att_step(state, *(Tensor.wrap(a[t]) for a in rows))
+            for name, shape in shapes.items():
+                held = getattr(state.layer, name)
+                assert held.shape == shape and held.dtype == kinds.get(name, np.float64)
+            if t < n - 1:
+                assert y is None
+                continue
+            for name, a in zip(("q_mem", "k_mem", "v_mem"), rows):
+                assert np.array_equal(getattr(state.layer, name),
+                                      a[t - n + 1 : t + 1].swapaxes(0, 1))
+            want = (state.layer.av_mem / state.layer.d_mem[..., None]).astype(dtype)
+            assert y.array.dtype == dtype and np.array_equal(y.array, want)
+        with pytest.raises(DimensionError):
+            retro.att_step(state, *(Tensor.wrap(a[0].astype(other)) for a in rows))
     single = SingleAttention(n, d)
     for dtype in (np.float32, np.float64):
         rows = [a.astype(dtype) for a in (q, k, v)]
@@ -272,6 +275,31 @@ def test_retro_state_is_the_window_in_order():
                 assert y.array.dtype == dtype
                 assert np.array_equal(y.array, _sda(rows[0][t][:, None], state.layer.k_mem,
                                                     state.layer.v_mem, single.scale)[:, 0])
+
+
+@pytest.mark.parametrize("interval", [0, 5, 64])
+@pytest.mark.parametrize("n", [1, 4, 8, 16])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["rows", "heads"])
+def test_retro_f32_stream_emits_the_f32_cast_of_its_f64_twin(lead, n, interval):
+    # the rings keep the stream dtype, but every product reads them cast to
+    # f64, laid out as an f64 stream's rings are: an f32 stream, through
+    # updates and refreshes, emits the bits of an f64 stream fed the same
+    # rows, rounded once to f32
+    rng = np.random.default_rng(45)
+    steps = n + 70
+    rows = [rng.uniform(-1.5, 1.5, (steps,) + lead + (6,)).astype(np.float32) for _ in range(3)]
+    retro = RetroAttention(n, 6, refresh_interval=interval)
+    s32, s64 = retro.init_state(), retro.init_state()
+    emitted = 0
+    for t in range(steps):
+        y32 = retro.att_step(s32, *(Tensor.wrap(a[t]) for a in rows))
+        y64 = retro.att_step(s64, *(Tensor.wrap(a[t].astype(np.float64)) for a in rows))
+        assert (y32 is None) == (y64 is None) == (t < n - 1)
+        if y32 is not None:
+            assert y32.array.dtype == np.float32
+            assert np.array_equal(y32.array, y64.array.astype(np.float32)), f"step {t}"
+            emitted += 1
+    assert emitted == steps - n + 1
 
 
 def test_retro_refresh_step_recomputes_the_window():
@@ -679,6 +707,15 @@ def test_clamp_counter_fires_on_extreme_logits():
     for _ in range(4):
         retro.att_step(state, big, big, big)
     assert state.layer.clamp_events[0] > 0
+
+
+@pytest.mark.parametrize("interval", [-1, -64])
+def test_retro_refuses_a_negative_refresh_interval(interval):
+    # (t - m) % interval is 0 for interval -1, so such a layer would
+    # recompute the whole window on every step; 0 disables refreshes
+    with pytest.raises(ValueError, match="refresh_interval"):
+        RetroAttention(4, 4, refresh_interval=interval)
+    assert RetroAttention(4, 4, refresh_interval=0).refresh_interval == 0
 
 
 def test_refresh_interval_zero_disables_refresh():

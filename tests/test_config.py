@@ -354,6 +354,32 @@ def _walk(module):
             yield from _walk(m)
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_a_sliding_prediction_is_its_clip_row_bit_for_bit(name, dtype):
+    # ``forward`` over the receptive field ending at an emitting step gives
+    # the bits of the whole clip's output at that step, as sliding-window
+    # predictions rely on.  A recycling positional encoding counts from the
+    # clip's first frame, so a window must start at a multiple of its period.
+    # 16 such steps, 10 periods apart, from the first whole window to the
+    # clip's last emission, span more than one of clip mode's window batches
+    path = CONFIGS / f"{name}.json"
+    cfg = load_config(path) | {"dtype": dtype}
+    model = build_model(cfg, path.parent)
+    period = np.lcm.reduce([1] + [m.period for m in _walk(model)
+                                  if isinstance(m, RecyclingPositionalEncoding)])
+    rf, warmup = model.receptive_field(), model.warmup()
+    first = max(warmup, rf - 1)
+    first += -(first - rf + 1) % period
+    ends = [first + 10 * period * i for i in range(16)]
+    x = random_stream(5, ends[-1] + 1, tuple(cfg["input"]["shape"]), dtype).array
+    clip = model.forward(Tensor.wrap(x)).array
+    assert len(clip) == ends[-1] + 1 - warmup
+    for e in ends:
+        y = model.forward(Tensor.wrap(x[e - rf + 1 : e + 1])).array[-1]
+        assert np.array_equal(y, clip[e - warmup]), f"step {e}"
+
+
 def test_sequential_top_level_always():
     model = build_model(base_cfg([conv_cfg()]))
     assert isinstance(model, Sequential) and len(model.modules) == 1

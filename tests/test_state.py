@@ -17,7 +17,7 @@ from cinet.errors import DimensionError
 from cinet.graph import GlobalAverageHead
 from cinet.norm import LayerNorm
 from cinet.pool import TemporalPool
-from cinet.tensor import Tensor
+from cinet.tensor import DTYPES, Tensor
 
 from conftest import max_rel_dev, rand_tensor
 from test_attention import make_encoder
@@ -28,26 +28,34 @@ from test_perframe import make_bn
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
-def walk(state):
-    """Every distinct object reachable from ``state``; arrays are leaves."""
+def walk_named(state):
+    """``(object, where)`` for every distinct object reachable from ``state``;
+    arrays are leaves.  ``where`` is ``"<class>.<attribute>"`` of the nearest
+    object, not a plain container, that holds it, or ``""`` for the root."""
     seen = set()
-    stack = [state]
+    stack = [(state, "")]
     while stack:
-        obj = stack.pop()
+        obj, where = stack.pop()
         if obj is None or isinstance(obj, (int, float, str, bool, np.dtype)) or id(obj) in seen:
             continue
         seen.add(id(obj))
-        yield obj
+        yield obj, where
         if isinstance(obj, np.ndarray):
             continue
         if isinstance(obj, dict):
-            stack.extend(obj.values())
+            stack.extend((v, where) for v in obj.values())
         elif isinstance(obj, (list, tuple, set, deque)):
-            stack.extend(obj)
+            stack.extend((v, where) for v in obj)
         else:
-            stack.extend(vars(obj).values() if hasattr(obj, "__dict__") else ())
-            for cls in type(obj).__mro__:
-                stack.extend(getattr(obj, name, None) for name in getattr(cls, "__slots__", ()))
+            names = list(vars(obj)) if hasattr(obj, "__dict__") else []
+            names += [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+            stack.extend((getattr(obj, name, None), f"{type(obj).__name__}.{name}")
+                         for name in names)
+
+
+def walk(state):
+    """Every distinct object reachable from ``state``; arrays are leaves."""
+    return (obj for obj, _ in walk_named(state))
 
 
 def reachable(state):
@@ -116,7 +124,7 @@ def test_state_footprint_fixed_from_first_emission(make):
     assert emitted[0] == model.warmup()
 
 
-STEADY_BYTES = {"conv_stack": 2304, "encoder_one_block": 4096, "encoder_two_block": 4864,
+STEADY_BYTES = {"conv_stack": 2304, "encoder_one_block": 4096, "encoder_two_block": 3328,
                 "toy_costgcn": 61960}
 
 
@@ -131,6 +139,27 @@ def test_bundled_config_steady_state_bytes_are_pinned(path):
     assert reachable(state) == (STEADY_BYTES[path.stem], 0)
     model.forward_steps(state, Tensor.wrap(x.array[1:]))
     assert reachable(state) == (STEADY_BYTES[path.stem], 0)
+
+
+F64_ACCUMULATORS = {"_RetroCache.avd_mem", "_PoolState.prefix"}
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_bundled_config_state_keeps_the_stream_dtype_but_its_f64_sums(path, dtype):
+    # every array a stream keeps is of its dtype, except the two f64
+    # accumulators: retroactive attention's [av | d] and the average pool's
+    # block prefix.  Rings of rows, and their casts for f64 products, stay
+    # in the stream dtype
+    cfg = load_config(path) | {"dtype": dtype}
+    model = build_model(cfg, path.parent)
+    x = random_stream(7, 1, tuple(cfg["input"]["shape"]), dtype)
+    state = model.init_state()
+    model.forward_step(state, Tensor.wrap(x.array[0]))
+    held = [(where, o) for o, where in walk_named(state) if isinstance(o, np.ndarray)]
+    assert held
+    for where, a in held:
+        assert a.dtype == (np.float64 if where in F64_ACCUMULATORS else DTYPES[dtype]), where
 
 
 def test_strided_graph_stack_steady_state_bytes_are_pinned():
