@@ -361,8 +361,9 @@ def test_a_sliding_prediction_is_its_clip_row_bit_for_bit(name, dtype):
     # the bits of the whole clip's output at that step, as sliding-window
     # predictions rely on.  A recycling positional encoding counts from the
     # clip's first frame, so a window must start at a multiple of its period.
-    # 16 such steps, 10 periods apart, from the first whole window to the
-    # clip's last emission, span more than one of clip mode's window batches
+    # 16 such steps, 10 periods apart, run from the first whole window to
+    # the clip's last emission; an encoder's clip spans several of clip
+    # mode's window batches
     path = CONFIGS / f"{name}.json"
     cfg = load_config(path) | {"dtype": dtype}
     model = build_model(cfg, path.parent)

@@ -149,8 +149,7 @@ F64_ACCUMULATORS = {"_RetroCache.avd_mem", "_PoolState.prefix"}
 def test_bundled_config_state_keeps_the_stream_dtype_but_its_f64_sums(path, dtype):
     # every array a stream keeps is of its dtype, except the two f64
     # accumulators: retroactive attention's [av | d] and the average pool's
-    # block prefix.  Rings of rows, and their casts for f64 products, stay
-    # in the stream dtype
+    # block prefix
     cfg = load_config(path) | {"dtype": dtype}
     model = build_model(cfg, path.parent)
     x = random_stream(7, 1, tuple(cfg["input"]["shape"]), dtype)
