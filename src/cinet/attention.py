@@ -573,9 +573,12 @@ class EncoderBlock(CoModule):
         self.mha = mha
         self.d_model = mha.d_model
         self._in_shape = (mha.n, self.d_model) if window_input else (self.d_model,)
-        self.ff_dim = ff_w1.shape[1]
-        if ff_w1.shape[0] != self.d_model or ff_w2.shape != (self.ff_dim, self.d_model):
-            raise DimensionError("feed-forward shapes disagree with d_model")
+        self.ff_dim = ff_w1.shape[-1]
+        shapes = (ff_w1.shape, ff_b1.shape, ff_w2.shape, ff_b2.shape)
+        if shapes != ((self.d_model, self.ff_dim), (self.ff_dim,),
+                      (self.ff_dim, self.d_model), (self.d_model,)):
+            raise DimensionError(f"feed-forward shapes {shapes} disagree with "
+                                 f"d_model {self.d_model}")
         if ln1.d != self.d_model or ln2.d != self.d_model:
             raise DimensionError(f"LayerNorms over {ln1.d} and {ln2.d}, not d_model {self.d_model}")
         self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2 = ff_w1, ff_b1, ff_w2, ff_b2

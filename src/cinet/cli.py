@@ -191,25 +191,26 @@ def measure_throughput(cfg: dict, model: Sequential, mode: str, length: int,
 # -- command plumbing ----------------------------------------------------------
 
 
-def _write_outputs(report: dict, args, csv_fields: list) -> None:
+def _write_outputs(report: dict, args, row: list, text: str) -> None:
+    """Write ``report`` as JSON to ``--report``; print ``row`` as one CSV
+    line under ``--csv``, and ``text`` otherwise."""
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
-    if args.csv:
-        print(",".join(str(report.get(f, "")) for f in csv_fields))
+    print(",".join(str(v) for v in row) if args.csv else text)
 
 
 def _cmd_check(args) -> int:
     cfg = load_config(args.model)
     model = build_model(cfg, Path(args.model).parent)
     report = check_equivalence(cfg, model, args.length, args.seed, args.tol)
-    _write_outputs(report, args, ["model", "mode", "length", "max_abs", "max_rel", "tol", "pass"])
-    if not args.csv:
-        if "error" in report:
-            print(f"{report['model']}: FAIL ({report['error']})")
-        else:
-            print(f"{report['model']}: max_abs={report['max_abs']:.3e} "
-                  f"max_rel={report['max_rel']:.3e} tol={args.tol:.1e} "
-                  f"-> {'PASS' if report['pass'] else 'FAIL'}")
+    if "error" in report:
+        text = f"{report['model']}: FAIL ({report['error']})"
+    else:
+        text = (f"{report['model']}: max_abs={report['max_abs']:.3e} "
+                f"max_rel={report['max_rel']:.3e} tol={args.tol:.1e} "
+                f"-> {'PASS' if report['pass'] else 'FAIL'}")
+    fields = ("model", "mode", "length", "max_abs", "max_rel", "tol", "pass")
+    _write_outputs(report, args, [report.get(f, "") for f in fields], text)
     return 0 if report["pass"] else 1
 
 
@@ -217,17 +218,13 @@ def _cmd_flops(args) -> int:
     cfg = load_config(args.model)
     model = build_model(cfg, Path(args.model).parent)
     report = count_flops(cfg, model, args.mode, args.length)
-    report_total = report["total"]
-    if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True))
-    if args.csv:
-        print(f"{cfg['name']},{args.mode},{args.length},"
-              f"{report_total['macs']},{report_total['flops']}")
-    else:
-        for i, row in enumerate(report["layers"]):
-            print(f"  layer[{i}] {row['type']}: macs={row['macs']:.6g} flops={row['flops']:.6g}")
-        print(f"{cfg['name']} ({args.mode}, T={args.length}): "
-              f"macs={report_total['macs']:.6g} flops={report_total['flops']:.6g}")
+    total = report["total"]
+    lines = [f"  layer[{i}] {row['type']}: macs={row['macs']:.6g} flops={row['flops']:.6g}"
+             for i, row in enumerate(report["layers"])]
+    lines.append(f"{cfg['name']} ({args.mode}, T={args.length}): "
+                 f"macs={total['macs']:.6g} flops={total['flops']:.6g}")
+    _write_outputs(report, args, [cfg["name"], args.mode, args.length, total["macs"],
+                                  total["flops"]], "\n".join(lines))
     return 0
 
 
@@ -236,12 +233,12 @@ def _cmd_throughput(args) -> int:
     model = build_model(cfg, Path(args.model).parent)
     report = measure_throughput(cfg, model, args.mode, args.length,
                                 args.warmup, args.repeats, args.seed)
-    _write_outputs(report, args, ["model", "mode", "length", "throughput", "unit"])
-    if not args.csv:
-        if report.get("no_data"):
-            print(f"{cfg['name']}: no data (T=0)")
-        else:
-            print(f"{cfg['name']} ({args.mode}): {report['throughput']:.2f} {report['unit']}")
+    if report.get("no_data"):
+        text = f"{cfg['name']}: no data (T=0)"
+    else:
+        text = f"{cfg['name']} ({args.mode}): {report['throughput']:.2f} {report['unit']}"
+    fields = ("model", "mode", "length", "throughput", "unit")
+    _write_outputs(report, args, [report.get(f, "") for f in fields], text)
     return 0
 
 

@@ -34,11 +34,12 @@ projections, then feed-forward, norm and encoding tables), so identical
 configs always rebuild bit-identical weights.
 
 Validation is strict: a top-level field other than the four above, a
-field that the layer type or init scheme does not read, a value of the
-wrong kind (``_VALUE_KINDS``) or a blob path naming no file raises
-``ConfigError`` at the field's path, e.g. ``layers[0].kernel``.
-``load_config`` only reads the file; ``build_model`` validates, once per
-build.
+layer type or init scheme not listed here, a field that the layer type or
+init scheme does not read, a value of the wrong kind (``_VALUE_KINDS``) or
+a blob path naming no file raises ``ConfigError`` at the field's path,
+e.g. ``layers[0].kernel``.  ``load_config`` only reads the file;
+``build_model`` validates, once per build, so the builder meets only the
+types listed here.
 """
 
 from __future__ import annotations
@@ -322,17 +323,16 @@ def _build_entry(entry: dict, path: str, dtype: str, base: Path, frame) -> CoMod
             else:
                 raise ValueError(f"unknown shortcut {shortcut_kind!r}")
             return Residual(inner, shortcut)
-        if kind == "parallel":
-            branches = [
-                _build_entry(b, f"{path}.branches[{j}]", dtype, base, frame)
-                for j, b in enumerate(entry["branches"])
-            ]
-            return Parallel(branches, entry.get("reduce", "sum"))
+        # "parallel": validate_config admits no other type
+        branches = [
+            _build_entry(b, f"{path}.branches[{j}]", dtype, base, frame)
+            for j, b in enumerate(entry["branches"])
+        ]
+        return Parallel(branches, entry.get("reduce", "sum"))
     except ConfigError:
         raise
     except (ValueError, KeyError) as e:
         raise ConfigError(path, str(e)) from e
-    raise ConfigError(path, f"unknown layer type {kind!r}")
 
 
 def _build_encoder(entry: dict, init: _Init, frame) -> CoModule:

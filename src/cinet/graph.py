@@ -159,6 +159,8 @@ class StGcnBlock(CoModule):
                  shortcut: Optional[PerFrame] = None):
         if tc.k_h != 1 or tc.k_w != 1:
             raise DimensionError("block temporal conv must be pointwise spatially")
+        if len(w_gc) != len(graph.partitions):
+            raise DimensionError(f"{len(w_gc)} weight sets for {len(graph.partitions)} partitions")
         self.graph = graph
         self.w_gc = list(w_gc)
         self.c_in = w_gc[0].shape[0]
@@ -246,9 +248,10 @@ class GlobalAverageHead(CoModule):
 
     def __init__(self, pool_window: int, weight: Tensor, bias: Tensor):
         self.pool = TemporalPool("avg", pool_window)
+        if weight.rank != 2 or bias.shape != weight.shape[1:]:
+            raise DimensionError(f"weight {weight.shape} and bias {bias.shape} are not "
+                                 "(channels, classes) and (classes,)")
         self.channels, self.classes = weight.shape
-        if bias.shape != (self.classes,):
-            raise DimensionError(f"bias shape {bias.shape} != ({self.classes},)")
         self.weight = weight
         self.bias = bias
         self._w = per_dtype(lambda dt: (weight.array.astype(dt), bias.array.astype(dt)))

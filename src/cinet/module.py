@@ -152,7 +152,11 @@ class OpCount:
 
 
 class CoModule:
-    """Base class; subclasses override the abstract pieces below."""
+    """Base class.  A layer implements the eight abstract members, whose
+    bodies here only raise ``NotImplementedError``: ``delay``,
+    ``receptive_field``, ``_clip``, ``_step``, ``_state``,
+    ``out_frame_shape``, ``step_cost`` and ``clip_cost``.  ``PerFrame``
+    implements all but ``step_cost`` for a stateless per-frame ``_apply``."""
 
     # -- temporal properties ------------------------------------------------
 

@@ -36,11 +36,11 @@ class BatchNorm(PerFrame):
 
     def __init__(self, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                  running_var: Tensor, eps: float = 1e-5):
+        shapes = [t.shape for t in (gamma, beta, running_mean, running_var)]
+        if gamma.rank != 1 or len(set(shapes)) != 1:
+            raise DimensionError("gamma, beta, running_mean and running_var are not "
+                                 f"one (c,) shape: {shapes}")
         c = gamma.shape[0]
-        for name, t in (("beta", beta), ("running_mean", running_mean),
-                        ("running_var", running_var)):
-            if t.shape != (c,):
-                raise DimensionError(f"{name} shape {t.shape} != ({c},)")
         if eps <= 0:
             raise ValueError("eps must be positive")
         if np.any(running_var.array < 0):

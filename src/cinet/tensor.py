@@ -114,34 +114,14 @@ class Tensor:
         """Row-major flat element sequence (read-only view)."""
         return self.array.reshape(-1)
 
-    @property
-    def size(self) -> int:
-        return self.array.size
-
     def item(self) -> float:
         return float(self.array.reshape(-1)[0])
 
     def astype(self, dtype: str) -> "Tensor":
-        if dtype == self.dtype:
-            return self
         return _shared(self.array.astype(DTYPES[dtype]))
 
     def tolist(self):
         return self.array.tolist()
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor)
-            and self.shape == other.shape
-            and self.dtype == other.dtype
-            and bool(np.array_equal(self.array, other.array))
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.dtype, self.array.tobytes()))
 
 
 def _shared(arr: np.ndarray) -> Tensor:

@@ -68,6 +68,27 @@ def test_sda_vs_two_loop_oracle_seed3():
     assert np.allclose(got, want, rtol=1e-4, atol=1e-5)
 
 
+@pytest.mark.parametrize("q,k,v,match", [
+    ((3,), (3,), (3,), "rank"),
+    ((4, 3), (2, 4, 3), (4, 3), "rank"),
+    ((4, 3), (4, 3), (2, 4, 3), "rank"),
+    ((4, 3), (5, 3), (4, 3), "window mismatch"),
+    ((4, 3), (4, 2), (4, 3), "window mismatch"),
+    ((2, 4, 3), (2, 4, 3), (1, 4, 3), "window mismatch"),
+], ids=["rank-1", "k-rank", "v-rank", "k-rows", "k-width", "v-batch"])
+def test_sda_refuses_windows_that_do_not_line_up(q, k, v, match):
+    # V may be of another width than Q and K, but not of other rows
+    rng = np.random.default_rng(2)
+    with pytest.raises(DimensionError, match=match):
+        sda_full(*(rand_tensor(rng, shape) for shape in (q, k, v)))
+
+
+def test_window_attention_emits_aligned_with_its_newest_token():
+    # delay 0: the emission belongs to the newest token, after n - 1 steps of warm-up
+    for att in (RetroAttention(3, 4), SingleAttention(3, 4)):
+        assert (att.delay(), att.warmup(), att.receptive_field()) == (0, 2, 3)
+
+
 # -- retroactive ------------------------------------------------------------------
 
 
@@ -657,6 +678,21 @@ def test_encoder_rejects_a_layernorm_of_another_width(which):
     norms[which] = LayerNorm(rand_tensor(rng, (5,)), rand_tensor(rng, (5,)))
     with pytest.raises(DimensionError, match="LayerNorm"):
         EncoderBlock(ok.mha, ok.ff_w1, ok.ff_b1, ok.ff_w2, ok.ff_b2, norms["ln1"], norms["ln2"])
+
+
+@pytest.mark.parametrize("which,shape", [
+    ("ff_w1", (5, 8)), ("ff_w1", (6,)), ("ff_w2", (8, 5)),
+    ("ff_b1", (7,)), ("ff_b1", (1, 8)), ("ff_b2", (5,)), ("ff_b2", (8,)),
+], ids=["w1-rows", "w1-rank", "w2-columns", "b1-width", "b1-rank", "b2-width", "b2-ff_dim"])
+def test_encoder_refuses_feed_forward_shapes_other_than_d_model_and_ff_dim(which, shape):
+    # d_model 6 and ff_dim 8: a bias of another width would fail only at the
+    # block's first emission, as a broadcast error
+    rng = np.random.default_rng(27)
+    ok = make_encoder(rng, "single", n=4, d=6, ff=8, rpe=False)
+    ff = {"ff_w1": ok.ff_w1, "ff_b1": ok.ff_b1, "ff_w2": ok.ff_w2, "ff_b2": ok.ff_b2}
+    ff[which] = rand_tensor(rng, shape)
+    with pytest.raises(DimensionError, match="feed-forward shapes"):
+        EncoderBlock(ok.mha, **ff, ln1=ok.ln1, ln2=ok.ln2)
 
 
 @pytest.mark.parametrize("call", ["step", "clip"])

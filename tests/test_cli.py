@@ -11,7 +11,9 @@ import pytest
 from cinet import cli
 from cinet.cli import check_equivalence, count_flops, main, max_deviation, measure_throughput
 from cinet.config import build_model, load_config
+from cinet.containers import Sequential
 from cinet.errors import ConfigError
+from cinet.tensor import Tensor
 
 from conftest import rand_tensor
 
@@ -322,6 +324,46 @@ def test_cli_flops_csv_line(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     fields = line.split(",")
     assert fields[0] == "conv_demo" and fields[1] == "offline" and fields[2] == "16"
+
+
+@pytest.mark.parametrize("argv,fields", [
+    (["check", "--length", "20"], ["model", "mode", "length", "max_abs", "max_rel", "tol", "pass"]),
+    (["throughput", "--length", "16", "--repeats", "3"],
+     ["model", "mode", "length", "throughput", "unit"]),
+    (["throughput", "--length", "0", "--repeats", "3"],
+     ["model", "mode", "length", "throughput", "unit"]),
+], ids=["check", "throughput", "throughput-no-data"])
+def test_cli_csv_line_holds_the_report_fields(tmp_path, capsys, argv, fields):
+    # the one line --csv prints is the report's fields, an absent one blank
+    p = write_cfg(tmp_path, conv_model_cfg())
+    out = tmp_path / "report.json"
+    assert main([*argv, "--model", str(p), "--report", str(out), "--csv"]) == 0
+    report = json.loads(out.read_text())
+    assert capsys.readouterr().out == ",".join(str(report.get(f, "")) for f in fields) + "\n"
+    assert report["model"] == "conv_demo" and report["length"] == int(argv[2])
+
+
+def test_cli_throughput_of_no_steps_says_so(tmp_path, capsys):
+    p = write_cfg(tmp_path, conv_model_cfg())
+    assert main(["throughput", "--model", str(p), "--length", "0", "--repeats", "3"]) == 0
+    assert capsys.readouterr().out == "conv_demo: no data (T=0)\n"
+
+
+def test_cli_check_fails_a_model_whose_modes_emit_other_shapes(tmp_path, capsys, monkeypatch):
+    # only a model that breaks its contract gets here: step mode drops an emission
+    steps = Sequential.forward_steps
+    monkeypatch.setattr(Sequential, "forward_steps",
+                        lambda self, state, x: Tensor.wrap(steps(self, state, x).array[1:]))
+    p = write_cfg(tmp_path, conv_model_cfg())
+    out = tmp_path / "report.json"
+    assert main(["check", "--model", str(p), "--length", "20", "--report", str(out)]) == 1
+    report = json.loads(out.read_text())
+    n = report["length"] - build_model(conv_model_cfg()).warmup()
+    assert report["error"] == f"shape mismatch: ({n}, 3, 2, 2) vs ({n - 1}, 3, 2, 2)"
+    assert not report["pass"] and "max_abs" not in report
+    assert capsys.readouterr().out == f"conv_demo: FAIL ({report['error']})\n"
+    assert main(["check", "--model", str(p), "--length", "20", "--csv"]) == 1
+    assert capsys.readouterr().out == "conv_demo,check,20,,,0.0001,False\n"
 
 
 def test_cli_throughput_runs(tmp_path, capsys):

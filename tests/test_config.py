@@ -110,6 +110,9 @@ INVALID = [
     (base_cfg([conv_cfg(init={"scheme": "uniform", "seed": 1, "hi": "x"})]),
      "layers[0].init.hi"),
     (base_cfg([conv_cfg()]) | {"dtpye": "f64"}, "dtpye"),
+    (["not", "an", "object"], "$"),
+    (base_cfg([conv_cfg()]) | {"input": {"shape": [2, -1, 2]}}, "input.shape"),
+    (base_cfg([{"type": "sequential", "layers": []}]), "layers[0].layers"),
 ]
 
 
@@ -149,6 +152,17 @@ def test_build_error_carries_layer_path(tmp_path):
         with pytest.raises(ConfigError) as err:
             build_model(base_cfg([entry]), tmp_path)
         assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("entry", [
+    {"type": "head", "pool_window": 2, "classes": 3},
+    {"type": "residual", "inner": conv_cfg(c_in=2, c_out=2, kernel=[1, 1, 1]),
+     "shortcut": "pointwise"},
+], ids=["head", "pointwise-shortcut"])
+def test_an_entry_that_takes_its_channels_from_the_frame_needs_an_input_shape(entry):
+    with pytest.raises(ConfigError) as err:
+        build_model({"name": "t", "layers": [entry]})
+    assert err.value.path == "layers[0]" and "needs an input shape" in str(err.value)
 
 
 def test_constant_init():

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cinet.attention import SingleAttention
 from cinet.containers import Identity, Parallel, Pointwise, Residual, Sequential
 from cinet.conv import TemporalConv
+from cinet.errors import DimensionError
+from cinet.module import CoModule
 from cinet.norm import BatchNorm
 from cinet.pool import TemporalPool
 from cinet.tensor import Tensor
 
 from conftest import max_rel_dev, rand_tensor
+from test_acceptance import _random_tree
+from test_state import walk
 
 CH = 3  # all generated layers preserve this channel count on (CH, 2, 2) frames
 
@@ -192,6 +197,52 @@ def test_parallel_rejects_unequal_strides():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError):
         Parallel([conv_layer(rng, stride=2), conv_layer(rng)], reduce="sum")
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda rng: Pointwise(rand_tensor(rng, (CH,))), "weight must be"),
+    (lambda rng: Sequential([]), "at least one stage"),
+    (lambda rng: Parallel([]), "at least one branch"),
+    (lambda rng: Parallel([conv_layer(rng)], reduce="mean"), "unknown reduce"),
+    # both stride 2, but the attention's warm-up puts the second branch's
+    # emissions on odd input steps and the first's on even ones
+    (lambda rng: Parallel([conv_layer(rng, k_t=1, stride=2),
+                           Sequential([SingleAttention(2, CH), conv_layer(rng, k_t=1, stride=2)])]),
+     "phases differ"),
+], ids=["pointwise-rank", "empty-sequential", "empty-parallel", "reduce", "phases"])
+def test_containers_refuse_what_cannot_run(make, match):
+    with pytest.raises(ValueError, match=match):
+        make(np.random.default_rng(14))
+
+
+@pytest.mark.parametrize("reduce,other,match", [
+    ("sum", lambda rng: TemporalConv(rand_tensor(rng, (2, CH, 1, 1, 1)), rand_tensor(rng, (2,))),
+     "sum branches disagree"),
+    ("concat", lambda rng: TemporalConv(rand_tensor(rng, (CH, CH, 1, 2, 2)), rand_tensor(rng, (CH,))),
+     "concat branches disagree"),
+], ids=["sum-channels", "concat-spatial"])
+def test_parallel_refuses_branches_whose_frames_disagree(reduce, other, match):
+    # a sum needs one frame shape, a concat one beyond the channels; the
+    # frame is refused before any branch runs, in both modes
+    rng = np.random.default_rng(15)
+    par = Parallel([conv_layer(rng, k_t=1), other(rng)], reduce=reduce)
+    x = rand_tensor(rng, (4, CH, 2, 2))
+    for call in (lambda: par.forward(x),
+                 lambda: par.forward_step(par.init_state(), Tensor.wrap(x.array[0]))):
+        with pytest.raises(DimensionError, match=match):
+            call()
+
+
+def test_children_reach_every_module_of_the_generated_trees():
+    # AC6's trees: recursing children() finds every module the tree holds
+    for case in range(100):
+        tree = _random_tree(np.random.default_rng(5000 + case))
+        found, stack = [], [tree]
+        while stack:
+            found.append(stack.pop())
+            stack.extend(found[-1].children())
+        held = [m for m in walk(tree) if isinstance(m, CoModule)]
+        assert sorted(map(id, found)) == sorted(map(id, held))
 
 
 def test_identity_and_pointwise_are_transparent():

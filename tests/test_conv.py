@@ -68,6 +68,19 @@ def test_padding_bounded_by_receptive_field():
         make_conv(np.random.default_rng(0), k=(3, 1, 1), padding=3)
 
 
+@pytest.mark.parametrize("weights,bias,options,match", [
+    ((3, 2, 3, 1), (3,), {}, "weights must be"),
+    ((3, 2, 3, 1, 1), (2,), {}, "bias shape"),
+    ((3, 2, 3, 1, 1), (3, 1), {}, "bias shape"),
+    ((3, 2, 3, 1, 1), (3,), {"dilation": 0}, "dilation"),
+    ((3, 2, 3, 1, 1), (3,), {"temporal_stride": 0}, "stride"),
+], ids=["weight-rank", "bias-width", "bias-rank", "dilation", "stride"])
+def test_conv_refuses_what_cannot_run(weights, bias, options, match):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=match):
+        TemporalConv(rand_tensor(rng, weights), rand_tensor(rng, bias), **options)
+
+
 # -- offline forward ------------------------------------------------------------
 
 

@@ -216,6 +216,11 @@ PUBLIC_NAMES = [
 ]
 
 
+# what a Tensor offers: its array and the fields and conversions read from it
+TENSOR_MEMBERS = ["array", "astype", "data", "dtype", "full", "item", "rank", "shape",
+                  "tolist", "wrap", "zeros"]
+
+
 # every public class but the two errors, which take a message, not options
 CONSTRUCTOR_PARAMETERS = {
     "BatchNorm": ["gamma", "beta", "running_mean", "running_var", "eps"],
@@ -244,6 +249,13 @@ def test_public_surface_is_pinned():
     namespace = {}
     exec("from cinet import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+def test_tensor_members_are_pinned():
+    # a member that comes back is a deliberate diff of this list; tensors
+    # compare and hash by identity, and print as objects
+    assert sorted(name for name in vars(Tensor) if not name.startswith("_")) == TENSOR_MEMBERS
+    assert not {"__eq__", "__hash__", "__repr__"} & set(vars(Tensor))
 
 
 def test_constructor_parameters_are_pinned():

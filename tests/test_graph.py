@@ -270,6 +270,58 @@ def test_block_refuses_a_shortcut_of_other_frames(c_in, shortcut):
         StGcnBlock(SkeletonGraph.chain(6, partitions=3), w_gc, tc, shortcut(rng))
 
 
+def block_parts(rng, c_in=4, c_out=5, partitions=3, k=(3, 1, 1), tc_in=None):
+    """``(graph, w_gc, tc)`` of a block; ``tc_in`` sets the conv's input channels."""
+    w_gc = [rand_tensor(rng, (c_in, c_out)) for _ in range(partitions)]
+    tc = TemporalConv(rand_tensor(rng, (c_out, tc_in or c_out) + k), rand_tensor(rng, (c_out,)))
+    return SkeletonGraph.chain(6, partitions=3), w_gc, tc
+
+
+def _uneven(rng):
+    graph, w_gc, tc = block_parts(rng)
+    return graph, w_gc[:2] + [rand_tensor(rng, (4, 4))], tc
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda rng: SkeletonGraph([]), "at least one"),
+    (lambda rng: SkeletonGraph([Tensor(np.eye(3)), Tensor(np.zeros((3, 4)))]), "partition shape"),
+    (lambda rng: StGcnBlock(*block_parts(rng, k=(3, 2, 1))), "pointwise spatially"),
+    (lambda rng: StGcnBlock(*block_parts(rng, partitions=2)), "2 weight sets for 3"),
+    (lambda rng: StGcnBlock(*block_parts(rng, partitions=0)), "0 weight sets for 3"),
+    (lambda rng: StGcnBlock(*_uneven(rng)), "gc weight shape"),
+    (lambda rng: StGcnBlock(*block_parts(rng, tc_in=4)), "temporal conv is 4->5"),
+    (lambda rng: GlobalAverageHead(4, rand_tensor(rng, (3, 2)), rand_tensor(rng, (3,))),
+     "channels, classes"),
+    (lambda rng: GlobalAverageHead(4, rand_tensor(rng, (3,)), rand_tensor(rng, (3,))),
+     "channels, classes"),
+    (lambda rng: GlobalAverageHead(4, rand_tensor(rng, (3, 2, 1)), rand_tensor(rng, (2,))),
+     "channels, classes"),
+], ids=["no-partition", "partition-shape", "spatial-conv",
+        "fewer-weight-sets", "no-weight-set", "uneven-weights", "conv-channels", "head-bias",
+        "head-weight-rank-1", "head-weight-rank-3"])
+def test_graph_constructors_refuse_what_cannot_run(make, match):
+    # a block of fewer weight sets than partitions, or a head's weight of
+    # another rank, failed only at its first step
+    with pytest.raises(DimensionError, match=match):
+        make(np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("partitions", [0, 2, 4])
+def test_from_edges_splits_into_one_or_three_partitions_only(partitions):
+    with pytest.raises(ValueError, match="partition count"):
+        SkeletonGraph.from_edges(3, [(0, 1)], partitions=partitions)
+
+
+@pytest.mark.parametrize("frame,sets,match", [
+    ((4,), 3, "frame must be"), ((4, 5), 3, "frame must be"), ((4, 6), 2, "weight sets"),
+], ids=["rank", "nodes", "weight-sets"])
+def test_graph_conv_refuses_a_frame_or_weights_of_another_graph(frame, sets, match):
+    rng = np.random.default_rng(8)
+    graph, w_gc, _ = block_parts(rng)
+    with pytest.raises(DimensionError, match=match):
+        graph_conv(rand_tensor(rng, frame), graph, w_gc[:sets])
+
+
 def test_three_block_network_equivalence():
     rng = np.random.default_rng(6)
     blocks = [make_block(rng, v=25, c_in=4, c_out=4) for _ in range(3)]

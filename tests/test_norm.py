@@ -77,6 +77,30 @@ def test_bn_rejects_negative_variance():
                   Tensor([-1.0, 1.0]))
 
 
+def _bn(gamma=(3,), beta=(3,), mean=(3,), var=(3,), eps=1e-5):
+    rng = np.random.default_rng(8)
+    return BatchNorm(*(rand_tensor(rng, s) for s in (gamma, beta, mean)),
+                     Tensor.wrap(np.ones(var, np.float32)), eps=eps)
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: _bn(beta=(4,)), "not one"),
+    (lambda: _bn(var=(3, 1)), "not one"),
+    # a gamma of another rank failed only in forward, as a broadcast or index error
+    (lambda: _bn(gamma=(3, 1)), "not one"),
+    (lambda: _bn(gamma=(), beta=(), mean=(), var=()), "not one"),
+    (lambda: _bn(eps=0.0), "eps"),
+    (lambda: LayerNorm(Tensor.zeros((3,)), Tensor.zeros((4,))), "equal rank-1"),
+    (lambda: LayerNorm(Tensor.zeros((3, 1)), Tensor.zeros((3, 1))), "equal rank-1"),
+    (lambda: LayerNorm(Tensor.zeros((3,)), Tensor.zeros((3,)), eps=-1.0), "eps"),
+], ids=["bn-beta", "bn-var-rank", "bn-gamma-rank-2", "bn-rank-0", "bn-eps", "ln-beta",
+        "ln-rank", "ln-eps"])
+def test_norms_refuse_what_cannot_run(make, match):
+    with pytest.raises(ValueError, match=match) as err:
+        make()
+    assert isinstance(err.value, DimensionError) == (match != "eps")
+
+
 def test_bn_scale_and_shift_are_computed_in_f64():
     bn = make_bn(np.random.default_rng(5), 4)
     g, b, m, v = (t.array.astype(np.float64)

@@ -168,6 +168,15 @@ def test_ready_count_law():
             assert got.shape[0] == max(0, t_in - (window - 1 - padding))
 
 
+@pytest.mark.parametrize("kind,window,padding,match", [
+    ("min", 3, 0, "unknown pooling kind"), ("avg", 0, 0, "window must be"),
+    ("avg", 3, 3, "outside"), ("avg", 3, -1, "outside"),
+], ids=["kind", "window", "padding-past-window", "padding-negative"])
+def test_pool_refuses_what_cannot_run(kind, window, padding, match):
+    with pytest.raises(ValueError, match=match):
+        TemporalPool(kind, window, padding)
+
+
 def test_max_rejects_padding():
     with pytest.raises(ValueError):
         TemporalPool("max", 3, padding=1)

@@ -21,6 +21,22 @@ def test_tensor_invariants_and_immutability():
         Tensor([1.0, 2.0], shape=(3,))
 
 
+@pytest.mark.parametrize("make,error,match", [
+    (lambda: Tensor([1.0], dtype="f16"), ValueError, "unsupported dtype"),
+    (lambda: Tensor([1.0, 2.0], shape=(-1, -2)), DimensionError, "negative extent"),
+], ids=["dtype", "negative-extent"])
+def test_tensor_refuses_an_unknown_dtype_or_a_negative_extent(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
+def test_astype_is_a_new_tensor_even_in_its_own_dtype():
+    t = Tensor([1.0, 2.0], dtype="f64")
+    for dtype in ("f64", "f32"):
+        u = t.astype(dtype)
+        assert u is not t and u.dtype == dtype and u.tolist() == [1.0, 2.0]
+
+
 def test_tensor_copies_a_writeable_caller_array_and_leaves_it_writeable():
     # the caller may go on writing its array: the tensor neither freezes it
     # nor aliases it, reshaped or not; a converted input is the tensor's own
