@@ -52,14 +52,16 @@ one entry per step phase:
   of inputs awaiting it (``cinet.graph``).
 
 The layer arranges its weights once, in both stream dtypes at construction:
-the clip product's oldest-first matrix, with the bias.  The step path's
-newest tap, bias column and schedule depend on the dtype alone, so they are
-made when the first stream of each dtype binds and kept on the module, one
-entry per dtype; the ring's slot count is fixed at construction, and a
-stream sizes its ring from its frame.  A spatial kernel unfolds each frame
-once (im2col) through a read-only gather index memoised per frame shape; a
-1x1 kernel's products read the frame in place.  So one instance steps
-streams of every frame shape it accepts, side by side.
+the clip product's oldest-first matrix, with the bias.  What a step reads
+is arranged when the first stream of its layout, a dtype and a frame shape,
+binds, and kept on the module in the step table: per dtype, the newest tap
+and the schedule, which serve every frame shape, and per frame shape the
+bias as a read-only ``(c_out, H'*W')`` plane, so that no step operand
+broadcasts, and for a spatial kernel the read-only gather index that
+unfolds a frame once (im2col); a 1x1 kernel's products read the frame in
+place.  The ring's slot count is fixed at construction, and a stream sizes
+its ring from its frame.  So one instance steps streams of every frame
+shape it accepts, side by side.
 
 Step and clip mode emit on one schedule and differ only in summation order.
 
@@ -77,38 +79,41 @@ fixed-shape product, so its bits do not depend on the clip's length or start.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError
-from .module import CoModule, OpCount, per_dtype
+from .module import CoModule, OpCount, integer, per_dtype
 from .tensor import Tensor
 
 
-@functools.lru_cache
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: every stream of a layout reads the step table."""
+    a.flags.writeable = False
+    return a
+
+
 def _unfold_index(frame_shape: tuple, kh: int, kw: int) -> np.ndarray:
     """Read-only gather index that unfolds a (C, H, W) frame into im2col
     columns: row (c, a, b), column (i, j) picks element ``[c, i + a, j + b]``
-    of the flattened frame.  Memoised: every step of a spatial kernel reads it."""
+    of the flattened frame."""
     c, h, w = frame_shape
     flat = np.arange(c * h * w).reshape(c, h, w)
     win = np.lib.stride_tricks.sliding_window_view(flat, (kh, kw), axis=(1, 2))
-    idx = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, -1)
-    idx.flags.writeable = False
-    return idx
+    return _frozen(win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, -1))
 
 
 class _ConvState:
-    __slots__ = ("ring", "t")
+    __slots__ = ("ring", "t", "shape")
 
-    def __init__(self, ring):
+    def __init__(self, ring, shape):
         # (dp*mp*c_out, H'*W') partial sums, slot i from row i*c_out on:
         # dp sub-rings of mp slots, one slot per pending emission
         self.ring = ring
         self.t = 0  # steps consumed; it places step t in the schedule
+        self.shape = shape  # the frame shape: a step's key into its dtype's layouts
 
 
 class TemporalConv(CoModule):
@@ -127,6 +132,8 @@ class TemporalConv(CoModule):
         self.c_out, self.c_in, self.k_t, self.k_h, self.k_w = weights.shape
         if bias.shape != (self.c_out,):
             raise DimensionError(f"bias shape {bias.shape} != ({self.c_out},)")
+        dilation, padding = integer("dilation", dilation), integer("padding", padding)
+        temporal_stride = integer("temporal_stride", temporal_stride)
         if dilation < 1:
             raise ValueError("dilation must be >= 1")
         if temporal_stride < 1:
@@ -145,13 +152,14 @@ class TemporalConv(CoModule):
         pending = -(-(self.k_t - 1) * dilation // temporal_stride)  # ceil(m*d/s)
         self._dp = dilation // math.gcd(dilation, temporal_stride)
         self._mp = -(-pending // self._dp)
-        self._spatial = self.k_h > 1 or self.k_w > 1  # a step unfolds its frame
         # (c_out, k_t*C*KH*KW) weights, taps oldest first, and the (c_out,) bias
         self._w = per_dtype(lambda dt: (
             weights.array.astype(dt)[:, :, ::-1].swapaxes(1, 2).reshape(self.c_out, -1),
             bias.array.astype(dt)))
-        # dtype -> the step path's newest tap (c_out, C*KH*KW), (c_out, 1) bias
-        # and schedule (``_plan``), made by the first stream of the dtype
+        # dtype -> the step path's newest tap (c_out, C*KH*KW), its layouts
+        # and its schedule (``_plan``); the layouts map a frame shape to its
+        # bias plane (c_out, H'*W') and its gather index (``None`` at 1x1).
+        # The first stream of a layout makes its entry
         self._step_table = {}
 
     def folded(self, bn) -> "TemporalConv":
@@ -228,17 +236,25 @@ class TemporalConv(CoModule):
     # -- step mode ----------------------------------------------------------------
 
     def _state(self, frame_shape: tuple, dtype: np.dtype) -> _ConvState:
-        """A stream's ring; the first stream of a dtype arranges the step
-        path for every later one."""
-        if dtype not in self._step_table:
-            w_cat, bias = self._w[dtype]
+        """A stream's ring; the first stream of a layout arranges the step
+        path for every later one.  Racing streams keep the first entry."""
+        table = self._step_table.get(dtype)
+        if table is None:
+            w_cat, _ = self._w[dtype]
             taps = w_cat.reshape(self.c_out, self.k_t, -1)[:, ::-1].swapaxes(0, 1)  # newest first
-            self._step_table[dtype] = (taps[0].copy(), bias[:, None], self._plan(taps))
-        bias = self._step_table[dtype][1]
-        cols = math.prod(self.out_frame_shape(frame_shape)[1:])
-        ring = np.empty((self._dp * self._mp * self.c_out, cols), dtype)
-        ring.reshape(-1, self.c_out, cols)[...] = bias  # every pending emission starts at the bias
-        return _ConvState(ring)
+            new = (_frozen(taps[0].copy()), {}, self._plan(taps))
+            table = self._step_table.setdefault(dtype, new)
+        layouts = table[1]
+        if frame_shape not in layouts:
+            cols = math.prod(self.out_frame_shape(frame_shape)[1:])
+            plane = _frozen(np.repeat(self._w[dtype][1][:, None], cols, axis=1))
+            index = (_unfold_index(frame_shape, self.k_h, self.k_w)
+                     if self.k_h > 1 or self.k_w > 1 else None)
+            layouts.setdefault(frame_shape, (plane, index))
+        plane = layouts[frame_shape][0]
+        ring = np.empty((self._dp * self._mp * self.c_out, plane.shape[1]), dtype)
+        ring.reshape(-1, *plane.shape)[...] = plane  # every pending emission starts at the bias
+        return _ConvState(ring, frame_shape)
 
     def _plan(self, taps: np.ndarray) -> list:
         """The ring's schedule from the (k_t, c_out, C*KH*KW) taps, newest
@@ -265,7 +281,7 @@ class TemporalConv(CoModule):
                 n, j = len(ks), q + (r + ks[0] * d) // s  # tap ks[i] feeds j + i*dp
                 table = tables.get(tuple(ks))
                 if table is None:
-                    table = tables[tuple(ks)] = taps[ks * 2]
+                    table = tables[tuple(ks)] = _frozen(taps[ks * 2])
                 lo, p = j % dp * mp * c, j // dp % mp
                 if n == mp:  # the whole sub-ring: its slot p' takes tap ks[(p' - p) mod mp]
                     adds.append((lo, lo + mp * c, table[(mp - p) % mp:][:mp].reshape(mp * c, -1)))
@@ -285,26 +301,27 @@ class TemporalConv(CoModule):
         ``lagged``, handed in only on steps with ``t mod stride == 0``, is a
         (c_out, H'*W') term added to the emission ``delay()`` steps later,
         the one aligned with this frame."""
-        w_new, bias, plan = self._step_table[xa.dtype]
+        w_new, layouts, plan = self._step_table[xa.dtype]
+        plane, index = layouts[state.shape]
         t = state.t
         state.t += 1
         out, adds, lag = plan[t % len(plan)]
-        if self._spatial:
-            x = xa.take(_unfold_index(xa.shape, self.k_h, self.k_w))  # im2col columns
+        if index is not None:
+            x = xa.take(index)  # im2col columns
         else:
             x = xa if xa.ndim == 2 else xa.reshape(self.c_in, -1)  # (C, H*W) rows
         ring, c = state.ring, self.c_out
         y = None
         if out is not None:
-            slot = ring[out:out + c] if self.k_t > 1 else bias  # k_t = 1 keeps no ring
+            slot = ring[out:out + c] if self.k_t > 1 else plane  # k_t = 1 keeps no ring
             if t >= self._delay:
                 y = np.dot(w_new, x) + slot
             # the freed slot starts its next emission at the bias, and at
             # bias + lagged when that emission is the aligned one
             if lag == out and lagged is not None:
-                np.add(lagged, bias, out=slot)
+                np.add(lagged, plane, out=slot)
             elif self.k_t > 1:
-                slot[...] = bias
+                slot[...] = plane
         if lagged is not None and lag != out:
             if self._delay:  # into the aligned emission's pending slot
                 sub = ring[lag:lag + c]

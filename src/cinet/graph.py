@@ -74,10 +74,16 @@ class SkeletonGraph:
     @staticmethod
     def from_edges(v: int, edges: Sequence[tuple], partitions: int = 1,
                    root: int = 0, dtype: str = "f64") -> "SkeletonGraph":
-        """Build from undirected edges; 1 partition (normalized A+I) or the
-        3-way split into self, centripetal and centrifugal neighbors."""
+        """Build from undirected edges between nodes ``0 .. v-1``; 1
+        partition (normalized A+I) or the 3-way split into self, centripetal
+        and centrifugal neighbors of ``root``.  An edge or a root naming
+        another node is refused."""
+        if not 0 <= root < v:
+            raise DimensionError(f"root {root} outside [0, {v})")
         a = np.zeros((v, v))
         for i, j in edges:
+            if not (0 <= i < v and 0 <= j < v):
+                raise DimensionError(f"edge {(i, j)} has a node outside [0, {v})")
             a[i, j] = a[j, i] = 1.0
         if partitions == 1:
             mats = [_sym_normalize(a + np.eye(v))]

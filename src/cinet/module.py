@@ -58,8 +58,10 @@ A layer arranges its weights at construction, with ``per_dtype``, in the
 form its kernel needs and in both stream dtypes; a kernel looks them up by
 its input's dtype and casts no weight, so a stream changes nothing on the
 layer.  The one table filled later is ``TemporalConv``'s step table, one
-entry per dtype, made by the first stream of that dtype; no layer keeps
-anything keyed by a frame shape.
+entry per stream layout, a dtype and a frame shape, made by the first
+stream of that layout and read-only: everything a step reads in the form
+it reads it, so that no step operand broadcasts and no step makes a memo
+call.  No other layer keeps anything keyed by a frame shape.
 
 A step spends more on numpy's per-call dispatch than on arithmetic, so
 step kernels make their calls by one rule.  A step's product whose
@@ -75,6 +77,7 @@ scalar, which a ufunc converts on every call.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -117,6 +120,16 @@ def _frame_shape(a: np.ndarray) -> tuple:
     if a.ndim == 0:
         raise DimensionError("a clip needs a leading time axis, got a rank-0 tensor")
     return a.shape[1:]
+
+
+def integer(name: str, value) -> int:
+    """``value``, a Python or numpy integer, as an ``int``; anything else, a
+    float of integral value too, is refused with a ``ValueError`` naming
+    the argument ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def per_dtype(make) -> dict:

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .module import CoModule, OpCount
+from .module import CoModule, OpCount, integer
 
 
 def _window_reduce(op, e: np.ndarray, w: int, n_out: int, dtype) -> np.ndarray:
@@ -88,6 +88,7 @@ class TemporalPool(CoModule):
     def __init__(self, kind: str, window: int, padding: int = 0):
         if kind not in ("avg", "max"):
             raise ValueError(f"unknown pooling kind {kind!r}")
+        window, padding = integer("window", window), integer("padding", padding)
         if window < 1:
             raise ValueError("window must be >= 1")
         if kind == "max" and padding != 0:

@@ -12,6 +12,7 @@ from cinet.errors import DimensionError
 from cinet.module import CoModule
 from cinet.norm import BatchNorm
 from cinet.pool import TemporalPool
+from cinet.profile import profile
 from cinet.tensor import Tensor
 
 from conftest import max_rel_dev, rand_tensor
@@ -233,16 +234,30 @@ def test_parallel_refuses_branches_whose_frames_disagree(reduce, other, match):
             call()
 
 
+def _at(root: CoModule, path: str) -> CoModule:
+    """The module at a profile row's ``path``: ``root.i.j`` is child ``j`` of
+    child ``i`` of ``root``."""
+    for i in path.split(".")[1:]:
+        root = root.children()[int(i)]
+    return root
+
+
 def test_children_reach_every_module_of_the_generated_trees():
-    # AC6's trees: recursing children() finds every module the tree holds
+    # AC6's trees: recursing children() finds every module the tree holds,
+    # and the profile's walk gives each one row, stepped and timed by the
+    # time the tree first emits
     for case in range(100):
-        tree = _random_tree(np.random.default_rng(5000 + case))
+        rng = np.random.default_rng(5000 + case)
+        tree = _random_tree(rng)
         found, stack = [], [tree]
         while stack:
             found.append(stack.pop())
             stack.extend(found[-1].children())
         held = [m for m in walk(tree) if isinstance(m, CoModule)]
         assert sorted(map(id, found)) == sorted(map(id, held))
+        rows = profile(tree, rand_tensor(rng, (4, CH, 2, 2)), tree.warmup() + 1)
+        assert sorted(id(_at(tree, r["path"])) for r in rows) == sorted(map(id, held))
+        assert all(r["step_cost"] is not None and r["step_us"] > 0 for r in rows)
 
 
 def test_identity_and_pointwise_are_transparent():

@@ -74,11 +74,26 @@ def test_padding_bounded_by_receptive_field():
     ((3, 2, 3, 1, 1), (3, 1), {}, "bias shape"),
     ((3, 2, 3, 1, 1), (3,), {"dilation": 0}, "dilation"),
     ((3, 2, 3, 1, 1), (3,), {"temporal_stride": 0}, "stride"),
-], ids=["weight-rank", "bias-width", "bias-rank", "dilation", "stride"])
+    ((3, 2, 3, 1, 1), (3,), {"dilation": 1.5}, "dilation must be an integer"),
+    ((3, 2, 3, 1, 1), (3,), {"temporal_stride": 1.5}, "temporal_stride must be an integer"),
+    ((3, 2, 3, 1, 1), (3,), {"padding": 1.5}, "padding must be an integer"),
+], ids=["weight-rank", "bias-width", "bias-rank", "dilation", "stride", "dilation-float",
+        "stride-float", "padding-float"])
 def test_conv_refuses_what_cannot_run(weights, bias, options, match):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=match):
         TemporalConv(rand_tensor(rng, weights), rand_tensor(rng, bias), **options)
+
+
+def test_conv_geometry_takes_numpy_integers():
+    rng = np.random.default_rng(0)
+    w, b = rand_tensor(rng, (3, 2, 3, 1, 1)), rand_tensor(rng, (3,))
+    x = rand_tensor(rng, (9, 2, 4))
+    conv = TemporalConv(w, b, np.int64(2), np.int32(1), np.int8(2))
+    want = TemporalConv(w, b, 2, 1, 2)
+    assert (conv.dilation, conv.padding, conv.temporal_stride, conv.delay()) == (2, 1, 2, 3)
+    assert np.array_equal(conv.forward_steps(conv.init_state(), x).array,
+                          want.forward_steps(want.init_state(), x).array)
 
 
 # -- offline forward ------------------------------------------------------------

@@ -312,6 +312,16 @@ def test_from_edges_splits_into_one_or_three_partitions_only(partitions):
         SkeletonGraph.from_edges(3, [(0, 1)], partitions=partitions)
 
 
+@pytest.mark.parametrize("edges,options,match", [
+    ([(0, 5)], {}, r"edge \(0, 5\)"),
+    ([(0, 1), (0, -1)], {}, r"edge \(0, -1\)"),  # not the edge 0-2
+    ([(0, 1)], {"partitions": 3, "root": 7}, "root 7"),
+], ids=["node-past-v", "node-negative", "root"])
+def test_from_edges_refuses_nodes_outside_the_graph(edges, options, match):
+    with pytest.raises(DimensionError, match=match):
+        SkeletonGraph.from_edges(3, edges, **options)
+
+
 @pytest.mark.parametrize("frame,sets,match", [
     ((4,), 3, "frame must be"), ((4, 5), 3, "frame must be"), ((4, 6), 2, "weight sets"),
 ], ids=["rank", "nodes", "weight-sets"])

@@ -171,10 +171,20 @@ def test_ready_count_law():
 @pytest.mark.parametrize("kind,window,padding,match", [
     ("min", 3, 0, "unknown pooling kind"), ("avg", 0, 0, "window must be"),
     ("avg", 3, 3, "outside"), ("avg", 3, -1, "outside"),
-], ids=["kind", "window", "padding-past-window", "padding-negative"])
+    ("avg", 2.5, 0, "window must be an integer"), ("avg", 4, 1.5, "padding must be an integer"),
+], ids=["kind", "window", "padding-past-window", "padding-negative", "window-float",
+        "padding-float"])
 def test_pool_refuses_what_cannot_run(kind, window, padding, match):
     with pytest.raises(ValueError, match=match):
         TemporalPool(kind, window, padding)
+
+
+def test_pool_geometry_takes_numpy_integers():
+    pool, want = TemporalPool("avg", np.int64(4), np.int32(1)), TemporalPool("avg", 4, 1)
+    x = rand_tensor(np.random.default_rng(3), (9, 2))
+    assert (pool.window, pool.padding, pool.delay()) == (4, 1, 2)
+    assert np.array_equal(pool.forward_steps(pool.init_state(), x).array,
+                          want.forward_steps(want.init_state(), x).array)
 
 
 def test_max_rejects_padding():

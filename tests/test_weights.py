@@ -3,9 +3,10 @@
 Every weight-holding layer arranges its weights in both stream dtypes at
 construction, so one instance serves f32 and f64 streams side by side, each
 bit for bit as a run of that dtype alone, and running a stream writes
-nothing to the layer.  ``TemporalConv._step_table``, one entry per stream
-dtype, is the one table a stream may fill: its first stream of a dtype
-arranges the step path for every later one, whatever their frame shapes.
+nothing to the layer.  ``TemporalConv._step_table`` is the one table a
+stream may fill: the first stream of a layout, a dtype and a frame shape,
+arranges what the step path reads for every later stream of that layout,
+and every array the table holds is read-only.
 """
 
 from pathlib import Path
@@ -163,3 +164,43 @@ def test_streams_leave_each_bundled_model_untouched(path):
     model = build_model(cfg, path.parent)
     frame = tuple(cfg["input"]["shape"])
     _assert_untouched(model, _run_both_dtypes(model, frame, model.receptive_field() + 8))
+
+
+def _arrays(table) -> list:
+    """Every array reachable from ``table`` through dicts, lists and tuples."""
+    found, stack = [], [table]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, dict):
+            stack.extend(v.values())
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+    return found
+
+
+@pytest.mark.parametrize("name", ["conv_pre", "stgcn_block"])
+def test_step_table_is_read_only_with_one_bias_plane_per_layout(name):
+    # f32 and f64 streams of two frame shapes through one conv: a spatial
+    # kernel on two frame sizes, and a block's 1x1 conv, with the block's
+    # shortcut, on the block's frames and, stepped alone, on (C, H, W) frames
+    layer, frame = make(name)
+    conv = layer.tc if isinstance(layer, StGcnBlock) else layer
+    other = (conv.c_in, 3, 4) if conv is not layer else (conv.c_in, 6, 5)
+    rng = np.random.default_rng(7)
+    states = []
+    for model, f in ((layer, frame), (conv, other)):
+        for dt in ("f32", "f64"):
+            state = model.init_state()
+            model.forward_steps(state, rand_tensor(rng, (12,) + f, dtype=dt))
+            states.append(state.layer)
+    assert [len(layouts) for _, layouts, _ in conv._step_table.values()] == [2, 2]
+    arrays = _arrays(conv._step_table)
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    for state in states:
+        ring = state.ring
+        plane, _ = conv._step_table[ring.dtype][1][state.shape]
+        assert plane.dtype == ring.dtype and plane.flags.c_contiguous
+        assert np.array_equal(plane, np.broadcast_to(
+            conv.bias.array.astype(ring.dtype)[:, None], (conv.c_out, ring.shape[1])))
