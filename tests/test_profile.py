@@ -9,7 +9,7 @@ import pytest
 
 from cinet.config import build_model, load_config, random_stream
 from cinet.containers import Sequential
-from cinet.module import CoModule, OpCount, PerFrame
+from cinet.module import OpCount, PerFrame
 from cinet.pool import TemporalPool
 from cinet.profile import profile
 
@@ -27,16 +27,6 @@ def _config(path):
     model = build_model(cfg, path.parent)
     x = random_stream(3, 64, tuple(cfg["input"]["shape"]), cfg.get("dtype", "f32"))
     return model, x, model.warmup() + 256
-
-
-def _untimed_us(model, x, steps):
-    """µs per step of the same steps run with no wrapper."""
-    xa = x.array
-    layer = model.init_state().bind(model, xa.shape[1:], xa.dtype)
-    t0 = time.perf_counter()
-    for t in range(steps):
-        model._step(layer, xa[t % len(xa)])
-    return (time.perf_counter() - t0) / steps * 1e6
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
@@ -58,16 +48,20 @@ def test_every_layer_of_a_bundled_config_reads_its_time_cost_and_state(path):
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
-def test_self_times_sum_to_the_untimed_step(path):
-    # the self times sum to the step of the same stream run unwrapped, plus
-    # the wrappers' timer calls, about half a µs each: 2-19% over it on a
-    # 2-core VM, so the sum must sit within [0.75, 1.5] of it.  Counting a
-    # child's time in its parent's self time too would double the sum.  Best
-    # of three on each side, against another process's interference
+def test_self_times_sum_to_the_timed_step(path):
+    # the self times add up to the profiled run's wall time per step, all
+    # but the step loop, the root wrapper's bookkeeping and building the
+    # stream and the rows: 0.88-0.99 of it on a 2-core VM, so above 0.8.
+    # Counting a child's time in its parent's self time too would double
+    # the sum; a preempted run stretches both sides alike.  Best of three
     model, x, steps = _config(path)
-    total = min(sum(r["step_us"] for r in profile(model, x, steps)) for _ in range(3))
-    untimed = min(_untimed_us(model, x, steps) for _ in range(3))
-    assert 0.75 < total / untimed < 1.5, (total, untimed)
+    shares = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        rows = profile(model, x, steps)
+        wall_us = (time.perf_counter() - t0) / steps * 1e6
+        shares.append(sum(r["step_us"] for r in rows) / wall_us)
+    assert 0.8 < max(shares) <= 1, shares
 
 
 class _Fails(PerFrame):
@@ -107,8 +101,3 @@ def test_a_module_no_step_reaches_reads_no_cost():
 def test_profile_refuses_a_run_of_nothing(frames, steps):
     with pytest.raises(ValueError, match="need steps >= 1 and a frame"):
         profile(TemporalPool("avg", 2), rand_tensor(np.random.default_rng(0), (frames, 2)), steps)
-
-
-def test_profile_is_not_public():
-    import cinet
-    assert "profile" not in cinet.__all__ and isinstance(TemporalPool("avg", 2), CoModule)
